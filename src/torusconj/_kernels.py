@@ -1,36 +1,19 @@
-"""Hot numeric kernels: trig-sum evaluation, orbit sweeps, inverse-lift
-fixed-point iteration.
+"""Hot numeric kernels: trig-sum evaluation and its Jacobian, forward orbit
+sweeps, and the inverse-lift fixed-point iteration.
 
-Every kernel has a pure-numpy implementation and a numba @njit twin.  The
-numpy path is selected by setting TORUSCONJ_NO_NUMBA=1 in the environment
-(or automatically when numba is unavailable).  benchmarks/bench_kernels.py
-compares the two.
+Each kernel has one vectorised numpy implementation that works on a whole
+batch of points per call; callers pass the spec's terms as flat arrays
+(see dynamics.term_arrays).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-_DISABLED = os.environ.get("TORUSCONJ_NO_NUMBA", "").strip() not in ("", "0")
-if not _DISABLED:
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
 
-USE_NUMBA = HAVE_NUMBA
-
-
-# ---------------------------------------------------------------- numpy path
-
-def eval_trig_numpy(Z, comps, coefs, kinds, freqs, d):
+def eval_trig(Z, comps, coefs, kinds, freqs, d):
     """G(Z) for a batch Z of shape (n, d); terms given as flat arrays.
 
     comps: (T,) 0-based component indices; kinds: (T,) 0=sin 1=cos;
@@ -64,14 +47,14 @@ def eval_trig_jac_numpy(Z, comps, coefs, kinds, freqs, d):
     return out
 
 
-def orbit_g_values_numpy(theta0, Mf, comps, coefs, kinds, freqs, nsteps):
+def orbit_g_values(theta0, Mf, comps, coefs, kinds, freqs, nsteps):
     """Forward torus orbit sweep: returns (G(theta_0..theta_{nsteps-1}))
     stacked as (nsteps, n, d), iterating theta <- (M theta + G(theta)) mod 1."""
     n, d = theta0.shape
     gs = np.empty((nsteps, n, d))
     theta = theta0.copy()
     for j in range(nsteps):
-        g = eval_trig_numpy(theta, comps, coefs, kinds, freqs, d)
+        g = eval_trig(theta, comps, coefs, kinds, freqs, d)
         gs[j] = g
         theta = np.mod(theta @ Mf.T + g, 1.0)
     return gs
@@ -87,76 +70,16 @@ def invert_lift_numpy(Z, Minv, comps, coefs, kinds, freqs, tol, max_iter):
     W = Z @ Minv.T
     Mf = np.linalg.inv(Minv)
     for _ in range(max_iter):
-        g = eval_trig_numpy(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
+        g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
         W_new = (Z - g) @ Minv.T
         step = np.sqrt(((W_new - W) ** 2).sum(axis=1)).max()
         W = W_new
         if step == 0.0:
             break
-        g = eval_trig_numpy(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
+        g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
         res = np.sqrt(((W @ Mf.T + g - Z) ** 2).sum(axis=1)).max()
         if res <= tol:
             break
-    g = eval_trig_numpy(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
+    g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
     res = np.sqrt(((W @ Mf.T + g - Z) ** 2).sum(axis=1))
     return W, res
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _eval_trig_nb(Z, comps, coefs, kinds, freqs, d):
-        n = Z.shape[0]
-        T = coefs.shape[0]
-        out = np.zeros((n, d))
-        for p in range(n):
-            for t in range(T):
-                ph = 0.0
-                for j in range(d):
-                    ph += freqs[t, j] * Z[p, j]
-                ph *= TWO_PI
-                v = np.sin(ph) if kinds[t] == 0 else np.cos(ph)
-                out[p, comps[t]] += coefs[t] * v
-        return out
-
-    @njit(cache=True)
-    def _orbit_g_values_nb(theta0, Mf, comps, coefs, kinds, freqs, nsteps):
-        n, d = theta0.shape
-        gs = np.empty((nsteps, n, d))
-        theta = theta0.copy()
-        for s in range(nsteps):
-            g = _eval_trig_nb(theta, comps, coefs, kinds, freqs, d)
-            gs[s] = g
-            nxt = theta @ Mf.T + g
-            for p in range(n):
-                for j in range(d):
-                    nxt[p, j] = nxt[p, j] % 1.0
-            theta = nxt
-        return gs
-
-    def eval_trig_numba(Z, comps, coefs, kinds, freqs, d):
-        if len(coefs) == 0:
-            return np.zeros((Z.shape[0], d))
-        return _eval_trig_nb(np.ascontiguousarray(Z), comps, coefs, kinds,
-                             np.asarray(freqs, dtype=np.float64), d)
-
-    def orbit_g_values_numba(theta0, Mf, comps, coefs, kinds, freqs, nsteps):
-        return _orbit_g_values_nb(
-            np.ascontiguousarray(theta0), np.ascontiguousarray(Mf), comps,
-            coefs, kinds, np.asarray(freqs, dtype=np.float64), nsteps)
-
-
-# ---------------------------------------------------------------- dispatch
-
-def eval_trig(Z, comps, coefs, kinds, freqs, d):
-    if USE_NUMBA and len(coefs):
-        return eval_trig_numba(Z, comps, coefs, kinds, freqs, d)
-    return eval_trig_numpy(Z, comps, coefs, kinds, freqs, d)
-
-
-def orbit_g_values(theta0, Mf, comps, coefs, kinds, freqs, nsteps):
-    if USE_NUMBA and len(coefs):
-        return orbit_g_values_numba(theta0, Mf, comps, coefs, kinds, freqs, nsteps)
-    return orbit_g_values_numpy(theta0, Mf, comps, coefs, kinds, freqs, nsteps)

@@ -1,15 +1,16 @@
 """Command-line harness: validate / analyze / phi / verify-semiconj /
 verify-cones / conjugacy, with JSON reports and CSV grid exports.
 
-Exit codes: 0 = all checks pass, 1 = operational error (bad input, engine
-failure), 2 = a verification verdict failed (including "no integer
-eigenvalue" in analyze).
+Exit codes: 0 = all checks pass, 1 = operational error (bad input, usage
+errors included, engine failure), 2 = a verification verdict failed
+(including "no integer eigenvalue" in analyze).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -195,16 +196,14 @@ def cmd_verify_cones(args) -> dict:
     spec = _load_spec(args.spec)
     block = _pick_block(spec, args)
     spec_S = dynamics.change_coordinates(spec, block.S_list())
-    alphas = args.alpha or DEFAULT_ALPHAS
     results = []
     best = None
-    for alpha in alphas:
-        K = args.K if args.K is not None else 1.0 + 1e-9
-        params = cones.ConeParams(k=block.k, alpha=alpha, K=K)
+    for alpha in args.alpha:
+        params = cones.ConeParams(k=block.k, alpha=alpha, K=args.K)
         cert = cones.verify_A2(spec_S, params, args.grid)
         entry = {
             "alpha": alpha,
-            "K": K,
+            "K": args.K,
             "expansion_factor": cert.expansion_factor,
             "invariance_margin": cert.invariance_margin,
             "expansion_margin": cert.expansion_margin,
@@ -235,10 +234,8 @@ def cmd_conjugacy(args) -> dict:
     rng = np.random.default_rng(args.seed)
     z = rng.uniform(0, 1, size=(50, engine.d))
     x, y = conjmap.H_forward(engine, z)
-    rt = max(
-        dynamics.torus_distance(
-            conjmap.H_inverse(engine, x[i], y[i], tol=args.tol), z[i])
-        for i in range(len(z)))
+    rt = dynamics.torus_distance(conjmap.H_inverse(engine, x, y, tol=args.tol),
+                                 z).max()
     ok = sr.max_base_residual <= sr.ceiling
     report = {
         "command": "conjugacy",
@@ -262,61 +259,80 @@ def cmd_conjugacy(args) -> dict:
 
 # ---------------------------------------------------------------- plumbing
 
+def _bounded(cast, lo, strict=False):
+    """argparse type: a finite number read by cast, >= lo (> lo if strict)."""
+    def parse(text: str):
+        try:
+            x = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not math.isfinite(x) or x < lo or (strict and x == lo):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite number {'>' if strict else '>='} {lo:g}")
+        return x
+    return parse
+
+
+_positive = _bounded(float, 0.0, strict=True)
+
+
 def _alpha_list(text: str):
-    try:
-        vals = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}")
-    if not vals or any(a <= 0 for a in vals):
-        raise argparse.ArgumentTypeError("alphas must be positive")
+    vals = [_positive(x) for x in text.split(",") if x.strip()]
+    if not vals:
+        raise argparse.ArgumentTypeError("empty alpha list")
     return vals
+
+
+FLAGS = {
+    "--trunc": dict(type=_bounded(int, 1), default=None, metavar="N",
+                    help="series truncation order (default: auto)"),
+    "--grid": dict(type=_bounded(int, 2), default=64, metavar="R",
+                   help="grid resolution per axis"),
+    "--alpha": dict(type=_alpha_list, default=DEFAULT_ALPHAS, metavar="LIST",
+                    help="comma-separated cone openings, each > 0"),
+    "--K": dict(type=_bounded(float, 1.0, strict=True), default=1.0 + 1e-9,
+                help="required expansion constant, > 1"),
+    "--tol": dict(type=_positive, default=1e-10,
+                  help="fiber solver tolerance, > 0"),
+    "--sublattice": dict(default=None, metavar="FILE|full",
+                         help="invariant sublattice basis (JSON file) or 'full'"),
+    "--seed": dict(type=_bounded(int, 0), default=0,
+                   help="seed of the sampled test points"),
+}
+
+# each command gets only the flags it reads (plus -o)
+COMMANDS = {
+    "validate": (cmd_validate, ("--seed",)),
+    "analyze": (cmd_analyze, ("--sublattice",)),
+    "phi": (cmd_phi, ("--trunc", "--grid", "--sublattice")),
+    "verify-semiconj": (cmd_verify_semiconj, ("--trunc", "--grid", "--sublattice")),
+    "verify-cones": (cmd_verify_cones, ("--grid", "--alpha", "--K", "--sublattice")),
+    "conjugacy": (cmd_conjugacy,
+                  ("--trunc", "--grid", "--tol", "--sublattice", "--seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="torusconj",
                                 description="certified torus-map analysis")
     sub = p.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": cmd_validate,
-        "analyze": cmd_analyze,
-        "phi": cmd_phi,
-        "verify-semiconj": cmd_verify_semiconj,
-        "verify-cones": cmd_verify_cones,
-        "conjugacy": cmd_conjugacy,
-    }
-    for name, fn in commands.items():
+    for name, (fn, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("spec", help="map spec file")
-        sp.add_argument("--trunc", type=int, default=None, metavar="N",
-                        help="series truncation order (default: auto)")
-        sp.add_argument("--grid", type=int, default=64, metavar="R",
-                        help="grid resolution per axis")
-        sp.add_argument("--alpha", type=_alpha_list, default=None,
-                        metavar="LIST", help="comma-separated cone openings")
-        sp.add_argument("--K", type=float, default=None,
-                        help="required expansion constant")
-        sp.add_argument("--tol", type=float, default=1e-10,
-                        help="fiber solver tolerance")
-        sp.add_argument("--sublattice", default=None, metavar="FILE|full",
-                        help="invariant sublattice basis (JSON file) or 'full'")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.add_argument("-o", "--out", default=None, metavar="DIR")
         sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.grid < 2:
-        print("grid resolution must be >= 2", file=sys.stderr)
-        return 1
-    if args.tol <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return 1
-    if args.trunc is not None and args.trunc < 1:
-        print("truncation order must be >= 1", file=sys.stderr)
-        return 1
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error; 2 means a
+        # failed verdict here, so a usage error returns 1 (bad input)
+        return 0 if e.code == 0 else 1
     try:
         report = args.fn(args)
     except _Verdict as v:

@@ -11,13 +11,12 @@ eigenvalue is concave in lambda).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, semiconj
 from .specdsl import TorusMapSpec
 
 TERNARY_ITERS = 200
@@ -28,18 +27,6 @@ class ConeParams:
     k: int
     alpha: float        # math.inf allowed
     K: float            # claimed expansion constant, > 1
-
-
-def cone_contains(params: ConeParams, v) -> bool:
-    """True iff ||b|| <= alpha ||a|| for the (a, b) splitting of v."""
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        raise ValueError("zero vector is not classified by the cone")
-    a = np.linalg.norm(v[:params.k])
-    b = np.linalg.norm(v[params.k:])
-    if math.isinf(params.alpha):
-        return True
-    return b <= params.alpha * a
 
 
 def _pencil_max_lambda_min(Q: np.ndarray, J: np.ndarray, lam_hi: float):
@@ -168,19 +155,6 @@ class ConeCertificate:
     a2_pass: bool
     a4_pass: bool | None
 
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["params"]["alpha"] = (None if math.isinf(self.params.alpha)
-                                  else self.params.alpha)
-        out["worst_cell"] = list(self.worst_cell)
-        return out
-
-
-def _grid_cells(d: int, res: int) -> np.ndarray:
-    axes = [(np.arange(res) + 0.5) / res] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 def _cell_padding(spec: TorusMapSpec, res: int) -> float:
     """Worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2."""
@@ -194,7 +168,7 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int,
     padding so a pass certifies every point of the torus."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
-    centers = _grid_cells(spec.d, grid_res)
+    centers = semiconj._grid(spec.d, grid_res, offset=0.5)
     Ls = dynamics.jacobian(spec, centers)
     pad = _cell_padding(spec, grid_res)
     k, alpha = params.k, params.alpha
@@ -252,21 +226,3 @@ def tau(params: ConeParams) -> float:
     if math.isinf(params.alpha):
         raise ValueError("tau is not positive for an infinite cone opening")
     return 1.0 / math.sqrt(1.0 + params.alpha ** 2)
-
-
-def delta_bound(M, m: int) -> float:
-    """C1-smallness threshold 0.5*(|m| - 1) for symmetric M with integer
-    eigenvalue m; a heuristic target, certification is verify_A2's job."""
-    M = [list(r) for r in M]
-    d = len(M)
-    for i in range(d):
-        for j in range(d):
-            if M[i][j] != M[j][i]:
-                raise ValueError("delta bound requires a symmetric matrix")
-    if abs(m) <= 1:
-        raise ValueError("need |m| > 1 (expanding eigenvalue)")
-    return 0.5 * (abs(m) - 1)
-
-
-def certificate_json(cert: ConeCertificate) -> str:
-    return json.dumps(cert.to_json(), indent=2)

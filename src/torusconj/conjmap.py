@@ -13,7 +13,6 @@ with residual reporting.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,24 +124,32 @@ def _damped_batch(engine: SemiConjEngine, X0, Y, tol):
 def solve_fiber_point(engine: SemiConjEngine, x0, y0, tol: float = 1e-10):
     """The unique t with Phi_hat((t, y0)) = x0 (lift coordinates).
 
-    Certified bisection for k = 1; uncertified damped iteration otherwise.
+    One point (y0 of shape (d-k,)) or a batch of n points (y0 of shape
+    (n, d-k), x0 of shape (n,) or (n, k)), solved together.  Returns a float
+    (k = 1) or a (k,) array for one point, an (n,) or (n, k) array for a
+    batch.  Certified bisection for k = 1; uncertified damped iteration
+    otherwise.
     """
     _require_expanding(engine)
-    x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0a = np.asarray(y0, dtype=float).reshape(1, engine.d - engine.k)
-    if engine.k == 1:
-        t = _bisect_batch(engine, x0a[:1], y0a, tol)
-        return float(t[0])
-    T = _damped_batch(engine, x0a[None, :], y0a, tol)
-    return T[0]
+    k = engine.k
+    Y = np.asarray(y0, dtype=float)
+    single = Y.ndim < 2
+    X = np.asarray(x0, dtype=float).reshape(-1, k)
+    Y = Y.reshape(X.shape[0], engine.d - k)
+    if k == 1:
+        T = _bisect_batch(engine, X[:, 0], Y, tol)
+        return float(T[0]) if single else T
+    T = _damped_batch(engine, X, Y, tol)
+    return T[0] if single else T
 
 
 def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10):
-    """Torus point z with H(z) = (x0 mod 1, y0 mod 1) within tol."""
-    t = solve_fiber_point(engine, x0, y0, tol)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    y = np.mod(np.asarray(y0, dtype=float), 1.0)
-    return np.mod(np.concatenate([t, y]), 1.0)
+    """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol; one
+    point or a batch, shaped as for solve_fiber_point."""
+    Y = np.mod(np.asarray(y0, dtype=float), 1.0)
+    t = np.reshape(solve_fiber_point(engine, x0, y0, tol),
+                   Y.shape[:-1] + (engine.k,))
+    return np.mod(np.concatenate([t, Y], axis=-1), 1.0)
 
 
 @dataclass(frozen=True)
@@ -156,14 +163,6 @@ class FiberGraph:
     periodic_closure: float     # max |t(y) - t(y + e_j)| over boundary pairs
     grid_res: int
     tol: float
-
-
-def _y_grid(m: int, res: int) -> np.ndarray:
-    if m == 0:
-        return np.zeros((1, 0))
-    axes = [np.arange(res) / res] * m
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in mesh], axis=-1)
 
 
 def trace_fiber(engine: SemiConjEngine, theta0, grid_res: int,
@@ -180,7 +179,7 @@ def trace_fiber(engine: SemiConjEngine, theta0, grid_res: int,
         raise EngineError("certified fiber tracing requires k = 1")
     x0 = float(np.atleast_1d(np.asarray(theta0, dtype=float))[0])
     m = engine.d - engine.k
-    Y = _y_grid(m, grid_res)
+    Y = semiconj._grid(m, grid_res)
     n = Y.shape[0]
     x0v = np.full(n, x0)
     t = _bisect_batch(engine, x0v, Y, tol)
@@ -231,7 +230,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     _require_expanding(engine)
     k, d = engine.k, engine.d
     Xg = semiconj._grid(k, grid_res)
-    Yg = _y_grid(d - k, grid_res if d > k else 1)
+    Yg = semiconj._grid(d - k, grid_res)
     nx, ny = Xg.shape[0], Yg.shape[0]
     X = np.repeat(Xg, ny, axis=0)
     Y = np.tile(Yg, (nx, 1))
@@ -302,19 +301,6 @@ def export_fiber_csv(fiber: FiberGraph, path) -> None:
             w.writerow([f"{v:.17g}" for v in y] + [f"{t:.17g}", f"{r:.6g}"])
 
 
-def fiber_json_summary(fiber: FiberGraph) -> dict:
-    return {
-        "x0": fiber.x0,
-        "grid_res": fiber.grid_res,
-        "n_points": int(fiber.values.shape[0]),
-        "max_residual": float(fiber.residuals.max()),
-        "tol": fiber.tol,
-        "monotone_slope": fiber.monotone_slope,
-        "max_adjacent_step": fiber.max_adjacent_step,
-        "periodic_closure": fiber.periodic_closure,
-    }
-
-
 def export_skew_csv(report: SkewReport, path) -> None:
     d = report.grid.shape[1]
     m = report.fiber_map_samples.shape[1]
@@ -325,13 +311,3 @@ def export_skew_csv(report: SkewReport, path) -> None:
                    + [f"Fy_{i+1}" for i in range(m)])
         for g, fy in zip(report.grid, report.fiber_map_samples):
             w.writerow([f"{v:.17g}" for v in g] + [f"{v:.17g}" for v in fy])
-
-
-def skew_json_summary(report: SkewReport) -> str:
-    return json.dumps({
-        "grid_res": report.grid_res,
-        "tol": report.tol,
-        "max_base_residual": report.max_base_residual,
-        "ceiling": report.ceiling,
-        "pass": report.max_base_residual <= report.ceiling,
-    }, indent=2)

@@ -102,10 +102,6 @@ def mat_inv_unimodular(S: IntMat) -> IntMat:
     return out
 
 
-def is_unimodular(S: IntMat) -> bool:
-    return det_int(as_int_matrix(S)) in (1, -1)
-
-
 def hermite_normal_form(M) -> tuple[list[list[int]], IntMat]:
     """Row Hermite normal form.
 
@@ -230,17 +226,9 @@ def _kernel_basis(B: IntMat) -> list[IntVec]:
 
 
 def left_eigenvector_integer(M, m: int) -> IntVec:
-    """Primitive integer v with v^T M = m v^T, exact."""
-    M = as_int_matrix(M)
-    d = len(M)
-    shifted = [[M[i][j] - (m if i == j else 0) for j in range(d)] for i in range(d)]
-    if det_int(shifted) != 0:
-        raise LatticeError(f"{m} is not an eigenvalue (det(M - mI) != 0)")
-    ker = _kernel_basis(transpose(shifted))
-    v = primitive(ker[0])
-    if next(x for x in v if x != 0) < 0:
-        v = [-x for x in v]
-    return v
+    """Primitive integer v with v^T M = m v^T, exact: the invariant line of
+    M^T for the same eigenvalue."""
+    return derive_invariant_line(transpose(as_int_matrix(M)), m)
 
 
 def derive_invariant_line(M, m: int) -> IntVec:
@@ -352,8 +340,8 @@ def _check_tiling(tp: TilingParallelotope) -> None:
 
 
 def _solve_rational(A: IntMat, b: IntVec) -> list[Fraction] | None:
-    """Exact solve of the (possibly overdetermined) system A x = b; None if
-    inconsistent.  A is n x k with full column rank."""
+    """Exact solve of the system A x = b (any shape and rank): one particular
+    solution, with free variables set to 0, or None if inconsistent."""
     n, k = len(A), len(A[0])
     aug = [[Fraction(A[i][j]) for j in range(k)] + [Fraction(b[i])] for i in range(n)]
     row = 0
@@ -374,8 +362,6 @@ def _solve_rational(A: IntMat, b: IntVec) -> list[Fraction] | None:
     for r in range(row, n):
         if aug[r][k] != 0:
             return None
-    if len(piv_cols) < k:
-        raise LatticeError("basis vectors are linearly dependent")
     x = [Fraction(0)] * k
     for r, col in enumerate(piv_cols):
         x[col] = aug[r][k]
@@ -499,10 +485,7 @@ def _try_decouple(S: IntMat, Mc: IntMat, k: int):
                 row[i * r + t] -= D[t][j]
             rows.append(row)
             rhs.append(-C[i][j])
-    try:
-        x = _solve_rational(rows, rhs)
-    except LatticeError:
-        x = _solve_rational_underdetermined(rows, rhs)
+    x = _solve_rational(rows, rhs)
     if x is None or any(xi.denominator != 1 for xi in x):
         return None, None
     X = [[int(x[i * r + j]) for j in range(r)] for i in range(k)]
@@ -514,31 +497,3 @@ def _try_decouple(S: IntMat, Mc: IntMat, k: int):
     Mc2 = mat_mul(mat_inv_unimodular(T), mat_mul(Mc, T))
     return S2, Mc2
 
-
-def _solve_rational_underdetermined(A, b):
-    """Like _solve_rational but tolerates rank-deficient systems, returning
-    one particular solution (free variables set to 0) or None."""
-    n, k = len(A), len(A[0])
-    aug = [[Fraction(A[i][j]) for j in range(k)] + [Fraction(b[i])] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for r, col in enumerate(piv_cols):
-        x[col] = aug[r][k]
-    return x

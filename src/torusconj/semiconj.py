@@ -257,8 +257,13 @@ def phi_torus(engine: SemiConjEngine, theta) -> PhiValue:
     return PhiValue(value=np.mod(pv.value, 1.0), error_bound=pv.error_bound)
 
 
-def _grid(d: int, res: int) -> np.ndarray:
-    axes = [np.arange(res) / res] * d
+def _grid(d: int, res: int, offset: float = 0.0) -> np.ndarray:
+    """The res^d points (i + offset) / res, i in {0..res-1}^d, as an
+    (res^d, d) array in row-major order; offset 0.5 gives cell centres.
+    For d = 0 it is the single empty point, shape (1, 0)."""
+    if d == 0:
+        return np.zeros((1, 0))
+    axes = [(np.arange(res) + offset) / res] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -282,48 +287,6 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
     ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps
     return ResidualReport(max_residual=float(res[i]), argmax_point=theta[i],
                           ceiling=float(ceiling), grid_res=grid_res)
-
-
-def periodicity_check(engine: SemiConjEngine, z, mvec) -> float:
-    """Deviation ||phi_hat(z + m) - phi_hat(z) - proj_W m||; <= 2 eps_N."""
-    z = np.asarray(z, dtype=float)
-    m = np.asarray(mvec, dtype=float)
-    a = phi_hat(engine, z + m).value
-    b = phi_hat(engine, z).value
-    return float(np.linalg.norm(a - b - m[:engine.k]))
-
-
-@dataclass(frozen=True)
-class FiberBoundReport:
-    c_bound: float              # C_A * ||G||_0
-    max_center_dev: float       # worst |phi_hat(z) - proj_W z|
-    max_pair_slack: float       # worst reverse-Lipschitz slack
-    n_points: int
-    ok: bool
-
-
-def fiber_bound_checks(engine: SemiConjEngine, n_pairs: int = 1000,
-                       seed: int = 0, box: float = 3.0) -> FiberBoundReport:
-    """Check the displacement and reverse-Lipschitz consequences of the
-    series bound on sampled points/pairs (expanding mode)."""
-    if engine.mode != "expanding":
-        raise EngineError("fiber bounds are checked in expanding mode only")
-    rng = np.random.default_rng(seed)
-    Z1 = rng.uniform(-box, box, size=(n_pairs, engine.d))
-    Z2 = rng.uniform(-box, box, size=(n_pairs, engine.d))
-    c = engine.c_a * engine.norms.g_sup
-    p1 = phi_hat(engine, Z1).value
-    p2 = phi_hat(engine, Z2).value
-    dev1 = np.linalg.norm(p1 - Z1[:, :engine.k], axis=1)
-    dev2 = np.linalg.norm(p2 - Z2[:, :engine.k], axis=1)
-    pair = np.abs(np.linalg.norm(p1 - p2, axis=1)
-                  - np.linalg.norm(Z1[:, :engine.k] - Z2[:, :engine.k], axis=1))
-    max_dev = float(max(dev1.max(), dev2.max()))
-    max_pair = float(pair.max())
-    ok = (max_dev <= c + engine.eps + 1e-12
-          and max_pair <= 2 * c + 2 * engine.eps + 1e-12)
-    return FiberBoundReport(c_bound=float(c), max_center_dev=max_dev,
-                            max_pair_slack=max_pair, n_points=n_pairs, ok=ok)
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:

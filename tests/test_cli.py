@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -136,10 +137,55 @@ def test_phi_export(fix1, capsys, tmp_path):
     assert csv.startswith("theta_1,phi_1,error_bound")
 
 
+# (command, flag, bad value): each must exit 1 with nothing on stdout
+BAD_FLAGS = [
+    ("validate", "--grid", "8"),            # not a flag of validate
+    ("validate", "--seed", "-1"),
+    ("analyze", "--trunc", "5"),            # not a flag of analyze
+    ("phi", "--format", "csv"),             # no command has --format
+    ("phi", "--grid", "x"),
+    ("verify-semiconj", "--grid", "1"),
+    ("verify-semiconj", "--trunc", "0"),
+    ("verify-cones", "--tol", "1e-9"),      # not a flag of verify-cones
+    ("verify-cones", "--alpha", "nan"),
+    ("verify-cones", "--alpha", "inf"),
+    ("verify-cones", "--alpha", "0.5,-1"),
+    ("verify-cones", "--alpha", ","),
+    ("verify-cones", "--K", "1"),
+    ("verify-cones", "--K", "0.5"),
+    ("verify-cones", "--K", "nan"),
+    ("verify-cones", "--K", "inf"),
+    ("conjugacy", "--tol", "0"),
+    ("conjugacy", "--tol", "-1e-9"),
+    ("conjugacy", "--tol", "nan"),
+    ("conjugacy", "--tol", "inf"),
+    ("conjugacy", "--alpha", "1"),          # not a flag of conjugacy
+]
+
+
 def test_bad_flags(fix1, capsys):
-    assert run(capsys, "validate", fix1, "--grid", "1")[0] == 1
-    assert run(capsys, "validate", fix1, "--tol", "0")[0] == 1
-    assert run(capsys, "validate", fix1, "--trunc", "0")[0] == 1
+    for command, flag, value in BAD_FLAGS:
+        code, out, err = run(capsys, command, fix1, flag, value)
+        assert (code, out) == (1, ""), (command, flag, value)
+        assert "error" in err, (command, flag, value)
+
+
+FLAGS_BY_COMMAND = {
+    "validate": {"--seed", "-o"},
+    "analyze": {"--sublattice", "-o"},
+    "phi": {"--trunc", "--grid", "--sublattice", "-o"},
+    "verify-semiconj": {"--trunc", "--grid", "--sublattice", "-o"},
+    "verify-cones": {"--grid", "--alpha", "--K", "--sublattice", "-o"},
+    "conjugacy": {"--trunc", "--grid", "--tol", "--sublattice", "--seed", "-o"},
+}
+
+
+def test_flags_per_command(capsys):
+    for command, flags in FLAGS_BY_COMMAND.items():
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        usage = out.split("\n\n")[0]
+        assert set(re.findall(r"\[(-{1,2}\w+)", usage)) == flags | {"-h"}, command
 
 
 def test_deterministic_output(fix2, capsys):

@@ -43,14 +43,6 @@ def test_certified_below_sampling(rng):
                                    cross_validate=True)
 
 
-def test_cone_contains():
-    p = cones.ConeParams(k=1, alpha=1.0, K=1.2)
-    assert cones.cone_contains(p, [1.0, 0.5])
-    assert not cones.cone_contains(p, [0.5, 1.0])
-    with pytest.raises(ValueError):
-        cones.cone_contains(p, [0.0, 0.0])
-
-
 def test_verify_A2_constant_jacobian():
     s = parse_spec("dim=2\nM=[[2,0],[0,1]]\n")
     params = cones.ConeParams(k=1, alpha=1.0, K=1.4)
@@ -125,20 +117,3 @@ def test_tau():
     assert np.isclose(cones.tau(cones.ConeParams(1, 1e-9, 1.2)), 1.0)
     with pytest.raises(ValueError):
         cones.tau(cones.ConeParams(1, math.inf, 1.2))
-
-
-def test_delta_bound():
-    assert cones.delta_bound([[2, 0], [0, 2]], 2) == 0.5
-    assert cones.delta_bound([[3, 0], [0, 3]], 3) == 1.0
-    with pytest.raises(ValueError):
-        cones.delta_bound([[2, 0], [0, 2]], 1)
-    with pytest.raises(ValueError):
-        cones.delta_bound([[2, 1], [0, 1]], 2)
-
-
-def test_certificate_json(spec_2d_S):
-    cert = cones.verify_A2(spec_2d_S, cones.ConeParams(1, 0.5, 1.2), 8)
-    import json
-    data = json.loads(cones.certificate_json(cert))
-    assert data["params"]["alpha"] == 0.5
-    assert isinstance(data["a2_pass"], bool)

@@ -65,6 +65,24 @@ def test_H_inverse_round_trips(engine_2d, rng):
         xi, yi = conjmap.H_forward(engine_2d, zi)
         assert dynamics.torus_distance(xi, x[i][None]) <= tol + 2 * engine_2d.eps
         assert np.abs(yi - y[i]).max() <= 1e-14
+    # one batched call meets the same bounds at every point
+    zb = conjmap.H_inverse(engine_2d, x, y, tol=tol)
+    assert zb.shape == z.shape
+    assert (dynamics.torus_distance(zb, z).max()
+            <= tol / tau_floor + 2 * engine_2d.eps / tau_floor)
+    xb, yb = conjmap.H_forward(engine_2d, zb)
+    assert dynamics.torus_distance(xb, x).max() <= tol + 2 * engine_2d.eps
+    assert np.array_equal(yb, y)
+
+
+def test_single_point_is_batch_of_one(engine_2d):
+    x0, y0 = 0.4, np.array([0.25])
+    t = conjmap.solve_fiber_point(engine_2d, x0, y0, tol=1e-10)
+    tb = conjmap.solve_fiber_point(engine_2d, np.array([x0]), y0[None], tol=1e-10)
+    assert isinstance(t, float) and tb.shape == (1,) and tb[0] == t
+    z = conjmap.H_inverse(engine_2d, np.array([x0]), y0, tol=1e-10)
+    zb = conjmap.H_inverse(engine_2d, np.array([[x0]]), y0[None], tol=1e-10)
+    assert z.shape == (2,) and zb.shape == (1, 2) and np.array_equal(zb[0], z)
 
 
 def test_trace_fiber_linear_flat(engine_linear):
@@ -141,16 +159,18 @@ def test_damped_solver_k2(rng):
     res = np.linalg.norm(
         semiconj.phi_hat(eng, np.concatenate([t, y0])).value - x0)
     assert res <= 1e-10
+    X = np.array([[0.3, 0.6], [0.9, 0.1]])
+    Y = np.array([[0.25], [0.75]])
+    T = conjmap.solve_fiber_point(eng, X, Y, tol=1e-10)
+    assert T.shape == (2, 2)
+    res = np.linalg.norm(semiconj.phi_hat(eng, np.hstack([T, Y])).value - X, axis=1)
+    assert res.max() <= 1e-10
 
 
 def test_exports(engine_2d, tmp_path):
     fib = conjmap.trace_fiber(engine_2d, 0.3, 8, tol=1e-10)
     conjmap.export_fiber_csv(fib, tmp_path / "fiber.csv")
     assert (tmp_path / "fiber.csv").read_text().startswith("y_1,t,residual")
-    summary = conjmap.fiber_json_summary(fib)
-    assert summary["max_residual"] <= 1e-10
     rep = conjmap.skew_product_residual(engine_2d, 8, tol=1e-10)
     conjmap.export_skew_csv(rep, tmp_path / "skew.csv")
     assert (tmp_path / "skew.csv").exists()
-    import json
-    assert json.loads(conjmap.skew_json_summary(rep))["pass"]

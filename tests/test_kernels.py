@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from torusconj import _kernels, dynamics
 
@@ -7,26 +6,6 @@ from torusconj import _kernels, dynamics
 def _arrays(spec):
     ta = dynamics.term_arrays(spec)
     return ta.comps, ta.coefs, ta.kinds, ta.freqs
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_eval_trig_parity(spec_2d, rng):
-    comps, coefs, kinds, freqs = _arrays(spec_2d)
-    Z = rng.uniform(-2, 2, size=(200, 2))
-    a = _kernels.eval_trig_numpy(Z, comps, coefs, kinds, freqs, 2)
-    b = _kernels.eval_trig_numba(Z, comps, coefs, kinds, freqs, 2)
-    assert np.abs(a - b).max() <= 1e-15
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_orbit_parity(spec_2d, rng):
-    comps, coefs, kinds, freqs = _arrays(spec_2d)
-    Mf = dynamics.M_array(spec_2d)
-    theta0 = rng.uniform(0, 1, size=(50, 2))
-    a = _kernels.orbit_g_values_numpy(theta0, Mf, comps, coefs, kinds, freqs, 30)
-    b = _kernels.orbit_g_values_numba(theta0, Mf, comps, coefs, kinds, freqs, 30)
-    # identical float operations step by step, so agreement stays tight
-    assert np.abs(a - b).max() <= 1e-12
 
 
 def test_empty_term_list():

@@ -29,14 +29,6 @@ def test_residual_under_ceiling(engine_2d):
     assert rr.max_residual <= rr.ceiling
 
 
-def test_periodicity(engine_2d, rng):
-    for _ in range(20):
-        z = rng.uniform(-2, 2, size=2)
-        m = rng.integers(-4, 5, size=2)
-        dev = semiconj.periodicity_check(engine_2d, z, m)
-        assert dev <= 2 * engine_2d.eps
-
-
 def test_truncation_consistency(spec_1d, engine_1d):
     # doubling N moves Phi_hat by no more than the certified tail at N
     bf = block_triangularize(spec_1d.M_list(), [[1]])
@@ -56,9 +48,27 @@ def test_displacement_bound(engine_1d, rng):
 
 
 def test_fiber_bound_report(engine_1d):
-    rep = semiconj.fiber_bound_checks(engine_1d, n_pairs=500)
-    assert rep.ok
-    assert np.isclose(rep.c_bound, 0.125)   # c_a * g_sup = 1 * 0.125
+    # displacement <= C_A ||G||_0 + eps, and reverse Lipschitz: Phi_hat
+    # changes a distance by at most 2 (C_A ||G||_0 + eps)
+    c = engine_1d.c_a * engine_1d.norms.g_sup
+    assert np.isclose(c, 0.125)   # c_a * g_sup = 1 * 0.125
+    rng = np.random.default_rng(0)
+    z1 = rng.uniform(-3, 3, size=(500, 1))
+    z2 = rng.uniform(-3, 3, size=(500, 1))
+    p1 = semiconj.phi_hat(engine_1d, z1).value
+    p2 = semiconj.phi_hat(engine_1d, z2).value
+    dev = np.abs(np.concatenate([p1 - z1, p2 - z2]))
+    assert dev.max() <= c + engine_1d.eps + 1e-12
+    pair = np.abs(np.abs(p1 - p2) - np.abs(z1 - z2))
+    assert pair.max() <= 2 * c + 2 * engine_1d.eps + 1e-12
+
+
+def test_grid():
+    assert semiconj._grid(0, 5).shape == (1, 0)
+    z = semiconj._grid(2, 4)
+    assert z.shape == (16, 2) and z[1].tolist() == [0.0, 0.25]
+    centres = semiconj._grid(2, 4, offset=0.5)
+    assert np.array_equal(centres, z + 0.125)
 
 
 def test_default_N_meets_target(spec_1d):
