@@ -64,22 +64,20 @@ def invert_lift_numpy(Z, Minv, comps, coefs, kinds, freqs, tol, max_iter):
     """Batch solve F(w) = z by the contraction w <- M^-1 (z - G(w)).
 
     Returns (w, residual) with residual the per-point Euclidean residual of
-    M w + G(w) - z after the final iterate.
+    M w + G(w) - z after the final iterate.  G is evaluated once per step:
+    the G(w) of the residual check is the one the next step uses.
     """
     d = Z.shape[1]
     W = Z @ Minv.T
     Mf = np.linalg.inv(Minv)
+    g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
+    res = np.sqrt(((W @ Mf.T + g - Z) ** 2).sum(axis=1))
     for _ in range(max_iter):
-        g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
         W_new = (Z - g) @ Minv.T
         step = np.sqrt(((W_new - W) ** 2).sum(axis=1)).max()
         W = W_new
-        if step == 0.0:
-            break
         g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
-        res = np.sqrt(((W @ Mf.T + g - Z) ** 2).sum(axis=1)).max()
-        if res <= tol:
+        res = np.sqrt(((W @ Mf.T + g - Z) ** 2).sum(axis=1))
+        if step == 0.0 or res.max() <= tol:
             break
-    g = eval_trig(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
-    res = np.sqrt(((W @ Mf.T + g - Z) ** 2).sum(axis=1))
     return W, res

@@ -3,7 +3,8 @@ verify-cones / conjugacy, with JSON reports and CSV grid exports.
 
 Exit codes: 0 = all checks pass, 1 = operational error (bad input, usage
 errors included, engine failure), 2 = a verification verdict failed
-(including "no integer eigenvalue" in analyze).
+(including "no integer eigenvalue" in analyze).  A report whose "pass" is
+false is still written to stdout (and -o) before the exit with 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import cones, conjmap, dynamics, intlat, semiconj
-from .errors import TorusConjError
+from .errors import LatticeError, TorusConjError
 from .specdsl import parse_spec, serialize_spec
 
 SCHEMA_VERSION = "1"
@@ -54,7 +55,12 @@ def _read_sublattice(arg: str, d: int):
         return intlat.identity(d)
     with open(arg, "r") as fh:
         vecs = json.loads(fh.read())
-    return [[int(x) for x in v] for v in vecs]
+    # type() is int rejects floats and bools (bool is a subclass of int)
+    if not (isinstance(vecs, list) and all(
+            isinstance(v, list) and all(type(x) is int for x in v) for v in vecs)):
+        raise LatticeError(f"--sublattice file {arg} must hold a JSON list of "
+                           "lists of integers")
+    return vecs
 
 
 def _pick_block(spec, args) -> intlat.BlockForm:
@@ -80,6 +86,8 @@ def _engine(spec, args):
 
 
 class _Verdict(Exception):
+    """A failed verdict that carries a message instead of a report."""
+
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
@@ -187,8 +195,6 @@ def cmd_verify_semiconj(args) -> dict:
         "argmax_point": rr.argmax_point,
         "pass": bool(ok),
     }
-    if not ok:
-        raise _Verdict(2, json.dumps(report, default=_jsonable))
     return report
 
 
@@ -208,6 +214,8 @@ def cmd_verify_cones(args) -> dict:
             "invariance_margin": cert.invariance_margin,
             "expansion_margin": cert.expansion_margin,
             "padding": cert.padding,
+            "domination_margin": cert.domination_margin,
+            "a4_pass": cert.a4_pass,
             "pass": cert.a2_pass,
         }
         results.append(entry)
@@ -222,8 +230,6 @@ def cmd_verify_cones(args) -> dict:
         "best": best,
         "pass": best is not None,
     }
-    if best is None:
-        raise _Verdict(2, json.dumps(report, default=_jsonable))
     return report
 
 
@@ -252,8 +258,6 @@ def cmd_conjugacy(args) -> dict:
         path = os.path.join(args.out, "skew_grid.csv")
         conjmap.export_skew_csv(sr, path)
         report["csv"] = path
-    if not ok:
-        raise _Verdict(2, json.dumps(report, default=_jsonable))
     return report
 
 
@@ -342,7 +346,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _emit(report, args)
-    return 0
+    return 0 if report.get("pass", True) else 2
 
 
 if __name__ == "__main__":

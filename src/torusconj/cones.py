@@ -150,10 +150,10 @@ class ConeCertificate:
     expansion_factor: float       # min certified over cells, before padding
     invariance_margin: float      # min certified linear margin, before padding
     expansion_margin: float       # min over cells of (padded factor - K)
-    domination_margin: float | None
+    domination_margin: float      # min over cells of K - (padded off-core norm)
     worst_cell: tuple
     a2_pass: bool
-    a4_pass: bool | None
+    a4_pass: bool                 # A2 and a positive domination margin
 
 
 def _cell_padding(spec: TorusMapSpec, res: int) -> float:
@@ -162,10 +162,13 @@ def _cell_padding(spec: TorusMapSpec, res: int) -> float:
     return nb.dg_lip * (1.0 / res) * math.sqrt(spec.d) / 2.0
 
 
-def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int,
-              with_domination: bool = False) -> ConeCertificate:
-    """Grid check of the invariant expanding cone condition, with Lipschitz
-    padding so a pass certifies every point of the torus."""
+def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCertificate:
+    """Grid check of the invariant expanding cone condition (A2), with
+    Lipschitz padding so a pass certifies every point of the torus.
+
+    The same pass checks domination (A4): off-core vectors must be stretched
+    strictly less than the certified K, so a4_pass = A2 and a positive
+    domination margin."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
     centers = semiconj._grid(spec.d, grid_res, offset=0.5)
@@ -187,23 +190,13 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int,
     padded_inv = lin_inv - alpha_pad
     exp_margin = padded_factor - params.K
 
-    dom_margin = None
-    a4 = None
-    if with_domination:
-        if spec.d > k:
-            restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))
-        else:
-            restricted = np.zeros(len(Ls))
-        dom = params.K - (restricted + pad)
-        dom_margin = float(dom.min())
-        a4 = bool(dom_margin > 0)
+    restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))  # 0 if k = d
+    dom_margin = float((params.K - (restricted + pad)).min())
 
     worst = int(np.argmin(np.minimum(exp_margin,
                                      np.where(np.isinf(padded_inv), np.inf,
                                               padded_inv))))
     a2 = bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0))
-    if with_domination:
-        a4 = bool(a4 and a2)
     return ConeCertificate(
         params=params, grid_res=grid_res, padding=float(pad),
         expansion_factor=float(factors.min()),
@@ -211,13 +204,7 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int,
         expansion_margin=float(exp_margin.min()),
         domination_margin=dom_margin,
         worst_cell=tuple(centers[worst]),
-        a2_pass=a2, a4_pass=a4)
-
-
-def verify_A4(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCertificate:
-    """A2 plus domination: off-core vectors must be stretched strictly less
-    than the certified K."""
-    return verify_A2(spec, params, grid_res, with_domination=True)
+        a2_pass=a2, a4_pass=a2 and dom_margin > 0)
 
 
 def tau(params: ConeParams) -> float:

@@ -51,7 +51,7 @@ def _bracket_halfwidth(engine: SemiConjEngine) -> float:
     return 0.5 + engine.c_a * engine.norms.g_sup + engine.eps
 
 
-def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, prescan=True):
+def _bisect_batch(engine: SemiConjEngine, x0, Y, tol):
     """Vectorized certified bisection for k = 1.
 
     x0: (n,) lift targets; Y: (n, d-1) fixed off-core coordinates.
@@ -67,24 +67,23 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, prescan=True):
         raise FiberSolveError(
             "bracket endpoints do not straddle the target; the engine's "
             "displacement bound is inconsistent")
-    if prescan:
-        ts = lo[:, None] + (hi - lo)[:, None] * (
-            np.arange(PRESCAN_POINTS + 1) / PRESCAN_POINTS)[None, :]
-        vals = np.empty_like(ts)
-        for j in range(PRESCAN_POINTS + 1):
-            vals[:, j] = _phi_line(engine, ts[:, j], Y) - x0
-        signs = np.sign(vals)
-        signs[signs == 0] = 1
-        changes = (np.diff(signs, axis=1) != 0).sum(axis=1)
-        if np.any(changes != 1):
-            bad = int(np.argmax(changes != 1))
-            raise FiberSolveError(
-                f"fiber line has {int(changes[bad])} sign changes instead of 1 "
-                "(monotonicity / cone-certificate inconsistency)")
-        # shrink to the scanned subinterval containing the change
-        idx = np.argmax(np.diff(signs, axis=1) != 0, axis=1)
-        rows = np.arange(n)
-        lo, hi = ts[rows, idx], ts[rows, idx + 1]
+    ts = lo[:, None] + (hi - lo)[:, None] * (
+        np.arange(PRESCAN_POINTS + 1) / PRESCAN_POINTS)[None, :]
+    vals = np.empty_like(ts)
+    for j in range(PRESCAN_POINTS + 1):
+        vals[:, j] = _phi_line(engine, ts[:, j], Y) - x0
+    signs = np.sign(vals)
+    signs[signs == 0] = 1
+    changes = (np.diff(signs, axis=1) != 0).sum(axis=1)
+    if np.any(changes != 1):
+        bad = int(np.argmax(changes != 1))
+        raise FiberSolveError(
+            f"fiber line has {int(changes[bad])} sign changes instead of 1 "
+            "(monotonicity / cone-certificate inconsistency)")
+    # shrink to the scanned subinterval containing the change
+    idx = np.argmax(np.diff(signs, axis=1) != 0, axis=1)
+    rows = np.arange(n)
+    lo, hi = ts[rows, idx], ts[rows, idx + 1]
     t = 0.5 * (lo + hi)
     for _ in range(MAX_BISECT):
         f = _phi_line(engine, t, Y) - x0
@@ -203,8 +202,7 @@ def trace_fiber(engine: SemiConjEngine, theta0, grid_res: int,
             Yface = Y.reshape((grid_res,) * m + (m,)).take(0, axis=ax)
             Yface = Yface.reshape(-1, m).copy()
             Yface[:, ax] += 1.0
-            t_shift = _bisect_batch(engine, np.full(face.shape, x0), Yface, tol,
-                                    prescan=False)
+            t_shift = _bisect_batch(engine, np.full(face.shape, x0), Yface, tol)
             closure = max(closure, float(np.abs(t_shift - face).max()))
     else:
         step = 0.0
@@ -234,10 +232,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     nx, ny = Xg.shape[0], Yg.shape[0]
     X = np.repeat(Xg, ny, axis=0)
     Y = np.tile(Yg, (nx, 1))
-    if k == 1:
-        t = _bisect_batch(engine, X[:, 0], Y, tol)[:, None]
-    else:
-        t = _damped_batch(engine, X, Y, tol)
+    t = np.reshape(solve_fiber_point(engine, X, Y, tol), (-1, k))
     Z = np.mod(np.concatenate([t, Y], axis=1), 1.0)
     FZ = dynamics.eval_torus(engine.spec, Z)
     base = semiconj.phi_torus(engine, FZ).value

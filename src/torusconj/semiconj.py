@@ -1,6 +1,14 @@
 """Truncated-series semi-conjugacy to the linear block map, with certified
 tail bounds, for expanding and hyperbolic top-left blocks.
 
+There is one construction.  A hyperbolic block A is split by a real
+eigenbasis P into an expanding part D_u (ku coordinates) and a contracting
+part D_s; Phi sums G along the forward orbit through D_u^{-n} and along the
+backward orbit through D_s^{n-1}.  An expanding block is the case with an
+empty stable part: P = I and ku = k, so the stable sum, the backward orbit
+and the inverse-lift budget drop out and every certified quantity comes
+from the same formulas.
+
 The engine works on a spec already conjugated into block coordinates
 (see intlat.block_triangularize + dynamics.change_coordinates).  For k < d
 the decoupled form (zero top-right block) is required: only then does the
@@ -43,13 +51,13 @@ class SemiConjEngine:
     c_a: float                  # sum_{n>=1} ||A^{-n}|| bound (unstable part)
     norms: dynamics.NormBounds
     A: np.ndarray               # (k, k) float
-    # eigen-coordinate data; identity split in expanding mode
+    # eigen-coordinate data; P = I and ku = k in expanding mode
     ku: int
     P: np.ndarray               # (k, k): eigen coords -> W coords
     Pinv: np.ndarray
     coef_u: np.ndarray          # (N, ku, k): D_u^{-n} L_u, n = 1..N
     coef_s: np.ndarray          # (N, ks, k): D_s^{n-1} L_s, n = 1..N
-    inv_tol: float              # backward-orbit solve tolerance (hyperbolic)
+    inv_tol: float              # backward-orbit solve tolerance (0 if ku = k)
 
 
 def _geometric_rate(inv_norms: np.ndarray, N: int) -> float:
@@ -105,10 +113,10 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
                  eps_target: float = DEFAULT_EPS_TARGET) -> SemiConjEngine:
     """Precompute block powers and the certified tail bound.
 
-    The tail closes the computed norms ||A_u^{-n}||, n <= N, with the
-    geometric estimate ||A_u^{-N}|| * rho / (1 - rho); in hyperbolic mode a
-    symmetric stable-side term and a backward-orbit inversion budget are
-    added.  With N=None the smallest N meeting eps_target is chosen
+    The tail closes the computed norms ||D_u^{-n}||, n <= N, with the
+    geometric estimate ||D_u^{-N}|| * rho / (1 - rho), plus the stable-side
+    term and, when the stable block is not empty (ku < k), a backward-orbit
+    inversion budget.  With N=None the smallest N meeting eps_target is chosen
     (requires rho <= 0.9).
     """
     if block.classification == "neither":
@@ -121,44 +129,28 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
     nb = dynamics.norm_bounds(spec)
     A = block.A_array()
     mode = block.classification
-
-    if mode == "expanding":
-        P = np.eye(k)
-        ku = k
-        Du = Ds = None
-    else:
-        P, ku = _real_invariant_split(A)
-        B = np.linalg.inv(P) @ A @ P
-        Du = B[:ku, :ku]
-        Ds = B[ku:, ku:]
+    # expanding mode is the split with an empty stable block: P = I, ku = k
+    P, ku = (np.eye(k), k) if mode == "expanding" else _real_invariant_split(A)
+    Pinv = np.linalg.inv(P)
+    Lu, Ls = Pinv[:ku], Pinv[ku:]
+    B = Pinv @ A @ P
+    Du_inv = np.linalg.inv(B[:ku, :ku])
+    Ds = B[ku:, ku:]
+    nP = np.linalg.norm(P, 2)
 
     def assemble(Ncur: int):
-        if mode == "expanding":
-            Pinv = np.eye(k)
-            upows, unorms = _power_norms(np.linalg.inv(A), Ncur)
-            rho = _geometric_rate(unorms, Ncur)
-            tail_u = unorms[Ncur] * rho / (1.0 - rho)
-            eps_series = nb.g_sup * tail_u
-            c_a = float(unorms[1:].sum() + tail_u)
-            coef_u = upows[1:]                      # A^{-n}, L = I
-            coef_s = np.zeros((Ncur, 0, k))
-            return Pinv, coef_u, coef_s, eps_series, rho, c_a, 0.0, ku
-        Pinv = np.linalg.inv(P)
-        Lu, Ls = Pinv[:ku], Pinv[ku:]
-        upows, unorms = _power_norms(np.linalg.inv(Du), Ncur)
+        upows, unorms = _power_norms(Du_inv, Ncur)
         spows, snorms = _power_norms(Ds, Ncur)
         rho_u = _geometric_rate(unorms, Ncur)
         rho_s = _geometric_rate(snorms, Ncur)
         tail_u = unorms[Ncur] * rho_u / (1.0 - rho_u)
         tail_s = snorms[Ncur] / (1.0 - rho_s)       # sum_{m >= N} ||D_s^m||
-        nP = np.linalg.norm(P, 2)
         eps_series = nb.g_sup * nP * (np.linalg.norm(Lu, 2) * tail_u
                                       + np.linalg.norm(Ls, 2) * tail_s)
         c_a = float(unorms[1:].sum() + tail_u)
         coef_u = np.einsum("nab,bk->nak", upows[1:], Lu)
         coef_s = np.einsum("nab,bk->nak", spows[:Ncur], Ls)
-        return Pinv, coef_u, coef_s, eps_series, rho_u, c_a, _inv_budget_unit(
-            spec, nb, snorms, Ncur, nP, np.linalg.norm(Ls, 2)), ku
+        return coef_u, coef_s, eps_series, rho_u, c_a, snorms
 
     if N is None:
         N = 1
@@ -168,7 +160,7 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
             except EngineError:
                 out = None
             if out is not None:
-                eps_series, rho = out[3], out[4]
+                eps_series, rho = out[2], out[3]
                 if rho > 0.9:
                     raise EngineError(
                         f"contraction rate rho = {rho:.3f} > 0.9; pass N explicitly")
@@ -177,17 +169,17 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
             if N >= MAX_DEFAULT_N:
                 raise EngineError("no default N meets the error target; pass N")
             N = min(2 * N, MAX_DEFAULT_N)
-    Pinv, coef_u, coef_s, eps_series, rho, c_a, inv_unit, ku_ = assemble(N)
+    coef_u, coef_s, eps_series, rho, c_a, snorms = assemble(N)
 
     inv_tol = 0.0
     eps = eps_series
-    if mode == "hyperbolic":
-        if inv_unit > 0:
-            inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
-            eps = eps_series + inv_unit * inv_tol
+    if ku < k:
+        inv_unit = _inv_budget_unit(spec, nb, snorms, N, nP, np.linalg.norm(Ls, 2))
+        inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
+        eps = eps_series + inv_unit * inv_tol
     return SemiConjEngine(
         spec=spec, block=block, mode=mode, N=N, k=k, d=d, eps=float(eps),
-        rho=float(rho), c_a=c_a, norms=nb, A=A, ku=ku_, P=P, Pinv=Pinv,
+        rho=float(rho), c_a=c_a, norms=nb, A=A, ku=ku, P=P, Pinv=Pinv,
         coef_u=coef_u, coef_s=coef_s, inv_tol=float(inv_tol))
 
 
@@ -209,12 +201,13 @@ def _inv_budget_unit(spec, nb, snorms, N, nP, nLs):
     return nP * nLs * (total + 1.0)
 
 
-def _forward_g_values(engine: SemiConjEngine, Z: np.ndarray) -> np.ndarray:
+def _forward_g_values(engine: SemiConjEngine, Z: np.ndarray,
+                      nsteps: int) -> np.ndarray:
     ta = dynamics.term_arrays(engine.spec)
     Mf = dynamics.M_array(engine.spec)
     theta0 = np.mod(Z, 1.0)
     return _kernels.orbit_g_values(theta0, Mf, ta.comps, ta.coefs, ta.kinds,
-                                   ta.freqs, engine.N)
+                                   ta.freqs, nsteps)
 
 
 def _backward_g_values(engine: SemiConjEngine, Z: np.ndarray) -> np.ndarray:
@@ -228,26 +221,29 @@ def _backward_g_values(engine: SemiConjEngine, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi_series(engine: SemiConjEngine, Zb: np.ndarray, gs: np.ndarray):
+    """Phi_hat at the points Zb (n, d), given G along their forward orbits
+    gs (N, n, d); the backward orbits are solved here when ku < k."""
+    k, ku = engine.k, engine.ku
+    u = Zb[:, :k] @ engine.Pinv[:ku].T
+    u += np.einsum("tnj,taj->na", gs[:, :, :k], engine.coef_u)
+    if ku == k:
+        return u
+    gs_b = _backward_g_values(engine, Zb)[:, :, :k]
+    s = Zb[:, :k] @ engine.Pinv[ku:].T
+    s -= np.einsum("tnj,taj->na", gs_b, engine.coef_s)
+    return np.hstack([u, s]) @ engine.P.T
+
+
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
     """Lift of the semi-conjugacy at z (point (d,) or batch (..., d))."""
     Z = np.asarray(z, dtype=float)
-    single = Z.ndim == 1
     Zb = Z.reshape(-1, engine.d)
-    k = engine.k
-    gs = _forward_g_values(engine, Zb)[:, :, :k]          # (N, n, k)
-    u = Zb[:, :k] @ engine.Pinv[:engine.ku].T
-    u += np.einsum("tnj,taj->na", gs, engine.coef_u)
-    if engine.mode == "hyperbolic":
-        gs_b = _backward_g_values(engine, Zb)[:, :, :k]
-        s = Zb[:, :k] @ engine.Pinv[engine.ku:].T
-        s -= np.einsum("tnj,taj->na", gs_b, engine.coef_s)
-        val = np.hstack([u, s]) @ engine.P.T
-    else:
-        val = u
-    if single:
+    val = _phi_series(engine, Zb, _forward_g_values(engine, Zb, engine.N))
+    if Z.ndim == 1:
         val = val[0]
     else:
-        val = val.reshape(Z.shape[:-1] + (k,))
+        val = val.reshape(Z.shape[:-1] + (engine.k,))
     return PhiValue(value=val, error_bound=engine.eps)
 
 
@@ -277,11 +273,17 @@ class ResidualReport:
 
 
 def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualReport:
-    """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta))."""
+    """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)).
+
+    One forward sweep of N + 1 steps serves both sides: F(theta) is the
+    sweep's step 1, so steps 0..N-1 give Phi(theta) and steps 1..N give
+    Phi(F(theta)).
+    """
     theta = _grid(engine.d, grid_res)
-    ftheta = dynamics.eval_torus(engine.spec, theta)
-    lhs = phi_torus(engine, ftheta).value
-    rhs = np.mod(phi_torus(engine, theta).value @ engine.A.T, 1.0)
+    gs = _forward_g_values(engine, theta, engine.N + 1)
+    ftheta = np.mod(theta @ dynamics.M_array(engine.spec).T + gs[0], 1.0)
+    lhs = np.mod(_phi_series(engine, ftheta, gs[1:]), 1.0)
+    rhs = np.mod(np.mod(_phi_series(engine, theta, gs[:-1]), 1.0) @ engine.A.T, 1.0)
     res = dynamics.torus_distance(lhs, rhs)
     i = int(np.argmax(res))
     ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps

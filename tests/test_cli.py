@@ -86,6 +86,19 @@ def test_analyze_sublattice_full(tmp_path, capsys):
     assert rep["sublattice_block"]["classification"] == "hyperbolic"
 
 
+# sublattice files that are not a JSON list of lists of integers
+BAD_SUBLATTICES = ['[[1.5, 0]]', '[[true, 0]]', '"ab"', '5', '{"a": 1}']
+
+
+def test_bad_sublattice_files(fix2, tmp_path, capsys):
+    p = tmp_path / "sub.json"
+    for text in BAD_SUBLATTICES:
+        p.write_text(text)
+        code, out, err = run(capsys, "analyze", fix2, "--sublattice", str(p))
+        assert (code, out) == (1, ""), text
+        assert "list of lists of integers" in err, text
+
+
 def test_verify_semiconj(fix2, capsys):
     code, out, _ = run(capsys, "verify-semiconj", fix2, "--grid", "16",
                        "--trunc", "40")
@@ -108,14 +121,22 @@ def test_verify_cones_pass(fix2, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["best"]["pass"]
+    assert isinstance(rep["best"]["domination_margin"], float)
+    assert isinstance(rep["best"]["a4_pass"], bool)
 
 
 def test_verify_cones_identity_exit_2(tmp_path, capsys):
+    # a failed verdict still emits its report, on stdout and under -o
     p = tmp_path / "ident.map"
     p.write_text("dim=2\nM=[[1,0],[0,1]]\n")
-    code, _, _ = run(capsys, "verify-cones", str(p), "--grid", "4",
-                     "--sublattice", "full")
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "verify-cones", str(p), "--grid", "4",
+                       "--sublattice", "full", "-o", str(out_dir))
     assert code == 2
+    rep = json.loads(out)
+    assert rep["pass"] is False and rep["schema_version"] == "1"
+    assert json.loads((out_dir / "verify-cones.json").read_text()) == rep
+    assert all(not a["a4_pass"] for a in rep["alphas"])
 
 
 def test_conjugacy(fix2, capsys, tmp_path):

@@ -71,21 +71,22 @@ def test_verify_A2_1d():
 
 
 def test_verify_A4_domination():
+    # verify_A2 also certifies domination: off-core stretch 1 < K = 1.4
     s = parse_spec("dim=2\nM=[[2,0],[0,1]]\n")
-    cert = cones.verify_A4(s, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
+    cert = cones.verify_A2(s, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
     assert cert.a4_pass and cert.a2_pass
+    assert cert.domination_margin == 1.4 - 1.0
     # off-core expansion stronger than core: domination must fail
     s2 = parse_spec("dim=2\nM=[[2,0],[0,3]]\n")
-    cert2 = cones.verify_A4(s2, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
-    assert not cert2.a4_pass
+    cert2 = cones.verify_A2(s2, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
+    assert not cert2.a4_pass and cert2.domination_margin < 0
 
 
 def test_a4_implies_a2(spec_2d_S):
-    params = cones.ConeParams(k=1, alpha=0.5, K=1.2)
-    c4 = cones.verify_A4(spec_2d_S, params, 16)
-    c2 = cones.verify_A2(spec_2d_S, params, 16)
-    if c4.a4_pass:
-        assert c2.a2_pass
+    for alpha in (0.25, 0.5, 4.0):
+        for res in (4, 16):
+            c = cones.verify_A2(spec_2d_S, cones.ConeParams(k=1, alpha=alpha, K=1.2), res)
+            assert c.a2_pass or not c.a4_pass
 
 
 def test_verify_stable_across_resolutions(spec_2d_S):

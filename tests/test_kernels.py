@@ -34,3 +34,16 @@ def test_invert_lift_kernel(spec_cat, rng):
     W, res = _kernels.invert_lift_numpy(Z, Minv, comps, coefs, kinds, freqs,
                                         1e-13, 200)
     assert res.max() <= 1e-13
+
+
+def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
+    # one G evaluation before the loop and one per step; tol 0 runs all steps
+    comps, coefs, kinds, freqs = _arrays(spec_cat)
+    Minv = np.linalg.inv(dynamics.M_array(spec_cat))
+    calls = []
+    real = _kernels.eval_trig
+    monkeypatch.setattr(_kernels, "eval_trig",
+                        lambda *a: calls.append(1) or real(*a))
+    Z = rng.uniform(-1, 2, size=(10, 2))
+    _kernels.invert_lift_numpy(Z, Minv, comps, coefs, kinds, freqs, 0.0, 5)
+    assert len(calls) == 1 + 5

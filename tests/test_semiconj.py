@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusconj import parse_spec, block_triangularize, build_engine
-from torusconj import dynamics, intlat, semiconj
+from torusconj import _kernels, dynamics, intlat, semiconj
 from torusconj.errors import EngineError
 
 
@@ -22,6 +22,38 @@ def test_linear_collapse():
     assert np.abs(semiconj.phi_hat(eng, z).value - z).max() <= 1e-15
     rr = semiconj.semiconjugacy_residual(eng, 16)
     assert rr.max_residual <= 1e-12
+
+
+def test_residual_is_two_call_definition(engine_2d, engine_cat):
+    # the one-sweep residual equals, bit for bit, Phi(F theta) vs A Phi(theta)
+    # computed with two separate phi_torus calls
+    for eng in (engine_2d, engine_cat):
+        rr = semiconj.semiconjugacy_residual(eng, 16)
+        theta = semiconj._grid(eng.d, 16)
+        lhs = semiconj.phi_torus(eng, dynamics.eval_torus(eng.spec, theta)).value
+        rhs = np.mod(semiconj.phi_torus(eng, theta).value @ eng.A.T, 1.0)
+        res = dynamics.torus_distance(lhs, rhs)
+        i = int(np.argmax(res))
+        assert rr.max_residual == res[i]
+        assert np.array_equal(rr.argmax_point, theta[i])
+
+
+def test_residual_sweeps_once(engine_2d, monkeypatch):
+    steps = []
+    real = _kernels.orbit_g_values
+    monkeypatch.setattr(_kernels, "orbit_g_values",
+                        lambda *a: steps.append(a[-1]) or real(*a))
+    semiconj.semiconjugacy_residual(engine_2d, 8)
+    assert steps == [engine_2d.N + 1]
+
+
+def test_expanding_is_empty_stable_split(engine_2d, engine_cat):
+    assert engine_2d.mode == "expanding"
+    assert np.array_equal(engine_2d.P, np.eye(engine_2d.k))
+    assert engine_2d.ku == engine_2d.k
+    assert engine_2d.coef_s.shape == (engine_2d.N, 0, engine_2d.k)
+    assert engine_2d.inv_tol == 0.0
+    assert engine_cat.ku < engine_cat.k and engine_cat.inv_tol > 0
 
 
 def test_residual_under_ceiling(engine_2d):
