@@ -216,6 +216,8 @@ def cmd_verify_cones(args) -> dict:
             "padding": cert.padding,
             "domination_margin": cert.domination_margin,
             "a4_pass": cert.a4_pass,
+            "pencil_rounds": cert.pencil_rounds,
+            "pencil_gap": cert.pencil_gap,
             "pass": cert.a2_pass,
         }
         results.append(entry)

@@ -3,23 +3,27 @@
 Cones are the constant coordinate cones C_alpha = {(a, b): ||b|| <= alpha
 ||a||} with a the first k components (checked in block coordinates).  The
 per-point minima are certified by an S-procedure on the symmetric pencil
-Q - lambda*J: for any lambda >= 0, lambda_min(Q - lambda*J) lower-bounds
-the constrained minimum, and the bound is tight for a single homogeneous
-quadratic constraint; lambda is located by ternary search (the minimum
-eigenvalue is concave in lambda).
+Q - lambda*J: for any lambda >= 0, h(lambda) = lambda_min(Q - lambda*J)
+lower-bounds the constrained minimum, and max over lambda of h is tight for
+a single homogeneous quadratic constraint (Polik & Terlaky, "A survey of the
+S-lemma", SIAM Review 49, 2007).  h is concave; lambda is located by a
+safeguarded Newton iteration on h' with one batched eigh per round, and the
+certified value is the largest h actually evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, semiconj
 from .specdsl import TorusMapSpec
 
-TERNARY_ITERS = 200
+GAP_ULPS = 4.0      # stop once the tangent-cut gap is this many ulps of the pencil's scale
+MAX_ROUNDS = 200    # cap on eigh rounds; a capped cell still returns an evaluated value
 
 
 @dataclass(frozen=True)
@@ -29,35 +33,120 @@ class ConeParams:
     K: float            # claimed expansion constant, > 1
 
 
-def _pencil_max_lambda_min(Q: np.ndarray, J: np.ndarray, lam_hi: float):
-    """max over lambda in [0, lam_hi] of lambda_min(Q - lambda J), batched.
+class PencilSolve(NamedTuple):
+    value: np.ndarray   # largest lambda_min(Q - lam J) evaluated, per pencil
+    lam: np.ndarray     # the lam in [0, lam_hi] that gave it
+    gap: np.ndarray     # tangent-cut upper bound on the optimum minus value
+    rounds: int         # batched eigh calls
 
-    Q, J: (..., d, d).  Returns certified values (any evaluated lambda gives
-    a valid lower bound; we return the value at the ternary midpoint).
+
+def _pencil_eval(Q: np.ndarray, J: np.ndarray, lam: np.ndarray):
+    """h = lambda_min(Q - lam J) for a batch, with h' = -v0^T J v0,
+    h'' = 2 sum_{j>0} (v0^T J vj)^2 / (mu0 - muj) (-inf at a repeated
+    lowest eigenvalue, a kink) and the pencil's scale max |mu|."""
+    mu, V = np.linalg.eigh(Q - lam[:, None, None] * J)
+    cpl = np.einsum("nij,ni->nj", V, V[:, :, 0] @ J)     # vj^T J v0
+    gaps = mu[:, :1] - mu[:, 1:]                          # <= 0
+    terms = np.divide(cpl[:, 1:] ** 2, gaps, out=np.full_like(gaps, -np.inf),
+                      where=gaps < 0)
+    scale = np.maximum(np.abs(mu[:, 0]), np.abs(mu[:, -1]))
+    return mu[:, 0], -cpl[:, 0], 2.0 * terms.sum(axis=1), scale
+
+
+def _pencil_max_lambda_min(Q: np.ndarray, J: np.ndarray, lam_hi: float) -> PencilSolve:
+    """max over lambda in [0, lam_hi] of h(lambda) = lambda_min(Q - lambda J),
+    for a batch Q of shape (n, d, d) sharing one symmetric J.
+
+    h is concave with supergradient h' = -v0^T J v0.  The first round
+    evaluates both ends of [0, lam_hi]; every cell whose maximiser is not at
+    an end then keeps a bracket lo < hi with h'(lo) > 0 > h'(hi).  The
+    tangents at lo and hi bound h from above, so the maximiser also lies
+    where both tangents exceed the best value found.  Each later round
+    evaluates one lambda per unconverged cell in one batched eigh:
+
+    - the Newton point lambda - h'/h'' from the last point, when it lies in
+      that narrowed bracket and its step is at most half the previous one;
+      the step is lengthened by r^2 / max(|step|, r), r^2 = tol / (4 |h''|),
+      so that once it crosses the maximiser the bracket ends a and b away
+      from it have a*b <= r^2 and the gap, about |h''| a b, is tol / 4;
+    - else the point where the two tangents meet (exact at a kink between
+      linear pieces, where a repeated eigenvalue makes h'' = -inf);
+    - else the bracket's midpoint.
+
+    A cell stops when the tangent-cut gap (the tangents' meeting value minus
+    the best h evaluated) is at most tol = GAP_ULPS ulps of the pencil's
+    scale, when its bracket is down to adjacent floats, or after MAX_ROUNDS.
+    Converged cells leave the batch.  The value returned is always an
+    evaluated h, a valid lower bound by weak duality, never the tangent
+    upper bound; the gap says how far below the S-procedure optimum it may
+    sit.
     """
-    shape = Q.shape[:-2]
-    lo = np.zeros(shape)
-    hi = np.full(shape, lam_hi)
+    n = len(Q)
+    eps = np.finfo(float).eps
+    ends = np.concatenate([np.zeros(n), np.full(n, float(lam_hi))])
+    h, s, curv, scale = _pencil_eval(np.concatenate([Q, Q]), J, ends)
+    lo = np.stack([ends[:n], h[:n], s[:n]])       # rows: lam, h, h'
+    hi = np.stack([ends[n:], h[n:], s[n:]])
+    at_lo = lo[1] >= hi[1]
+    value, lam = np.where(at_lo, lo[1], hi[1]), np.where(at_lo, lo[0], hi[0])
+    gap = np.zeros(n)
+    rounds = 1
+    # h'(0) <= 0 or h'(lam_hi) >= 0: the maximiser is an end, gap 0
+    act = np.flatnonzero((lo[2] > 0) & (hi[2] < 0))
+    lo, hi, Qa = lo[:, act], hi[:, act], Q[act]
+    x, s, curv, scale = lo[0], lo[2], curv[act], scale[act]     # Newton starts at 0
+    step = hi[0] - lo[0]
+    while act.size:
+        best = value[act]
+        # the tangents at lo and hi meet at lo + t_cut; their value there
+        # bounds the optimum from above
+        t_cut = (hi[1] - lo[1] - hi[2] * (hi[0] - lo[0])) / (lo[2] - hi[2])
+        cut_gap = np.maximum(lo[1] + lo[2] * t_cut - best, 0.0)
+        gap[act] = cut_gap
+        tol = GAP_ULPS * eps * scale
+        live = (cut_gap > tol) & (hi[0] > np.nextafter(lo[0], np.inf)) & (rounds < MAX_ROUNDS)
+        if not live.all():
+            act, Qa, lo, hi = act[live], Qa[live], lo[:, live], hi[:, live]
+            x, s, curv, tol, t_cut, step, best = (
+                a[live] for a in (x, s, curv, tol, t_cut, step, best))
+            if not act.size:
+                break
+        # the tangents reach best only inside [reach_lo, reach_hi] within
+        # [lo, hi], as best >= h(lo), h(hi) and lo[2] > 0 > hi[2] in live cells
+        reach_lo = lo[0] + (best - lo[1]) / lo[2]
+        reach_hi = hi[0] + (best - hi[1]) / hi[2]
+        smooth = np.isfinite(curv) & (curv < 0)
+        newton = np.divide(-s, curv, out=np.zeros_like(curv), where=smooth)
+        r2 = np.divide(tol, -4.0 * curv, out=np.zeros_like(curv), where=smooth)
+        length = np.maximum(np.abs(newton), np.sqrt(r2))
+        x_newton = x + newton + np.copysign(
+            np.divide(r2, length, out=np.zeros_like(r2), where=length > 0), s)
+        x_cut = lo[0] + t_cut
+        take_newton = (smooth & (np.abs(newton) <= 0.5 * step)
+                       & (reach_lo < x_newton) & (x_newton < reach_hi))
+        x_new = np.where(take_newton, x_newton,
+                         np.where((lo[0] < x_cut) & (x_cut < hi[0]), x_cut,
+                                  lo[0] + 0.5 * (hi[0] - lo[0])))
+        h, s, curv, scale = _pencil_eval(Qa, J, x_new)
+        rounds += 1
+        step, x = np.abs(x_new - x), x_new
+        better = h > best
+        value[act[better]], lam[act[better]] = h[better], x[better]
+        up = s >= 0
+        lo = np.where(up, np.stack([x, h, s]), lo)
+        hi = np.where(up, hi, np.stack([x, h, s]))
+    return PencilSolve(value, lam, gap, rounds)
 
-    def g(lam):
-        pen = Q - lam[..., None, None] * J
-        return np.linalg.eigvalsh(pen)[..., 0]
 
-    for _ in range(TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        keep_lo = g(m1) < g(m2)
-        lo = np.where(keep_lo, m1, lo)
-        hi = np.where(keep_lo, hi, m2)
-    lam = (lo + hi) / 2.0
-    return g(lam)
-
-
-def _cone_minima(Ls: np.ndarray, k: int, alpha: float):
-    """Certified (q_exp, q_inv) for a batch of matrices (n, d, d):
+def _cone_minima(Ls: np.ndarray, nLs: np.ndarray, k: int, alpha: float):
+    """Certified (q_exp, q_inv, rounds, gap) for a batch of matrices (n, d, d)
+    with spectral norms nLs:
 
     q_exp = min over unit v in C_alpha of ||(Lv)_a||^2,
-    q_inv = min over unit v in C_alpha of alpha^2 ||(Lv)_a||^2 - ||(Lv)_b||^2.
+    q_inv = min over unit v in C_alpha of alpha^2 ||(Lv)_a||^2 - ||(Lv)_b||^2;
+
+    rounds is the number of eigh rounds of the pencil solve and gap its
+    largest tangent-cut gap (both 0 when no pencil is solved).
     """
     n, d, _ = Ls.shape
     Pm = np.zeros((d, d))
@@ -67,18 +156,15 @@ def _cone_minima(Ls: np.ndarray, k: int, alpha: float):
         Q = np.einsum("nij,jl,nlm->nim", Ls.transpose(0, 2, 1), Pm, Ls)
         q_exp = np.linalg.eigvalsh(Q)[..., 0]
         if k == d:
-            return q_exp, np.full(n, np.inf)
+            return q_exp, np.full(n, np.inf), 0, 0.0
         Jm = np.diag([1.0] * k + [-1.0] * (d - k))  # alpha factored out below
         QJ = np.einsum("nij,jl,nlm->nim", Ls.transpose(0, 2, 1), Jm, Ls)
-        return q_exp, np.linalg.eigvalsh(QJ)[..., 0]
+        return q_exp, np.linalg.eigvalsh(QJ)[..., 0], 0, 0.0
     Jm = np.diag([alpha ** 2] * k + [-1.0] * (d - k))
     Lt = Ls.transpose(0, 2, 1)
-    Q_exp = Lt @ Pm @ Ls
-    Q_inv = Lt @ Jm @ Ls
-    lam_hi = 1e6 * max(float(np.linalg.norm(Ls, ord=2, axis=(1, 2)).max()) ** 2, 1.0)
-    q_exp = _pencil_max_lambda_min(Q_exp, Jm, lam_hi)
-    q_inv = _pencil_max_lambda_min(Q_inv, Jm, lam_hi)
-    return q_exp, q_inv
+    lam_hi = 1e6 * max(float(nLs.max()) ** 2, 1.0)
+    sol = _pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi)
+    return sol.value[:n], sol.value[n:], sol.rounds, float(sol.gap.max())
 
 
 @dataclass(frozen=True)
@@ -122,9 +208,9 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     k, alpha = params.k, params.alpha
-    q_exp, q_inv = _cone_minima(L[None], k, alpha)
-    q_exp, q_inv = float(q_exp[0]), float(q_inv[0])
-    nL = float(np.linalg.norm(L, 2))
+    nLs = np.linalg.norm(L[None], ord=2, axis=(1, 2))
+    q_exp, q_inv, _, _ = _cone_minima(L[None], nLs, k, alpha)
+    q_exp, q_inv, nL = float(q_exp[0]), float(q_inv[0]), float(nLs[0])
     restricted = float(np.linalg.norm(L[:, k:], 2)) if d > k else 0.0
     if math.isinf(q_inv):
         inv_margin = math.inf
@@ -150,10 +236,12 @@ class ConeCertificate:
     expansion_factor: float       # min certified over cells, before padding
     invariance_margin: float      # min certified linear margin, before padding
     expansion_margin: float       # min over cells of (padded factor - K)
-    domination_margin: float      # min over cells of K - (padded off-core norm)
+    domination_margin: float      # min padded factor - max padded off-core norm
     worst_cell: tuple
     a2_pass: bool
     a4_pass: bool                 # A2 and a positive domination margin
+    pencil_rounds: int            # eigh rounds of the pencil solve
+    pencil_gap: float             # largest tangent-cut gap of the pencil solve
 
 
 def _cell_padding(spec: TorusMapSpec, res: int) -> float:
@@ -167,8 +255,8 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCert
     Lipschitz padding so a pass certifies every point of the torus.
 
     The same pass checks domination (A4): off-core vectors must be stretched
-    strictly less than the certified K, so a4_pass = A2 and a positive
-    domination margin."""
+    strictly less than the certified expansion, min over cells of the padded
+    factor, so a4_pass = A2 and a positive domination margin."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
     centers = semiconj._grid(spec.d, grid_res, offset=0.5)
@@ -176,9 +264,9 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCert
     pad = _cell_padding(spec, grid_res)
     k, alpha = params.k, params.alpha
 
-    q_exp, q_inv = _cone_minima(Ls, k, alpha)
-    factors = np.sqrt(np.maximum(q_exp, 0.0))
     nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))
+    q_exp, q_inv, rounds, pencil_gap = _cone_minima(Ls, nLs, k, alpha)
+    factors = np.sqrt(np.maximum(q_exp, 0.0))
     if np.all(np.isinf(q_inv)):
         lin_inv = np.full(len(q_inv), np.inf)
     else:
@@ -191,7 +279,7 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCert
     exp_margin = padded_factor - params.K
 
     restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))  # 0 if k = d
-    dom_margin = float((params.K - (restricted + pad)).min())
+    dom_margin = float(padded_factor.min() - (restricted + pad).max())
 
     worst = int(np.argmin(np.minimum(exp_margin,
                                      np.where(np.isinf(padded_inv), np.inf,
@@ -204,7 +292,8 @@ def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCert
         expansion_margin=float(exp_margin.min()),
         domination_margin=dom_margin,
         worst_cell=tuple(centers[worst]),
-        a2_pass=a2, a4_pass=a2 and dom_margin > 0)
+        a2_pass=a2, a4_pass=a2 and dom_margin > 0,
+        pencil_rounds=rounds, pencil_gap=pencil_gap)
 
 
 def tau(params: ConeParams) -> float:

@@ -125,6 +125,25 @@ def test_verify_cones_pass(fix2, capsys):
     assert isinstance(rep["best"]["a4_pass"], bool)
 
 
+def test_verify_cones_pencil_keys(fix2, capsys):
+    # pencil_rounds and pencil_gap are additive: the other keys and every
+    # per-alpha verdict are those the ternary-search solver reported
+    code, out, _ = run(capsys, "verify-cones", fix2, "--grid", "32")
+    assert code == 0
+    rep = json.loads(out)
+    assert [a["pass"] for a in rep["alphas"]] == [False, True, True, False, False, False]
+    factors = [1.7128012554998824, 1.5371788021906225, 1.148924207826233,
+               0.6427516111907068, 0.25758750528188473, 0.03866272892051701]
+    keys = {"alpha", "K", "expansion_factor", "invariance_margin", "expansion_margin",
+            "padding", "domination_margin", "a4_pass", "pass", "pencil_rounds", "pencil_gap"}
+    for entry, factor in zip(rep["alphas"], factors):
+        assert set(entry) == keys
+        assert abs(entry["expansion_factor"] - factor) <= 1e-14
+        assert isinstance(entry["pencil_rounds"], int) and entry["pencil_rounds"] >= 2
+        assert 0.0 <= entry["pencil_gap"] <= 1e-12
+    assert rep["best"]["alpha"] == 0.5
+
+
 def test_verify_cones_identity_exit_2(tmp_path, capsys):
     # a failed verdict still emits its report, on stdout and under -o
     p = tmp_path / "ident.map"

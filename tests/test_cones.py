@@ -71,15 +71,76 @@ def test_verify_A2_1d():
 
 
 def test_verify_A4_domination():
-    # verify_A2 also certifies domination: off-core stretch 1 < K = 1.4
+    # verify_A2 also certifies domination: off-core stretch 1 < sqrt(2)
     s = parse_spec("dim=2\nM=[[2,0],[0,1]]\n")
     cert = cones.verify_A2(s, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
     assert cert.a4_pass and cert.a2_pass
-    assert cert.domination_margin == 1.4 - 1.0
+    # certified expansion sqrt(2) minus off-core stretch 1, not K - 1
+    assert abs(cert.domination_margin - (math.sqrt(2) - 1.0)) <= 4 * np.finfo(float).eps
     # off-core expansion stronger than core: domination must fail
     s2 = parse_spec("dim=2\nM=[[2,0],[0,3]]\n")
     cert2 = cones.verify_A2(s2, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
     assert not cert2.a4_pass and cert2.domination_margin < 0
+
+
+def _ternary_reference(Q, J, lam_hi, iters=200):
+    """The former solver: ternary search on the concave lambda_min(Q - lam J)."""
+    lo, hi = np.zeros(len(Q)), np.full(len(Q), lam_hi)
+
+    def g(lam):
+        return np.linalg.eigvalsh(Q - lam[:, None, None] * J)[:, 0]
+
+    for _ in range(iters):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        keep_lo = g(m1) < g(m2)
+        lo, hi = np.where(keep_lo, m1, lo), np.where(keep_lo, hi, m2)
+    return g((lo + hi) / 2.0)
+
+
+def _pencil_cases(rng):
+    """(L, k, alpha) for ~200 seeded pencils: d=2 k=1, d=3 k=1 and k=2, a
+    kink (diag(3,3): both pencils are piecewise linear in lambda) and a
+    cone holding the unconstrained minimiser of q_exp (maximiser lambda = 0)."""
+    cases = [(rng.normal(size=(d, d)), k, float(rng.uniform(0.3, 3.0)))
+             for d, k in ((2, 1), (3, 1), (3, 2)) for _ in range(66)]
+    cases.append((np.diag([3.0, 3.0]), 1, 1.0))
+    cases.append((np.array([[1.0, -1.0], [0.0, 1.0]]), 1, 2.0))
+    return cases
+
+
+def test_pencil_solver(rng):
+    eps = np.finfo(float).eps
+    sols = []
+    for L, k, alpha in _pencil_cases(rng):
+        d = len(L)
+        Jm = np.diag([alpha ** 2] * k + [-1.0] * (d - k))
+        Pm = np.diag([1.0] * k + [0.0] * (d - k))
+        Q = np.stack([L.T @ Pm @ L, L.T @ Jm @ L])
+        lam_hi = 1e6 * max(float(np.linalg.norm(L, 2)) ** 2, 1.0)
+        sol = cones._pencil_max_lambda_min(Q, Jm, lam_hi)
+        ref = _ternary_reference(Q, Jm, lam_hi)
+        upper = cones.ray_sampling_estimates(L, k, alpha)
+        assert np.all((0.0 <= sol.lam) & (sol.lam <= lam_hi))
+        pencils = Q - sol.lam[:, None, None] * Jm
+        # the value is lambda_min evaluated at the returned lambda, never a bound
+        assert np.array_equal(sol.value, np.linalg.eigh(pencils)[0][:, 0])
+        scale = np.abs(np.linalg.eigvalsh(pencils)).max(axis=1)
+        assert np.all(sol.value >= ref - 8 * eps * scale), (L, k, alpha)
+        assert np.all(sol.value <= np.array(upper) + 1e-9), (L, k, alpha)
+        assert np.all(sol.gap >= 0) and sol.rounds >= 1
+        sols.append(sol)
+    kink, inside = sols[-2:]
+    assert list(kink.value) == [4.5, 0.0]       # the end tangents meet at the kink
+    assert inside.lam[0] == 0.0
+
+
+def test_pencil_rounds_fixture(spec_2d_S):
+    # all six default alphas at grid 32 take at most 100 eigh rounds in
+    # total (the ternary search made 401 eigvalsh calls per pencil)
+    rounds = [cones.verify_A2(spec_2d_S, cones.ConeParams(1, alpha, 1.000000001),
+                              32).pencil_rounds
+              for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    assert all(r >= 2 for r in rounds) and sum(rounds) <= 100, rounds
 
 
 def test_a4_implies_a2(spec_2d_S):
