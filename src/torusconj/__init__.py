@@ -8,9 +8,8 @@ from .intlat import (hermite_normal_form, integer_eigenvalues,
                      left_eigenvector_integer, derive_invariant_line,
                      tiling_parallelotope, block_triangularize, BlockForm)
 from .semiconj import build_engine, phi_hat, phi_torus, semiconjugacy_residual
-from .cones import ConeParams, pointwise_cone_check, verify_A2, tau
-from .conjmap import (H_forward, H_inverse, solve_fiber_point, trace_fiber,
-                      skew_product_residual)
+from .cones import ConeParams, pointwise_cone_check, verify_A2
+from .conjmap import H_forward, H_inverse, solve_fiber_point, skew_product_residual
 
 __version__ = "0.1.0"
 
@@ -22,7 +21,6 @@ __all__ = [
     "derive_invariant_line", "tiling_parallelotope", "block_triangularize",
     "BlockForm",
     "build_engine", "phi_hat", "phi_torus", "semiconjugacy_residual",
-    "ConeParams", "pointwise_cone_check", "verify_A2", "tau",
-    "H_forward", "H_inverse", "solve_fiber_point", "trace_fiber",
-    "skew_product_residual",
+    "ConeParams", "pointwise_cone_check", "verify_A2",
+    "H_forward", "H_inverse", "solve_fiber_point", "skew_product_residual",
 ]

@@ -202,16 +202,16 @@ def cmd_verify_cones(args) -> dict:
     spec = _load_spec(args.spec)
     block = _pick_block(spec, args)
     spec_S = dynamics.change_coordinates(spec, block.S_list())
+    params = [cones.ConeParams(k=block.k, alpha=alpha, K=args.K) for alpha in args.alpha]
     results = []
     best = None
-    for alpha in args.alpha:
-        params = cones.ConeParams(k=block.k, alpha=alpha, K=args.K)
-        cert = cones.verify_A2(spec_S, params, args.grid)
+    for cert in cones.verify_A2(spec_S, params, args.grid):
         entry = {
-            "alpha": alpha,
+            "alpha": cert.params.alpha,
             "K": args.K,
             "expansion_factor": cert.expansion_factor,
-            "invariance_margin": cert.invariance_margin,
+            # vacuous (infinite) when k = d; JSON has no infinity
+            "invariance_margin": None if block.k == spec.d else cert.invariance_margin,
             "expansion_margin": cert.expansion_margin,
             "padding": cert.padding,
             "domination_margin": cert.domination_margin,

@@ -29,8 +29,12 @@ MAX_ROUNDS = 200    # cap on eigh rounds; a capped cell still returns an evaluat
 @dataclass(frozen=True)
 class ConeParams:
     k: int
-    alpha: float        # math.inf allowed
+    alpha: float        # cone opening, finite and > 0
     K: float            # claimed expansion constant, > 1
+
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"cone opening alpha must be finite and > 0, got {self.alpha!r}")
 
 
 class PencilSolve(NamedTuple):
@@ -151,15 +155,10 @@ def _cone_minima(Ls: np.ndarray, nLs: np.ndarray, k: int, alpha: float):
     n, d, _ = Ls.shape
     Pm = np.zeros((d, d))
     Pm[:k, :k] = np.eye(k)
-    if k == d or math.isinf(alpha):
-        # the cone is the whole space (k = d) or the constraint is vacuous
+    if k == d:
+        # the cone is the whole space; invariance is vacuous
         Q = np.einsum("nij,jl,nlm->nim", Ls.transpose(0, 2, 1), Pm, Ls)
-        q_exp = np.linalg.eigvalsh(Q)[..., 0]
-        if k == d:
-            return q_exp, np.full(n, np.inf), 0, 0.0
-        Jm = np.diag([1.0] * k + [-1.0] * (d - k))  # alpha factored out below
-        QJ = np.einsum("nij,jl,nlm->nim", Ls.transpose(0, 2, 1), Jm, Ls)
-        return q_exp, np.linalg.eigvalsh(QJ)[..., 0], 0, 0.0
+        return np.linalg.eigvalsh(Q)[..., 0], np.full(n, np.inf), 0, 0.0
     Jm = np.diag([alpha ** 2] * k + [-1.0] * (d - k))
     Lt = Ls.transpose(0, 2, 1)
     lam_hi = 1e6 * max(float(nLs.max()) ** 2, 1.0)
@@ -183,23 +182,19 @@ def ray_sampling_estimates(L: np.ndarray, k: int, alpha: float,
     d = L.shape[0]
     a = rng.normal(size=(n_rays, k))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    if d > k and not math.isinf(alpha):
+    if d > k:
         b = rng.normal(size=(n_rays, d - k))
         bn = np.linalg.norm(b, axis=1, keepdims=True)
         bn[bn == 0] = 1.0
         scale = rng.uniform(0, 1, size=(n_rays, 1)) * alpha
         v = np.hstack([a, b / bn * scale * 1.0])
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-    elif d > k:
-        v = rng.normal(size=(n_rays, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
     else:
         v = a
     w = v @ L.T
     na2 = (w[:, :k] ** 2).sum(axis=1)
     nb2 = (w[:, k:] ** 2).sum(axis=1)
-    alpha2 = alpha ** 2 if not math.isinf(alpha) else 1.0
-    return float(na2.min()), float((alpha2 * na2 - nb2).min())
+    return float(na2.min()), float((alpha ** 2 * na2 - nb2).min())
 
 
 def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
@@ -212,14 +207,10 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     q_exp, q_inv, _, _ = _cone_minima(L[None], nLs, k, alpha)
     q_exp, q_inv, nL = float(q_exp[0]), float(q_inv[0]), float(nLs[0])
     restricted = float(np.linalg.norm(L[:, k:], 2)) if d > k else 0.0
-    if math.isinf(q_inv):
-        inv_margin = math.inf
-    else:
-        scale = (alpha + 1.0) * max(nL, 1e-300) if not math.isinf(alpha) else 1.0
-        inv_margin = q_inv / scale
-    if cross_validate and not math.isinf(alpha):
+    inv_margin = q_inv / ((alpha + 1.0) * max(nL, 1e-300))     # inf when k = d
+    if cross_validate:
         s_exp, s_inv = ray_sampling_estimates(L, k, alpha, n_rays)
-        if q_exp > s_exp + 1e-9 or (not math.isinf(q_inv) and q_inv > s_inv + 1e-9):
+        if q_exp > s_exp + 1e-9 or (k < d and q_inv > s_inv + 1e-9):
             raise AssertionError(
                 f"certified minima beat ray sampling: exp {q_exp} vs {s_exp}, "
                 f"inv {q_inv} vs {s_inv}")
@@ -250,55 +241,50 @@ def _cell_padding(spec: TorusMapSpec, res: int) -> float:
     return nb.dg_lip * (1.0 / res) * math.sqrt(spec.d) / 2.0
 
 
-def verify_A2(spec: TorusMapSpec, params: ConeParams, grid_res: int) -> ConeCertificate:
+def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     """Grid check of the invariant expanding cone condition (A2), with
     Lipschitz padding so a pass certifies every point of the torus.
 
     The same pass checks domination (A4): off-core vectors must be stretched
     strictly less than the certified expansion, min over cells of the padded
-    factor, so a4_pass = A2 and a positive domination margin."""
+    factor, so a4_pass = A2 and a positive domination margin.
+
+    params is one ConeParams, giving one ConeCertificate, or a sequence of
+    them sharing one k, giving a list of certificates in the same order.
+    The cells, their Jacobians, the padding and the alpha-free norms are
+    built once for the whole sequence."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
+    single = isinstance(params, ConeParams)
+    plist = [params] if single else list(params)
+    ks = {p.k for p in plist}
+    if len(ks) != 1:
+        raise ValueError(f"verify_A2 needs one or more ConeParams sharing one k, got k in {ks}")
+    k = ks.pop()
     centers = semiconj._grid(spec.d, grid_res, offset=0.5)
     Ls = dynamics.jacobian(spec, centers)
     pad = _cell_padding(spec, grid_res)
-    k, alpha = params.k, params.alpha
-
     nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))
-    q_exp, q_inv, rounds, pencil_gap = _cone_minima(Ls, nLs, k, alpha)
-    factors = np.sqrt(np.maximum(q_exp, 0.0))
-    if np.all(np.isinf(q_inv)):
-        lin_inv = np.full(len(q_inv), np.inf)
-    else:
-        scale = (alpha + 1.0) * np.maximum(nLs, 1e-300)
-        lin_inv = q_inv / scale
-
-    padded_factor = factors - pad
-    alpha_pad = 0.0 if math.isinf(alpha) else (alpha + 1.0) * pad
-    padded_inv = lin_inv - alpha_pad
-    exp_margin = padded_factor - params.K
-
     restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))  # 0 if k = d
-    dom_margin = float(padded_factor.min() - (restricted + pad).max())
 
-    worst = int(np.argmin(np.minimum(exp_margin,
-                                     np.where(np.isinf(padded_inv), np.inf,
-                                              padded_inv))))
-    a2 = bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0))
-    return ConeCertificate(
-        params=params, grid_res=grid_res, padding=float(pad),
-        expansion_factor=float(factors.min()),
-        invariance_margin=float(lin_inv.min()) if not np.all(np.isinf(lin_inv)) else math.inf,
-        expansion_margin=float(exp_margin.min()),
-        domination_margin=dom_margin,
-        worst_cell=tuple(centers[worst]),
-        a2_pass=a2, a4_pass=a2 and dom_margin > 0,
-        pencil_rounds=rounds, pencil_gap=pencil_gap)
-
-
-def tau(params: ConeParams) -> float:
-    """Lower bound on the core projection of a unit cone vector: for
-    ||b|| <= alpha ||a|| and ||v|| = 1, ||a|| >= 1/sqrt(1 + alpha^2)."""
-    if math.isinf(params.alpha):
-        raise ValueError("tau is not positive for an infinite cone opening")
-    return 1.0 / math.sqrt(1.0 + params.alpha ** 2)
+    certs = []
+    for p in plist:
+        q_exp, q_inv, rounds, pencil_gap = _cone_minima(Ls, nLs, k, p.alpha)
+        factors = np.sqrt(np.maximum(q_exp, 0.0))
+        lin_inv = q_inv / ((p.alpha + 1.0) * np.maximum(nLs, 1e-300))  # inf if k = d
+        padded_factor = factors - pad
+        padded_inv = lin_inv - (p.alpha + 1.0) * pad
+        exp_margin = padded_factor - p.K
+        dom_margin = float(padded_factor.min() - (restricted + pad).max())
+        worst = int(np.argmin(np.minimum(exp_margin, padded_inv)))
+        a2 = bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0))
+        certs.append(ConeCertificate(
+            params=p, grid_res=grid_res, padding=float(pad),
+            expansion_factor=float(factors.min()),
+            invariance_margin=float(lin_inv.min()),
+            expansion_margin=float(exp_margin.min()),
+            domination_margin=dom_margin,
+            worst_cell=tuple(centers[worst]),
+            a2_pass=a2, a4_pass=a2 and dom_margin > 0,
+            pencil_rounds=rounds, pencil_gap=pencil_gap))
+    return certs[0] if single else certs

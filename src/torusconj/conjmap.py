@@ -1,5 +1,5 @@
 """The conjugacy H(z) = (Phi(z), proj_{W-perp} z): forward map, certified
-fiber solving (k = 1 bisection), fiber tracing, and the skew-product check
+fiber solving (k = 1 bisection), and the skew-product check
 H o F o H^-1 = (A x, F_y(x, y)).
 
 Everything runs in block (S-) coordinates through a SemiConjEngine in
@@ -152,67 +152,6 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10):
 
 
 @dataclass(frozen=True)
-class FiberGraph:
-    x0: float                   # base point (lift of theta0), k = 1
-    grid: np.ndarray            # (n, d-1) y-lattice in [0,1)
-    values: np.ndarray          # (n,) solved t(y)
-    residuals: np.ndarray       # (n,) |Phi_hat((t,y)) - x0|
-    monotone_slope: float       # min observed d(Phi_hat)/dt over the graph
-    max_adjacent_step: float    # continuity indicator: max |t(y) - t(y')|/h
-    periodic_closure: float     # max |t(y) - t(y + e_j)| over boundary pairs
-    grid_res: int
-    tol: float
-
-
-def trace_fiber(engine: SemiConjEngine, theta0, grid_res: int,
-                tol: float = 1e-10) -> FiberGraph:
-    """Solve t(y) over a y-grid so the graph realizes Phi^-1(theta0).
-
-    Records residuals, the minimum observed monotone slope along W, a
-    continuity indicator, and the periodic closure over the y-torus (zero
-    integer shift in decoupled block coordinates, since the off-core lattice
-    directions project to 0 under proj_W).
-    """
-    _require_expanding(engine)
-    if engine.k != 1:
-        raise EngineError("certified fiber tracing requires k = 1")
-    x0 = float(np.atleast_1d(np.asarray(theta0, dtype=float))[0])
-    m = engine.d - engine.k
-    Y = semiconj._grid(m, grid_res)
-    n = Y.shape[0]
-    x0v = np.full(n, x0)
-    t = _bisect_batch(engine, x0v, Y, tol)
-    res = np.abs(_phi_line(engine, t, Y) - x0)
-
-    h = 1e-5
-    slope = (_phi_line(engine, t + h, Y) - _phi_line(engine, t, Y)) / h
-    mono = float(slope.min())
-
-    if m > 0:
-        step = 0.0
-        cube = t.reshape((grid_res,) * m)
-        for ax in range(m):
-            diff = np.abs(np.diff(cube, axis=ax))
-            if diff.size:
-                step = max(step, float(diff.max()) * grid_res)
-        # periodic closure: re-solve on the y-faces shifted by one lattice step
-        closure = 0.0
-        for ax in range(m):
-            face = cube.take(0, axis=ax).ravel()
-            Yface = Y.reshape((grid_res,) * m + (m,)).take(0, axis=ax)
-            Yface = Yface.reshape(-1, m).copy()
-            Yface[:, ax] += 1.0
-            t_shift = _bisect_batch(engine, np.full(face.shape, x0), Yface, tol)
-            closure = max(closure, float(np.abs(t_shift - face).max()))
-    else:
-        step = 0.0
-        closure = 0.0
-    return FiberGraph(x0=x0, grid=Y, values=t, residuals=res,
-                      monotone_slope=mono, max_adjacent_step=step,
-                      periodic_closure=closure, grid_res=grid_res, tol=tol)
-
-
-@dataclass(frozen=True)
 class SkewReport:
     grid_res: int
     tol: float
@@ -245,55 +184,6 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
                       ceiling=float(ceiling),
                       fiber_map_samples=FZ[:, k:],
                       grid=np.concatenate([X, Y], axis=1))
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    max_slope_diff: float       # max |slope_h - slope_{h/2}| at shared points
-    max_slope_coarse: float
-    max_slope_fine: float
-    certified: bool             # whether an (A4) certificate was supplied
-
-
-def fiber_smoothness_probe(fiber: FiberGraph, fiber_fine: FiberGraph,
-                           certified: bool = False) -> SmoothnessReport:
-    """Central-difference slopes of t(y) at the coarse grid points, compared
-    across resolutions h and h/2; convergence is the (non-certified)
-    differentiability indicator.  `certified` just records whether a
-    dominated-cone certificate backs the probe."""
-    if fiber_fine.grid_res != 2 * fiber.grid_res:
-        raise ValueError("fine fiber must be traced at twice the resolution")
-    m = fiber.grid.shape[1]
-    if m == 0:
-        return SmoothnessReport(0.0, 0.0, 0.0, certified)
-
-    def slopes(fg: FiberGraph):
-        r = fg.grid_res
-        cube = fg.values.reshape((r,) * m)
-        out = []
-        for ax in range(m):
-            d = (np.roll(cube, -1, axis=ax) - np.roll(cube, 1, axis=ax)) * (r / 2.0)
-            out.append(d)
-        return np.stack(out)        # (m, r, ..., r)
-
-    s_c = slopes(fiber)
-    s_f = slopes(fiber_fine)
-    idx = (slice(None),) + (slice(None, None, 2),) * m
-    s_f_shared = s_f[idx]
-    diff = float(np.abs(s_c - s_f_shared).max())
-    return SmoothnessReport(max_slope_diff=diff,
-                            max_slope_coarse=float(np.abs(s_c).max()),
-                            max_slope_fine=float(np.abs(s_f).max()),
-                            certified=certified)
-
-
-def export_fiber_csv(fiber: FiberGraph, path) -> None:
-    m = fiber.grid.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"y_{i+1}" for i in range(m)] + ["t", "residual"])
-        for y, t, r in zip(fiber.grid, fiber.values, fiber.residuals):
-            w.writerow([f"{v:.17g}" for v in y] + [f"{t:.17g}", f"{r:.6g}"])
 
 
 def export_skew_csv(report: SkewReport, path) -> None:

@@ -22,9 +22,17 @@ def fix2(tmp_path):
     return str(p)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def run(capsys, *argv):
+    """Exit code, stdout and stderr of one CLI call; a non-empty stdout
+    must parse as strict JSON (no NaN or Infinity)."""
     code = main(list(argv))
     out = capsys.readouterr()
+    if out.out:
+        json.loads(out.out, parse_constant=_reject_constant)
     return code, out.out, out.err
 
 
@@ -144,6 +152,17 @@ def test_verify_cones_pencil_keys(fix2, capsys):
     assert rep["best"]["alpha"] == 0.5
 
 
+def test_verify_cones_full_block_null_margin(fix1, capsys):
+    # k = d: the cone is the whole space, so invariance is vacuous and its
+    # margin is reported as null, not as the non-JSON Infinity
+    code, out, _ = run(capsys, "verify-cones", fix1, "--grid", "64", "--alpha", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["k"] == 1 and rep["pass"]
+    assert rep["alphas"][0]["invariance_margin"] is None
+    assert rep["best"]["invariance_margin"] is None
+
+
 def test_verify_cones_identity_exit_2(tmp_path, capsys):
     # a failed verdict still emits its report, on stdout and under -o
     p = tmp_path / "ident.map"
@@ -222,9 +241,8 @@ FLAGS_BY_COMMAND = {
 
 def test_flags_per_command(capsys):
     for command, flags in FLAGS_BY_COMMAND.items():
-        code, out, _ = run(capsys, command, "--help")
-        assert code == 0
-        usage = out.split("\n\n")[0]
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
         assert set(re.findall(r"\[(-{1,2}\w+)", usage)) == flags | {"-h"}, command
 
 

@@ -134,13 +134,40 @@ def test_pencil_solver(rng):
     assert inside.lam[0] == 0.0
 
 
+ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
 def test_pencil_rounds_fixture(spec_2d_S):
     # all six default alphas at grid 32 take at most 100 eigh rounds in
     # total (the ternary search made 401 eigvalsh calls per pencil)
-    rounds = [cones.verify_A2(spec_2d_S, cones.ConeParams(1, alpha, 1.000000001),
-                              32).pencil_rounds
-              for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    certs = cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 32)
+    rounds = [c.pencil_rounds for c in certs]
     assert all(r >= 2 for r in rounds) and sum(rounds) <= 100, rounds
+
+
+def test_verify_A2_many_equals_single(spec_2d_S):
+    params = [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS]
+    many = cones.verify_A2(spec_2d_S, params, 32)
+    assert isinstance(many, list)
+    assert many == [cones.verify_A2(spec_2d_S, p, 32) for p in params]
+    with pytest.raises(ValueError):
+        cones.verify_A2(spec_2d_S, [params[0], cones.ConeParams(2, 1.0, 1.2)], 32)
+    with pytest.raises(ValueError):
+        cones.verify_A2(spec_2d_S, [], 32)
+
+
+def test_verify_A2_jacobian_once(spec_2d_S, monkeypatch):
+    calls = []
+    real = dynamics.jacobian
+    monkeypatch.setattr(dynamics, "jacobian", lambda *a: calls.append(a) or real(*a))
+    cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 32)
+    assert len(calls) == 1
+
+
+def test_cone_params_rejects_bad_alpha():
+    for alpha in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            cones.ConeParams(1, alpha, 1.2)
 
 
 def test_a4_implies_a2(spec_2d_S):
@@ -171,11 +198,3 @@ def test_conic_curve_length_expansion(spec_2d_S, rng):
         img = dynamics.eval_lift(spec_2d_S, seg)
         length = np.linalg.norm(np.diff(img, axis=0), axis=1).sum()
         assert length >= K * l * (1 - 1e-6)
-
-
-def test_tau():
-    assert np.isclose(cones.tau(cones.ConeParams(1, 1.0, 1.2)), 1 / math.sqrt(2))
-    assert np.isclose(cones.tau(cones.ConeParams(1, math.sqrt(3), 1.2)), 0.5)
-    assert np.isclose(cones.tau(cones.ConeParams(1, 1e-9, 1.2)), 1.0)
-    with pytest.raises(ValueError):
-        cones.tau(cones.ConeParams(1, math.inf, 1.2))

@@ -42,9 +42,9 @@ def test_solve_fiber_point_residual(engine_2d, rng):
 
 def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
     # away from the root, Phi_hat - x0 stays bounded away from zero by the
-    # cone growth bound tau * dt - 2 eps
-    from torusconj import cones
-    tau = cones.tau(cones.ConeParams(1, 0.5, 1.2))
+    # cone growth bound tau * dt - 2 eps, with tau = 1/sqrt(1 + alpha^2) the
+    # least core projection of a unit vector in the alpha = 0.5 cone
+    tau = 1 / np.sqrt(1 + 0.5 ** 2)
     x0, y0 = 0.4, np.array([0.25])
     t = conjmap.solve_fiber_point(engine_2d, x0, y0, tol=1e-12)
     for dt in rng.uniform(0.01, 0.99, size=50):
@@ -85,36 +85,6 @@ def test_single_point_is_batch_of_one(engine_2d):
     assert z.shape == (2,) and zb.shape == (1, 2) and np.array_equal(zb[0], z)
 
 
-def test_trace_fiber_linear_flat(engine_linear):
-    fib = conjmap.trace_fiber(engine_linear, 0.3, 16, tol=1e-12)
-    assert np.abs(fib.values - 0.3).max() <= 1e-12
-    assert fib.max_adjacent_step <= 1e-9
-    assert fib.periodic_closure <= 1e-11
-
-
-def test_trace_fiber_fixture(engine_2d):
-    tol = 1e-10
-    fib = conjmap.trace_fiber(engine_2d, 0.3, 256, tol=tol)
-    assert fib.residuals.max() <= tol
-    assert fib.monotone_slope > 0
-    assert fib.periodic_closure <= (2 * engine_2d.eps + 2 * tol) / 0.5
-    # graph continuity: adjacent values move at a bounded rate
-    assert fib.max_adjacent_step <= 1.0
-
-
-def test_fiber_maps_into_fiber(engine_2d):
-    # Phi_hat(F(fiber point)) stays within the ceiling of A x0
-    tol = 1e-10
-    x0 = 0.3
-    fib = conjmap.trace_fiber(engine_2d, x0, 64, tol=tol)
-    pts = np.stack([fib.values, fib.grid[:, 0]], axis=1)
-    img = dynamics.eval_lift(engine_2d.spec, pts)
-    vals = semiconj.phi_hat(engine_2d, img).value[:, 0]
-    ceiling = (np.linalg.norm(engine_2d.A, 2) + 1) * engine_2d.eps \
-        + np.linalg.norm(engine_2d.A, 2) * tol
-    assert np.abs(vals - 2 * x0).max() <= ceiling + 1e-12
-
-
 def test_skew_product_linear(engine_linear):
     rep = conjmap.skew_product_residual(engine_linear, 16, tol=1e-13)
     assert rep.max_base_residual <= 1e-12
@@ -126,24 +96,6 @@ def test_skew_product_linear(engine_linear):
 def test_skew_product_fixture(engine_2d):
     rep = conjmap.skew_product_residual(engine_2d, 32, tol=1e-10)
     assert rep.max_base_residual <= rep.ceiling
-
-
-def test_smoothness_probe(engine_2d):
-    fib = conjmap.trace_fiber(engine_2d, 0.3, 32, tol=1e-10)
-    fib2 = conjmap.trace_fiber(engine_2d, 0.3, 64, tol=1e-10)
-    rep = conjmap.fiber_smoothness_probe(fib, fib2, certified=True)
-    assert rep.certified
-    assert rep.max_slope_diff <= 0.1 * max(rep.max_slope_coarse, 1e-12)
-    with pytest.raises(ValueError):
-        conjmap.fiber_smoothness_probe(fib, fib, certified=False)
-
-
-def test_smoothness_probe_flat(engine_linear):
-    fib = conjmap.trace_fiber(engine_linear, 0.3, 8, tol=1e-12)
-    fib2 = conjmap.trace_fiber(engine_linear, 0.3, 16, tol=1e-12)
-    rep = conjmap.fiber_smoothness_probe(fib, fib2)
-    assert rep.max_slope_diff <= 1e-8
-    assert not rep.certified
 
 
 def test_damped_solver_k2(rng):
@@ -168,9 +120,13 @@ def test_damped_solver_k2(rng):
 
 
 def test_exports(engine_2d, tmp_path):
-    fib = conjmap.trace_fiber(engine_2d, 0.3, 8, tol=1e-10)
-    conjmap.export_fiber_csv(fib, tmp_path / "fiber.csv")
-    assert (tmp_path / "fiber.csv").read_text().startswith("y_1,t,residual")
     rep = conjmap.skew_product_residual(engine_2d, 8, tol=1e-10)
     conjmap.export_skew_csv(rep, tmp_path / "skew.csv")
     assert (tmp_path / "skew.csv").exists()
+
+
+def test_public_names_resolve():
+    # every exported name exists, so no export outlives the code it named
+    import torusconj
+    for name in torusconj.__all__:
+        assert hasattr(torusconj, name), name
