@@ -194,6 +194,12 @@ def cmd_verify_semiconj(args) -> dict:
         "ceiling": rr.ceiling,
         "argmax_point": rr.argmax_point,
         "pass": bool(ok),
+        # additive: how the residual was computed; never moves the verdict
+        "diagnostics": {
+            "backward_sweeps": rr.backward_sweeps,
+            "inverse_lift_iters": rr.inverse_lift_iters,
+            "point_steps": rr.point_steps,
+        },
     }
     return report
 

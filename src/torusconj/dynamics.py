@@ -119,25 +119,43 @@ def contraction_rate(spec: TorusMapSpec) -> float:
     return float(np.linalg.norm(np.linalg.inv(Mf), 2)) * norm_bounds(spec).g_lip
 
 
-def invert_lift(spec: TorusMapSpec, z, tol: float = 1e-12):
-    """Unique w with F(w) = z via the contraction w <- M^-1 (z - G(w)).
+def lift_inverter(spec: TorusMapSpec, tol: float):
+    """The batch solver of F(w) = z for this spec, with its per-spec
+    constants (contraction rate, M^-1, iteration cap) computed once.
 
-    Requires ||M^-1||*Lip(G) < 1; the iteration is stopped once the maximum
-    residual ||F(w) - z|| over the batch drops below tol.
+    Returns solve(Z) -> (W, G(W mod 1), iterations) for Z of shape (n, d);
+    solve raises ContractionError unless every residual ||F(w) - z|| is
+    <= tol.  Requires ||M^-1||*Lip(G) < 1, which makes the solution unique
+    and bounds its error by ||M^-1|| / (1 - rho) times the residual.
     """
     rho = contraction_rate(spec)
     if rho >= 1.0:
         raise ContractionError(
             f"contraction margin violated (||M^-1||*Lip(G) = {rho:.3g} >= 1); "
-            "a Newton fallback is out of scope")
-    Z, single = _batch(z, spec.d)
+            "the lift inverse is not certified")
     ta = term_arrays(spec)
     Minv = np.linalg.inv(M_array(spec))
     max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
-    W, res = _kernels.invert_lift_numpy(Z, Minv, ta.comps, ta.coefs, ta.kinds,
-                                        ta.freqs, tol, max_iter)
-    if res.max() > tol:
-        raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
+
+    def solve(Z):
+        W, res, g, iters = _kernels.invert_lift_numpy(
+            Z, Minv, ta.comps, ta.coefs, ta.kinds, ta.freqs, tol, max_iter)
+        if res.max() > tol:
+            raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
+        return W, g, iters
+
+    return solve
+
+
+def invert_lift(spec: TorusMapSpec, z, tol: float = 1e-12):
+    """Unique w with F(w) = z, by the safeguarded Newton iteration of
+    _kernels.invert_lift_numpy (see lift_inverter).
+
+    Requires ||M^-1||*Lip(G) < 1; the iteration is stopped once the maximum
+    residual ||F(w) - z|| over the batch drops below tol.
+    """
+    Z, single = _batch(z, spec.d)
+    W = lift_inverter(spec, tol)(Z)[0]
     return W[0] if single else W.reshape(np.asarray(z).shape)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, dynamics
+from . import _kernels, dynamics, intlat
 from .errors import EngineError
 from .intlat import BlockForm
 from .specdsl import TorusMapSpec
@@ -80,8 +80,7 @@ def _power_norms(B: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     pows[0] = np.eye(k)
     for n in range(1, N + 1):
         pows[n] = pows[n - 1] @ B
-    norms = np.array([np.linalg.norm(p, 2) for p in pows])
-    return pows, norms
+    return pows, np.linalg.norm(pows, 2, axis=(1, 2))
 
 
 def _real_invariant_split(A: np.ndarray):
@@ -210,28 +209,35 @@ def _forward_g_values(engine: SemiConjEngine, Z: np.ndarray,
                                    ta.freqs, nsteps)
 
 
-def _backward_g_values(engine: SemiConjEngine, Z: np.ndarray) -> np.ndarray:
-    """G at the backward torus orbit points F^{-1}..F^{-N} of Z."""
+def _backward_g_values(engine: SemiConjEngine, Z: np.ndarray, head=None):
+    """G at the backward torus orbit points F^{-1}..F^{-N} of Z, stacked as
+    (N, n, d); with head (n, d) given, head comes first, (N + 1, n, d).
+    Returns (values, inverse-lift iterations)."""
+    solve = dynamics.lift_inverter(engine.spec, engine.inv_tol)
+    first = 0 if head is None else 1
+    out = np.empty((engine.N + first, Z.shape[0], engine.d))
+    if head is not None:
+        out[0] = head
     theta = np.mod(Z, 1.0)
-    out = np.empty((engine.N, Z.shape[0], engine.d))
-    for n in range(engine.N):
-        theta = np.mod(dynamics.invert_lift(engine.spec, theta,
-                                            tol=engine.inv_tol), 1.0)
-        out[n] = dynamics.eval_G(engine.spec, theta)
-    return out
+    iters = 0
+    for n in range(first, engine.N + first):
+        W, out[n], it = solve(theta)
+        theta = np.mod(W, 1.0)
+        iters += it
+    return out, iters
 
 
-def _phi_series(engine: SemiConjEngine, Zb: np.ndarray, gs: np.ndarray):
+def _phi_series(engine: SemiConjEngine, Zb: np.ndarray, gs: np.ndarray,
+                gs_b: np.ndarray | None):
     """Phi_hat at the points Zb (n, d), given G along their forward orbits
-    gs (N, n, d); the backward orbits are solved here when ku < k."""
+    gs (N, n, d) and, when ku < k, along their backward orbits gs_b."""
     k, ku = engine.k, engine.ku
     u = Zb[:, :k] @ engine.Pinv[:ku].T
     u += np.einsum("tnj,taj->na", gs[:, :, :k], engine.coef_u)
     if ku == k:
         return u
-    gs_b = _backward_g_values(engine, Zb)[:, :, :k]
     s = Zb[:, :k] @ engine.Pinv[ku:].T
-    s -= np.einsum("tnj,taj->na", gs_b, engine.coef_s)
+    s -= np.einsum("tnj,taj->na", gs_b[:, :, :k], engine.coef_s)
     return np.hstack([u, s]) @ engine.P.T
 
 
@@ -239,7 +245,8 @@ def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
     """Lift of the semi-conjugacy at z (point (d,) or batch (..., d))."""
     Z = np.asarray(z, dtype=float)
     Zb = Z.reshape(-1, engine.d)
-    val = _phi_series(engine, Zb, _forward_g_values(engine, Zb, engine.N))
+    gs_b = _backward_g_values(engine, Zb)[0] if engine.ku < engine.k else None
+    val = _phi_series(engine, Zb, _forward_g_values(engine, Zb, engine.N), gs_b)
     if Z.ndim == 1:
         val = val[0]
     else:
@@ -270,6 +277,9 @@ class ResidualReport:
     argmax_point: np.ndarray
     ceiling: float              # (||A|| + 1) * eps_N
     grid_res: int
+    backward_sweeps: int        # inverse-lift orbit sweeps: 0, 1 or 2
+    inverse_lift_iters: int     # Newton iterations summed over backward steps
+    point_steps: int            # points x orbit steps, forward plus backward
 
 
 def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualReport:
@@ -277,18 +287,36 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 
     One forward sweep of N + 1 steps serves both sides: F(theta) is the
     sweep's step 1, so steps 0..N-1 give Phi(theta) and steps 1..N give
-    Phi(F(theta)).
+    Phi(F(theta)).  When |det M| = 1, F is a bijection of the torus and the
+    backward orbit of F(theta) is theta, F^-1(theta), ...: one backward
+    sweep of N steps from theta gives Phi(theta), and G(theta) followed by
+    its first N - 1 values gives Phi(F(theta)).  When |det M| > 1 the
+    lift-inverse branch of the reduced F(theta) need not be theta, so
+    F(theta) gets its own backward sweep.
     """
     theta = _grid(engine.d, grid_res)
-    gs = _forward_g_values(engine, theta, engine.N + 1)
+    N = engine.N
+    gs = _forward_g_values(engine, theta, N + 1)
     ftheta = np.mod(theta @ dynamics.M_array(engine.spec).T + gs[0], 1.0)
-    lhs = np.mod(_phi_series(engine, ftheta, gs[1:]), 1.0)
-    rhs = np.mod(np.mod(_phi_series(engine, theta, gs[:-1]), 1.0) @ engine.A.T, 1.0)
+    gs_b = gs_b_f = None
+    sweeps = iters = 0
+    if engine.ku < engine.k:
+        if abs(intlat.det_int(engine.spec.M_list())) == 1:
+            gb, iters = _backward_g_values(engine, theta, head=gs[0])
+            gs_b, gs_b_f, sweeps = gb[1:], gb[:-1], 1
+        else:
+            gs_b, it_theta = _backward_g_values(engine, theta)
+            gs_b_f, it_ftheta = _backward_g_values(engine, ftheta)
+            sweeps, iters = 2, it_theta + it_ftheta
+    lhs = np.mod(_phi_series(engine, ftheta, gs[1:], gs_b_f), 1.0)
+    rhs = np.mod(np.mod(_phi_series(engine, theta, gs[:-1], gs_b), 1.0) @ engine.A.T, 1.0)
     res = dynamics.torus_distance(lhs, rhs)
     i = int(np.argmax(res))
     ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps
     return ResidualReport(max_residual=float(res[i]), argmax_point=theta[i],
-                          ceiling=float(ceiling), grid_res=grid_res)
+                          ceiling=float(ceiling), grid_res=grid_res,
+                          backward_sweeps=sweeps, inverse_lift_iters=int(iters),
+                          point_steps=theta.shape[0] * (N + 1 + sweeps * N))
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from torusconj.cli import main
 
-from conftest import FIX_1D, FIX_2D, lehmer_spec_text
+from conftest import FIX_1D, FIX_2D, FIX_CAT, lehmer_spec_text
 
 
 @pytest.fixture()
@@ -113,6 +113,23 @@ def test_verify_semiconj(fix2, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["max_residual"] <= rep["ceiling"]
+
+
+def test_verify_semiconj_diagnostics(fix2, tmp_path, capsys):
+    # diagnostics is additive: the other keys and the exit code are as before
+    cat = tmp_path / "cat.map"
+    cat.write_text(FIX_CAT)
+    keys = {"command", "mode", "N", "error_bound", "grid_res", "max_residual",
+            "ceiling", "argmax_point", "pass", "schema_version", "diagnostics"}
+    for argv, sweeps in (((fix2,), 0), ((str(cat), "--sublattice", "full"), 1)):
+        code, out, _ = run(capsys, "verify-semiconj", *argv, "--grid", "8")
+        rep = json.loads(out)
+        assert code == 0 and set(rep) == keys
+        diag = rep["diagnostics"]
+        assert set(diag) == {"backward_sweeps", "inverse_lift_iters", "point_steps"}
+        assert diag["backward_sweeps"] == sweeps
+        assert (diag["inverse_lift_iters"] > 0) == (sweeps > 0)
+        assert diag["point_steps"] == 64 * (rep["N"] + 1 + sweeps * rep["N"])
 
 
 def test_verify_semiconj_linear(tmp_path, capsys):

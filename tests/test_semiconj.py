@@ -6,6 +6,23 @@ from torusconj import _kernels, dynamics, intlat, semiconj
 from torusconj.errors import EngineError
 
 
+def test_power_norms_batched_is_per_matrix_norm():
+    # one batched 2-norm call, bit for bit the per-power norms
+    rng = np.random.default_rng(3)
+    for m in range(120):
+        k = 1 + m % 3
+        pows, norms = semiconj._power_norms(rng.uniform(-1.5, 1.5, size=(k, k)), 6)
+        assert np.array_equal(norms, [np.linalg.norm(p, 2) for p in pows])
+    assert np.array_equal(semiconj._power_norms(np.zeros((0, 0)), 3)[1], np.zeros(4))
+
+
+def test_eps_pinned(engine_1d, engine_2d, engine_cat):
+    # certified bounds of the fixtures, bit for bit
+    assert engine_1d.eps == float.fromhex("0x1.0000000000000p-43")
+    assert engine_2d.eps == float.fromhex("0x1.12c49dd0cc1e9p-44")
+    assert engine_cat.eps == float.fromhex("0x1.683cdb6d1aba7p-21")
+
+
 def test_tail_bound_oracle(engine_1d):
     # closed form: g_sup ||A^-N|| rho / (1 - rho) with A = 2, rho = 1/2
     assert np.isclose(engine_1d.eps, 0.125 * 2.0 ** -40, rtol=1e-12)
@@ -24,18 +41,50 @@ def test_linear_collapse():
     assert rr.max_residual <= 1e-12
 
 
-def test_residual_is_two_call_definition(engine_2d, engine_cat):
-    # the one-sweep residual equals, bit for bit, Phi(F theta) vs A Phi(theta)
+@pytest.fixture(scope="module")
+def engine_det2():
+    # |det M| = 2, eigenvalues 2 +- sqrt(2): hyperbolic, F is 2-to-1 on the torus
+    s = parse_spec("dim=2\nM=[[3,1],[1,1]]\n"
+                   "G[1]=0.005*sin(2*pi*(z1))\nG[2]=0.005*cos(2*pi*(z2))\n")
+    bf = block_triangularize(s.M_list(), intlat.identity(2))
+    return build_engine(s, bf, N=12)
+
+
+def _two_call_sides(eng, theta):
+    """Phi(F theta) and A Phi(theta) mod 1 from two separate phi calls."""
+    lhs = semiconj.phi_torus(eng, dynamics.eval_torus(eng.spec, theta)).value
+    rhs = np.mod(semiconj.phi_torus(eng, theta).value @ eng.A.T, 1.0)
+    return lhs, rhs
+
+
+def test_residual_is_two_call_definition(engine_2d, engine_det2):
+    # without a shared backward orbit (expanding mode, or |det M| > 1) the
+    # one-sweep residual equals, bit for bit, Phi(F theta) vs A Phi(theta)
     # computed with two separate phi_torus calls
-    for eng in (engine_2d, engine_cat):
+    for eng in (engine_2d, engine_det2):
         rr = semiconj.semiconjugacy_residual(eng, 16)
         theta = semiconj._grid(eng.d, 16)
-        lhs = semiconj.phi_torus(eng, dynamics.eval_torus(eng.spec, theta)).value
-        rhs = np.mod(semiconj.phi_torus(eng, theta).value @ eng.A.T, 1.0)
-        res = dynamics.torus_distance(lhs, rhs)
+        res = dynamics.torus_distance(*_two_call_sides(eng, theta))
         i = int(np.argmax(res))
         assert rr.max_residual == res[i]
         assert np.array_equal(rr.argmax_point, theta[i])
+
+
+def test_shared_backward_orbit_within_eps(engine_cat):
+    # |det M| = 1: Phi(F theta) reuses theta's backward orbit instead of
+    # inverting the reduced F(theta); the two differ by rounding, far
+    # inside eps, and the residual stays under its ceiling
+    eng = engine_cat
+    theta = semiconj._grid(eng.d, 16)
+    gs = semiconj._forward_g_values(eng, theta, eng.N + 1)
+    ftheta = dynamics.eval_torus(eng.spec, theta)
+    gb = semiconj._backward_g_values(eng, theta, head=gs[0])[0]
+    shared = semiconj._phi_series(eng, ftheta, gs[1:], gb[:-1])
+    two_call = semiconj.phi_hat(eng, ftheta).value
+    assert np.abs(shared - two_call).max() <= eng.eps
+    rr = semiconj.semiconjugacy_residual(eng, 16)
+    assert rr.max_residual <= rr.ceiling
+    assert rr.max_residual <= dynamics.torus_distance(*_two_call_sides(eng, theta)).max() + eng.eps
 
 
 def test_residual_sweeps_once(engine_2d, monkeypatch):
@@ -45,6 +94,22 @@ def test_residual_sweeps_once(engine_2d, monkeypatch):
                         lambda *a: steps.append(a[-1]) or real(*a))
     semiconj.semiconjugacy_residual(engine_2d, 8)
     assert steps == [engine_2d.N + 1]
+
+
+def test_backward_sweeps_per_residual(engine_2d, engine_cat, engine_det2, monkeypatch):
+    # one inverse-lift solve per backward step: none in expanding mode, one
+    # sweep of N when |det M| = 1, two sweeps of N when |det M| = 2
+    calls = []
+    real = _kernels.invert_lift_numpy
+    monkeypatch.setattr(_kernels, "invert_lift_numpy",
+                        lambda *a: calls.append(1) or real(*a))
+    for eng, sweeps in ((engine_2d, 0), (engine_cat, 1), (engine_det2, 2)):
+        calls.clear()
+        rr = semiconj.semiconjugacy_residual(eng, 8)
+        assert len(calls) == sweeps * eng.N
+        assert rr.backward_sweeps == sweeps
+        assert rr.point_steps == 64 * (eng.N + 1 + sweeps * eng.N)
+        assert (rr.inverse_lift_iters > 0) == (sweeps > 0)
 
 
 def test_expanding_is_empty_stable_split(engine_2d, engine_cat):
