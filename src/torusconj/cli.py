@@ -63,26 +63,27 @@ def _read_sublattice(arg: str, d: int):
     return vecs
 
 
-def _pick_block(spec, args) -> intlat.BlockForm:
+def _block_coordinates(spec, args):
+    """The spec in block coordinates and its block form: that of the
+    --sublattice basis, or else of the line of the largest integer
+    eigenvalue."""
+    M = spec.M_list()
     if args.sublattice:
         B = _read_sublattice(args.sublattice, spec.d)
-        return intlat.block_triangularize(spec.M_list(), B)
-    eigs = intlat.integer_eigenvalues(spec.M_list())
-    eigs = [m for m in eigs if abs(m) > 1]
-    if not eigs:
-        raise _Verdict(2, "no integer eigenvalue of magnitude > 1 and no "
-                          "--sublattice given; the winding matrix admits no "
-                          "rank-1 invariant sublattice (irreducibility "
-                          "obstruction)")
-    m = max(eigs, key=abs)
-    line = intlat.derive_invariant_line(spec.M_list(), m)
-    return intlat.block_triangularize(spec.M_list(), [line])
+    else:
+        eigs = [m for m in intlat.integer_eigenvalues(M) if abs(m) > 1]
+        if not eigs:
+            raise _Verdict(2, "no integer eigenvalue of magnitude > 1 and no "
+                              "--sublattice given; the winding matrix admits no "
+                              "rank-1 invariant sublattice (irreducibility "
+                              "obstruction)")
+        B = [intlat.derive_invariant_line(M, max(eigs, key=abs))]
+    block = intlat.block_triangularize(M, B)
+    return dynamics.change_coordinates(spec, block.S_list()), block
 
 
 def _engine(spec, args):
-    block = _pick_block(spec, args)
-    spec_S = dynamics.change_coordinates(spec, block.S_list())
-    return semiconj.build_engine(spec_S, block, N=args.trunc), block, spec_S
+    return semiconj.build_engine(*_block_coordinates(spec, args), N=args.trunc)
 
 
 class _Verdict(Exception):
@@ -158,7 +159,7 @@ def cmd_analyze(args) -> dict:
 
 def cmd_phi(args) -> dict:
     spec = _load_spec(args.spec)
-    engine, block, _ = _engine(spec, args)
+    engine = _engine(spec, args)
     report = {
         "command": "phi",
         "mode": engine.mode,
@@ -181,7 +182,7 @@ def cmd_phi(args) -> dict:
 
 def cmd_verify_semiconj(args) -> dict:
     spec = _load_spec(args.spec)
-    engine, block, _ = _engine(spec, args)
+    engine = _engine(spec, args)
     rr = semiconj.semiconjugacy_residual(engine, args.grid)
     ok = rr.max_residual <= rr.ceiling
     report = {
@@ -206,8 +207,7 @@ def cmd_verify_semiconj(args) -> dict:
 
 def cmd_verify_cones(args) -> dict:
     spec = _load_spec(args.spec)
-    block = _pick_block(spec, args)
-    spec_S = dynamics.change_coordinates(spec, block.S_list())
+    spec_S, block = _block_coordinates(spec, args)
     params = [cones.ConeParams(k=block.k, alpha=alpha, K=args.K) for alpha in args.alpha]
     results = []
     best = None
@@ -243,7 +243,7 @@ def cmd_verify_cones(args) -> dict:
 
 def cmd_conjugacy(args) -> dict:
     spec = _load_spec(args.spec)
-    engine, block, _ = _engine(spec, args)
+    engine = _engine(spec, args)
     sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     z = rng.uniform(0, 1, size=(50, engine.d))

@@ -166,9 +166,7 @@ def change_coordinates(spec: TorusMapSpec, S) -> TorusMapSpec:
     Sm = intlat.as_int_matrix(S)
     if len(Sm) != spec.d:
         raise LatticeError("coordinate change has wrong dimension")
-    if intlat.det_int(Sm) not in (1, -1):
-        raise LatticeError("coordinate change must be unimodular")
-    Sinv = intlat.mat_inv_unimodular(Sm)
+    Sinv = intlat.mat_inv_unimodular(Sm)  # LatticeError unless unimodular
     M2 = intlat.mat_mul(Sinv, intlat.mat_mul(spec.M_list(), Sm))
     St = intlat.transpose(Sm)
     new_terms = []

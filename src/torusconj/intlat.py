@@ -1,15 +1,16 @@
-"""Exact integer/rational linear algebra for lattice constructions.
+"""Exact integer linear algebra for lattice constructions.
 
-Everything here runs on arbitrary-precision Python ints (Fractions for
-kernel solves); no floats enter any certificate.  Floating point is used
-only to classify the small top-left block by eigenvalue magnitude.
+Everything here runs on arbitrary-precision Python ints; no floats enter
+any certificate.  One elimination, the Hermite normal form, is behind
+every inverse, kernel, membership test and linear solve; determinants
+come from Bareiss elimination.  Floating point is used only to classify
+the small top-left block by eigenvalue magnitude.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -75,31 +76,13 @@ def det_int(M: IntMat) -> int:
 
 
 def mat_inv_unimodular(S: IntMat) -> IntMat:
-    """Exact inverse of a determinant-±1 integer matrix (integer entries)."""
-    d = len(S)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-         for i, row in enumerate(S)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if piv is None:
-            raise LatticeError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for r in range(d):
-        row = []
-        for c in range(d, 2 * d):
-            x = a[r][c]
-            if x.denominator != 1:
-                raise LatticeError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return out
+    """Exact inverse of a determinant-±1 integer matrix: the transform U of
+    the Hermite normal form U S = H, which is the inverse when H = I."""
+    H, U = hermite_normal_form(S)
+    if H != identity(len(S)):
+        raise LatticeError("matrix is not unimodular" if any(H[-1])
+                           else "matrix is singular")
+    return U
 
 
 def hermite_normal_form(M) -> tuple[list[list[int]], IntMat]:
@@ -162,18 +145,16 @@ def primitive(v) -> IntVec:
 
 def char_poly(M: IntMat) -> list[int]:
     """Coefficients [1, c1, ..., cd] of det(xI - M), exact integers
-    (Faddeev-LeVerrier recursion over rationals)."""
+    (Faddeev-LeVerrier recursion; every N_k is an integer matrix and each
+    division by k is exact)."""
     M = as_int_matrix(M)
     d = len(M)
-    Mf = [[Fraction(x) for x in row] for row in M]
-    Nk = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    Nk = identity(d)
     coeffs = [1]
     for k in range(1, d + 1):
-        MN = [[sum(Mf[i][t] * Nk[t][j] for t in range(d)) for j in range(d)]
-              for i in range(d)]
-        ck = -sum(MN[i][i] for i in range(d)) / k
-        assert ck.denominator == 1
-        coeffs.append(int(ck))
+        MN = mat_mul(M, Nk)
+        ck = -sum(MN[i][i] for i in range(d)) // k
+        coeffs.append(ck)
         for i in range(d):
             MN[i][i] += ck
         Nk = MN
@@ -244,17 +225,6 @@ def derive_invariant_line(M, m: int) -> IntVec:
     return u
 
 
-def orthogonal_sublattice_basis(v) -> list[IntVec]:
-    """Basis of the full sublattice {w in Z^d : v.w = 0} for primitive v."""
-    v = [int(x) for x in v]
-    if all(x == 0 for x in v):
-        raise LatticeError("zero vector")
-    d = len(v)
-    if d < 2:
-        raise LatticeError("need dimension >= 2")
-    return _kernel_basis([v])
-
-
 def _dual_vector(v: IntVec) -> IntVec:
     """Some integer w with v.w = 1 (v primitive); from the HNF transform."""
     H, U = hermite_normal_form([[x] for x in v])
@@ -286,7 +256,7 @@ def tiling_parallelotope(v) -> TilingParallelotope:
         tp = TilingParallelotope(v=tuple(v), W=((w,),))
         _check_tiling(tp)
         return tp
-    basis = orthogonal_sublattice_basis(v)
+    basis = _kernel_basis([v])  # the sublattice orthogonal to v
     wd = _dual_vector(v)
     wd = _reduce_sup_norm(wd, basis)
     cols = basis + [wd]
@@ -339,33 +309,29 @@ def _check_tiling(tp: TilingParallelotope) -> None:
         raise LatticeError("tiling parallelotope is not unimodular")
 
 
-def _solve_rational(A: IntMat, b: IntVec) -> list[Fraction] | None:
-    """Exact solve of the system A x = b (any shape and rank): one particular
-    solution, with free variables set to 0, or None if inconsistent."""
-    n, k = len(A), len(A[0])
-    aug = [[Fraction(A[i][j]) for j in range(k)] + [Fraction(b[i])] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
+def _solve_integer(A: IntMat, b: IntVec) -> IntVec | None:
+    """Some integer x with A x = b (any shape and rank), or None if there is
+    none.
+
+    Row-HNF the transpose, U A^T = H, and put x = U^T y: the system becomes
+    H^T y = b, which is lower triangular on the pivot rows of H.  Forward
+    substitution fixes y there (0 on the zero rows), and an integer y, hence
+    an integer x, exists exactly when every quotient is exact and the
+    remaining equations hold.
+    """
+    H, U = hermite_normal_form(transpose(A))
+    y = [0] * len(H)
+    for i, row in enumerate(H):
+        p = next((j for j, h in enumerate(row) if h != 0), None)
+        if p is None:
+            break
+        q, rem = divmod(b[p] - sum(H[t][p] * y[t] for t in range(i)), row[p])
+        if rem:
             return None
-    x = [Fraction(0)] * k
-    for r, col in enumerate(piv_cols):
-        x[col] = aug[r][k]
-    return x
+        y[i] = q
+    if mat_vec(transpose(H), y) != list(b):
+        return None
+    return mat_vec(transpose(U), y)
 
 
 @dataclass(frozen=True)
@@ -404,9 +370,16 @@ def block_triangularize(M, B: list) -> BlockForm:
     """Complete an M-invariant sublattice basis B (k integer vectors) to a
     unimodular S with S^-1 M S block upper-triangular.
 
-    After completion, an exact integer Sylvester solve A X - X D = -C is
-    attempted to null the top-right coupling block C; when it succeeds the
-    form is block diagonal and usable by the series semi-conjugacy.
+    The row HNF of the d x k basis matrix C is U C = [I_k; 0] exactly when
+    the basis spans a direct summand of Z^d; then S = U^-1 has the basis as
+    its first k columns, S^-1 = U, and the sublattice is M-invariant iff
+    the bottom-left block of U M S is zero.
+
+    An integer Sylvester solve A X - X D = -C (C now the top-right block)
+    then nulls the coupling: the form is decoupled, i.e. block diagonal and
+    usable by the series semi-conjugacy, unless no integer X exists.  When
+    A and D share an eigenvalue X is not unique, and S is the one given by
+    the X that _solve_integer returns.
     """
     M = as_int_matrix(M)
     d = len(M)
@@ -415,42 +388,29 @@ def block_triangularize(M, B: list) -> BlockForm:
     if not 1 <= k <= d or any(len(b) != d for b in vecs):
         raise LatticeError("need 1..d basis vectors of length d")
 
-    C = transpose(vecs)  # d x k, columns are the basis
-    H, U = hermite_normal_form(C)
-    piv_rows = [r for r in range(len(H)) if any(x != 0 for x in H[r])]
-    if len(piv_rows) < k:
+    H, U = hermite_normal_form(transpose(vecs))
+    if not any(H[k - 1]):
         raise LatticeError("basis vectors are linearly dependent")
-    for r in range(k):
-        pcol = next(c for c in range(k) if H[r][c] != 0)
-        if H[r][pcol] != 1:
-            raise LatticeError(
-                f"sublattice is not a direct summand of Z^d (HNF pivot {H[r][pcol]})")
+    # rank k in k columns: the pivots sit on the diagonal of H
+    pivot = next((H[r][r] for r in range(k) if H[r][r] != 1), None)
+    if pivot is not None:
+        raise LatticeError(
+            f"sublattice is not a direct summand of Z^d (HNF pivot {pivot})")
 
-    for b in vecs:
-        x = _solve_rational(C, mat_vec(M, b))
-        if x is None:
+    S = mat_inv_unimodular(U)
+    Mc = mat_mul(U, mat_mul(M, S))
+    # M S = S Mc: M b_j is in the span of the basis iff column j of Mc
+    # vanishes below row k (and is then in the integer span, Mc being integer)
+    for j, b in enumerate(vecs):
+        if any(Mc[i][j] for i in range(k, d)):
             raise LatticeError(f"sublattice is not M-invariant at basis vector {b}")
-        if any(xi.denominator != 1 for xi in x):
-            raise LatticeError(f"M*{b} is not in the integer span of the basis")
-
-    Uinv = mat_inv_unimodular(U)
-    S = [[vecs[j][i] if j < k else Uinv[i][j] for j in range(d)] for i in range(d)]
-    if det_int(S) not in (1, -1):
-        raise LatticeError("completion failed to produce a unimodular matrix")
-
-    Mc = mat_mul(mat_inv_unimodular(S), mat_mul(M, S))
-    for i in range(k, d):
-        for j in range(k):
-            if Mc[i][j] != 0:
-                raise LatticeError("block-triangular structure check failed")
 
     A = [row[:k] for row in Mc[:k]]
     decoupled = k == d
     if k < d:
-        S2, Mc2 = _try_decouple(S, Mc, k)
-        if S2 is not None:
-            S, Mc = S2, Mc2
-            decoupled = True
+        refined = _try_decouple(S, Mc, k)
+        if refined is not None:
+            (S, Mc), decoupled = refined, True
     return BlockForm(
         S=tuple(tuple(r) for r in S),
         k=k,
@@ -463,15 +423,13 @@ def block_triangularize(M, B: list) -> BlockForm:
 
 def _try_decouple(S: IntMat, Mc: IntMat, k: int):
     """Solve A X - X D = -C over the integers (C the top-right block of Mc).
-    On success returns the refined (S', S'^-1 M S') with zero top-right
-    block; otherwise (None, None)."""
+    If an integer X exists, returns (S T, T^-1 Mc T) for T = [[I, X], [0, I]],
+    the latter being Mc with its top-right block zeroed; otherwise None."""
     d = len(Mc)
     r = d - k
     A = [row[:k] for row in Mc[:k]]
     D = [row[k:] for row in Mc[k:]]
     C = [row[k:] for row in Mc[:k]]
-    if all(all(x == 0 for x in row) for row in C):
-        return S, Mc
     # unknowns X (k x r), equations sum_t A[i][t] X[t][j] - sum_t X[i][t] D[t][j] = -C[i][j]
     nunk = k * r
     rows = []
@@ -485,15 +443,10 @@ def _try_decouple(S: IntMat, Mc: IntMat, k: int):
                 row[i * r + t] -= D[t][j]
             rows.append(row)
             rhs.append(-C[i][j])
-    x = _solve_rational(rows, rhs)
-    if x is None or any(xi.denominator != 1 for xi in x):
-        return None, None
-    X = [[int(x[i * r + j]) for j in range(r)] for i in range(k)]
+    x = _solve_integer(rows, rhs)
+    if x is None:
+        return None
     T = identity(d)
     for i in range(k):
-        for j in range(r):
-            T[i][k + j] = X[i][j]
-    S2 = mat_mul(S, T)
-    Mc2 = mat_mul(mat_inv_unimodular(T), mat_mul(Mc, T))
-    return S2, Mc2
-
+        T[i][k:] = x[i * r:(i + 1) * r]
+    return mat_mul(S, T), [row[:k] + [0] * r for row in Mc[:k]] + Mc[k:]

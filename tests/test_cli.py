@@ -132,6 +132,28 @@ def test_verify_semiconj_diagnostics(fix2, tmp_path, capsys):
         assert diag["point_steps"] == 64 * (rep["N"] + 1 + sweeps * rep["N"])
 
 
+# eigenvalues 3, 3, 0: the line of 3 decouples although its Sylvester
+# operator is singular
+FIX_3D_SHARED = ("dim=3\n"
+                 "M=[[3,1,1],[0,1,-2],[0,-1,2]]\n"
+                 "G[1]=0.02*sin(2*pi*(z1+z2))\n"
+                 "G[2]=0.02*cos(2*pi*(z3))\n"
+                 "G[3]=0.01*sin(2*pi*(z2-z1))\n")
+
+
+def test_shared_eigenvalue_map_decouples(tmp_path, capsys):
+    p = tmp_path / "shared.map"
+    p.write_text(FIX_3D_SHARED)
+    code, out, _ = run(capsys, "verify-semiconj", str(p), "--grid", "8")
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"]
+    assert rep["max_residual"] <= rep["ceiling"]
+    code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    b3 = next(b for b in json.loads(out)["branches"] if b["eigenvalue"] == 3)
+    assert b3["decoupled"] and b3["A"] == [[3]]
+
+
 def test_verify_semiconj_linear(tmp_path, capsys):
     p = tmp_path / "lin.map"
     p.write_text("dim=2\nM=[[2,0],[0,1]]\n")

@@ -1,5 +1,5 @@
+import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,8 +51,54 @@ def test_det_int_matches_numpy():
 def test_mat_inv_unimodular():
     S = [[1, -1], [0, 1]]
     assert intlat.mat_mul(S, intlat.mat_inv_unimodular(S)) == intlat.identity(2)
-    with pytest.raises(LatticeError):
-        intlat.mat_inv_unimodular([[2, 0], [0, 1]])
+    for M in ([[2, 0], [0, 1]], [[1, 2], [3, 4]], [[2, 1, 0], [1, 1, 0], [0, 0, 3]]):
+        with pytest.raises(LatticeError, match="not unimodular"):
+            intlat.mat_inv_unimodular(M)
+    for M in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+        with pytest.raises(LatticeError, match="singular"):
+            intlat.mat_inv_unimodular(M)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mat_inv_unimodular_elementary_products(d, data):
+    # any product of elementary matrices (row additions, swaps, sign flips)
+    S = intlat.identity(d)
+    for _ in range(data.draw(st.integers(0, 8))):
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        E = intlat.identity(d)
+        op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            E[i][j] = data.draw(st.integers(-3, 3))
+        elif op == "swap":
+            E[i], E[j] = E[j], E[i]
+        elif op == "negate":
+            E[i][i] = -1
+        S = intlat.mat_mul(E, S)
+    Sinv = intlat.mat_inv_unimodular(S)
+    assert intlat.mat_mul(S, Sinv) == intlat.identity(d)
+    assert intlat.mat_mul(Sinv, S) == intlat.identity(d)
+
+
+# ------------------------------------------------------------ integer solve
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_integer_matches_brute_force(n, m, data):
+    A = [[data.draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        A[-1] = [2 * x for x in A[0]]               # a singular system
+    if data.draw(st.booleans()):
+        b = intlat.mat_vec(A, [data.draw(st.integers(-2, 2)) for _ in range(m)])
+    else:
+        b = [data.draw(st.integers(-4, 4)) for _ in range(n)]
+    x = intlat._solve_integer(A, b)
+    if x is not None:
+        assert intlat.mat_vec(A, x) == b
+    box = range(-4, 5)
+    found = any(intlat.mat_vec(A, list(c)) == b for c in itertools.product(box, repeat=m))
+    if found:
+        assert x is not None
 
 
 # ------------------------------------------------------------- eigen data
@@ -183,3 +229,19 @@ def test_coupled_form_reported():
     bf = intlat.block_triangularize([[2, 3], [3, 2]], [[1, 1]])
     assert bf.k == 1 and bf.A == ((5,),)
     assert not bf.decoupled
+
+
+def test_shared_eigenvalue_decouples():
+    # eigenvalues 3, 3, 0: A = [3] and D share the eigenvalue 3, so the
+    # Sylvester operator is singular, yet an integer X exists
+    M = [[3, 1, 1], [0, 1, -2], [0, -1, 2]]
+    line = intlat.derive_invariant_line(M, 3)
+    assert line == [1, 0, 0]
+    bf = intlat.block_triangularize(M, [line])
+    assert bf.k == 1 and bf.A == ((3,),) and bf.decoupled
+    S = bf.S_list()
+    assert S == [[1, 0, -1], [0, 1, 0], [0, 0, 1]]
+    assert intlat.det_int(S) in (1, -1)
+    Mc = intlat.mat_mul(intlat.mat_inv_unimodular(S), intlat.mat_mul(M, S))
+    assert Mc == [list(r) for r in bf.M_conj]
+    assert Mc[0][1:] == [0, 0] and Mc[1][0] == Mc[2][0] == 0
