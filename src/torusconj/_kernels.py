@@ -1,5 +1,5 @@
-"""Hot numeric kernels: trig-sum evaluation and its Jacobian, forward orbit
-sweeps, and the safeguarded Newton solve of the inverse lift.
+"""Hot numeric kernels: trig-sum evaluation and its Jacobian, and the
+safeguarded Newton solve of the inverse lift.
 
 Each kernel has one vectorised numpy implementation that works on a whole
 batch of points per call; callers pass the spec's terms as flat arrays
@@ -16,15 +16,19 @@ TWO_PI = 2.0 * np.pi
 def eval_trig(Z, comps, coefs, kinds, freqs, d):
     """G(Z) for a batch Z of shape (n, d); terms given as flat arrays.
 
-    comps: (T,) 0-based component indices; kinds: (T,) 0=sin 1=cos;
-    freqs: (T, d) integer frequency rows.  Returns (n, d).
+    comps: (T,) 0-based component indices; kinds: (sin term indices, cos
+    term indices); freqs: (T, d) integer frequency rows.  Each phase goes
+    through one transcendental, the one its term needs.  Returns (n, d).
     """
     n = Z.shape[0]
     out = np.zeros((n, d))
     if len(coefs) == 0:
         return out
     phase = TWO_PI * (Z @ freqs.T)          # (n, T)
-    vals = np.where(kinds[None, :] == 0, np.sin(phase), np.cos(phase))
+    sin_t, cos_t = kinds
+    vals = np.empty_like(phase)
+    vals[:, sin_t] = np.sin(phase[:, sin_t])
+    vals[:, cos_t] = np.cos(phase[:, cos_t])
     return _component_sums(vals * coefs[None, :], comps, out)
 
 
@@ -47,30 +51,15 @@ def eval_trig_and_jac(Z, comps, coefs, kinds, freqs, d):
         return g, dg
     phase = TWO_PI * (Z @ freqs.T)
     s, c = np.sin(phase), np.cos(phase)
-    is_sin = kinds[None, :] == 0
-    _component_sums(np.where(is_sin, s, c) * coefs[None, :], comps, g)
-    dvals = np.where(is_sin, c, -s) * (TWO_PI * coefs)[None, :]   # (n, T)
+    sin_t = kinds[0]
+    vals, dvals = c.copy(), -s        # cos terms; sin terms overwritten
+    vals[:, sin_t] = s[:, sin_t]
+    dvals[:, sin_t] = c[:, sin_t]
+    _component_sums(vals * coefs[None, :], comps, g)
+    dvals *= (TWO_PI * coefs)[None, :]                 # (n, T)
     for t in range(len(coefs)):
         dg[:, comps[t], :] += dvals[:, t:t + 1] * freqs[t][None, :]
     return g, dg
-
-
-def eval_trig_jac_numpy(Z, comps, coefs, kinds, freqs, d):
-    """DG(Z) for a batch Z of shape (n, d). Returns (n, d, d)."""
-    return eval_trig_and_jac(Z, comps, coefs, kinds, freqs, d)[1]
-
-
-def orbit_g_values(theta0, Mf, comps, coefs, kinds, freqs, nsteps):
-    """Forward torus orbit sweep: returns (G(theta_0..theta_{nsteps-1}))
-    stacked as (nsteps, n, d), iterating theta <- (M theta + G(theta)) mod 1."""
-    n, d = theta0.shape
-    gs = np.empty((nsteps, n, d))
-    theta = theta0.copy()
-    for j in range(nsteps):
-        g = eval_trig(theta, comps, coefs, kinds, freqs, d)
-        gs[j] = g
-        theta = np.mod(theta @ Mf.T + g, 1.0)
-    return gs
 
 
 def _solve_small(J, r):
@@ -84,7 +73,7 @@ def _solve_small(J, r):
     return np.linalg.solve(J, r[:, :, None])[:, :, 0]
 
 
-def invert_lift_numpy(Z, Minv, comps, coefs, kinds, freqs, tol, max_iter):
+def invert_lift_numpy(Z, Mf, Minv, comps, coefs, kinds, freqs, tol, max_iter):
     """Batch solve F(w) = M w + G(w) = z by safeguarded Newton.
 
     Each iteration evaluates G and DG once (eval_trig_and_jac) at a trial
@@ -95,12 +84,14 @@ def invert_lift_numpy(Z, Minv, comps, coefs, kinds, freqs, tol, max_iter):
     next, and accepts that one unconditionally.  The iteration stops once
     the largest accepted residual is <= tol, or after max_iter iterations.
 
+    Mf is the spec's integer M as floats and Minv its float inverse; the
+    residuals use Mf itself, never a float re-inversion of Minv.
+
     Returns (w, residual, G(w mod 1), iterations): the accepted iterates,
     their residuals, G at them (reduced mod 1 first, as the torus orbit
     uses it) and the number of G/DG evaluations after the first.
     """
     d = Z.shape[1]
-    Mf = np.linalg.inv(Minv)
     W = Z @ Minv.T
     g, dg = eval_trig_and_jac(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
     r = W @ Mf.T + g - Z

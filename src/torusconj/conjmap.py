@@ -12,7 +12,6 @@ with residual reporting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,10 +188,10 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
 def export_skew_csv(report: SkewReport, path) -> None:
     d = report.grid.shape[1]
     m = report.fiber_map_samples.shape[1]
+    header = ",".join([f"x_{i+1}" for i in range(d - m)]
+                      + [f"y_{i+1}" for i in range(m)]
+                      + [f"Fy_{i+1}" for i in range(m)])
+    rows = np.hstack([report.grid, report.fiber_map_samples])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x_{i+1}" for i in range(d - m)]
-                   + [f"y_{i+1}" for i in range(m)]
-                   + [f"Fy_{i+1}" for i in range(m)])
-        for g, fy in zip(report.grid, report.fiber_map_samples):
-            w.writerow([f"{v:.17g}" for v in g] + [f"{v:.17g}" for v in fy])
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=header, comments="")

@@ -19,7 +19,7 @@ TWO_PI = 2.0 * np.pi
 class TermArrays:
     comps: np.ndarray   # (T,) int64, 0-based
     coefs: np.ndarray   # (T,) float64
-    kinds: np.ndarray   # (T,) int64, 0=sin 1=cos
+    kinds: tuple[np.ndarray, np.ndarray]   # (sin term indices, cos term indices)
     freqs: np.ndarray   # (T, d) float64 (integer-valued)
 
 
@@ -28,11 +28,12 @@ def term_arrays(spec: TorusMapSpec) -> TermArrays:
     T = len(spec.terms)
     comps = np.array([t.component - 1 for t in spec.terms], dtype=np.int64)
     coefs = np.array([t.coefficient for t in spec.terms], dtype=np.float64)
-    kinds = np.array([0 if t.kind == "sin" else 1 for t in spec.terms], dtype=np.int64)
+    is_sin = np.array([t.kind == "sin" for t in spec.terms], dtype=bool)
+    kinds = (np.flatnonzero(is_sin), np.flatnonzero(~is_sin))
     freqs = np.array([t.frequency for t in spec.terms], dtype=np.float64)
     if T == 0:
         freqs = np.zeros((0, spec.d))
-    for a in (comps, coefs, kinds, freqs):
+    for a in (comps, coefs, *kinds, freqs):
         a.setflags(write=False)
     return TermArrays(comps, coefs, kinds, freqs)
 
@@ -77,7 +78,7 @@ def jacobian(spec: TorusMapSpec, z):
     """DF(z) = M + DG(z); batch-aware, returns (..., d, d)."""
     Z, single = _batch(z, spec.d)
     ta = term_arrays(spec)
-    dg = _kernels.eval_trig_jac_numpy(Z, ta.comps, ta.coefs, ta.kinds, ta.freqs, spec.d)
+    dg = _kernels.eval_trig_and_jac(Z, ta.comps, ta.coefs, ta.kinds, ta.freqs, spec.d)[1]
     out = M_array(spec)[None, :, :] + dg
     if single:
         return out[0]
@@ -134,12 +135,13 @@ def lift_inverter(spec: TorusMapSpec, tol: float):
             f"contraction margin violated (||M^-1||*Lip(G) = {rho:.3g} >= 1); "
             "the lift inverse is not certified")
     ta = term_arrays(spec)
-    Minv = np.linalg.inv(M_array(spec))
+    Mf = M_array(spec)
+    Minv = np.linalg.inv(Mf)
     max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
 
     def solve(Z):
         W, res, g, iters = _kernels.invert_lift_numpy(
-            Z, Minv, ta.comps, ta.coefs, ta.kinds, ta.freqs, tol, max_iter)
+            Z, Mf, Minv, ta.comps, ta.coefs, ta.kinds, ta.freqs, tol, max_iter)
         if res.max() > tol:
             raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
         return W, g, iters

@@ -358,6 +358,8 @@ class BlockForm:
 
 
 def classify_block(A: IntMat, tol: float = 1e-9) -> str:
+    if det_int(A) == 0:     # eigenvalue 0: no inverse lift, no expansion
+        return "neither"
     mags = np.abs(np.linalg.eigvals(np.array(A, dtype=float)))
     if np.all(mags > 1 + tol):
         return "expanding"

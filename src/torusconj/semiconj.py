@@ -2,12 +2,17 @@
 tail bounds, for expanding and hyperbolic top-left blocks.
 
 There is one construction.  A hyperbolic block A is split by a real
-eigenbasis P into an expanding part D_u (ku coordinates) and a contracting
-part D_s; Phi sums G along the forward orbit through D_u^{-n} and along the
-backward orbit through D_s^{n-1}.  An expanding block is the case with an
-empty stable part: P = I and ku = k, so the stable sum, the backward orbit
-and the inverse-lift budget drop out and every certified quantity comes
-from the same formulas.
+eigenbasis P = [P_u P_s], P^-1 = [L_u; L_s], into an expanding part D_u and
+a contracting part D_s.  The basis is folded into the coefficients
+coef_u[n] = P_u D_u^{-(n+1)} L_u and coef_s[n] = P_s D_s^n L_s, n < N, and
+
+    Phi_hat(z) = z_W + sum_n coef_u[n] G(F^n z)_W
+                     - sum_n coef_s[n] G(F^-(n+1) z)_W,
+
+each sum added up while its orbit is swept, so memory does not grow with
+N.  An expanding block is the case with an empty stable part: P = I and
+coef_s = 0, so the backward orbit and the inverse-lift budget drop out and
+every certified quantity comes from the same formulas.
 
 The engine works on a spec already conjugated into block coordinates
 (see intlat.block_triangularize + dynamics.change_coordinates).  For k < d
@@ -18,7 +23,6 @@ which is what the series construction rests on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,6 @@ class PhiValue:
 @dataclass(frozen=True, eq=False)
 class SemiConjEngine:
     spec: TorusMapSpec          # in S-coordinates
-    block: BlockForm
     mode: str                   # "expanding" | "hyperbolic"
     N: int
     k: int
@@ -51,13 +54,9 @@ class SemiConjEngine:
     c_a: float                  # sum_{n>=1} ||A^{-n}|| bound (unstable part)
     norms: dynamics.NormBounds
     A: np.ndarray               # (k, k) float
-    # eigen-coordinate data; P = I and ku = k in expanding mode
-    ku: int
-    P: np.ndarray               # (k, k): eigen coords -> W coords
-    Pinv: np.ndarray
-    coef_u: np.ndarray          # (N, ku, k): D_u^{-n} L_u, n = 1..N
-    coef_s: np.ndarray          # (N, ks, k): D_s^{n-1} L_s, n = 1..N
-    inv_tol: float              # backward-orbit solve tolerance (0 if ku = k)
+    coef_u: np.ndarray          # (N, k, k): P_u D_u^{-(n+1)} L_u, n = 0..N-1
+    coef_s: np.ndarray          # (N, k, k): P_s D_s^n L_s; zero if expanding
+    inv_tol: float              # backward-orbit solve tolerance (0 if expanding)
 
 
 def _geometric_rate(inv_norms: np.ndarray, N: int) -> float:
@@ -108,8 +107,8 @@ def _real_invariant_split(A: np.ndarray):
     return P, len(cols_u)
 
 
-def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
-                 eps_target: float = DEFAULT_EPS_TARGET) -> SemiConjEngine:
+def build_engine(spec: TorusMapSpec, block: BlockForm,
+                 N: int | None = None) -> SemiConjEngine:
     """Precompute block powers and the certified tail bound.
 
     The tail closes the computed norms ||D_u^{-n}||, n <= N, with the
@@ -147,8 +146,8 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
         eps_series = nb.g_sup * nP * (np.linalg.norm(Lu, 2) * tail_u
                                       + np.linalg.norm(Ls, 2) * tail_s)
         c_a = float(unorms[1:].sum() + tail_u)
-        coef_u = np.einsum("nab,bk->nak", upows[1:], Lu)
-        coef_s = np.einsum("nab,bk->nak", spows[:Ncur], Ls)
+        coef_u = P[:, :ku] @ upows[1:] @ Lu
+        coef_s = P[:, ku:] @ spows[:Ncur] @ Ls
         return coef_u, coef_s, eps_series, rho_u, c_a, snorms
 
     if N is None:
@@ -163,7 +162,7 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
                 if rho > 0.9:
                     raise EngineError(
                         f"contraction rate rho = {rho:.3f} > 0.9; pass N explicitly")
-                if eps_series < eps_target:
+                if eps_series < DEFAULT_EPS_TARGET:
                     break
             if N >= MAX_DEFAULT_N:
                 raise EngineError("no default N meets the error target; pass N")
@@ -177,9 +176,9 @@ def build_engine(spec: TorusMapSpec, block: BlockForm, N: int | None = None,
         inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
         eps = eps_series + inv_unit * inv_tol
     return SemiConjEngine(
-        spec=spec, block=block, mode=mode, N=N, k=k, d=d, eps=float(eps),
-        rho=float(rho), c_a=c_a, norms=nb, A=A, ku=ku, P=P, Pinv=Pinv,
-        coef_u=coef_u, coef_s=coef_s, inv_tol=float(inv_tol))
+        spec=spec, mode=mode, N=N, k=k, d=d, eps=float(eps),
+        rho=float(rho), c_a=c_a, norms=nb, A=A, coef_u=coef_u, coef_s=coef_s,
+        inv_tol=float(inv_tol))
 
 
 def _inv_budget_unit(spec, nb, snorms, N, nP, nLs):
@@ -200,57 +199,47 @@ def _inv_budget_unit(spec, nb, snorms, N, nP, nLs):
     return nP * nLs * (total + 1.0)
 
 
-def _forward_g_values(engine: SemiConjEngine, Z: np.ndarray,
-                      nsteps: int) -> np.ndarray:
+def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
+           backward: bool = False):
+    """The torus orbit of Z (n, d), one step at a time: yields (z, G(z),
+    inverse-lift iterations spent on z) for z = F^j(Z mod 1), j = 0..nsteps-1
+    forward, or for the inverse-lift branches z = F^-j(Z mod 1),
+    j = 1..nsteps, backward."""
+    z = np.mod(Z, 1.0)
+    if backward:
+        solve = dynamics.lift_inverter(engine.spec, engine.inv_tol)
+        for _ in range(nsteps):
+            W, g, iters = solve(z)
+            z = np.mod(W, 1.0)
+            yield z, g, iters
+        return
     ta = dynamics.term_arrays(engine.spec)
     Mf = dynamics.M_array(engine.spec)
-    theta0 = np.mod(Z, 1.0)
-    return _kernels.orbit_g_values(theta0, Mf, ta.comps, ta.coefs, ta.kinds,
-                                   ta.freqs, nsteps)
+    for j in range(nsteps):
+        if j:
+            z = np.mod(z @ Mf.T + g, 1.0)
+        g = _kernels.eval_trig(z, ta.comps, ta.coefs, ta.kinds, ta.freqs, engine.d)
+        yield z, g, 0
 
 
-def _backward_g_values(engine: SemiConjEngine, Z: np.ndarray, head=None):
-    """G at the backward torus orbit points F^{-1}..F^{-N} of Z, stacked as
-    (N, n, d); with head (n, d) given, head comes first, (N + 1, n, d).
-    Returns (values, inverse-lift iterations)."""
-    solve = dynamics.lift_inverter(engine.spec, engine.inv_tol)
-    first = 0 if head is None else 1
-    out = np.empty((engine.N + first, Z.shape[0], engine.d))
-    if head is not None:
-        out[0] = head
-    theta = np.mod(Z, 1.0)
-    iters = 0
-    for n in range(first, engine.N + first):
-        W, out[n], it = solve(theta)
-        theta = np.mod(W, 1.0)
-        iters += it
-    return out, iters
-
-
-def _phi_series(engine: SemiConjEngine, Zb: np.ndarray, gs: np.ndarray,
-                gs_b: np.ndarray | None):
-    """Phi_hat at the points Zb (n, d), given G along their forward orbits
-    gs (N, n, d) and, when ku < k, along their backward orbits gs_b."""
-    k, ku = engine.k, engine.ku
-    u = Zb[:, :k] @ engine.Pinv[:ku].T
-    u += np.einsum("tnj,taj->na", gs[:, :, :k], engine.coef_u)
-    if ku == k:
-        return u
-    s = Zb[:, :k] @ engine.Pinv[ku:].T
-    s -= np.einsum("tnj,taj->na", gs_b[:, :, :k], engine.coef_s)
-    return np.hstack([u, s]) @ engine.P.T
+def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int,
+              sign: float = 1.0) -> None:
+    """acc += sign * coef[n] G_W, if the series has a term n."""
+    if 0 <= n < len(coef):
+        acc += sign * (g[:, :acc.shape[1]] @ coef[n].T)
 
 
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
     """Lift of the semi-conjugacy at z (point (d,) or batch (..., d))."""
     Z = np.asarray(z, dtype=float)
     Zb = Z.reshape(-1, engine.d)
-    gs_b = _backward_g_values(engine, Zb)[0] if engine.ku < engine.k else None
-    val = _phi_series(engine, Zb, _forward_g_values(engine, Zb, engine.N), gs_b)
-    if Z.ndim == 1:
-        val = val[0]
-    else:
-        val = val.reshape(Z.shape[:-1] + (engine.k,))
+    series = np.zeros((Zb.shape[0], engine.k))
+    for n, (_, g, _) in enumerate(_orbit(engine, Zb, engine.N)):
+        _add_term(series, g, engine.coef_u, n)
+    if engine.mode == "hyperbolic":
+        for n, (_, g, _) in enumerate(_orbit(engine, Zb, engine.N, backward=True)):
+            _add_term(series, g, engine.coef_s, n, -1.0)
+    val = (Zb[:, :engine.k] + series).reshape(Z.shape[:-1] + (engine.k,))
     return PhiValue(value=val, error_bound=engine.eps)
 
 
@@ -286,30 +275,41 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
     """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)).
 
     One forward sweep of N + 1 steps serves both sides: F(theta) is the
-    sweep's step 1, so steps 0..N-1 give Phi(theta) and steps 1..N give
-    Phi(F(theta)).  When |det M| = 1, F is a bijection of the torus and the
-    backward orbit of F(theta) is theta, F^-1(theta), ...: one backward
-    sweep of N steps from theta gives Phi(theta), and G(theta) followed by
-    its first N - 1 values gives Phi(F(theta)).  When |det M| > 1 the
-    lift-inverse branch of the reduced F(theta) need not be theta, so
-    F(theta) gets its own backward sweep.
+    sweep's step 1, so steps 0..N-1 feed Phi(theta) and steps 1..N feed
+    Phi(F(theta)), each step into both as it arrives.  When |det M| = 1, F
+    is a bijection of the torus and the backward orbit of F(theta) is
+    theta, F^-1(theta), ...: one backward sweep of N steps from theta feeds
+    Phi(theta), and G(theta) followed by its first N - 1 values feeds
+    Phi(F(theta)).  When |det M| > 1 the lift-inverse branch of the reduced
+    F(theta) need not be theta, so F(theta) gets its own backward sweep.
     """
     theta = _grid(engine.d, grid_res)
-    N = engine.N
-    gs = _forward_g_values(engine, theta, N + 1)
-    ftheta = np.mod(theta @ dynamics.M_array(engine.spec).T + gs[0], 1.0)
-    gs_b = gs_b_f = None
+    N, k = engine.N, engine.k
+    series = np.zeros((theta.shape[0], k))      # Phi(theta) - theta_W
+    series_f = np.zeros_like(series)            # Phi(F theta) - (F theta)_W
+    for n, (z, g, _) in enumerate(_orbit(engine, theta, N + 1)):
+        if n == 0:
+            g_theta = g
+        elif n == 1:
+            ftheta = z
+        _add_term(series, g, engine.coef_u, n)
+        _add_term(series_f, g, engine.coef_u, n - 1)
     sweeps = iters = 0
-    if engine.ku < engine.k:
+    if engine.mode == "hyperbolic":
+        # each backward sweep: (start, (series, coefficient shift), ...)
         if abs(intlat.det_int(engine.spec.M_list())) == 1:
-            gb, iters = _backward_g_values(engine, theta, head=gs[0])
-            gs_b, gs_b_f, sweeps = gb[1:], gb[:-1], 1
+            _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
+            backward = [(theta, (series, 0), (series_f, 1))]
         else:
-            gs_b, it_theta = _backward_g_values(engine, theta)
-            gs_b_f, it_ftheta = _backward_g_values(engine, ftheta)
-            sweeps, iters = 2, it_theta + it_ftheta
-    lhs = np.mod(_phi_series(engine, ftheta, gs[1:], gs_b_f), 1.0)
-    rhs = np.mod(np.mod(_phi_series(engine, theta, gs[:-1], gs_b), 1.0) @ engine.A.T, 1.0)
+            backward = [(theta, (series, 0)), (ftheta, (series_f, 0))]
+        for start, *feeds in backward:
+            for n, (_, g, it) in enumerate(_orbit(engine, start, N, backward=True)):
+                iters += it
+                for acc, shift in feeds:
+                    _add_term(acc, g, engine.coef_s, n + shift, -1.0)
+        sweeps = len(backward)
+    lhs = np.mod(ftheta[:, :k] + series_f, 1.0)
+    rhs = np.mod(np.mod(theta[:, :k] + series, 1.0) @ engine.A.T, 1.0)
     res = dynamics.torus_distance(lhs, rhs)
     i = int(np.argmax(res))
     ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps
@@ -323,10 +323,9 @@ def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     """CSV with columns theta_1..theta_d, phi_1..phi_k, error_bound."""
     theta = _grid(engine.d, grid_res)
     pv = phi_torus(engine, theta)
+    header = ",".join([f"theta_{i+1}" for i in range(engine.d)]
+                      + [f"phi_{i+1}" for i in range(engine.k)] + ["error_bound"])
+    rows = np.column_stack([theta, pv.value, np.full(theta.shape[0], pv.error_bound)])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"theta_{i+1}" for i in range(engine.d)]
-                   + [f"phi_{i+1}" for i in range(engine.k)] + ["error_bound"])
-        for row, val in zip(theta, pv.value):
-            w.writerow([f"{x:.17g}" for x in row]
-                       + [f"{x:.17g}" for x in val] + [f"{pv.error_bound:.6g}"])
+        np.savetxt(fh, rows, fmt=["%.17g"] * (engine.d + engine.k) + ["%.6g"],
+                   delimiter=",", newline="\r\n", header=header, comments="")

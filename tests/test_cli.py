@@ -154,6 +154,21 @@ def test_shared_eigenvalue_map_decouples(tmp_path, capsys):
     assert b3["decoupled"] and b3["A"] == [[3]]
 
 
+def test_singular_branch_is_neither(tmp_path, capsys):
+    # the eigenvalue-0 branch and the full lattice of a singular M are
+    # neither expanding nor hyperbolic, and the engine says so
+    p = tmp_path / "shared.map"
+    p.write_text(FIX_3D_SHARED)
+    code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    b0 = next(b for b in json.loads(out)["branches"] if b["eigenvalue"] == 0)
+    assert b0["classification"] == "neither"
+    code, out, err = run(capsys, "verify-semiconj", str(p), "--sublattice", "full",
+                         "--grid", "8")
+    assert code == 1 and not out
+    assert "neither expanding nor hyperbolic" in err
+
+
 def test_verify_semiconj_linear(tmp_path, capsys):
     p = tmp_path / "lin.map"
     p.write_text("dim=2\nM=[[2,0],[0,1]]\n")

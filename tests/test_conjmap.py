@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -122,7 +125,13 @@ def test_damped_solver_k2(rng):
 def test_exports(engine_2d, tmp_path):
     rep = conjmap.skew_product_residual(engine_2d, 8, tol=1e-10)
     conjmap.export_skew_csv(rep, tmp_path / "skew.csv")
-    assert (tmp_path / "skew.csv").exists()
+    # byte for byte what csv.writer writes for the same rows
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["x_1", "y_1", "Fy_1"])
+    for g, fy in zip(rep.grid, rep.fiber_map_samples):
+        w.writerow([f"{v:.17g}" for v in g] + [f"{v:.17g}" for v in fy])
+    assert (tmp_path / "skew.csv").read_bytes() == ref.getvalue().encode()
 
 
 def test_public_names_resolve():

@@ -213,6 +213,9 @@ def test_classification():
     assert intlat.classify_block([[2, 0], [0, 3]]) == "expanding"
     assert intlat.classify_block([[2, 1], [1, 1]]) == "hyperbolic"
     assert intlat.classify_block([[1, 0], [0, 2]]) == "neither"
+    # eigenvalue 0 is off the unit circle but singular: not hyperbolic
+    assert intlat.classify_block([[0]]) == "neither"
+    assert intlat.classify_block([[2, 4], [1, 2]]) == "neither"
 
 
 def test_3d_block_decoupled():

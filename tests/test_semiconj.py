@@ -1,3 +1,7 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,30 +74,58 @@ def test_residual_is_two_call_definition(engine_2d, engine_det2):
         assert np.array_equal(rr.argmax_point, theta[i])
 
 
-def test_shared_backward_orbit_within_eps(engine_cat):
+def test_shared_backward_orbit_within_eps(engine_cat, monkeypatch):
     # |det M| = 1: Phi(F theta) reuses theta's backward orbit instead of
     # inverting the reduced F(theta); the two differ by rounding, far
-    # inside eps, and the residual stays under its ceiling
+    # inside eps, while A Phi(theta) is bit for bit the two-call value
     eng = engine_cat
     theta = semiconj._grid(eng.d, 16)
-    gs = semiconj._forward_g_values(eng, theta, eng.N + 1)
-    ftheta = dynamics.eval_torus(eng.spec, theta)
-    gb = semiconj._backward_g_values(eng, theta, head=gs[0])[0]
-    shared = semiconj._phi_series(eng, ftheta, gs[1:], gb[:-1])
-    two_call = semiconj.phi_hat(eng, ftheta).value
-    assert np.abs(shared - two_call).max() <= eng.eps
+    sides = []
+    real = dynamics.torus_distance
+    monkeypatch.setattr(dynamics, "torus_distance",
+                        lambda a, b: sides.append((a, b)) or real(a, b))
     rr = semiconj.semiconjugacy_residual(eng, 16)
+    monkeypatch.undo()
+    (lhs, rhs), = sides
+    two_lhs, two_rhs = _two_call_sides(eng, theta)
+    assert np.array_equal(rhs, two_rhs)
+    assert dynamics.torus_distance(lhs, two_lhs).max() <= eng.eps
     assert rr.max_residual <= rr.ceiling
-    assert rr.max_residual <= dynamics.torus_distance(*_two_call_sides(eng, theta)).max() + eng.eps
+    assert rr.max_residual <= dynamics.torus_distance(two_lhs, two_rhs).max() + eng.eps
 
 
 def test_residual_sweeps_once(engine_2d, monkeypatch):
-    steps = []
-    real = _kernels.orbit_g_values
-    monkeypatch.setattr(_kernels, "orbit_g_values",
-                        lambda *a: steps.append(a[-1]) or real(*a))
+    # one forward sweep of N + 1 steps, one G evaluation of the grid per step
+    calls = []
+    real = _kernels.eval_trig
+    monkeypatch.setattr(_kernels, "eval_trig",
+                        lambda *a: calls.append(a[0].shape[0]) or real(*a))
     semiconj.semiconjugacy_residual(engine_2d, 8)
-    assert steps == [engine_2d.N + 1]
+    assert calls == [64] * (engine_2d.N + 1)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_memory_independent_of_N(spec_2d_S, block_2d, spec_cat):
+    # the series is summed while the orbit is swept: no array has an
+    # orbit-step axis, so peak memory does not grow with N
+    cat = block_triangularize(spec_cat.M_list(), intlat.identity(2))
+    theta = semiconj._grid(2, 64)
+    for spec, bf in ((spec_2d_S, block_2d), (spec_cat, cat)):
+        peaks = []
+        for N in (10, 80):
+            eng = build_engine(spec, bf, N=N)
+            peaks.append((_peak_bytes(lambda: semiconj.semiconjugacy_residual(eng, 64)),
+                          _peak_bytes(lambda: semiconj.phi_hat(eng, theta))))
+        for short, long in zip(*peaks):
+            assert long <= 1.25 * short
 
 
 def test_backward_sweeps_per_residual(engine_2d, engine_cat, engine_det2, monkeypatch):
@@ -113,12 +145,13 @@ def test_backward_sweeps_per_residual(engine_2d, engine_cat, engine_det2, monkey
 
 
 def test_expanding_is_empty_stable_split(engine_2d, engine_cat):
+    k, N = engine_2d.k, engine_2d.N
     assert engine_2d.mode == "expanding"
-    assert np.array_equal(engine_2d.P, np.eye(engine_2d.k))
-    assert engine_2d.ku == engine_2d.k
-    assert engine_2d.coef_s.shape == (engine_2d.N, 0, engine_2d.k)
+    assert engine_2d.coef_u.shape == engine_2d.coef_s.shape == (N, k, k)
+    assert not engine_2d.coef_s.any()
     assert engine_2d.inv_tol == 0.0
-    assert engine_cat.ku < engine_cat.k and engine_cat.inv_tol > 0
+    assert engine_cat.mode == "hyperbolic"
+    assert engine_cat.coef_s.any() and engine_cat.inv_tol > 0
 
 
 def test_residual_under_ceiling(engine_2d):
@@ -170,8 +203,8 @@ def test_grid():
 
 def test_default_N_meets_target(spec_1d):
     bf = block_triangularize(spec_1d.M_list(), [[1]])
-    eng = build_engine(spec_1d, bf, eps_target=1e-9)
-    assert eng.eps < 1e-9
+    eng = build_engine(spec_1d, bf)
+    assert eng.eps < semiconj.DEFAULT_EPS_TARGET
 
 
 def test_rejects_neither_classification():
@@ -210,3 +243,13 @@ def test_export_phi_grid(engine_1d, tmp_path):
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "theta_1,phi_1,error_bound"
     assert len(rows) == 9
+    # byte for byte what csv.writer writes for the same rows
+    theta = semiconj._grid(engine_1d.d, 8)
+    pv = semiconj.phi_torus(engine_1d, theta)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["theta_1", "phi_1", "error_bound"])
+    for row, val in zip(theta, pv.value):
+        w.writerow([f"{x:.17g}" for x in row]
+                   + [f"{x:.17g}" for x in val] + [f"{pv.error_bound:.6g}"])
+    assert path.read_bytes() == ref.getvalue().encode()
