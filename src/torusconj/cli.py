@@ -25,9 +25,21 @@ SCHEMA_VERSION = "1"
 DEFAULT_ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise TorusConjError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _load_spec(path: str):
-    with open(path, "r") as fh:
-        return parse_spec(fh.read())
+    spec = parse_spec(_read_text(path))
+    with np.errstate(over="ignore"):
+        nb = dynamics.norm_bounds(spec)
+    if not np.isfinite([nb.g_sup, nb.g_lip, nb.dg_lip]).all():
+        raise TorusConjError(f"{path}: the norm bounds of G overflow float64")
+    return spec
 
 
 def _emit(report: dict, args) -> None:
@@ -53,8 +65,7 @@ def _read_sublattice(arg: str, d: int):
     holding a JSON list of integer basis vectors."""
     if arg == "full":
         return intlat.identity(d)
-    with open(arg, "r") as fh:
-        vecs = json.loads(fh.read())
+    vecs = json.loads(_read_text(arg))
     # type() is int rejects floats and bools (bool is a subclass of int)
     if not (isinstance(vecs, list) and all(
             isinstance(v, list) and all(type(x) is int for x in v) for v in vecs)):

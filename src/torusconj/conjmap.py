@@ -60,17 +60,16 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol):
     half = _bracket_halfwidth(engine)
     lo = x0 - half
     hi = x0 + half
-    f_lo = _phi_line(engine, lo, Y) - x0
-    f_hi = _phi_line(engine, hi, Y) - x0
-    if np.any(f_lo >= 0) or np.any(f_hi <= 0):
-        raise FiberSolveError(
-            "bracket endpoints do not straddle the target; the engine's "
-            "displacement bound is inconsistent")
     ts = lo[:, None] + (hi - lo)[:, None] * (
         np.arange(PRESCAN_POINTS + 1) / PRESCAN_POINTS)[None, :]
     vals = np.empty_like(ts)
     for j in range(PRESCAN_POINTS + 1):
         vals[:, j] = _phi_line(engine, ts[:, j], Y) - x0
+    # the prescan's end columns are the bracket ends
+    if np.any(vals[:, 0] >= 0) or np.any(vals[:, -1] <= 0):
+        raise FiberSolveError(
+            "bracket endpoints do not straddle the target; the engine's "
+            "displacement bound is inconsistent")
     signs = np.sign(vals)
     signs[signs == 0] = 1
     changes = (np.diff(signs, axis=1) != 0).sum(axis=1)
@@ -170,8 +169,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     nx, ny = Xg.shape[0], Yg.shape[0]
     X = np.repeat(Xg, ny, axis=0)
     Y = np.tile(Yg, (nx, 1))
-    t = np.reshape(solve_fiber_point(engine, X, Y, tol), (-1, k))
-    Z = np.mod(np.concatenate([t, Y], axis=1), 1.0)
+    Z = H_inverse(engine, X, Y, tol)
     FZ = dynamics.eval_torus(engine.spec, Z)
     base = semiconj.phi_torus(engine, FZ).value
     target = np.mod(X @ engine.A.T, 1.0)

@@ -120,45 +120,40 @@ def contraction_rate(spec: TorusMapSpec) -> float:
     return float(np.linalg.norm(np.linalg.inv(Mf), 2)) * norm_bounds(spec).g_lip
 
 
-def lift_inverter(spec: TorusMapSpec, tol: float):
-    """The batch solver of F(w) = z for this spec, with its per-spec
-    constants (contraction rate, M^-1, iteration cap) computed once.
+@dataclass(frozen=True, eq=False)
+class LiftInverse:
+    """The certified inverse of the lift F(w) = M w + G(w): rho < 1 makes F
+    a bijection of R^d, and a residual r puts w within L_inv * r of the
+    preimage.  Called on (Z, tol), it returns (W, G(W mod 1), iterations)
+    of _kernels.invert_lift_numpy, or raises ContractionError unless every
+    residual ||F(w) - z|| is <= tol."""
+    rho: float              # ||M^-1|| * Lip(G) < 1
+    L_inv: float            # ||M^-1|| / (1 - rho)
+    Mf: np.ndarray          # the spec's integer M as floats
+    Minv: np.ndarray        # its float inverse
+    terms: TermArrays
 
-    Returns solve(Z) -> (W, G(W mod 1), iterations) for Z of shape (n, d);
-    solve raises ContractionError unless every residual ||F(w) - z|| is
-    <= tol.  Requires ||M^-1||*Lip(G) < 1, which makes the solution unique
-    and bounds its error by ||M^-1|| / (1 - rho) times the residual.
-    """
+    def __call__(self, Z, tol: float):
+        rho, ta = self.rho, self.terms
+        max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
+        W, res, g, iters = _kernels.invert_lift_numpy(
+            Z, self.Mf, self.Minv, ta.comps, ta.coefs, ta.kinds, ta.freqs, tol, max_iter)
+        if res.max() > tol:
+            raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
+        return W, g, iters
+
+
+def lift_inverse(spec: TorusMapSpec) -> LiftInverse:
+    """The spec's certified inverse lift; the one place rho < 1 is checked."""
     rho = contraction_rate(spec)
     if rho >= 1.0:
         raise ContractionError(
             f"contraction margin violated (||M^-1||*Lip(G) = {rho:.3g} >= 1); "
             "the lift inverse is not certified")
-    ta = term_arrays(spec)
     Mf = M_array(spec)
     Minv = np.linalg.inv(Mf)
-    max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
-
-    def solve(Z):
-        W, res, g, iters = _kernels.invert_lift_numpy(
-            Z, Mf, Minv, ta.comps, ta.coefs, ta.kinds, ta.freqs, tol, max_iter)
-        if res.max() > tol:
-            raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
-        return W, g, iters
-
-    return solve
-
-
-def invert_lift(spec: TorusMapSpec, z, tol: float = 1e-12):
-    """Unique w with F(w) = z, by the safeguarded Newton iteration of
-    _kernels.invert_lift_numpy (see lift_inverter).
-
-    Requires ||M^-1||*Lip(G) < 1; the iteration is stopped once the maximum
-    residual ||F(w) - z|| over the batch drops below tol.
-    """
-    Z, single = _batch(z, spec.d)
-    W = lift_inverter(spec, tol)(Z)[0]
-    return W[0] if single else W.reshape(np.asarray(z).shape)
+    L_inv = float(np.linalg.norm(Minv, 2)) / (1.0 - rho)
+    return LiftInverse(rho=rho, L_inv=L_inv, Mf=Mf, Minv=Minv, terms=term_arrays(spec))
 
 
 def change_coordinates(spec: TorusMapSpec, S) -> TorusMapSpec:

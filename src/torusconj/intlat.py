@@ -225,15 +225,6 @@ def derive_invariant_line(M, m: int) -> IntVec:
     return u
 
 
-def _dual_vector(v: IntVec) -> IntVec:
-    """Some integer w with v.w = 1 (v primitive); from the HNF transform."""
-    H, U = hermite_normal_form([[x] for x in v])
-    g = H[0][0]
-    if g != 1:
-        raise LatticeError("vector is not primitive")
-    return U[0]
-
-
 @dataclass(frozen=True)
 class TilingParallelotope:
     """Unit-volume integer parallelotope adapted to a left eigenvector.
@@ -249,17 +240,13 @@ class TilingParallelotope:
 
 
 def tiling_parallelotope(v) -> TilingParallelotope:
+    """The HNF of the column v (primitive) is U v = e_1: rows 2..d of U
+    span the sublattice orthogonal to v, and row 1 is a dual vector w with
+    v.w = 1, reduced in sup norm modulo that sublattice."""
     v = primitive(v)
-    d = len(v)
-    if d == 1:
-        w = v[0]  # v is (1,) or (-1,); v.w = 1 forces w = v
-        tp = TilingParallelotope(v=tuple(v), W=((w,),))
-        _check_tiling(tp)
-        return tp
-    basis = _kernel_basis([v])  # the sublattice orthogonal to v
-    wd = _dual_vector(v)
-    wd = _reduce_sup_norm(wd, basis)
-    cols = basis + [wd]
+    _, U = hermite_normal_form([[x] for x in v])
+    basis = U[1:]
+    cols = basis + [_reduce_sup_norm(U[0], basis)]
     W = transpose(cols)
     tp = TilingParallelotope(v=tuple(v), W=tuple(tuple(r) for r in W))
     _check_tiling(tp)

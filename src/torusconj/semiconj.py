@@ -57,6 +57,7 @@ class SemiConjEngine:
     coef_u: np.ndarray          # (N, k, k): P_u D_u^{-(n+1)} L_u, n = 0..N-1
     coef_s: np.ndarray          # (N, k, k): P_s D_s^n L_s; zero if expanding
     inv_tol: float              # backward-orbit solve tolerance (0 if expanding)
+    lift: dynamics.LiftInverse | None   # the inverse lift (None if expanding)
 
 
 def _geometric_rate(inv_norms: np.ndarray, N: int) -> float:
@@ -150,7 +151,9 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
         coef_s = P[:, ku:] @ spows[:Ncur] @ Ls
         return coef_u, coef_s, eps_series, rho_u, c_a, snorms
 
-    if N is None:
+    if N is not None:
+        out = assemble(N)
+    else:
         N = 1
         while True:
             try:
@@ -167,35 +170,32 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
             if N >= MAX_DEFAULT_N:
                 raise EngineError("no default N meets the error target; pass N")
             N = min(2 * N, MAX_DEFAULT_N)
-    coef_u, coef_s, eps_series, rho, c_a, snorms = assemble(N)
+    coef_u, coef_s, eps_series, rho, c_a, snorms = out
 
+    lift = None
     inv_tol = 0.0
     eps = eps_series
     if ku < k:
-        inv_unit = _inv_budget_unit(spec, nb, snorms, N, nP, np.linalg.norm(Ls, 2))
+        lift = dynamics.lift_inverse(spec)
+        inv_unit = _inv_budget_unit(lift.L_inv, nb.g_lip, snorms, N, nP,
+                                    np.linalg.norm(Ls, 2))
         inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
         eps = eps_series + inv_unit * inv_tol
     return SemiConjEngine(
         spec=spec, mode=mode, N=N, k=k, d=d, eps=float(eps),
         rho=float(rho), c_a=c_a, norms=nb, A=A, coef_u=coef_u, coef_s=coef_s,
-        inv_tol=float(inv_tol))
+        inv_tol=float(inv_tol), lift=lift)
 
 
-def _inv_budget_unit(spec, nb, snorms, N, nP, nLs):
+def _inv_budget_unit(L_inv, g_lip, snorms, N, nP, nLs):
     """Certified amplification of a unit backward-solve residual into the
     stable series: sum_n ||D_s^{n-1}|| * Lip(G) * sum_{j<=n} L_inv^j, where
     L_inv bounds the Lipschitz constant of the inverse lift."""
-    rho_c = dynamics.contraction_rate(spec)
-    if rho_c >= 1.0:
-        raise EngineError("hyperbolic mode needs an invertible lift "
-                          "(||M^-1||*Lip(G) < 1)")
-    Minv_norm = float(np.linalg.norm(np.linalg.inv(dynamics.M_array(spec)), 2))
-    L_inv = Minv_norm / (1.0 - rho_c)
     total = 0.0
     acc = 0.0
     for n in range(1, N + 1):
         acc = acc * L_inv + L_inv
-        total += snorms[n - 1] * nb.g_lip * acc
+        total += snorms[n - 1] * g_lip * acc
     return nP * nLs * (total + 1.0)
 
 
@@ -207,9 +207,8 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
     j = 1..nsteps, backward."""
     z = np.mod(Z, 1.0)
     if backward:
-        solve = dynamics.lift_inverter(engine.spec, engine.inv_tol)
         for _ in range(nsteps):
-            W, g, iters = solve(z)
+            W, g, iters = engine.lift(z, engine.inv_tol)
             z = np.mod(W, 1.0)
             yield z, g, iters
         return

@@ -11,6 +11,7 @@ Frequencies are integer combinations of z1..zd inside a mandatory
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import SpecParseError
@@ -83,6 +84,9 @@ class _Tokenizer:
             val = float(tok)
         except ValueError:
             self.error(f"bad numeric literal {tok!r}")
+        if math.isinf(val):
+            raise SpecParseError(f"numeric literal {tok!r} overflows float64",
+                                 self.line, start + 1)
         is_int = all(c.isdigit() for c in tok)
         return tok, val, is_int, start + 1
 

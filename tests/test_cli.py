@@ -304,3 +304,45 @@ def test_deterministic_output(fix2, capsys):
     a = run(capsys, "validate", fix2, "--seed", "7")
     b = run(capsys, "validate", fix2, "--seed", "7")
     assert a == b
+
+
+# G overflows float64: a literal that reads as inf, and finite coefficients
+# whose norm bounds overflow
+OVERFLOW_SPECS = {
+    "inf.map": "dim=2\nM=[[2,1],[0,1]]\nG[1]=1e999*sin(2*pi*(z1))\n",
+    "big.map": "dim=2\nM=[[2,1],[0,1]]\nG[1]=1e308*sin(2*pi*(3*z1))\n",
+}
+
+
+def test_overflowing_G_is_rejected(tmp_path, capsys):
+    for name, text in OVERFLOW_SPECS.items():
+        p = tmp_path / name
+        p.write_text(text)
+        for argv in (("validate",), ("phi", "--trunc", "4"),
+                     ("verify-semiconj", "--trunc", "8")):
+            code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+            assert (code, out) == (1, ""), (name, argv)
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, argv)
+            assert ("line 3, col 6" if name == "inf.map" else "overflow float64") in err
+
+
+def test_non_utf8_files(fix2, tmp_path, capsys):
+    spec = tmp_path / "bin.map"
+    spec.write_bytes(b"dim=1\nM=[[2]]\n\xff\n")
+    sub = tmp_path / "bin.json"
+    sub.write_bytes(b"\xff[[1, 0]]")
+    for argv in (("validate", str(spec)), ("analyze", fix2, "--sublattice", str(sub))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and "not UTF-8" in err, argv
+        assert err.count("\n") == 1, argv
+
+
+def test_uncertified_inverse_lift_exits_1(tmp_path, capsys):
+    # the cat fixture with coefficients 0.2: ||M^-1|| * Lip(G) ~ 4.6 >= 1
+    p = tmp_path / "cat02.map"
+    p.write_text(FIX_CAT.replace("0.02", "0.2"))
+    code, out, err = run(capsys, "verify-semiconj", str(p), "--sublattice", "full",
+                         "--grid", "8")
+    assert (code, out) == (1, "")
+    assert "not certified" in err

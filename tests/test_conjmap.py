@@ -6,7 +6,7 @@ import pytest
 
 from torusconj import parse_spec, block_triangularize, build_engine
 from torusconj import conjmap, dynamics, intlat, semiconj
-from torusconj.errors import EngineError
+from torusconj.errors import EngineError, FiberSolveError
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,28 @@ def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
     for dt in rng.uniform(0.01, 0.99, size=50):
         v = semiconj.phi_hat(engine_2d, np.array([t + dt, y0[0]])).value[0]
         assert abs(v - x0) >= tau * 0.01 - 2 * engine_2d.eps
+
+
+def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
+    # the straddle check reads the prescan's end columns: no line point,
+    # the bracket ends included, is evaluated twice
+    calls = []
+    real = semiconj.phi_hat
+    monkeypatch.setattr(semiconj, "phi_hat",
+                        lambda eng, z: calls.append(z[:, 0].copy()) or real(eng, z))
+    x0 = np.array([0.1, 0.4, 0.8])
+    conjmap.solve_fiber_point(engine_2d, x0, np.array([[0.2], [0.5], [0.9]]))
+    assert len(calls) > conjmap.PRESCAN_POINTS + 1
+    assert len({t.tobytes() for t in calls}) == len(calls)
+    half = conjmap._bracket_halfwidth(engine_2d)
+    assert np.array_equal(calls[0], x0 - half)
+
+
+def test_fiber_bracket_must_straddle(engine_2d, monkeypatch):
+    # a bracket that misses the root fails the straddle check first
+    monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: -0.25)
+    with pytest.raises(FiberSolveError, match="do not straddle"):
+        conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
 
 
 def test_H_inverse_round_trips(engine_2d, rng):

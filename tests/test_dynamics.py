@@ -69,7 +69,7 @@ def test_norm_bounds_oracle_1d(spec_1d):
 
 def test_invert_lift_round_trip(spec_cat, rng):
     Z = rng.uniform(-2, 2, size=(100, 2))
-    W = dynamics.invert_lift(spec_cat, Z, tol=1e-13)
+    W = dynamics.lift_inverse(spec_cat)(Z, 1e-13)[0]
     assert np.abs(dynamics.eval_lift(spec_cat, W) - Z).max() <= 1e-12
 
 
@@ -94,7 +94,7 @@ def _random_invertible_map(rng, d, rho):
 
 def test_newton_inverse_lift_on_random_maps():
     # 200 seeded 2-D and 3-D maps with contraction rates up to 0.9: Newton
-    # meets tol within the iteration cap (lift_inverter raises otherwise),
+    # meets tol within the iteration cap (lift_inverse raises otherwise),
     # and agrees with the plain contraction iteration within the certified
     # error-from-residual factor L_inv = ||M^-1|| / (1 - rho)
     rng = np.random.default_rng(7)
@@ -105,7 +105,7 @@ def test_newton_inverse_lift_on_random_maps():
         rho = dynamics.contraction_rate(spec)
         Minv = np.linalg.inv(dynamics.M_array(spec))
         Z = rng.uniform(-2, 2, size=(32, d))
-        W, g, iters = dynamics.lift_inverter(spec, tol)(Z)
+        W, g, iters = dynamics.lift_inverse(spec)(Z, tol)
         assert iters <= 12
         Wc = Z @ Minv.T
         for _ in range(int(np.log(1e-16) / np.log(rho)) + 5):
@@ -119,7 +119,7 @@ def test_invert_lift_rejects_expansion_violation():
     s = parse_spec("dim=1\nM=[[2]]\nG[1]=0.9*sin(2*pi*(z1))\n")
     # rho = 0.5 * 0.9 * 2 pi > 1
     with pytest.raises(ContractionError):
-        dynamics.invert_lift(s, np.array([0.3]))
+        dynamics.lift_inverse(s)(np.array([[0.3]]), 1e-12)
 
 
 def test_change_coordinates_conjugates(spec_2d, rng):

@@ -164,6 +164,13 @@ def test_tiling_properties(d, data):
     assert intlat.det_int([list(r) for r in tp.W]) in (1, -1)
 
 
+def test_tiling_d1():
+    # v = (+-1,) after the primitive step, and v.w = 1 forces W = ((v,),)
+    for v, w in (([3], 1), ([-2], -1), ([1], 1)):
+        tp = intlat.tiling_parallelotope(v)
+        assert tp.v == (w,) and tp.W == ((w,),)
+
+
 def test_tiling_deterministic():
     a = intlat.tiling_parallelotope([3, -5, 7])
     b = intlat.tiling_parallelotope([3, -5, 7])

@@ -7,7 +7,9 @@ import pytest
 
 from torusconj import parse_spec, block_triangularize, build_engine
 from torusconj import _kernels, dynamics, intlat, semiconj
-from torusconj.errors import EngineError
+from torusconj.errors import ContractionError, EngineError
+
+from conftest import FIX_CAT
 
 
 def test_power_norms_batched_is_per_matrix_norm():
@@ -142,6 +144,37 @@ def test_backward_sweeps_per_residual(engine_2d, engine_cat, engine_det2, monkey
         assert rr.backward_sweeps == sweeps
         assert rr.point_steps == 64 * (eng.N + 1 + sweeps * eng.N)
         assert (rr.inverse_lift_iters > 0) == (sweeps > 0)
+
+
+def test_contraction_rate_once_per_engine(spec_cat, spec_2d_S, block_2d, engine_det2,
+                                        monkeypatch):
+    # rho < 1 is checked once, when a hyperbolic engine builds its inverse
+    # lift; residuals and phi_hat read the engine's lift
+    calls = []
+    real = dynamics.contraction_rate
+    monkeypatch.setattr(dynamics, "contraction_rate",
+                        lambda s: calls.append(1) or real(s))
+    cat = build_engine(spec_cat, block_triangularize(spec_cat.M_list(),
+                                                     intlat.identity(2)), N=12)
+    det2 = build_engine(engine_det2.spec, block_triangularize(
+        engine_det2.spec.M_list(), intlat.identity(2)), N=12)
+    assert len(calls) == 2
+    expanding = build_engine(spec_2d_S, block_2d, N=40)
+    assert len(calls) == 2 and expanding.lift is None
+    theta = semiconj._grid(2, 8)
+    for eng in (cat, det2):
+        assert eng.lift.rho < 1.0
+        semiconj.semiconjugacy_residual(eng, 8)
+        semiconj.phi_hat(eng, theta)
+    assert len(calls) == 2
+
+
+def test_uncertified_inverse_lift_rejected():
+    # the cat fixture with coefficients 0.2: ||M^-1|| * Lip(G) ~ 4.6
+    s = parse_spec(FIX_CAT.replace("0.02", "0.2"))
+    assert dynamics.contraction_rate(s) > 4
+    with pytest.raises(ContractionError, match="not certified"):
+        build_engine(s, block_triangularize(s.M_list(), intlat.identity(2)), N=12)
 
 
 def test_expanding_is_empty_stable_split(engine_2d, engine_cat):

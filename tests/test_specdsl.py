@@ -43,6 +43,13 @@ def test_parse_errors_have_locations():
         parse_spec("dim=1\nM=[[2]]\nG[1]=0.1*sin(z1)\n")
 
 
+def test_overflowing_literal_rejected():
+    with pytest.raises(SpecParseError, match="line 3, col 6: numeric literal '1e999'"):
+        parse_spec("dim=2\nM=[[2,1],[0,1]]\nG[1]=1e999*sin(2*pi*(z1))\n")
+    with pytest.raises(SpecParseError, match="line 2, col 5"):
+        parse_spec("dim=1\nM=[[" + "9" * 400 + "]]\n")
+
+
 def test_canonicalization_merges_and_drops():
     terms = [TrigTerm(1, (1, 0), "sin", 0.25),
              TrigTerm(1, (1, 0), "sin", 0.75),
