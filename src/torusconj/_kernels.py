@@ -2,8 +2,10 @@
 safeguarded Newton solve of the inverse lift.
 
 Each kernel has one vectorised numpy implementation that works on a whole
-batch of points per call; callers pass the spec's terms as flat arrays
-(see dynamics.term_arrays).
+batch of points per call.  Callers pass G in the unique-phase layout of
+dynamics.term_arrays: one row per distinct (kind, frequency), sin rows
+first, so each phase goes through one transcendental however many
+components it feeds, and every component sum is one matrix product.
 """
 
 from __future__ import annotations
@@ -13,53 +15,38 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def eval_trig(Z, comps, coefs, kinds, freqs, d):
-    """G(Z) for a batch Z of shape (n, d); terms given as flat arrays.
+def wrap(x):
+    """x mod 1: bit for bit np.mod(x, 1.0) for finite x, and several times
+    cheaper."""
+    return x - np.floor(x)
 
-    comps: (T,) 0-based component indices; kinds: (sin term indices, cos
-    term indices); freqs: (T, d) integer frequency rows.  Each phase goes
-    through one transcendental, the one its term needs.  Returns (n, d).
+
+def _trig_rows(phase, nsin):
+    """sin of the first nsin phase columns and cos of the rest, in place."""
+    np.sin(phase[:, :nsin], out=phase[:, :nsin])
+    np.cos(phase[:, nsin:], out=phase[:, nsin:])
+    return phase
+
+
+def eval_trig(Z, freqs, coefs, nsin):
+    """G(Z) (n, d) for a batch Z of shape (n, d).
+
+    freqs: (U, d) integer frequency rows, the nsin sin rows first; coefs:
+    (U, d), coefs[u, i] the coefficient of row u in component i.
     """
-    n = Z.shape[0]
-    out = np.zeros((n, d))
-    if len(coefs) == 0:
-        return out
-    phase = TWO_PI * (Z @ freqs.T)          # (n, T)
-    sin_t, cos_t = kinds
-    vals = np.empty_like(phase)
-    vals[:, sin_t] = np.sin(phase[:, sin_t])
-    vals[:, cos_t] = np.cos(phase[:, cos_t])
-    return _component_sums(vals * coefs[None, :], comps, out)
+    return _trig_rows(TWO_PI * (Z @ freqs.T), nsin) @ coefs
 
 
-def _component_sums(vals, comps, out):
-    """out[:, i] = sum of the term values vals (n, T) of component i."""
-    for i in range(out.shape[1]):
-        sel = comps == i
-        if np.any(sel):
-            out[:, i] = vals[:, sel].sum(axis=1)
-    return out
-
-
-def eval_trig_and_jac(Z, comps, coefs, kinds, freqs, d):
-    """G(Z) (n, d) and DG(Z) (n, d, d) from one sin and one cos of the
-    phase; G is bitwise what eval_trig returns."""
-    n = Z.shape[0]
-    g = np.zeros((n, d))
-    dg = np.zeros((n, d, d))
-    if len(coefs) == 0:
-        return g, dg
+def eval_trig_and_jac(Z, freqs, coefs, nsin, jac):
+    """G(Z) (n, d) and DG(Z) (n, d, d); jac: (U, d*d), jac[u, r*d + c] =
+    2 pi coefs[u, r] freqs[u, c].  G is bitwise what eval_trig returns."""
+    n, d = Z.shape
     phase = TWO_PI * (Z @ freqs.T)
-    s, c = np.sin(phase), np.cos(phase)
-    sin_t = kinds[0]
-    vals, dvals = c.copy(), -s        # cos terms; sin terms overwritten
-    vals[:, sin_t] = s[:, sin_t]
-    dvals[:, sin_t] = c[:, sin_t]
-    _component_sums(vals * coefs[None, :], comps, g)
-    dvals *= (TWO_PI * coefs)[None, :]                 # (n, T)
-    for t in range(len(coefs)):
-        dg[:, comps[t], :] += dvals[:, t:t + 1] * freqs[t][None, :]
-    return g, dg
+    dvals = np.empty_like(phase)        # derivative of each row's sin / cos
+    np.cos(phase[:, :nsin], out=dvals[:, :nsin])
+    np.negative(np.sin(phase[:, nsin:]), out=dvals[:, nsin:])
+    g = _trig_rows(phase, nsin) @ coefs
+    return g, (dvals @ jac).reshape(n, d, d)
 
 
 def _solve_small(J, r):
@@ -73,7 +60,7 @@ def _solve_small(J, r):
     return np.linalg.solve(J, r[:, :, None])[:, :, 0]
 
 
-def invert_lift_numpy(Z, Mf, Minv, comps, coefs, kinds, freqs, tol, max_iter):
+def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     """Batch solve F(w) = M w + G(w) = z by safeguarded Newton.
 
     Each iteration evaluates G and DG once (eval_trig_and_jac) at a trial
@@ -85,15 +72,15 @@ def invert_lift_numpy(Z, Mf, Minv, comps, coefs, kinds, freqs, tol, max_iter):
     the largest accepted residual is <= tol, or after max_iter iterations.
 
     Mf is the spec's integer M as floats and Minv its float inverse; the
-    residuals use Mf itself, never a float re-inversion of Minv.
+    residuals use Mf itself, never a float re-inversion of Minv.  terms are
+    the arguments of eval_trig_and_jac after Z (a dynamics.TermArrays).
 
     Returns (w, residual, G(w mod 1), iterations): the accepted iterates,
     their residuals, G at them (reduced mod 1 first, as the torus orbit
     uses it) and the number of G/DG evaluations after the first.
     """
-    d = Z.shape[1]
     W = Z @ Minv.T
-    g, dg = eval_trig_and_jac(np.mod(W, 1.0), comps, coefs, kinds, freqs, d)
+    g, dg = eval_trig_and_jac(wrap(W), *terms)
     r = W @ Mf.T + g - Z
     res = np.sqrt((r ** 2).sum(axis=1))
     newton = np.ones(Z.shape[0], dtype=bool)
@@ -101,8 +88,7 @@ def invert_lift_numpy(Z, Mf, Minv, comps, coefs, kinds, freqs, tol, max_iter):
     while res.max() > tol and iters < max_iter:
         trial = np.where(newton[:, None], W - _solve_small(Mf + dg, r),
                          (Z - g) @ Minv.T)
-        g_t, dg_t = eval_trig_and_jac(np.mod(trial, 1.0), comps, coefs, kinds,
-                                      freqs, d)
+        g_t, dg_t = eval_trig_and_jac(wrap(trial), *terms)
         r_t = trial @ Mf.T + g_t - Z
         res_t = np.sqrt((r_t ** 2).sum(axis=1))
         iters += 1

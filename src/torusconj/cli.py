@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import cones, conjmap, dynamics, intlat, semiconj
-from .errors import LatticeError, TorusConjError
+from .errors import FloatRangeError, LatticeError, TorusConjError
 from .specdsl import parse_spec, serialize_spec
 
 SCHEMA_VERSION = "1"
@@ -44,7 +44,11 @@ def _load_spec(path: str):
 
 def _emit(report: dict, args) -> None:
     report["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(report, indent=2, default=_jsonable)
+    try:
+        text = json.dumps(report, indent=2, default=_jsonable, allow_nan=False)
+    except ValueError:
+        raise FloatRangeError(f"the {report['command']} report holds a NaN or an "
+                              "infinity, which JSON cannot carry") from None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, f"{report['command']}.json"), "w") as fh:
@@ -95,6 +99,16 @@ def _block_coordinates(spec, args):
 
 def _engine(spec, args):
     return semiconj.build_engine(*_block_coordinates(spec, args), N=args.trunc)
+
+
+def _ceiling_verdict(report: dict, residual: float, ceiling: float, k: int) -> dict:
+    """report with "pass": residual <= ceiling, unless the ceiling is at
+    least 0.5 sqrt(k), the largest distance on the k-torus the residual is
+    measured on: such a ceiling bounds nothing, so the report fails with
+    "vacuous": true."""
+    if ceiling < 0.5 * math.sqrt(k):
+        return {**report, "pass": bool(residual <= ceiling)}
+    return {**report, "pass": False, "vacuous": True}
 
 
 class _Verdict(Exception):
@@ -195,8 +209,7 @@ def cmd_verify_semiconj(args) -> dict:
     spec = _load_spec(args.spec)
     engine = _engine(spec, args)
     rr = semiconj.semiconjugacy_residual(engine, args.grid)
-    ok = rr.max_residual <= rr.ceiling
-    report = {
+    report = _ceiling_verdict({
         "command": "verify-semiconj",
         "mode": engine.mode,
         "N": engine.N,
@@ -205,13 +218,12 @@ def cmd_verify_semiconj(args) -> dict:
         "max_residual": rr.max_residual,
         "ceiling": rr.ceiling,
         "argmax_point": rr.argmax_point,
-        "pass": bool(ok),
-        # additive: how the residual was computed; never moves the verdict
-        "diagnostics": {
-            "backward_sweeps": rr.backward_sweeps,
-            "inverse_lift_iters": rr.inverse_lift_iters,
-            "point_steps": rr.point_steps,
-        },
+    }, rr.max_residual, rr.ceiling, engine.k)
+    # additive: how the residual was computed; never moves the verdict
+    report["diagnostics"] = {
+        "backward_sweeps": rr.backward_sweeps,
+        "inverse_lift_iters": rr.inverse_lift_iters,
+        "point_steps": rr.point_steps,
     }
     return report
 
@@ -241,7 +253,7 @@ def cmd_verify_cones(args) -> dict:
         if cert.a2_pass and (best is None
                              or cert.expansion_margin > best["expansion_margin"]):
             best = entry
-    report = {
+    return {
         "command": "verify-cones",
         "k": block.k,
         "grid_res": args.grid,
@@ -249,7 +261,6 @@ def cmd_verify_cones(args) -> dict:
         "best": best,
         "pass": best is not None,
     }
-    return report
 
 
 def cmd_conjugacy(args) -> dict:
@@ -261,8 +272,7 @@ def cmd_conjugacy(args) -> dict:
     x, y = conjmap.H_forward(engine, z)
     rt = dynamics.torus_distance(conjmap.H_inverse(engine, x, y, tol=args.tol),
                                  z).max()
-    ok = sr.max_base_residual <= sr.ceiling
-    report = {
+    report = _ceiling_verdict({
         "command": "conjugacy",
         "N": engine.N,
         "grid_res": sr.grid_res,
@@ -270,8 +280,7 @@ def cmd_conjugacy(args) -> dict:
         "max_base_residual": sr.max_base_residual,
         "ceiling": sr.ceiling,
         "round_trip_max": float(rt),
-        "pass": bool(ok),
-    }
+    }, sr.max_base_residual, sr.ceiling, engine.k)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "skew_grid.csv")
@@ -358,13 +367,13 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         report = args.fn(args)
+        _emit(report, args)
     except _Verdict as v:
         print(str(v), file=sys.stderr)
         return v.code
     except (TorusConjError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit(report, args)
     return 0 if report.get("pass", True) else 2
 
 

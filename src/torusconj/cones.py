@@ -20,10 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, semiconj
+from .errors import FloatRangeError
 from .specdsl import TorusMapSpec
 
 GAP_ULPS = 4.0      # stop once the tangent-cut gap is this many ulps of the pencil's scale
 MAX_ROUNDS = 200    # cap on eigh rounds; a capped cell still returns an evaluated value
+LAM_HI = 1e6        # the pencil's lambda runs over [0, LAM_HI * max(||L||^2, 1)]
+# the largest ||L|| max(alpha, 1) whose pencils stay 64x inside float64
+MAX_SCALE = math.sqrt(np.finfo(float).max / 64.0 / (LAM_HI + 1.0))
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def _cone_minima(Ls: np.ndarray, nLs: np.ndarray, k: int, alpha: float):
         return np.linalg.eigvalsh(Q)[..., 0], np.full(n, np.inf), 0, 0.0
     Jm = np.diag([alpha ** 2] * k + [-1.0] * (d - k))
     Lt = Ls.transpose(0, 2, 1)
-    lam_hi = 1e6 * max(float(nLs.max()) ** 2, 1.0)
+    lam_hi = LAM_HI * max(float(nLs.max()) ** 2, 1.0)
     sol = _pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi)
     return sol.value[:n], sol.value[n:], sol.rounds, float(sol.gap.max())
 
@@ -235,12 +239,6 @@ class ConeCertificate:
     pencil_gap: float             # largest tangent-cut gap of the pencil solve
 
 
-def _cell_padding(spec: TorusMapSpec, res: int) -> float:
-    """Worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2."""
-    nb = dynamics.norm_bounds(spec)
-    return nb.dg_lip * (1.0 / res) * math.sqrt(spec.d) / 2.0
-
-
 def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     """Grid check of the invariant expanding cone condition (A2), with
     Lipschitz padding so a pass certifies every point of the torus.
@@ -263,7 +261,13 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     k = ks.pop()
     centers = semiconj._grid(spec.d, grid_res, offset=0.5)
     Ls = dynamics.jacobian(spec, centers)
-    pad = _cell_padding(spec, grid_res)
+    # worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2
+    pad = dynamics.norm_bounds(spec).dg_lip * (1.0 / grid_res) * math.sqrt(spec.d) / 2.0
+    # d max|DF_ij| bounds every ||DF||
+    scale = max(float(np.abs(Ls).max()) * spec.d, 1.0) * max(max(p.alpha for p in plist), 1.0)
+    if not (np.isfinite(pad) and np.isfinite(Ls).all() and scale <= MAX_SCALE):
+        raise FloatRangeError(f"the cone pencils would leave float64: d max|DF| max(alpha, 1) "
+                              f"= {scale:.3g} (at most {MAX_SCALE:.3g}), padding {pad:.3g}")
     nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))
     restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))  # 0 if k = d
 

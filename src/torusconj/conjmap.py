@@ -189,7 +189,5 @@ def export_skew_csv(report: SkewReport, path) -> None:
     header = ",".join([f"x_{i+1}" for i in range(d - m)]
                       + [f"y_{i+1}" for i in range(m)]
                       + [f"Fy_{i+1}" for i in range(m)])
-    rows = np.hstack([report.grid, report.fiber_map_samples])
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=header, comments="")
+    semiconj._write_csv(path, header, ",".join(["%.17g"] * (d + m)) + "\r\n",
+                       [np.hstack([report.grid, report.fiber_map_samples])])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,27 +16,29 @@ from .specdsl import TorusMapSpec, TrigTerm, make_spec
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class TermArrays:
-    comps: np.ndarray   # (T,) int64, 0-based
-    coefs: np.ndarray   # (T,) float64
-    kinds: tuple[np.ndarray, np.ndarray]   # (sin term indices, cos term indices)
-    freqs: np.ndarray   # (T, d) float64 (integer-valued)
+class TermArrays(NamedTuple):
+    """G's terms in the unique-phase layout of _kernels.eval_trig: one row
+    per distinct (kind, frequency), sin rows first.  In field order they
+    are the arguments of _kernels.eval_trig_and_jac after Z."""
+    freqs: np.ndarray   # (U, d) float64 (integer-valued)
+    coefs: np.ndarray   # (U, d): coefs[u, i] = coefficient of row u in component i
+    nsin: int           # rows 0..nsin-1 are sines, the rest cosines
+    jac: np.ndarray     # (U, d*d): 2 pi coefs[u, r] freqs[u, c] at r*d + c
 
 
 @lru_cache(maxsize=64)
 def term_arrays(spec: TorusMapSpec) -> TermArrays:
-    T = len(spec.terms)
-    comps = np.array([t.component - 1 for t in spec.terms], dtype=np.int64)
-    coefs = np.array([t.coefficient for t in spec.terms], dtype=np.float64)
-    is_sin = np.array([t.kind == "sin" for t in spec.terms], dtype=bool)
-    kinds = (np.flatnonzero(is_sin), np.flatnonzero(~is_sin))
-    freqs = np.array([t.frequency for t in spec.terms], dtype=np.float64)
-    if T == 0:
-        freqs = np.zeros((0, spec.d))
-    for a in (comps, coefs, *kinds, freqs):
+    d = spec.d
+    rows: dict[tuple, np.ndarray] = {}      # (is cos, frequency) -> coefficient per component
+    for t in spec.terms:
+        rows.setdefault((t.kind == "cos", t.frequency), np.zeros(d))[t.component - 1] = t.coefficient
+    keys = sorted(rows, key=lambda key: key[0])     # stable: sin rows first
+    freqs = np.array([f for _, f in keys], dtype=np.float64).reshape(len(keys), d)
+    coefs = np.array([rows[key] for key in keys]).reshape(len(keys), d)
+    jac = ((TWO_PI * coefs)[:, :, None] * freqs[:, None, :]).reshape(len(keys), d * d)
+    for a in (freqs, coefs, jac):
         a.setflags(write=False)
-    return TermArrays(comps, coefs, kinds, freqs)
+    return TermArrays(freqs, coefs, sum(not cos for cos, _ in keys), jac)
 
 
 def M_array(spec: TorusMapSpec) -> np.ndarray:
@@ -57,7 +60,7 @@ def eval_G(spec: TorusMapSpec, z):
     """Periodic part G at z; z may be a point (d,) or a batch (..., d)."""
     Z, single = _batch(z, spec.d)
     ta = term_arrays(spec)
-    out = _kernels.eval_trig(Z, ta.comps, ta.coefs, ta.kinds, ta.freqs, spec.d)
+    out = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
     return out[0] if single else out.reshape(np.asarray(z).shape)
 
 
@@ -78,7 +81,7 @@ def jacobian(spec: TorusMapSpec, z):
     """DF(z) = M + DG(z); batch-aware, returns (..., d, d)."""
     Z, single = _batch(z, spec.d)
     ta = term_arrays(spec)
-    dg = _kernels.eval_trig_and_jac(Z, ta.comps, ta.coefs, ta.kinds, ta.freqs, spec.d)[1]
+    dg = _kernels.eval_trig_and_jac(Z, *ta)[1]
     out = M_array(spec)[None, :, :] + dg
     if single:
         return out[0]
@@ -137,7 +140,7 @@ class LiftInverse:
         rho, ta = self.rho, self.terms
         max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
         W, res, g, iters = _kernels.invert_lift_numpy(
-            Z, self.Mf, self.Minv, ta.comps, ta.coefs, ta.kinds, ta.freqs, tol, max_iter)
+            Z, self.Mf, self.Minv, ta, tol, max_iter)
         if res.max() > tol:
             raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
         return W, g, iters

@@ -29,3 +29,7 @@ class EngineError(TorusConjError):
 
 class FiberSolveError(TorusConjError):
     """Fiber root isolation failed (bad bracket or monotonicity violation)."""
+
+
+class FloatRangeError(TorusConjError):
+    """A value leaves float64: a NaN or infinity in a report, a cone pencil overflow."""

@@ -135,9 +135,7 @@ def hermite_normal_form(M) -> tuple[list[list[int]], IntMat]:
 def primitive(v) -> IntVec:
     """Divide out the gcd of the entries, preserving orientation."""
     w = [int(x) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
+    g = gcd(*w)
     if g == 0:
         raise LatticeError("zero vector has no primitive form")
     return [x // g for x in w]
@@ -199,11 +197,7 @@ def _kernel_basis(B: IntMat) -> list[IntVec]:
     give the kernel lattice.  Order follows the HNF ('Hermite-first').
     """
     H, U = hermite_normal_form(transpose(B))
-    out = []
-    for i, row in enumerate(H):
-        if all(x == 0 for x in row):
-            out.append(U[i])
-    return out
+    return [U[i] for i, row in enumerate(H) if not any(row)]
 
 
 def left_eigenvector_integer(M, m: int) -> IntVec:

@@ -34,6 +34,7 @@ from .specdsl import TorusMapSpec
 
 DEFAULT_EPS_TARGET = 1e-9
 MAX_DEFAULT_N = 512
+CHUNK = 8192        # grid points swept together: peak memory does not grow with the grid
 
 
 @dataclass(frozen=True)
@@ -205,19 +206,19 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
     inverse-lift iterations spent on z) for z = F^j(Z mod 1), j = 0..nsteps-1
     forward, or for the inverse-lift branches z = F^-j(Z mod 1),
     j = 1..nsteps, backward."""
-    z = np.mod(Z, 1.0)
+    z = _kernels.wrap(Z)
     if backward:
         for _ in range(nsteps):
             W, g, iters = engine.lift(z, engine.inv_tol)
-            z = np.mod(W, 1.0)
+            z = _kernels.wrap(W)
             yield z, g, iters
         return
     ta = dynamics.term_arrays(engine.spec)
     Mf = dynamics.M_array(engine.spec)
     for j in range(nsteps):
         if j:
-            z = np.mod(z @ Mf.T + g, 1.0)
-        g = _kernels.eval_trig(z, ta.comps, ta.coefs, ta.kinds, ta.freqs, engine.d)
+            z = _kernels.wrap(z @ Mf.T + g)
+        g = _kernels.eval_trig(z, ta.freqs, ta.coefs, ta.nsin)
         yield z, g, 0
 
 
@@ -229,34 +230,45 @@ def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int,
 
 
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
-    """Lift of the semi-conjugacy at z (point (d,) or batch (..., d))."""
+    """Lift of the semi-conjugacy at z (point (d,) or batch (..., d)),
+    swept CHUNK points at a time."""
     Z = np.asarray(z, dtype=float)
     Zb = Z.reshape(-1, engine.d)
-    series = np.zeros((Zb.shape[0], engine.k))
-    for n, (_, g, _) in enumerate(_orbit(engine, Zb, engine.N)):
-        _add_term(series, g, engine.coef_u, n)
-    if engine.mode == "hyperbolic":
-        for n, (_, g, _) in enumerate(_orbit(engine, Zb, engine.N, backward=True)):
-            _add_term(series, g, engine.coef_s, n, -1.0)
-    val = (Zb[:, :engine.k] + series).reshape(Z.shape[:-1] + (engine.k,))
-    return PhiValue(value=val, error_bound=engine.eps)
+    val = np.zeros((Zb.shape[0], engine.k))
+    for lo in range(0, Zb.shape[0], CHUNK):
+        Zc, series = Zb[lo:lo + CHUNK], val[lo:lo + CHUNK]
+        for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N)):
+            _add_term(series, g, engine.coef_u, n)
+        if engine.mode == "hyperbolic":
+            for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N, backward=True)):
+                _add_term(series, g, engine.coef_s, n, -1.0)
+        series += Zc[:, :engine.k]
+    return PhiValue(value=val.reshape(Z.shape[:-1] + (engine.k,)), error_bound=engine.eps)
 
 
 def phi_torus(engine: SemiConjEngine, theta) -> PhiValue:
     """Torus-valued semi-conjugacy: phi_hat of any lift, mod 1."""
     pv = phi_hat(engine, theta)
-    return PhiValue(value=np.mod(pv.value, 1.0), error_bound=pv.error_bound)
+    return PhiValue(value=_kernels.wrap(pv.value), error_bound=pv.error_bound)
 
 
-def _grid(d: int, res: int, offset: float = 0.0) -> np.ndarray:
-    """The res^d points (i + offset) / res, i in {0..res-1}^d, as an
-    (res^d, d) array in row-major order; offset 0.5 gives cell centres.
+def _grid(d: int, res: int, offset: float = 0.0, start: int = 0,
+          stop: int | None = None) -> np.ndarray:
+    """The res^d points (i + offset) / res, i in {0..res-1}^d, in row-major
+    order, as an array of shape (stop - start, d) holding rows start..stop-1
+    of that order (default: all of them); offset 0.5 gives cell centres.
     For d = 0 it is the single empty point, shape (1, 0)."""
     if d == 0:
         return np.zeros((1, 0))
-    axes = [(np.arange(res) + offset) / res] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    rows = np.arange(start, res ** d if stop is None else stop)
+    return (np.stack(np.unravel_index(rows, (res,) * d), axis=-1) + offset) / res
+
+
+def _grid_chunks(d: int, res: int):
+    """_grid(d, res) in consecutive pieces of at most CHUNK rows."""
+    n = res ** d
+    for lo in range(0, n, CHUNK):
+        yield _grid(d, res, start=lo, stop=min(lo + CHUNK, n))
 
 
 @dataclass(frozen=True)
@@ -266,12 +278,14 @@ class ResidualReport:
     ceiling: float              # (||A|| + 1) * eps_N
     grid_res: int
     backward_sweeps: int        # inverse-lift orbit sweeps: 0, 1 or 2
-    inverse_lift_iters: int     # Newton iterations summed over backward steps
+    inverse_lift_iters: int     # Newton iterations summed over backward steps and chunks
     point_steps: int            # points x orbit steps, forward plus backward
 
 
 def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualReport:
-    """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)).
+    """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)),
+    swept CHUNK grid points at a time; the argmax is the first grid point
+    attaining the maximum.
 
     One forward sweep of N + 1 steps serves both sides: F(theta) is the
     sweep's step 1, so steps 0..N-1 feed Phi(theta) and steps 1..N feed
@@ -282,49 +296,61 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
     Phi(F(theta)).  When |det M| > 1 the lift-inverse branch of the reduced
     F(theta) need not be theta, so F(theta) gets its own backward sweep.
     """
-    theta = _grid(engine.d, grid_res)
     N, k = engine.N, engine.k
-    series = np.zeros((theta.shape[0], k))      # Phi(theta) - theta_W
-    series_f = np.zeros_like(series)            # Phi(F theta) - (F theta)_W
-    for n, (z, g, _) in enumerate(_orbit(engine, theta, N + 1)):
-        if n == 0:
-            g_theta = g
-        elif n == 1:
-            ftheta = z
-        _add_term(series, g, engine.coef_u, n)
-        _add_term(series_f, g, engine.coef_u, n - 1)
-    sweeps = iters = 0
-    if engine.mode == "hyperbolic":
-        # each backward sweep: (start, (series, coefficient shift), ...)
-        if abs(intlat.det_int(engine.spec.M_list())) == 1:
-            _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
-            backward = [(theta, (series, 0), (series_f, 1))]
-        else:
-            backward = [(theta, (series, 0)), (ftheta, (series_f, 0))]
+    bijective = abs(intlat.det_int(engine.spec.M_list())) == 1
+    best, backward, iters = [], [], 0       # best: (max residual, its point) per chunk
+    for theta in _grid_chunks(engine.d, grid_res):
+        series = np.zeros((theta.shape[0], k))      # Phi(theta) - theta_W
+        series_f = np.zeros_like(series)            # Phi(F theta) - (F theta)_W
+        for n, (z, g, _) in enumerate(_orbit(engine, theta, N + 1)):
+            if n == 0:
+                g_theta = g
+            elif n == 1:
+                ftheta = z
+            _add_term(series, g, engine.coef_u, n)
+            _add_term(series_f, g, engine.coef_u, n - 1)
+        if engine.mode == "hyperbolic":
+            # each backward sweep: (start, (series, coefficient shift), ...)
+            if bijective:
+                _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
+                backward = [(theta, (series, 0), (series_f, 1))]
+            else:
+                backward = [(theta, (series, 0)), (ftheta, (series_f, 0))]
         for start, *feeds in backward:
             for n, (_, g, it) in enumerate(_orbit(engine, start, N, backward=True)):
                 iters += it
                 for acc, shift in feeds:
                     _add_term(acc, g, engine.coef_s, n + shift, -1.0)
-        sweeps = len(backward)
-    lhs = np.mod(ftheta[:, :k] + series_f, 1.0)
-    rhs = np.mod(np.mod(theta[:, :k] + series, 1.0) @ engine.A.T, 1.0)
-    res = dynamics.torus_distance(lhs, rhs)
-    i = int(np.argmax(res))
+        lhs = _kernels.wrap(ftheta[:, :k] + series_f)
+        rhs = _kernels.wrap(_kernels.wrap(theta[:, :k] + series) @ engine.A.T)
+        res = dynamics.torus_distance(lhs, rhs)
+        i = int(np.argmax(res))
+        best.append((res[i], theta[i]))
+    j = int(np.argmax([r for r, _ in best]))
     ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps
-    return ResidualReport(max_residual=float(res[i]), argmax_point=theta[i],
+    sweeps = len(backward)
+    return ResidualReport(max_residual=float(best[j][0]), argmax_point=best[j][1],
                           ceiling=float(ceiling), grid_res=grid_res,
                           backward_sweeps=sweeps, inverse_lift_iters=int(iters),
-                          point_steps=theta.shape[0] * (N + 1 + sweeps * N))
+                          point_steps=grid_res ** engine.d * (N + 1 + sweeps * N))
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
-    """CSV with columns theta_1..theta_d, phi_1..phi_k, error_bound."""
-    theta = _grid(engine.d, grid_res)
-    pv = phi_torus(engine, theta)
-    header = ",".join([f"theta_{i+1}" for i in range(engine.d)]
-                      + [f"phi_{i+1}" for i in range(engine.k)] + ["error_bound"])
-    rows = np.column_stack([theta, pv.value, np.full(theta.shape[0], pv.error_bound)])
+    """CSV with columns theta_1..theta_d, phi_1..phi_k (%.17g) and
+    error_bound (%.6g), written CHUNK rows at a time."""
+    d, k = engine.d, engine.k
+    header = ",".join([f"theta_{i+1}" for i in range(d)]
+                      + [f"phi_{i+1}" for i in range(k)] + ["error_bound"])
+    row = ",".join(["%.17g"] * (d + k) + ["%.6g" % engine.eps]) + "\r\n"
+    _write_csv(path, header, row, (np.hstack([theta, phi_torus(engine, theta).value])
+                                  for theta in _grid_chunks(d, grid_res)))
+
+
+def _write_csv(path, header: str, row: str, blocks) -> None:
+    """Write header, then one CRLF-ended line per row of each array in
+    blocks, formatted by row (a %-format string for one line, with its
+    CRLF) in one format call per block: the bytes np.savetxt writes."""
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt=["%.17g"] * (engine.d + engine.k) + ["%.6g"],
-                   delimiter=",", newline="\r\n", header=header, comments="")
+        fh.write(header + "\r\n")
+        for values in blocks:
+            fh.write((row * len(values)) % tuple(values.ravel().tolist()))

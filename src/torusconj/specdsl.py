@@ -67,6 +67,15 @@ class _Tokenizer:
         self._skip_ws()
         return self.pos >= len(self.text)
 
+    def sign(self, signs="+-"):
+        """Consume the next character if it is one of signs: -1 for '-',
+        1 for '+'; None (nothing consumed) otherwise."""
+        ch = self.peek()
+        if ch is None or ch not in signs:
+            return None
+        self.pos += 1
+        return -1 if ch == "-" else 1
+
     def number(self):
         """Read an unsigned numeric literal; returns (text, is_integer)."""
         self._skip_ws()
@@ -105,50 +114,35 @@ def _strip_comment(line: str) -> str:
     return line if i < 0 else line[:i]
 
 
-def _parse_int_list(tk: _Tokenizer) -> list[int]:
+def _parse_list(tk: _Tokenizer, item) -> list:
+    """A bracketed, comma-separated list of item(tk)."""
     out = []
     tk.expect("[")
     while True:
-        sign = 1
-        if tk.peek() == "-":
-            tk.expect("-")
-            sign = -1
-        tok, val, is_int, col = tk.number()
-        if not is_int:
-            raise SpecParseError(f"non-integer matrix entry {tok!r}", tk.line, col)
-        out.append(sign * int(tok))
-        if tk.peek() == ",":
-            tk.expect(",")
-            continue
-        tk.expect("]")
-        return out
+        out.append(item(tk))
+        if tk.peek() != ",":
+            tk.expect("]")
+            return out
+        tk.expect(",")
 
 
-def _parse_matrix(tk: _Tokenizer) -> list[list[int]]:
-    rows = []
-    tk.expect("[")
-    while True:
-        rows.append(_parse_int_list(tk))
-        if tk.peek() == ",":
-            tk.expect(",")
-            continue
-        tk.expect("]")
-        return rows
+def _parse_int(tk: _Tokenizer) -> int:
+    sign = tk.sign("-") or 1
+    tok, val, is_int, col = tk.number()
+    if not is_int:
+        raise SpecParseError(f"non-integer matrix entry {tok!r}", tk.line, col)
+    return sign * int(tok)
 
 
 def _parse_lincomb(tk: _Tokenizer, d: int) -> tuple[int, ...]:
     freq = [0] * d
     first = True
     while True:
-        sign = 1
-        ch = tk.peek()
-        if ch == "+":
-            tk.expect("+")
-        elif ch == "-":
-            tk.expect("-")
-            sign = -1
-        elif not first:
-            break
+        sign = tk.sign()
+        if sign is None:
+            if not first:
+                break
+            sign = 1
         coef = 1
         if tk.peek() is not None and tk.peek().isdigit():
             tok, val, is_int, col = tk.number()
@@ -169,7 +163,7 @@ def _parse_lincomb(tk: _Tokenizer, d: int) -> tuple[int, ...]:
     return tuple(freq)
 
 
-def _parse_term(tk: _Tokenizer, d: int, sign: float):
+def _parse_term(tk: _Tokenizer, d: int, sign: int):
     coefficient = 1.0
     ch = tk.peek()
     if ch is not None and (ch.isdigit() or ch == "."):
@@ -221,7 +215,7 @@ def parse_spec(text: str) -> TorusMapSpec:
             if M is not None:
                 raise SpecParseError("duplicate M line", lineno, col)
             tk.expect("=")
-            M = _parse_matrix(tk)
+            M = _parse_list(tk, lambda t: _parse_list(t, _parse_int))
             if len(M) != d or any(len(r) != d for r in M):
                 raise SpecParseError(f"M must be {d}x{d}", lineno, col)
         elif name == "G":
@@ -237,27 +231,16 @@ def parse_spec(text: str) -> TorusMapSpec:
                                      lineno, ncol)
             tk.expect("]")
             tk.expect("=")
-            sign = 1.0
-            if tk.peek() == "-":
-                tk.expect("-")
-                sign = -1.0
-            elif tk.peek() == "+":
-                tk.expect("+")
+            sign = tk.sign() or 1
             while True:
                 coef, kind, freq = _parse_term(tk, d, sign)
                 raw_terms.append(TrigTerm(component=comp, frequency=freq,
                                           kind=kind, coefficient=coef))
                 if tk.at_end():
                     break
-                ch = tk.peek()
-                if ch == "+":
-                    tk.expect("+")
-                    sign = 1.0
-                elif ch == "-":
-                    tk.expect("-")
-                    sign = -1.0
-                else:
-                    tk.error(f"unexpected {ch!r} after term")
+                sign = tk.sign()
+                if sign is None:
+                    tk.error(f"unexpected {tk.peek()!r} after term")
         else:
             raise SpecParseError(f"unexpected {name or line.strip()[0]!r}", lineno, col)
         if name in ("dim", "M") and not tk.at_end():
@@ -298,13 +281,8 @@ def _format_lincomb(freq) -> str:
         var = f"z{i + 1}"
         mag = abs(c)
         body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    if not parts:
-        return "0*z1"
-    return "".join(parts)
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0*z1"
 
 
 def serialize_spec(spec: TorusMapSpec) -> str:
@@ -319,9 +297,6 @@ def serialize_spec(spec: TorusMapSpec) -> str:
         parts = []
         for t in by_comp[comp]:
             body = f"{abs(t.coefficient)!r}*{t.kind}(2*pi*({_format_lincomb(t.frequency)}))"
-            if not parts:
-                parts.append(("-" if t.coefficient < 0 else "") + body)
-            else:
-                parts.append(("-" if t.coefficient < 0 else "+") + body)
+            parts.append(("-" if t.coefficient < 0 else "+" if parts else "") + body)
         lines.append(f"G[{comp}]=" + "".join(parts))
     return "\n".join(lines) + "\n"

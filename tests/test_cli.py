@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import re
+import warnings
 
 import pytest
 
+from torusconj import semiconj
 from torusconj.cli import main
 
 from conftest import FIX_1D, FIX_2D, FIX_CAT, lehmer_spec_text
@@ -346,3 +349,52 @@ def test_uncertified_inverse_lift_exits_1(tmp_path, capsys):
                          "--grid", "8")
     assert (code, out) == (1, "")
     assert "not certified" in err
+
+
+# finite norm bounds, but G so large that every residual wraps to 0 and
+# every ceiling exceeds the torus
+HUGE_G = "dim=2\nM=[[2,1],[0,1]]\nG[1]=1e150*sin(2*pi*(3*z1))\n"
+
+
+def test_vacuous_ceiling_fails(fix2, tmp_path, capsys):
+    # a ceiling >= 0.5 sqrt(k), the largest distance on the k-torus,
+    # certifies nothing: pass is false with "vacuous": true, and exit 2
+    p = tmp_path / "huge.map"
+    p.write_text(HUGE_G)
+    for argv in (("verify-semiconj", str(p), "--trunc", "8", "--grid", "8"),
+                 ("conjugacy", fix2, "--grid", "8", "--tol", "0.3")):
+        code, out, _ = run(capsys, *argv)
+        rep = json.loads(out)
+        assert code == 2 and rep["pass"] is False and rep["vacuous"] is True, argv
+        residual = rep.get("max_residual", rep.get("max_base_residual"))
+        assert residual <= rep["ceiling"] and rep["ceiling"] >= 0.5, argv
+    # a ceiling below it leaves the report as it was: no "vacuous" key
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "8", "--tol", "1e-9")
+    assert code == 0 and "vacuous" not in json.loads(out)
+
+
+def test_cone_pencil_overflow_is_typed_error(fix2, tmp_path, capsys):
+    # Jacobians near 3e151, or an opening of 1e200: the pencil Q - lambda J
+    # would overflow float64, so verify-cones exits 1 with a message, with
+    # no NaN report, no warning and no traceback
+    p = tmp_path / "huge.map"
+    p.write_text(HUGE_G)
+    for argv in ((str(p), "--alpha", "1"), (fix2, "--alpha", "1e200")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify-cones", *argv, "--grid", "8")
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: the cone pencils would leave float64"), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_non_finite_report_exits_1(fix2, tmp_path, capsys, monkeypatch):
+    # a NaN that reaches a report is a typed error with exit 1: nothing is
+    # written to stdout or to -o, never a report that is not JSON
+    real = semiconj.semiconjugacy_residual
+    monkeypatch.setattr(semiconj, "semiconjugacy_residual",
+                        lambda *a: dataclasses.replace(real(*a), max_residual=float("nan")))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "verify-semiconj", fix2, "--grid", "8", "-o", str(out_dir))
+    assert (code, out) == (1, "") and not out_dir.exists()
+    assert err.startswith("error: the verify-semiconj report holds a NaN")

@@ -2,17 +2,35 @@ import numpy as np
 
 from torusconj import _kernels, dynamics, parse_spec, semiconj
 
+TWO_PI = 2.0 * np.pi
 
-def _arrays(spec):
-    ta = dynamics.term_arrays(spec)
-    return ta.comps, ta.coefs, ta.kinds, ta.freqs
+
+def _per_term(spec, Z):
+    """G and DG summed one spec term at a time, the layout before unique
+    phases: a reference for the kernels."""
+    freqs = np.array([t.frequency for t in spec.terms], dtype=float)
+    phase = TWO_PI * (Z @ freqs.T)
+    g = np.zeros(Z.shape)
+    dg = np.zeros(Z.shape + (spec.d,))
+    for j, t in enumerate(spec.terms):
+        s, c = np.sin(phase[:, j]), np.cos(phase[:, j])
+        val, dval = (s, c) if t.kind == "sin" else (c, -s)
+        i = t.component - 1
+        g[:, i] += t.coefficient * val
+        dg[:, i, :] += (TWO_PI * t.coefficient * dval)[:, None] * freqs[j][None, :]
+    return g, dg
 
 
 def test_empty_term_list():
-    Z = np.zeros((3, 2))
-    empty = np.zeros(0, dtype=np.int64)
-    out = _kernels.eval_trig(Z, empty, np.zeros(0), empty, np.zeros((0, 2)), 2)
-    assert out.shape == (3, 2) and not out.any()
+    s = parse_spec("dim=2\nM=[[2,1],[1,1]]\n")
+    ta = dynamics.term_arrays(s)
+    assert ta.freqs.shape == (0, 2) and ta.coefs.shape == (0, 2)
+    assert ta.nsin == 0 and ta.jac.shape == (0, 4)
+    Z = np.full((3, 2), 0.3)
+    out = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
+    g, dg = _kernels.eval_trig_and_jac(Z, *ta)
+    assert out.shape == g.shape == (3, 2) and dg.shape == (3, 2, 2)
+    assert not out.any() and not g.any() and not dg.any()
 
 
 def test_orbit_matches_manual_iteration(engine_2d, engine_cat, rng):
@@ -36,35 +54,74 @@ def test_orbit_matches_manual_iteration(engine_2d, engine_cat, rng):
 
 
 def test_invert_lift_kernel(spec_cat, rng):
-    comps, coefs, kinds, freqs = _arrays(spec_cat)
+    ta = dynamics.term_arrays(spec_cat)
     Mf = dynamics.M_array(spec_cat)
     Minv = np.linalg.inv(Mf)
     Z = rng.uniform(-1, 2, size=(50, 2))
-    W, res, g, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, comps, coefs,
-                                                  kinds, freqs, 1e-13, 200)
+    W, res, g, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 1e-13, 200)
     assert res.max() <= 1e-13 and 0 < iters <= 200
     # G comes back at the accepted iterate, reduced mod 1, bit for bit
     assert np.array_equal(g, dynamics.eval_G(spec_cat, np.mod(W, 1.0)))
 
 
-def test_trig_and_jac_g_is_eval_trig(spec_2d, rng):
+def test_trig_and_jac_g_is_eval_trig(spec_2d, spec_2d_S, spec_cat, rng):
     # the G of the shared sin/cos evaluation is bitwise eval_trig's G
-    comps, coefs, kinds, freqs = _arrays(spec_2d)
-    Z = rng.uniform(-1, 2, size=(40, 2))
-    g, _ = _kernels.eval_trig_and_jac(Z, comps, coefs, kinds, freqs, 2)
-    assert np.array_equal(g, _kernels.eval_trig(Z, comps, coefs, kinds, freqs, 2))
+    for spec in (spec_2d, spec_2d_S, spec_cat):
+        ta = dynamics.term_arrays(spec)
+        for n in (1, 7, 300):
+            Z = rng.uniform(-1, 2, size=(n, 2))
+            g, _ = _kernels.eval_trig_and_jac(Z, *ta)
+            assert np.array_equal(g, _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin))
+
+
+def test_trig_matches_per_term_loop(spec_2d, spec_2d_S, spec_cat, rng):
+    # one row per unique phase, summed by matrix products, against the sum
+    # of the spec's terms one at a time: G moves by summation rounding
+    # only, DG stays within 1e-15
+    s3 = parse_spec("dim=3\nM=[[2,1,0],[0,2,1],[1,0,3]]\n"
+                    "G[1]=0.01*sin(2*pi*(z1-2*z3))+0.02*cos(2*pi*(z2))\n"
+                    "G[2]=0.03*sin(2*pi*(z1-2*z3))-0.01*cos(2*pi*(3*z1+z2))\n"
+                    "G[3]=0.02*cos(2*pi*(z2))+0.01*sin(2*pi*(z3))\n")
+    for spec in (spec_2d, spec_2d_S, spec_cat, s3):
+        ta = dynamics.term_arrays(spec)
+        Z = rng.uniform(-1, 2, size=(200, spec.d))
+        g, dg = _kernels.eval_trig_and_jac(Z, *ta)
+        g_ref, dg_ref = _per_term(spec, Z)
+        assert np.abs(g - g_ref).max() <= 1e-17
+        assert np.abs(dg - dg_ref).max() <= 1e-15
+        assert np.array_equal(dynamics.jacobian(spec, Z),
+                              dynamics.M_array(spec)[None] + dg)
+
+
+def _count_transcendentals(monkeypatch):
+    seen = []
+    for name in ("sin", "cos"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, *a, real=real, **kw:
+                            seen.append(x.size) or real(x, *a, **kw))
+    return seen
 
 
 def test_eval_trig_one_transcendental_per_term(spec_2d, rng, monkeypatch):
     # each phase goes through sin or cos, the one its term needs: n*T
     # values in all (spec_2d has one sin and one cos term)
-    comps, coefs, kinds, freqs = _arrays(spec_2d)
-    seen = []
-    for name in ("sin", "cos"):
-        real = getattr(np, name)
-        monkeypatch.setattr(np, name, lambda x, real=real: seen.append(x.size) or real(x))
-    _kernels.eval_trig(rng.uniform(-1, 2, size=(40, 2)), comps, coefs, kinds, freqs, 2)
-    assert sum(seen) == 40 * len(coefs) and len(seen) == 2
+    ta = dynamics.term_arrays(spec_2d)
+    seen = _count_transcendentals(monkeypatch)
+    _kernels.eval_trig(rng.uniform(-1, 2, size=(40, 2)), ta.freqs, ta.coefs, ta.nsin)
+    assert sum(seen) == 40 * len(spec_2d.terms) == 40 * len(ta.coefs) and len(seen) == 2
+
+
+def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypatch):
+    # in block coordinates the cos(2 pi z2) term of G_2 feeds both
+    # components: 3 terms, 2 unique (frequency, kind) rows, 2 phases a point
+    ta = dynamics.term_arrays(spec_2d_S)
+    assert len(spec_2d_S.terms) == 3 and len(ta.coefs) == 2 and ta.nsin == 1
+    seen = _count_transcendentals(monkeypatch)
+    Z = rng.uniform(-1, 2, size=(40, 2))
+    g = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
+    assert seen == [40, 40]
+    monkeypatch.undo()
+    assert np.abs(g - _per_term(spec_2d_S, Z)[0]).max() <= 1e-17
 
 
 def test_invert_lift_residual_uses_exact_M(rng):
@@ -72,14 +129,13 @@ def test_invert_lift_residual_uses_exact_M(rng):
     # ||M w + G(w) - z|| with the spec's own M
     s = parse_spec("dim=2\nM=[[-2,-4],[-2,2]]\n"
                    "G[1]=0.01*sin(2*pi*(z1))\nG[2]=0.01*cos(2*pi*(z1+z2))\n")
-    comps, coefs, kinds, freqs = _arrays(s)
+    ta = dynamics.term_arrays(s)
     Mf = dynamics.M_array(s)
     Minv = np.linalg.inv(Mf)
     assert not np.array_equal(np.linalg.inv(Minv), Mf)
     Z = rng.uniform(-1, 2, size=(20, 2))
     for max_iter in (0, 3):
-        W, res, g, _ = _kernels.invert_lift_numpy(Z, Mf, Minv, comps, coefs,
-                                                  kinds, freqs, 0.0, max_iter)
+        W, res, g, _ = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 0.0, max_iter)
         r = W @ Mf.T + g - Z
         assert np.array_equal(res, np.sqrt((r ** 2).sum(axis=1)))
 
@@ -87,7 +143,7 @@ def test_invert_lift_residual_uses_exact_M(rng):
 def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
     # Newton's cost pin: one shared G/DG evaluation before the loop and one
     # per iteration, no separate G evaluation; tol 0 runs every iteration
-    comps, coefs, kinds, freqs = _arrays(spec_cat)
+    ta = dynamics.term_arrays(spec_cat)
     Mf = dynamics.M_array(spec_cat)
     Minv = np.linalg.inv(Mf)
     calls = []
@@ -96,28 +152,33 @@ def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
                         lambda *a: calls.append(1) or real(*a))
     monkeypatch.setattr(_kernels, "eval_trig", None)
     Z = rng.uniform(-1, 2, size=(10, 2))
-    iters = _kernels.invert_lift_numpy(Z, Mf, Minv, comps, coefs, kinds, freqs,
-                                       0.0, 5)[3]
+    iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 0.0, 5)[3]
     assert iters == 5 and len(calls) == 1 + 5
 
 
 def test_invert_lift_rejected_newton_takes_contraction_step(spec_cat, rng, monkeypatch):
     # a Newton step that raises the residual is refused, and the next trial
     # is the contraction step M^-1 (z - G(w)) from the kept iterate
-    comps, coefs, kinds, freqs = _arrays(spec_cat)
+    ta = dynamics.term_arrays(spec_cat)
     Mf = dynamics.M_array(spec_cat)
     Minv = np.linalg.inv(Mf)
     monkeypatch.setattr(_kernels, "_solve_small", lambda J, r: r + 0.25)
     Z = rng.uniform(-1, 2, size=(10, 2))
     W0 = Z @ Minv.T
-    W1, _, _, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, comps, coefs,
-                                                 kinds, freqs, 0.0, 1)
+    W1, _, _, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 0.0, 1)
     assert iters == 1 and np.array_equal(W1, W0)
     want = (Z - dynamics.eval_G(spec_cat, np.mod(W0, 1.0))) @ Minv.T
-    W2 = _kernels.invert_lift_numpy(Z, Mf, Minv, comps, coefs, kinds, freqs,
-                                    0.0, 2)[0]
+    W2 = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 0.0, 2)[0]
     assert np.array_equal(W2, want)
     # always refused, Newton still converges: every other step contracts
-    _, res, _, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, comps, coefs,
-                                                  kinds, freqs, 1e-13, 200)
+    _, res, _, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 1e-13, 200)
     assert res.max() <= 1e-13 and iters < 200
+
+
+def test_wrap_is_mod_one():
+    # x - floor(x) is np.mod(x, 1.0) bit for bit, signed zeros and values
+    # that round up to 1.0 included
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-40, 40, 5000), rng.standard_normal(500) * 1e-17,
+                        [-0.0, 0.0, -1.0, 3.0, -5e-324, 1e300, -1e300, -(2.0 ** 52) - 0.5]])
+    assert np.array_equal(_kernels.wrap(x).view(np.int64), np.mod(x, 1.0).view(np.int64))

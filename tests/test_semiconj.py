@@ -286,3 +286,62 @@ def test_export_phi_grid(engine_1d, tmp_path):
         w.writerow([f"{x:.17g}" for x in row]
                    + [f"{x:.17g}" for x in val] + [f"{pv.error_bound:.6g}"])
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+def test_chunked_residual_is_one_chunk(engine_1d, engine_2d, engine_cat, monkeypatch):
+    # 256 grid points in chunks of 100, 100 and 56: the chunks' maxima merge
+    # into the single-chunk maximum and its argmax; the forward sweep is
+    # the same arithmetic per point, so expanding mode agrees bit for bit,
+    # while each chunk's Newton solve stops on its own, so hyperbolic mode
+    # agrees within rounding
+    for eng, res in ((engine_1d, 256), (engine_2d, 16), (engine_cat, 16)):
+        monkeypatch.setattr(semiconj, "CHUNK", 1 << 20)
+        one = semiconj.semiconjugacy_residual(eng, res)
+        monkeypatch.setattr(semiconj, "CHUNK", 100)
+        chunked = semiconj.semiconjugacy_residual(eng, res)
+        assert (one.point_steps, one.backward_sweeps) == (chunked.point_steps,
+                                                          chunked.backward_sweeps)
+        if eng.mode == "expanding":
+            assert chunked.max_residual == one.max_residual
+            assert np.array_equal(chunked.argmax_point, one.argmax_point)
+        else:
+            assert abs(chunked.max_residual - one.max_residual) <= 1e-15
+            assert chunked.inverse_lift_iters > one.inverse_lift_iters > 0
+        theta = semiconj._grid(eng.d, res)
+        assert np.array_equal(semiconj.phi_hat(eng, theta).value,
+                              np.concatenate([semiconj.phi_hat(eng, theta[lo:lo + 100]).value
+                                              for lo in range(0, len(theta), 100)]))
+
+
+def test_grid_rows_are_slices_of_the_grid():
+    # rows start..stop-1 of the row-major grid; the chunks tile it in order
+    for d, res, offset in ((1, 17, 0.0), (2, 5, 0.5), (3, 4, 0.0)):
+        full = semiconj._grid(d, res, offset)
+        assert full.shape == (res ** d, d)
+        assert np.array_equal(semiconj._grid(d, res, offset, start=3, stop=11), full[3:11])
+    assert 200 ** 2 % semiconj.CHUNK != 0
+    assert np.array_equal(np.concatenate(list(semiconj._grid_chunks(2, 200))),
+                          semiconj._grid(2, 200))
+
+
+def test_chunked_csv_is_savetxt(engine_2d, tmp_path, monkeypatch):
+    # rows formatted one block at a time are the bytes np.savetxt writes for
+    # all of them at once, signed zeros and non-finite values included
+    vals = np.array([[-0.0, 0.0, 1e-300], [np.inf, -np.nan, 0.1],
+                     [-1.5, 2.0 ** 60, 5e-324], [1 / 3, -7.0, 123456789.123]])
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, vals, fmt=["%.17g", "%.17g", "%.6g"], delimiter=",",
+               newline="\r\n", header="a,b,c", comments="")
+    semiconj._write_csv(tmp_path / "rows.csv", "a,b,c", "%.17g,%.17g,%.6g\r\n",
+                        (vals[lo:lo + 3] for lo in (0, 3)))
+    assert (tmp_path / "rows.csv").read_bytes() == ref.read_bytes()
+    assert b"\r\n-0,0,1e-300\r\n" in ref.read_bytes()
+    # the whole export, in chunks of 10 rows, against one np.savetxt call
+    monkeypatch.setattr(semiconj, "CHUNK", 10)
+    semiconj.export_phi_grid(engine_2d, 8, tmp_path / "phi.csv")
+    theta = semiconj._grid(2, 8)
+    rows = np.column_stack([theta, semiconj.phi_torus(engine_2d, theta).value,
+                            np.full(len(theta), engine_2d.eps)])
+    np.savetxt(ref, rows, fmt=["%.17g"] * 3 + ["%.6g"], delimiter=",", newline="\r\n",
+               header="theta_1,theta_2,phi_1,error_bound", comments="")
+    assert (tmp_path / "phi.csv").read_bytes() == ref.read_bytes()
