@@ -10,6 +10,7 @@ false is still written to stdout (and -o) before the exit with 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import cones, conjmap, dynamics, intlat, semiconj
-from .errors import FloatRangeError, LatticeError, TorusConjError
+from .errors import FiberSolveError, FloatRangeError, LatticeError, TorusConjError
 from .specdsl import parse_spec, serialize_spec
 
 SCHEMA_VERSION = "1"
@@ -101,12 +102,16 @@ def _engine(spec, args):
     return semiconj.build_engine(*_block_coordinates(spec, args), N=args.trunc)
 
 
+def _vacuous(ceiling: float, k: int) -> bool:
+    """Whether a ceiling is at least 0.5 sqrt(k), the largest distance on the
+    k-torus the residual is measured on: such a ceiling bounds nothing."""
+    return not ceiling < 0.5 * math.sqrt(k)
+
+
 def _ceiling_verdict(report: dict, residual: float, ceiling: float, k: int) -> dict:
-    """report with "pass": residual <= ceiling, unless the ceiling is at
-    least 0.5 sqrt(k), the largest distance on the k-torus the residual is
-    measured on: such a ceiling bounds nothing, so the report fails with
-    "vacuous": true."""
-    if ceiling < 0.5 * math.sqrt(k):
+    """report with "pass": residual <= ceiling, unless the ceiling is
+    vacuous: then the report fails with "vacuous": true."""
+    if not _vacuous(ceiling, k):
         return {**report, "pass": bool(residual <= ceiling)}
     return {**report, "pass": False, "vacuous": True}
 
@@ -266,12 +271,23 @@ def cmd_verify_cones(args) -> dict:
 def cmd_conjugacy(args) -> dict:
     spec = _load_spec(args.spec)
     engine = _engine(spec, args)
-    sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     z = rng.uniform(0, 1, size=(50, engine.d))
     x, y = conjmap.H_forward(engine, z)
-    rt = dynamics.torus_distance(conjmap.H_inverse(engine, x, y, tol=args.tol),
-                                 z).max()
+    stats = conjmap.FiberStats()
+    try:
+        sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol, stats=stats)
+        zi = conjmap.H_inverse(engine, x, y, tol=args.tol, stats=stats)
+    except FiberSolveError:
+        # a vacuous ceiling fails the verdict whatever the fibers do: the
+        # solves only measure the residuals, and a fiber that cannot be
+        # solved leaves them out
+        ceiling = conjmap.skew_ceiling(engine, args.tol)
+        if not _vacuous(ceiling, engine.k):
+            raise
+        return {"command": "conjugacy", "N": engine.N, "grid_res": args.grid,
+                "tol": args.tol, "ceiling": ceiling, "pass": False, "vacuous": True}
+    rt = dynamics.torus_distance(zi, z).max()
     report = _ceiling_verdict({
         "command": "conjugacy",
         "N": engine.N,
@@ -281,6 +297,8 @@ def cmd_conjugacy(args) -> dict:
         "ceiling": sr.ceiling,
         "round_trip_max": float(rt),
     }, sr.max_base_residual, sr.ceiling, engine.k)
+    # additive: the fiber solves' work; never moves the verdict
+    report["diagnostics"] = dataclasses.asdict(stats)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "skew_grid.csv")

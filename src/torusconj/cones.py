@@ -146,6 +146,18 @@ def _pencil_max_lambda_min(Q: np.ndarray, J: np.ndarray, lam_hi: float) -> Penci
     return PencilSolve(value, lam, gap, rounds)
 
 
+def _checked_norms(Ls: np.ndarray, alpha_max: float, pad: float = 0.0) -> np.ndarray:
+    """The spectral norms of a batch of matrices (n, d, d), once their cone
+    pencils, up to opening alpha_max and with padding pad, are known to stay
+    inside float64; FloatRangeError otherwise."""
+    # d max|L_ij| bounds every ||L||
+    scale = max(float(np.abs(Ls).max()) * Ls.shape[-1], 1.0) * max(alpha_max, 1.0)
+    if not (np.isfinite(pad) and np.isfinite(Ls).all() and scale <= MAX_SCALE):
+        raise FloatRangeError(f"the cone pencils would leave float64: d max|L_ij| max(alpha, 1) "
+                              f"= {scale:.3g} (at most {MAX_SCALE:.3g}), padding {pad:.3g}")
+    return np.linalg.norm(Ls, ord=2, axis=(1, 2))
+
+
 def _cone_minima(Ls: np.ndarray, nLs: np.ndarray, k: int, alpha: float):
     """Certified (q_exp, q_inv, rounds, gap) for a batch of matrices (n, d, d)
     with spectral norms nLs:
@@ -207,7 +219,7 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     k, alpha = params.k, params.alpha
-    nLs = np.linalg.norm(L[None], ord=2, axis=(1, 2))
+    nLs = _checked_norms(L[None], alpha)
     q_exp, q_inv, _, _ = _cone_minima(L[None], nLs, k, alpha)
     q_exp, q_inv, nL = float(q_exp[0]), float(q_inv[0]), float(nLs[0])
     restricted = float(np.linalg.norm(L[:, k:], 2)) if d > k else 0.0
@@ -263,12 +275,7 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     Ls = dynamics.jacobian(spec, centers)
     # worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2
     pad = dynamics.norm_bounds(spec).dg_lip * (1.0 / grid_res) * math.sqrt(spec.d) / 2.0
-    # d max|DF_ij| bounds every ||DF||
-    scale = max(float(np.abs(Ls).max()) * spec.d, 1.0) * max(max(p.alpha for p in plist), 1.0)
-    if not (np.isfinite(pad) and np.isfinite(Ls).all() and scale <= MAX_SCALE):
-        raise FloatRangeError(f"the cone pencils would leave float64: d max|DF| max(alpha, 1) "
-                              f"= {scale:.3g} (at most {MAX_SCALE:.3g}), padding {pad:.3g}")
-    nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))
+    nLs = _checked_norms(Ls, max(p.alpha for p in plist), pad)
     restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))  # 0 if k = d
 
     certs = []

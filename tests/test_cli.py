@@ -373,6 +373,31 @@ def test_vacuous_ceiling_fails(fix2, tmp_path, capsys):
     assert code == 0 and "vacuous" not in json.loads(out)
 
 
+def test_vacuous_conjugacy_fails_without_residuals(tmp_path, capsys):
+    # the huge map's skew ceiling bounds nothing, and its fibers cannot be
+    # solved: the verdict is a vacuous FAIL with exit 2 and no residuals,
+    # not an exit 1 from the fiber solver
+    p = tmp_path / "huge.map"
+    p.write_text(HUGE_G)
+    code, out, err = run(capsys, "conjugacy", str(p), "--trunc", "8", "--grid", "8")
+    rep = json.loads(out)
+    assert (code, err) == (2, "")
+    assert rep["pass"] is False and rep["vacuous"] is True and rep["ceiling"] >= 0.5
+    assert not {"max_base_residual", "round_trip_max", "diagnostics"} & set(rep)
+
+
+def test_conjugacy_diagnostics(fix2, capsys):
+    # diagnostics is additive: the other keys and the verdict are as before,
+    # and the fiber solves' counters are pinned on the 2-D fixture
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "8")
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True
+    assert set(rep) == {"command", "N", "grid_res", "tol", "max_base_residual", "ceiling",
+                        "round_trip_max", "pass", "schema_version", "diagnostics"}
+    assert rep["max_base_residual"] <= rep["ceiling"]
+    assert rep["diagnostics"] == {"fiber_iters": 14, "scan_points": 2268, "phi_points": 3638}
+
+
 def test_cone_pencil_overflow_is_typed_error(fix2, tmp_path, capsys):
     # Jacobians near 3e151, or an opening of 1e200: the pencil Q - lambda J
     # would overflow float64, so verify-cones exits 1 with a message, with

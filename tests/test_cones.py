@@ -5,6 +5,7 @@ import pytest
 
 from torusconj import parse_spec
 from torusconj import cones, dynamics
+from torusconj.errors import FloatRangeError
 
 
 def test_pointwise_oracle_diag21():
@@ -30,6 +31,14 @@ def test_pointwise_conformal_no_margin():
                                      cones.ConeParams(k=1, alpha=1.0, K=1.0))
     assert abs(chk.q_inv) <= 1e-7
     assert abs(chk.invariance_margin) <= 1e-7
+
+
+def test_pointwise_overflow_is_typed_error():
+    # the single-matrix path has the range gate of verify_A2: a pencil that
+    # would overflow is a FloatRangeError, not an OverflowError
+    with pytest.raises(FloatRangeError, match="would leave float64"):
+        cones.pointwise_cone_check([[1e160, 0], [0, 1]],
+                                   cones.ConeParams(k=1, alpha=1.0, K=1.5))
 
 
 def test_certified_below_sampling(rng):

@@ -56,18 +56,26 @@ def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
 
 
 def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
-    # the straddle check reads the prescan's end columns: no line point,
-    # the bracket ends included, is evaluated twice
+    # no (t, y) sample is evaluated twice, over the shared scan and the
+    # finish rounds, and the straddle test reads the bracket ends themselves
     calls = []
     real = semiconj.phi_hat
     monkeypatch.setattr(semiconj, "phi_hat",
-                        lambda eng, z: calls.append(z[:, 0].copy()) or real(eng, z))
-    x0 = np.array([0.1, 0.4, 0.8])
-    conjmap.solve_fiber_point(engine_2d, x0, np.array([[0.2], [0.5], [0.9]]))
-    assert len(calls) > conjmap.PRESCAN_POINTS + 1
-    assert len({t.tobytes() for t in calls}) == len(calls)
+                        lambda eng, z: calls.append(z.copy()) or real(eng, z))
+    x0 = np.array([0.1, 0.4, 0.8, 0.3])
+    Y = np.array([[0.2], [0.5], [0.9], [0.2]])     # two targets on one line
+    conjmap.solve_fiber_point(engine_2d, x0, Y)
+    seen = [p.tobytes() for z in calls for p in z]
+    assert len(set(seen)) == len(seen)
     half = conjmap._bracket_halfwidth(engine_2d)
-    assert np.array_equal(calls[0], x0 - half)
+    scan = {p.tobytes() for p in calls[0]}
+    for end in (x0 - half, x0 + half):
+        assert all(np.array([e, y]).tobytes() in scan for e, y in zip(end, Y[:, 0]))
+    # the skew grid's 1024 targets lie on 32 fiber lines, scanned once per
+    # line: 67 phi_hat calls when every target scanned its own line
+    calls.clear()
+    conjmap.skew_product_residual(engine_2d, 32, tol=1e-10)
+    assert len(calls) == 16
 
 
 def test_fiber_bracket_must_straddle(engine_2d, monkeypatch):
@@ -75,6 +83,35 @@ def test_fiber_bracket_must_straddle(engine_2d, monkeypatch):
     monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: -0.25)
     with pytest.raises(FiberSolveError, match="do not straddle"):
         conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
+
+
+def test_non_monotone_line_is_refused(engine_2d, monkeypatch):
+    # a wiggle of slope up to 5 makes t -> Phi_hat((t, y)) cross x0 three
+    # times; the scan, 1/32 of the bracket apart, sees the extra crossings
+    real = semiconj.phi_hat
+
+    def wiggly(eng, z):
+        pv = real(eng, z)
+        return semiconj.PhiValue(pv.value + 0.2 * np.sin(2 * np.pi * z[:, :1] / 0.25),
+                                 pv.error_bound)
+
+    monkeypatch.setattr(semiconj, "phi_hat", wiggly)
+    with pytest.raises(FiberSolveError, match="3 sign changes instead of 1"):
+        conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
+
+
+def test_far_targets_on_one_line_solve_as_apart(engine_2d):
+    # two targets far apart on one fiber line get the t of separate solves,
+    # and their scan samples are those of the two solves: no lattice point
+    # of the gap between the brackets is evaluated
+    tol = 1e-10
+    x0, Y = np.array([0.1, 7.3]), np.array([[0.25], [0.25]])
+    both = conjmap.FiberStats()
+    t = conjmap.solve_fiber_point(engine_2d, x0, Y, tol=tol, stats=both)
+    apart = conjmap.FiberStats()
+    ts = [conjmap.solve_fiber_point(engine_2d, x, Y[0], tol=tol, stats=apart) for x in x0]
+    assert np.abs(t - ts).max() <= tol
+    assert both.scan_points == apart.scan_points
 
 
 def test_H_inverse_round_trips(engine_2d, rng):
