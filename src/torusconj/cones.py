@@ -158,9 +158,9 @@ def _checked_norms(Ls: np.ndarray, alpha_max: float, pad: float = 0.0) -> np.nda
     return np.linalg.norm(Ls, ord=2, axis=(1, 2))
 
 
-def _cone_minima(Ls: np.ndarray, nLs: np.ndarray, k: int, alpha: float):
+def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
     """Certified (q_exp, q_inv, rounds, gap) for a batch of matrices (n, d, d)
-    with spectral norms nLs:
+    whose spectral norms are at most nL_max:
 
     q_exp = min over unit v in C_alpha of ||(Lv)_a||^2,
     q_inv = min over unit v in C_alpha of alpha^2 ||(Lv)_a||^2 - ||(Lv)_b||^2;
@@ -177,7 +177,7 @@ def _cone_minima(Ls: np.ndarray, nLs: np.ndarray, k: int, alpha: float):
         return np.linalg.eigvalsh(Q)[..., 0], np.full(n, np.inf), 0, 0.0
     Jm = np.diag([alpha ** 2] * k + [-1.0] * (d - k))
     Lt = Ls.transpose(0, 2, 1)
-    lam_hi = LAM_HI * max(float(nLs.max()) ** 2, 1.0)
+    lam_hi = LAM_HI * max(nL_max ** 2, 1.0)
     sol = _pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi)
     return sol.value[:n], sol.value[n:], sol.rounds, float(sol.gap.max())
 
@@ -220,7 +220,7 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     d = L.shape[0]
     k, alpha = params.k, params.alpha
     nLs = _checked_norms(L[None], alpha)
-    q_exp, q_inv, _, _ = _cone_minima(L[None], nLs, k, alpha)
+    q_exp, q_inv, _, _ = _cone_minima(L[None], float(nLs[0]), k, alpha)
     q_exp, q_inv, nL = float(q_exp[0]), float(q_inv[0]), float(nLs[0])
     restricted = float(np.linalg.norm(L[:, k:], 2)) if d > k else 0.0
     inv_margin = q_inv / ((alpha + 1.0) * max(nL, 1e-300))     # inf when k = d
@@ -262,7 +262,9 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     params is one ConeParams, giving one ConeCertificate, or a sequence of
     them sharing one k, giving a list of certificates in the same order.
     The cells, their Jacobians, the padding and the alpha-free norms are
-    built once for the whole sequence."""
+    built once for the whole sequence.  The pencils are solved CHUNK cells
+    (semiconj.CHUNK) at a time, so their work arrays do not grow with the
+    grid; the certificates are those of one batch over all cells."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
     single = isinstance(params, ConeParams)
@@ -271,31 +273,54 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     if len(ks) != 1:
         raise ValueError(f"verify_A2 needs one or more ConeParams sharing one k, got k in {ks}")
     k = ks.pop()
-    centers = semiconj._grid(spec.d, grid_res, offset=0.5)
-    Ls = dynamics.jacobian(spec, centers)
     # worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2
     pad = dynamics.norm_bounds(spec).dg_lip * (1.0 / grid_res) * math.sqrt(spec.d) / 2.0
-    nLs = _checked_norms(Ls, max(p.alpha for p in plist), pad)
-    restricted = np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2))  # 0 if k = d
+    alpha_max = max(p.alpha for p in plist)
+    # pass 1, CHUNK cells at a time: each cell's Jacobian and its norms;
+    # the largest norm sets the pencils' lambda range
+    chunks = []
+    for centers in semiconj._grid_chunks(spec.d, grid_res, offset=0.5):
+        Ls = dynamics.jacobian(spec, centers)
+        chunks.append((Ls, _checked_norms(Ls, alpha_max, pad)))
+    nL_max = float(np.max([nLs.max() for _, nLs in chunks]))
+    # padded off-core stretch; 0 + pad if k = d
+    off_core = np.max([(np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2)) + pad).max()
+                       for Ls, _ in chunks])
 
     certs = []
     for p in plist:
-        q_exp, q_inv, rounds, pencil_gap = _cone_minima(Ls, nLs, k, p.alpha)
-        factors = np.sqrt(np.maximum(q_exp, 0.0))
-        lin_inv = q_inv / ((p.alpha + 1.0) * np.maximum(nLs, 1e-300))  # inf if k = d
-        padded_factor = factors - pad
-        padded_inv = lin_inv - (p.alpha + 1.0) * pad
-        exp_margin = padded_factor - p.K
-        dom_margin = float(padded_factor.min() - (restricted + pad).max())
-        worst = int(np.argmin(np.minimum(exp_margin, padded_inv)))
-        a2 = bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0))
+        # pass 2: the pencils of each chunk, merged over chunks in grid order
+        factor, lin_inv, worst, cell, a2, rounds, gap = zip(*semiconj._map_chunks(
+            lambda chunk: _chunk_margins(*chunk, nL_max, k, p, pad), chunks))
+        j = int(np.argmin(worst))
+        cell = cell[j] + j * semiconj.CHUNK
+        # rounding is monotone, so padding the least factor gives the least
+        # padded factor, bit for bit
+        padded_factor = np.min(factor) - pad
+        dom_margin = float(padded_factor - off_core)
+        a2 = all(a2)
         certs.append(ConeCertificate(
             params=p, grid_res=grid_res, padding=float(pad),
-            expansion_factor=float(factors.min()),
-            invariance_margin=float(lin_inv.min()),
-            expansion_margin=float(exp_margin.min()),
+            expansion_factor=float(np.min(factor)),
+            invariance_margin=float(np.min(lin_inv)),
+            expansion_margin=float(padded_factor - p.K),
             domination_margin=dom_margin,
-            worst_cell=tuple(centers[worst]),
+            worst_cell=tuple(semiconj._grid(spec.d, grid_res, 0.5, cell, cell + 1)[0]),
             a2_pass=a2, a4_pass=a2 and dom_margin > 0,
-            pencil_rounds=rounds, pencil_gap=pencil_gap))
+            pencil_rounds=max(rounds), pencil_gap=float(np.max(gap))))
     return certs[0] if single else certs
+
+
+def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad):
+    """The cone minima of one chunk of cells (Jacobians Ls, norms nLs), as
+    (least factor, least linear margin, least padded margin, the first cell
+    attaining it, A2 holds, eigh rounds, pencil gap)."""
+    q_exp, q_inv, rounds, gap = _cone_minima(Ls, nL_max, k, p.alpha)
+    factors = np.sqrt(np.maximum(q_exp, 0.0))
+    lin_inv = q_inv / ((p.alpha + 1.0) * np.maximum(nLs, 1e-300))  # inf if k = d
+    exp_margin = (factors - pad) - p.K
+    padded_inv = lin_inv - (p.alpha + 1.0) * pad
+    worst = np.minimum(exp_margin, padded_inv)
+    i = int(np.argmin(worst))
+    return (factors.min(), lin_inv.min(), worst[i], i,
+            bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0)), rounds, gap)

@@ -228,9 +228,9 @@ def solve_fiber_point(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     One point (y0 of shape (d-k,)) or a batch of n points (y0 of shape
     (n, d-k), x0 of shape (n,) or (n, k)), solved together.  Returns a float
     (k = 1) or a (k,) array for one point, an (n,) or (n, k) array for a
-    batch.  For k = 1 the certified solve of _bisect_batch: a scan shared
-    per fiber line, then safeguarded regula falsi; uncertified damped
-    iteration otherwise.  The work done is added to stats, if given.
+    batch, empty for n = 0.  For k = 1 the certified solve of _bisect_batch:
+    a scan shared per fiber line, then safeguarded regula falsi; uncertified
+    damped iteration otherwise.  The work done is added to stats, if given.
     """
     _require_expanding(engine)
     k = engine.k
@@ -238,6 +238,8 @@ def solve_fiber_point(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     single = Y.ndim < 2
     X = np.asarray(x0, dtype=float).reshape(-1, k)
     Y = Y.reshape(X.shape[0], engine.d - k)
+    if not X.shape[0]:
+        return np.zeros((0,) if k == 1 else (0, k))
     if k == 1:
         T = _bisect_batch(engine, X[:, 0], Y, tol, stats)
         return float(T[0]) if single else T

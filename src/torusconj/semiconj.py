@@ -19,10 +19,22 @@ The engine works on a spec already conjugated into block coordinates
 the decoupled form (zero top-right block) is required: only then does the
 orthogonal projection onto the first k coordinates intertwine M with A,
 which is what the series construction rests on.
+
+Grids and batches are swept CHUNK points at a time, so memory does not grow
+with the grid either.  Chunks are independent: when there is more than one,
+_map_chunks runs them on a pool of one thread per CPU in the process's
+affinity mask (numpy releases the GIL inside sin, cos, floor and matmul)
+and hands their results back in chunk order, so every result is the one a
+serial sweep gives, bit for bit.  One chunk, or one CPU, runs on the calling
+thread and starts no thread.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +46,64 @@ from .specdsl import TorusMapSpec
 
 DEFAULT_EPS_TARGET = 1e-9
 MAX_DEFAULT_N = 512
-CHUNK = 8192        # grid points swept together: peak memory does not grow with the grid
+CHUNK = 4096        # grid points swept together: peak memory does not grow with the grid
+# threads sweeping chunks: the CPUs this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_pool = None                    # the chunk ThreadPoolExecutor, created on first use
+_pool_lock = threading.Lock()
+_worker = threading.local()     # _worker.active is set in the pool's threads
+
+
+def _drop_pool():
+    # a forked child inherits the executor but not its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _mark_worker():
+    _worker.active = True
+
+
+def _map_chunks(fn, chunks):
+    """fn(c) for each c of the iterable chunks, yielded in chunk order.
+
+    With more than one chunk and WORKERS > 1 the calls run on a shared pool
+    of WORKERS threads (numpy releases the GIL in the sweeps), with at most
+    2 WORKERS chunks read ahead of the results taken, so memory stays
+    bounded whatever the number of chunks.  A single chunk, WORKERS == 1,
+    or a call from a pool thread (a nested submit could deadlock the
+    bounded window) runs inline on the calling thread.  An exception in
+    chunk j is raised at j's turn, as in the serial order; the chunks still
+    pending are then cancelled.
+    """
+    global _pool
+    chunks = iter(chunks)
+    head = list(itertools.islice(chunks, 2))
+    if len(head) < 2 or WORKERS == 1 or getattr(_worker, "active", False):
+        for c in itertools.chain(head, chunks):
+            yield fn(c)
+        return
+    # imported here: the cold import would add to every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="torusconj-chunk",
+                                       initializer=_mark_worker)
+        pool = _pool
+    window = deque(pool.submit(fn, c) for c in head)
+    try:
+        window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 2 * WORKERS - 2))
+        while window:
+            yield window.popleft().result()
+            window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 1))
+    finally:
+        for fut in window:
+            fut.cancel()
 
 
 @dataclass(frozen=True)
@@ -235,7 +304,8 @@ def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
     Z = np.asarray(z, dtype=float)
     Zb = Z.reshape(-1, engine.d)
     val = np.zeros((Zb.shape[0], engine.k))
-    for lo in range(0, Zb.shape[0], CHUNK):
+
+    def sweep(lo):
         Zc, series = Zb[lo:lo + CHUNK], val[lo:lo + CHUNK]
         for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N)):
             _add_term(series, g, engine.coef_u, n)
@@ -243,6 +313,8 @@ def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
             for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N, backward=True)):
                 _add_term(series, g, engine.coef_s, n, -1.0)
         series += Zc[:, :engine.k]
+
+    deque(_map_chunks(sweep, range(0, Zb.shape[0], CHUNK)), maxlen=0)
     return PhiValue(value=val.reshape(Z.shape[:-1] + (engine.k,)), error_bound=engine.eps)
 
 
@@ -264,11 +336,11 @@ def _grid(d: int, res: int, offset: float = 0.0, start: int = 0,
     return (np.stack(np.unravel_index(rows, (res,) * d), axis=-1) + offset) / res
 
 
-def _grid_chunks(d: int, res: int):
-    """_grid(d, res) in consecutive pieces of at most CHUNK rows."""
+def _grid_chunks(d: int, res: int, offset: float = 0.0):
+    """_grid(d, res, offset) in consecutive pieces of at most CHUNK rows."""
     n = res ** d
     for lo in range(0, n, CHUNK):
-        yield _grid(d, res, start=lo, stop=min(lo + CHUNK, n))
+        yield _grid(d, res, offset, lo, min(lo + CHUNK, n))
 
 
 @dataclass(frozen=True)
@@ -284,8 +356,8 @@ class ResidualReport:
 
 def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualReport:
     """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)),
-    swept CHUNK grid points at a time; the argmax is the first grid point
-    attaining the maximum.
+    swept CHUNK grid points at a time (on the chunk pool, see _map_chunks);
+    the argmax is the first grid point attaining the maximum.
 
     One forward sweep of N + 1 steps serves both sides: F(theta) is the
     sweep's step 1, so steps 0..N-1 feed Phi(theta) and steps 1..N feed
@@ -298,8 +370,10 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
     """
     N, k = engine.N, engine.k
     bijective = abs(intlat.det_int(engine.spec.M_list())) == 1
-    best, backward, iters = [], [], 0       # best: (max residual, its point) per chunk
-    for theta in _grid_chunks(engine.d, grid_res):
+
+    def sweep(theta):
+        """(max residual, its point, inverse-lift iterations, backward
+        sweeps) over one chunk of the grid."""
         series = np.zeros((theta.shape[0], k))      # Phi(theta) - theta_W
         series_f = np.zeros_like(series)            # Phi(F theta) - (F theta)_W
         for n, (z, g, _) in enumerate(_orbit(engine, theta, N + 1)):
@@ -309,8 +383,9 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
                 ftheta = z
             _add_term(series, g, engine.coef_u, n)
             _add_term(series_f, g, engine.coef_u, n - 1)
+        # each backward sweep: (start, (series, coefficient shift), ...)
+        backward, iters = [], 0
         if engine.mode == "hyperbolic":
-            # each backward sweep: (start, (series, coefficient shift), ...)
             if bijective:
                 _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
                 backward = [(theta, (series, 0), (series_f, 1))]
@@ -325,14 +400,15 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
         rhs = _kernels.wrap(_kernels.wrap(theta[:, :k] + series) @ engine.A.T)
         res = dynamics.torus_distance(lhs, rhs)
         i = int(np.argmax(res))
-        best.append((res[i], theta[i]))
-    j = int(np.argmax([r for r, _ in best]))
+        return res[i], theta[i], iters, len(backward)
+
+    peak, point, iters, sweeps = zip(*_map_chunks(sweep, _grid_chunks(engine.d, grid_res)))
+    j = int(np.argmax(peak))
     ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps
-    sweeps = len(backward)
-    return ResidualReport(max_residual=float(best[j][0]), argmax_point=best[j][1],
+    return ResidualReport(max_residual=float(peak[j]), argmax_point=point[j],
                           ceiling=float(ceiling), grid_res=grid_res,
-                          backward_sweeps=sweeps, inverse_lift_iters=int(iters),
-                          point_steps=grid_res ** engine.d * (N + 1 + sweeps * N))
+                          backward_sweeps=sweeps[j], inverse_lift_iters=int(sum(iters)),
+                          point_steps=grid_res ** engine.d * (N + 1 + sweeps[j] * N))
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
@@ -342,8 +418,9 @@ def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     header = ",".join([f"theta_{i+1}" for i in range(d)]
                       + [f"phi_{i+1}" for i in range(k)] + ["error_bound"])
     row = ",".join(["%.17g"] * (d + k) + ["%.6g" % engine.eps]) + "\r\n"
-    _write_csv(path, header, row, (np.hstack([theta, phi_torus(engine, theta).value])
-                                  for theta in _grid_chunks(d, grid_res)))
+    _write_csv(path, header, row, _map_chunks(
+        lambda theta: np.hstack([theta, phi_torus(engine, theta).value]),
+        _grid_chunks(d, grid_res)))
 
 
 def _write_csv(path, header: str, row: str, blocks) -> None:

@@ -160,13 +160,19 @@ def test_skew_product_fixture(engine_2d):
     assert rep.max_base_residual <= rep.ceiling
 
 
-def test_damped_solver_k2(rng):
-    # k = 2 expanding block: uncertified damped solve with residual check.
-    # conformal core (A = 3I) keeps the series well-conditioned in t
+@pytest.fixture(scope="module")
+def engine_k2():
+    # k = 2 expanding block; the conformal core (A = 3I) keeps the series
+    # well-conditioned in t
     s = parse_spec("dim=3\nM=[[3,0,0],[0,3,0],[0,0,1]]\n"
                    "G[1]=0.02*sin(2*pi*(z1+z3))\nG[2]=0.02*cos(2*pi*(z2))\n")
     bf = block_triangularize(s.M_list(), [[1, 0, 0], [0, 1, 0]])
-    eng = build_engine(s, bf, N=20)
+    return build_engine(s, bf, N=20)
+
+
+def test_damped_solver_k2(engine_k2):
+    # k = 2: uncertified damped solve with residual check
+    eng = engine_k2
     x0 = np.array([0.3, 0.6])
     y0 = np.array([0.25])
     t = conjmap.solve_fiber_point(eng, x0, y0, tol=1e-10)
@@ -179,6 +185,16 @@ def test_damped_solver_k2(rng):
     assert T.shape == (2, 2)
     res = np.linalg.norm(semiconj.phi_hat(eng, np.hstack([T, Y])).value - X, axis=1)
     assert res.max() <= 1e-10
+
+
+def test_empty_batch_solves_to_empty(engine_2d, engine_k2):
+    # an empty batch is an empty answer of the batch shape, on both paths
+    stats = conjmap.FiberStats()
+    t = conjmap.solve_fiber_point(engine_2d, np.zeros(0), np.zeros((0, 1)), stats=stats)
+    assert t.shape == (0,) and stats == conjmap.FiberStats()
+    T = conjmap.solve_fiber_point(engine_k2, np.zeros((0, 2)), np.zeros((0, 1)))
+    assert T.shape == (0, 2)
+    assert conjmap.H_inverse(engine_2d, np.zeros(0), np.zeros((0, 1))).shape == (0, 2)
 
 
 def test_exports(engine_2d, tmp_path):
