@@ -261,10 +261,14 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
 
     params is one ConeParams, giving one ConeCertificate, or a sequence of
     them sharing one k, giving a list of certificates in the same order.
-    The cells, their Jacobians, the padding and the alpha-free norms are
-    built once for the whole sequence.  The pencils are solved CHUNK cells
-    (semiconj.CHUNK) at a time, so their work arrays do not grow with the
-    grid; the certificates are those of one batch over all cells."""
+    The cells are swept CHUNK cells (semiconj.CHUNK) at a time, in two
+    passes, so memory does not grow with the grid.  Pass 1 builds each
+    chunk's Jacobians and keeps only the largest norm, which sets every
+    pencil's lambda range.  Pass 2 is one chunk map: it rebuilds each
+    chunk's Jacobians and norms, takes their largest padded off-core
+    stretch and solves the pencils of every alpha; the results are merged
+    per alpha over chunks in grid order.  The certificates are those of one
+    batch over all cells."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
     single = isinstance(params, ConeParams)
@@ -276,22 +280,28 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     # worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2
     pad = dynamics.norm_bounds(spec).dg_lip * (1.0 / grid_res) * math.sqrt(spec.d) / 2.0
     alpha_max = max(p.alpha for p in plist)
-    # pass 1, CHUNK cells at a time: each cell's Jacobian and its norms;
-    # the largest norm sets the pencils' lambda range
-    chunks = []
-    for centers in semiconj._grid_chunks(spec.d, grid_res, offset=0.5):
-        Ls = dynamics.jacobian(spec, centers)
-        chunks.append((Ls, _checked_norms(Ls, alpha_max, pad)))
-    nL_max = float(np.max([nLs.max() for _, nLs in chunks]))
-    # padded off-core stretch; 0 + pad if k = d
-    off_core = np.max([(np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2)) + pad).max()
-                       for Ls, _ in chunks])
 
+    def cells(centers):
+        Ls = dynamics.jacobian(spec, centers)
+        return Ls, _checked_norms(Ls, alpha_max, pad)
+
+    # pass 1: the largest norm sets every pencil's lambda range
+    nL_max = max(float(cells(centers)[1].max())
+                 for centers in semiconj._grid_chunks(spec.d, grid_res, offset=0.5))
+
+    # pass 2: the padded off-core stretch (0 + pad if k = d) and every
+    # alpha's pencils, chunk by chunk
+    def margins(centers):
+        Ls, nLs = cells(centers)
+        stretch = (np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2)) + pad).max()
+        return stretch, [_chunk_margins(Ls, nLs, nL_max, k, p, pad) for p in plist]
+
+    stretch, per_chunk = zip(*semiconj._map_chunks(
+        margins, semiconj._grid_chunks(spec.d, grid_res, offset=0.5)))
+    off_core = max(stretch)
     certs = []
-    for p in plist:
-        # pass 2: the pencils of each chunk, merged over chunks in grid order
-        factor, lin_inv, worst, cell, a2, rounds, gap = zip(*semiconj._map_chunks(
-            lambda chunk: _chunk_margins(*chunk, nL_max, k, p, pad), chunks))
+    for p, chunk_margins in zip(plist, zip(*per_chunk)):
+        factor, lin_inv, worst, cell, a2, rounds, gap = zip(*chunk_margins)
         j = int(np.argmin(worst))
         cell = cell[j] + j * semiconj.CHUNK
         # rounding is monotone, so padding the least factor gives the least

@@ -270,8 +270,7 @@ class SkewReport:
 def skew_ceiling(engine: SemiConjEngine, tol: float) -> float:
     """The ceiling on the skew-product base residual: (||A|| + 1) eps +
     ||A|| tol + 1e-12."""
-    nA = float(np.linalg.norm(engine.A, 2))
-    return float((nA + 1.0) * engine.eps + nA * tol + 1e-12)
+    return float(engine.ceiling + engine.norm_A * tol + 1e-12)
 
 
 def skew_product_residual(engine: SemiConjEngine, grid_res: int,

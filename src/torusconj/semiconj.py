@@ -23,10 +23,11 @@ which is what the series construction rests on.
 Grids and batches are swept CHUNK points at a time, so memory does not grow
 with the grid either.  Chunks are independent: when there is more than one,
 _map_chunks runs them on a pool of one thread per CPU in the process's
-affinity mask (numpy releases the GIL inside sin, cos, floor and matmul)
-and hands their results back in chunk order, so every result is the one a
-serial sweep gives, bit for bit.  One chunk, or one CPU, runs on the calling
-thread and starts no thread.
+affinity mask (numpy releases the GIL inside sin, cos, floor and matmul),
+opened for that one call and joined before it returns, and hands their
+results back in chunk order, so every result is the one a serial sweep
+gives, bit for bit.  One chunk, or one CPU, runs on the calling thread and
+starts no thread.
 """
 
 from __future__ import annotations
@@ -50,60 +51,40 @@ CHUNK = 4096        # grid points swept together: peak memory does not grow with
 # threads sweeping chunks: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-_pool = None                    # the chunk ThreadPoolExecutor, created on first use
-_pool_lock = threading.Lock()
-_worker = threading.local()     # _worker.active is set in the pool's threads
-
-
-def _drop_pool():
-    # a forked child inherits the executor but not its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _mark_worker():
-    _worker.active = True
+POOL_PREFIX = "torusconj-chunk"     # name prefix of the threads that sweep chunks
 
 
 def _map_chunks(fn, chunks):
     """fn(c) for each c of the iterable chunks, yielded in chunk order.
 
-    With more than one chunk and WORKERS > 1 the calls run on a shared pool
-    of WORKERS threads (numpy releases the GIL in the sweeps), with at most
-    2 WORKERS chunks read ahead of the results taken, so memory stays
-    bounded whatever the number of chunks.  A single chunk, WORKERS == 1,
-    or a call from a pool thread (a nested submit could deadlock the
-    bounded window) runs inline on the calling thread.  An exception in
-    chunk j is raised at j's turn, as in the serial order; the chunks still
-    pending are then cancelled.
+    With more than one chunk and WORKERS > 1 the calls run on a pool of
+    WORKERS threads opened for this call and joined when it ends, however
+    it ends (numpy releases the GIL in the sweeps), with at most 2 WORKERS
+    chunks read ahead of the results taken, so memory stays bounded
+    whatever the number of chunks.  A single chunk, WORKERS == 1, or a call
+    from a pool thread (a chunk that maps chunks) runs inline on the calling
+    thread.  An exception in chunk j is raised at j's turn, as in the serial
+    order; the chunks still pending are then cancelled.
     """
-    global _pool
     chunks = iter(chunks)
     head = list(itertools.islice(chunks, 2))
-    if len(head) < 2 or WORKERS == 1 or getattr(_worker, "active", False):
+    if (len(head) < 2 or WORKERS == 1
+            or threading.current_thread().name.startswith(POOL_PREFIX)):
         for c in itertools.chain(head, chunks):
             yield fn(c)
         return
     # imported here: the cold import would add to every CLI start
     from concurrent.futures import ThreadPoolExecutor
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="torusconj-chunk",
-                                       initializer=_mark_worker)
-        pool = _pool
-    window = deque(pool.submit(fn, c) for c in head)
-    try:
-        window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 2 * WORKERS - 2))
-        while window:
-            yield window.popleft().result()
-            window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 1))
-    finally:
-        for fut in window:
-            fut.cancel()
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix=POOL_PREFIX) as pool:
+        window = deque(pool.submit(fn, c) for c in head)
+        try:
+            window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 2 * WORKERS - 2))
+            while window:
+                yield window.popleft().result()
+                window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 1))
+        finally:
+            for fut in window:
+                fut.cancel()
 
 
 @dataclass(frozen=True)
@@ -120,6 +101,8 @@ class SemiConjEngine:
     k: int
     d: int
     eps: float                  # certified truncation (+ inversion) bound
+    norm_A: float               # ||A||_2
+    ceiling: float              # (||A||_2 + 1) eps: the semi-conjugacy residual's ceiling
     rho: float                  # contraction rate used in the tail
     c_a: float                  # sum_{n>=1} ||A^{-n}|| bound (unstable part)
     norms: dynamics.NormBounds
@@ -251,8 +234,11 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
                                     np.linalg.norm(Ls, 2))
         inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
         eps = eps_series + inv_unit * inv_tol
+    eps = float(eps)
+    norm_A = float(np.linalg.norm(A, 2))
     return SemiConjEngine(
-        spec=spec, mode=mode, N=N, k=k, d=d, eps=float(eps),
+        spec=spec, mode=mode, N=N, k=k, d=d, eps=eps,
+        norm_A=norm_A, ceiling=(norm_A + 1.0) * eps,
         rho=float(rho), c_a=c_a, norms=nb, A=A, coef_u=coef_u, coef_s=coef_s,
         inv_tol=float(inv_tol), lift=lift)
 
@@ -347,7 +333,7 @@ def _grid_chunks(d: int, res: int, offset: float = 0.0):
 class ResidualReport:
     max_residual: float
     argmax_point: np.ndarray
-    ceiling: float              # (||A|| + 1) * eps_N
+    ceiling: float              # engine.ceiling: (||A|| + 1) * eps_N
     grid_res: int
     backward_sweeps: int        # inverse-lift orbit sweeps: 0, 1 or 2
     inverse_lift_iters: int     # Newton iterations summed over backward steps and chunks
@@ -404,9 +390,8 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 
     peak, point, iters, sweeps = zip(*_map_chunks(sweep, _grid_chunks(engine.d, grid_res)))
     j = int(np.argmax(peak))
-    ceiling = (np.linalg.norm(engine.A, 2) + 1.0) * engine.eps
     return ResidualReport(max_residual=float(peak[j]), argmax_point=point[j],
-                          ceiling=float(ceiling), grid_res=grid_res,
+                          ceiling=engine.ceiling, grid_res=grid_res,
                           backward_sweeps=sweeps[j], inverse_lift_iters=int(sum(iters)),
                           point_steps=grid_res ** engine.d * (N + 1 + sweeps[j] * N))
 

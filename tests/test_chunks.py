@@ -1,6 +1,7 @@
 """The chunk map of semiconj: pooled sweeps give the serial results bit for
 bit, in grid order, with a bounded read-ahead, and never a thread where
-one chunk or one CPU is all there is."""
+one chunk or one CPU is all there is; no pool thread outlives the call that
+started it."""
 
 import multiprocessing
 import os
@@ -17,12 +18,29 @@ from torusconj.errors import EngineError
 
 @pytest.fixture
 def workers(monkeypatch):
-    """set(n): sweep 100-point chunks on n threads, from a fresh pool."""
+    """set(n): sweep 100-point chunks on n threads."""
     def set_workers(n):
         monkeypatch.setattr(semiconj, "WORKERS", n)
         monkeypatch.setattr(semiconj, "CHUNK", 100)
-        monkeypatch.setattr(semiconj, "_pool", None)
     return set_workers
+
+
+@pytest.fixture
+def orbit_threads(monkeypatch):
+    """The names of the threads that sweep an orbit from now on."""
+    names = set()
+    real = semiconj._orbit
+
+    def orbit(*a, **kw):
+        names.add(threading.current_thread().name)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(semiconj, "_orbit", orbit)
+    return names
+
+
+def _chunk_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(semiconj.POOL_PREFIX)]
 
 
 def _results(engines, tmp_path):
@@ -40,7 +58,8 @@ def _results(engines, tmp_path):
     return out
 
 
-def test_pooled_equals_serial(engine_1d, engine_2d, engine_cat, workers, tmp_path):
+def test_pooled_equals_serial(engine_1d, engine_2d, engine_cat, workers, orbit_threads,
+                              tmp_path):
     # pool threads write disjoint slices of one output array; more threads
     # than CPUs and frequent thread switches would show a lost write
     engines = (engine_1d, engine_2d, engine_cat)
@@ -51,8 +70,9 @@ def test_pooled_equals_serial(engine_1d, engine_2d, engine_cat, workers, tmp_pat
         sys.setswitchinterval(1e-5)
         for n in (2, 5):
             workers(n)
+            orbit_threads.clear()
             assert _results(engines, tmp_path) == serial
-            assert semiconj._pool is not None
+            assert all(name.startswith(semiconj.POOL_PREFIX) for name in orbit_threads)
     finally:
         sys.setswitchinterval(interval)
 
@@ -107,27 +127,51 @@ def test_read_ahead_is_bounded(n, workers):
     assert max(ahead) <= 2 * n
 
 
-def test_one_cpu_or_one_chunk_starts_no_thread(engine_2d, workers, monkeypatch):
-    seen = set()
-    real = semiconj._orbit
-
-    def orbit(*a, **kw):
-        seen.add(threading.current_thread())
-        return real(*a, **kw)
-
-    monkeypatch.setattr(semiconj, "_orbit", orbit)
+def test_one_cpu_or_one_chunk_starts_no_thread(engine_2d, workers, orbit_threads):
     workers(1)
     semiconj.semiconjugacy_residual(engine_2d, 40)
     semiconj.phi_hat(engine_2d, semiconj._grid(2, 40))
     workers(2)
     semiconj.phi_hat(engine_2d, semiconj._grid(2, 10))
-    assert seen == {threading.current_thread()} and semiconj._pool is None
+    assert orbit_threads == {threading.current_thread().name}
+
+
+def test_no_pool_thread_outlives_a_pooled_sweep(engine_2d, workers, orbit_threads, tmp_path):
+    workers(2)
+    for sweep in (lambda: semiconj.semiconjugacy_residual(engine_2d, 40),
+                  lambda: semiconj.phi_hat(engine_2d, semiconj._grid(2, 40)),
+                  lambda: semiconj.export_phi_grid(engine_2d, 40, tmp_path / "phi.csv")):
+        orbit_threads.clear()
+        sweep()
+        assert orbit_threads and all(name.startswith(semiconj.POOL_PREFIX)
+                                     for name in orbit_threads)
+        assert _chunk_threads() == []
+
+
+def test_no_pool_thread_outlives_a_closed_chunk_map(workers):
+    workers(2)
+    results = semiconj._map_chunks(lambda i: threading.current_thread().name, range(40))
+    assert next(results).startswith(semiconj.POOL_PREFIX)
+    results.close()
+    assert _chunk_threads() == []
+
+
+def test_chunk_map_inside_a_chunk_runs_inline(workers):
+    # a nested map on its chunk's thread: no pool per pool thread, and no
+    # submit that waits on the outer map's window
+    workers(2)
+
+    def outer(i):
+        inner = semiconj._map_chunks(lambda j: threading.current_thread(), range(5))
+        return threading.current_thread(), set(inner)
+
+    for thread, inner in semiconj._map_chunks(outer, range(6)):
+        assert thread.name.startswith(semiconj.POOL_PREFIX) and inner == {thread}
 
 
 def test_forked_child_sweeps_on_its_own_pool(engine_2d, workers):
     workers(2)
     expected = semiconj.semiconjugacy_residual(engine_2d, 40).max_residual
-    assert semiconj._pool is not None
 
     def child():
         r = semiconj.semiconjugacy_residual(engine_2d, 40)

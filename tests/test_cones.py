@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torusconj import parse_spec
-from torusconj import cones, dynamics
+from torusconj import cones, dynamics, semiconj
 from torusconj.errors import FloatRangeError
 
 
@@ -165,12 +165,17 @@ def test_verify_A2_many_equals_single(spec_2d_S):
         cones.verify_A2(spec_2d_S, [], 32)
 
 
-def test_verify_A2_jacobian_once(spec_2d_S, monkeypatch):
+def test_verify_A2_jacobian_twice_per_chunk(spec_2d_S, monkeypatch):
+    # each pass builds a chunk's Jacobians once, for all alphas together;
+    # no chunk's Jacobians are kept until the next pass
+    monkeypatch.setattr(semiconj, "CHUNK", 100)
     calls = []
     real = dynamics.jacobian
-    monkeypatch.setattr(dynamics, "jacobian", lambda *a: calls.append(a) or real(*a))
-    cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 32)
-    assert len(calls) == 1
+    monkeypatch.setattr(dynamics, "jacobian", lambda *a: calls.append(len(a[1])) or real(*a))
+    for alphas in (ALPHAS[:1], ALPHAS):
+        calls.clear()
+        cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in alphas], 32)
+        assert sorted(calls) == 2 * [24] + 20 * [100]     # 1024 cells: 10 full chunks and 24
 
 
 def test_cone_params_rejects_bad_alpha():
