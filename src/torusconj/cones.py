@@ -146,21 +146,20 @@ def _pencil_max_lambda_min(Q: np.ndarray, J: np.ndarray, lam_hi: float) -> Penci
     return PencilSolve(value, lam, gap, rounds)
 
 
-def _checked_norms(Ls: np.ndarray, alpha_max: float, pad: float = 0.0) -> np.ndarray:
-    """The spectral norms of a batch of matrices (n, d, d), once their cone
-    pencils, up to opening alpha_max and with padding pad, are known to stay
-    inside float64; FloatRangeError otherwise."""
-    # d max|L_ij| bounds every ||L||
-    scale = max(float(np.abs(Ls).max()) * Ls.shape[-1], 1.0) * max(alpha_max, 1.0)
-    if not (np.isfinite(pad) and np.isfinite(Ls).all() and scale <= MAX_SCALE):
-        raise FloatRangeError(f"the cone pencils would leave float64: d max|L_ij| max(alpha, 1) "
-                              f"= {scale:.3g} (at most {MAX_SCALE:.3g}), padding {pad:.3g}")
-    return np.linalg.norm(Ls, ord=2, axis=(1, 2))
+def _range_gate(nL_max: float, alpha_max: float, pad: float = 0.0) -> None:
+    """FloatRangeError unless the cone pencils of matrices with spectral
+    norms at most nL_max, up to opening alpha_max and with padding pad,
+    stay inside float64."""
+    scale = max(nL_max, 1.0) * max(alpha_max, 1.0)
+    if not (np.isfinite(pad) and scale <= MAX_SCALE):
+        raise FloatRangeError(f"the cone pencils would leave float64: max(||L||, 1) max(alpha, 1) "
+                              f"<= {scale:.3g} (at most {MAX_SCALE:.3g}), padding {pad:.3g}")
 
 
 def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
     """Certified (q_exp, q_inv, rounds, gap) for a batch of matrices (n, d, d)
-    whose spectral norms are at most nL_max:
+    whose spectral norms are at most nL_max (checked by _range_gate), which
+    sets every pencil's lambda range:
 
     q_exp = min over unit v in C_alpha of ||(Lv)_a||^2,
     q_inv = min over unit v in C_alpha of alpha^2 ||(Lv)_a||^2 - ||(Lv)_b||^2;
@@ -219,9 +218,10 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     k, alpha = params.k, params.alpha
-    nLs = _checked_norms(L[None], alpha)
-    q_exp, q_inv, _, _ = _cone_minima(L[None], float(nLs[0]), k, alpha)
-    q_exp, q_inv, nL = float(q_exp[0]), float(q_inv[0]), float(nLs[0])
+    _range_gate(float(np.abs(L).max()) * d, alpha)     # d max|L_ij| bounds ||L||
+    nL = float(np.linalg.norm(L, 2))
+    q_exp, q_inv, _, _ = _cone_minima(L[None], nL, k, alpha)
+    q_exp, q_inv = float(q_exp[0]), float(q_inv[0])
     restricted = float(np.linalg.norm(L[:, k:], 2)) if d > k else 0.0
     inv_margin = q_inv / ((alpha + 1.0) * max(nL, 1e-300))     # inf when k = d
     if cross_validate:
@@ -261,14 +261,13 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
 
     params is one ConeParams, giving one ConeCertificate, or a sequence of
     them sharing one k, giving a list of certificates in the same order.
-    The cells are swept CHUNK cells (semiconj.CHUNK) at a time, in two
-    passes, so memory does not grow with the grid.  Pass 1 builds each
-    chunk's Jacobians and keeps only the largest norm, which sets every
-    pencil's lambda range.  Pass 2 is one chunk map: it rebuilds each
-    chunk's Jacobians and norms, takes their largest padded off-core
-    stretch and solves the pencils of every alpha; the results are merged
-    per alpha over chunks in grid order.  The certificates are those of one
-    batch over all cells."""
+    Every pencil's lambda range and the float64 range gate come once per
+    call from ||M||_2 + Lip(G), which bounds ||DF(z)||_2 at every point.
+    The cells are swept in one chunk map, CHUNK cells (semiconj.CHUNK) at a
+    time, so memory does not grow with the grid: each chunk builds its
+    Jacobians once, takes their largest padded off-core stretch and solves
+    the pencils of every alpha.  The results are merged per alpha in grid
+    order, so the certificates are those of one batch over all cells."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
     single = isinstance(params, ConeParams)
@@ -277,24 +276,19 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     if len(ks) != 1:
         raise ValueError(f"verify_A2 needs one or more ConeParams sharing one k, got k in {ks}")
     k = ks.pop()
+    nb = dynamics.norm_bounds(spec)
     # worst Jacobian drift within a cell: dg_lip * h * sqrt(d) / 2
-    pad = dynamics.norm_bounds(spec).dg_lip * (1.0 / grid_res) * math.sqrt(spec.d) / 2.0
-    alpha_max = max(p.alpha for p in plist)
+    pad = nb.dg_lip * (1.0 / grid_res) * math.sqrt(spec.d) / 2.0
+    nL_max = float(np.linalg.norm(dynamics.M_array(spec), 2)) + nb.g_lip
+    _range_gate(nL_max, max(p.alpha for p in plist), pad)
 
-    def cells(centers):
-        Ls = dynamics.jacobian(spec, centers)
-        return Ls, _checked_norms(Ls, alpha_max, pad)
-
-    # pass 1: the largest norm sets every pencil's lambda range
-    nL_max = max(float(cells(centers)[1].max())
-                 for centers in semiconj._grid_chunks(spec.d, grid_res, offset=0.5))
-
-    # pass 2: the padded off-core stretch (0 + pad if k = d) and every
-    # alpha's pencils, chunk by chunk
+    # the padded off-core stretch (0 + pad if k = d) and every alpha's
+    # pencils, chunk by chunk
     def margins(centers):
-        Ls, nLs = cells(centers)
+        Ls = dynamics.jacobian(spec, centers)
+        nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))
         stretch = (np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2)) + pad).max()
-        return stretch, [_chunk_margins(Ls, nLs, nL_max, k, p, pad) for p in plist]
+        return stretch, [_chunk_margins(Ls, nLs, nL_max, k, p, pad, centers) for p in plist]
 
     stretch, per_chunk = zip(*semiconj._map_chunks(
         margins, semiconj._grid_chunks(spec.d, grid_res, offset=0.5)))
@@ -303,7 +297,6 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     for p, chunk_margins in zip(plist, zip(*per_chunk)):
         factor, lin_inv, worst, cell, a2, rounds, gap = zip(*chunk_margins)
         j = int(np.argmin(worst))
-        cell = cell[j] + j * semiconj.CHUNK
         # rounding is monotone, so padding the least factor gives the least
         # padded factor, bit for bit
         padded_factor = np.min(factor) - pad
@@ -315,16 +308,17 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
             invariance_margin=float(np.min(lin_inv)),
             expansion_margin=float(padded_factor - p.K),
             domination_margin=dom_margin,
-            worst_cell=tuple(semiconj._grid(spec.d, grid_res, 0.5, cell, cell + 1)[0]),
+            worst_cell=cell[j],
             a2_pass=a2, a4_pass=a2 and dom_margin > 0,
             pencil_rounds=max(rounds), pencil_gap=float(np.max(gap))))
     return certs[0] if single else certs
 
 
-def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad):
-    """The cone minima of one chunk of cells (Jacobians Ls, norms nLs), as
-    (least factor, least linear margin, least padded margin, the first cell
-    attaining it, A2 holds, eigh rounds, pencil gap)."""
+def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad, centers):
+    """The cone minima of one chunk of cells (Jacobians Ls, norms nLs, cell
+    centres centers), as (least factor, least linear margin, least padded
+    margin, the centre of the first cell attaining it, A2 holds, eigh
+    rounds, pencil gap)."""
     q_exp, q_inv, rounds, gap = _cone_minima(Ls, nL_max, k, p.alpha)
     factors = np.sqrt(np.maximum(q_exp, 0.0))
     lin_inv = q_inv / ((p.alpha + 1.0) * np.maximum(nLs, 1e-300))  # inf if k = d
@@ -332,5 +326,5 @@ def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad):
     padded_inv = lin_inv - (p.alpha + 1.0) * pad
     worst = np.minimum(exp_margin, padded_inv)
     i = int(np.argmin(worst))
-    return (factors.min(), lin_inv.min(), worst[i], i,
+    return (factors.min(), lin_inv.min(), worst[i], tuple(centers[i]),
             bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0)), rounds, gap)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, semiconj
+from . import _kernels, dynamics, semiconj
 from .errors import EngineError, FiberSolveError
 from .semiconj import SemiConjEngine
 
@@ -51,7 +51,7 @@ def H_forward(engine: SemiConjEngine, z):
     _require_expanding(engine)
     Z = np.asarray(z, dtype=float)
     phi = semiconj.phi_torus(engine, Z).value
-    y = np.mod(Z[..., engine.k:], 1.0)
+    y = _kernels.wrap(Z[..., engine.k:])
     return phi, y
 
 
@@ -251,10 +251,10 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
               stats: FiberStats | None = None):
     """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol; one
     point or a batch, shaped as for solve_fiber_point."""
-    Y = np.mod(np.asarray(y0, dtype=float), 1.0)
+    Y = _kernels.wrap(np.asarray(y0, dtype=float))
     t = np.reshape(solve_fiber_point(engine, x0, y0, tol, stats),
                    Y.shape[:-1] + (engine.k,))
-    return np.mod(np.concatenate([t, Y], axis=-1), 1.0)
+    return _kernels.wrap(np.concatenate([t, Y], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     Z = H_inverse(engine, X, Y, tol, stats)
     FZ = dynamics.eval_torus(engine.spec, Z)
     base = semiconj.phi_torus(engine, FZ).value
-    target = np.mod(X @ engine.A.T, 1.0)
+    target = _kernels.wrap(X @ engine.A.T)
     resid = dynamics.torus_distance(base, target)
     return SkewReport(grid_res=grid_res, tol=tol,
                       max_base_residual=float(resid.max()),

@@ -11,9 +11,8 @@ import numpy as np
 
 from . import _kernels, intlat
 from .errors import ContractionError, LatticeError
+from ._kernels import TWO_PI
 from .specdsl import TorusMapSpec, TrigTerm, make_spec
-
-TWO_PI = 2.0 * np.pi
 
 
 class TermArrays(NamedTuple):
@@ -74,7 +73,7 @@ def eval_lift(spec: TorusMapSpec, z):
 
 def eval_torus(spec: TorusMapSpec, theta):
     """The torus map: eval_lift reduced into [0,1) per coordinate."""
-    return np.mod(eval_lift(spec, theta), 1.0)
+    return _kernels.wrap(eval_lift(spec, theta))
 
 
 def jacobian(spec: TorusMapSpec, z):

@@ -14,6 +14,11 @@ N.  An expanding block is the case with an empty stable part: P = I and
 coef_s = 0, so the backward orbit and the inverse-lift budget drop out and
 every certified quantity comes from the same formulas.
 
+Hyperbolic mode needs |det M| = 1, which makes F a bijection of the torus
+with one backward orbit per point.  With |det M| > 1, F is many-to-one and
+only its inverse limit is stable (F. Przytycki, "Anosov endomorphisms",
+Studia Math. 58, 1976), so build_engine refuses it.
+
 The engine works on a spec already conjugated into block coordinates
 (see intlat.block_triangularize + dynamics.change_coordinates).  For k < d
 the decoupled form (zero top-right block) is required: only then does the
@@ -169,18 +174,21 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
     geometric estimate ||D_u^{-N}|| * rho / (1 - rho), plus the stable-side
     term and, when the stable block is not empty (ku < k), a backward-orbit
     inversion budget.  With N=None the smallest N meeting eps_target is chosen
-    (requires rho <= 0.9).
+    (requires rho <= 0.9).  Hyperbolic mode requires |det M| = 1.
     """
-    if block.classification == "neither":
+    mode = block.classification
+    if mode == "neither":
         raise EngineError("top-left block is neither expanding nor hyperbolic")
     k, d = block.k, spec.d
     if k < d and not block.decoupled:
         raise EngineError(
             "block form is coupled (nonzero top-right block); the series "
             "semi-conjugacy needs the decoupled form for k < d")
+    if mode == "hyperbolic" and abs(det := intlat.det_int(spec.M_list())) != 1:
+        raise EngineError(f"hyperbolic mode needs |det M| = 1, got det M = {det}: F is not "
+                          "a bijection of the torus, so its points have no unique backward orbit")
     nb = dynamics.norm_bounds(spec)
     A = block.A_array()
-    mode = block.classification
     # expanding mode is the split with an empty stable block: P = I, ku = k
     P, ku = (np.eye(k), k) if mode == "expanding" else _real_invariant_split(A)
     Pinv = np.linalg.inv(P)
@@ -335,7 +343,7 @@ class ResidualReport:
     argmax_point: np.ndarray
     ceiling: float              # engine.ceiling: (||A|| + 1) * eps_N
     grid_res: int
-    backward_sweeps: int        # inverse-lift orbit sweeps: 0, 1 or 2
+    backward_sweeps: int        # inverse-lift orbit sweeps: 0 (expanding) or 1
     inverse_lift_iters: int     # Newton iterations summed over backward steps and chunks
     point_steps: int            # points x orbit steps, forward plus backward
 
@@ -347,19 +355,18 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 
     One forward sweep of N + 1 steps serves both sides: F(theta) is the
     sweep's step 1, so steps 0..N-1 feed Phi(theta) and steps 1..N feed
-    Phi(F(theta)), each step into both as it arrives.  When |det M| = 1, F
-    is a bijection of the torus and the backward orbit of F(theta) is
-    theta, F^-1(theta), ...: one backward sweep of N steps from theta feeds
-    Phi(theta), and G(theta) followed by its first N - 1 values feeds
-    Phi(F(theta)).  When |det M| > 1 the lift-inverse branch of the reduced
-    F(theta) need not be theta, so F(theta) gets its own backward sweep.
+    Phi(F(theta)), each step into both as it arrives.  In hyperbolic mode
+    F is a bijection of the torus (|det M| = 1, see build_engine), so the
+    backward orbit of F(theta) is theta, F^-1(theta), ...: one backward
+    sweep of N steps from theta feeds Phi(theta), and G(theta) followed by
+    its first N - 1 values feeds Phi(F(theta)).
     """
     N, k = engine.N, engine.k
-    bijective = abs(intlat.det_int(engine.spec.M_list())) == 1
+    sweeps = int(engine.mode == "hyperbolic")
 
     def sweep(theta):
-        """(max residual, its point, inverse-lift iterations, backward
-        sweeps) over one chunk of the grid."""
+        """(max residual, its point, inverse-lift iterations) over one
+        chunk of the grid."""
         series = np.zeros((theta.shape[0], k))      # Phi(theta) - theta_W
         series_f = np.zeros_like(series)            # Phi(F theta) - (F theta)_W
         for n, (z, g, _) in enumerate(_orbit(engine, theta, N + 1)):
@@ -369,31 +376,25 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
                 ftheta = z
             _add_term(series, g, engine.coef_u, n)
             _add_term(series_f, g, engine.coef_u, n - 1)
-        # each backward sweep: (start, (series, coefficient shift), ...)
-        backward, iters = [], 0
-        if engine.mode == "hyperbolic":
-            if bijective:
-                _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
-                backward = [(theta, (series, 0), (series_f, 1))]
-            else:
-                backward = [(theta, (series, 0)), (ftheta, (series_f, 0))]
-        for start, *feeds in backward:
-            for n, (_, g, it) in enumerate(_orbit(engine, start, N, backward=True)):
+        iters = 0
+        if sweeps:
+            _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
+            for n, (_, g, it) in enumerate(_orbit(engine, theta, N, backward=True)):
                 iters += it
-                for acc, shift in feeds:
-                    _add_term(acc, g, engine.coef_s, n + shift, -1.0)
+                _add_term(series, g, engine.coef_s, n, -1.0)
+                _add_term(series_f, g, engine.coef_s, n + 1, -1.0)
         lhs = _kernels.wrap(ftheta[:, :k] + series_f)
         rhs = _kernels.wrap(_kernels.wrap(theta[:, :k] + series) @ engine.A.T)
         res = dynamics.torus_distance(lhs, rhs)
         i = int(np.argmax(res))
-        return res[i], theta[i], iters, len(backward)
+        return res[i], theta[i].copy(), iters     # a copy: a view would keep the chunk
 
-    peak, point, iters, sweeps = zip(*_map_chunks(sweep, _grid_chunks(engine.d, grid_res)))
+    peak, point, iters = zip(*_map_chunks(sweep, _grid_chunks(engine.d, grid_res)))
     j = int(np.argmax(peak))
     return ResidualReport(max_residual=float(peak[j]), argmax_point=point[j],
                           ceiling=engine.ceiling, grid_res=grid_res,
-                          backward_sweeps=sweeps[j], inverse_lift_iters=int(sum(iters)),
-                          point_steps=grid_res ** engine.d * (N + 1 + sweeps[j] * N))
+                          backward_sweeps=sweeps, inverse_lift_iters=int(sum(iters)),
+                          point_steps=grid_res ** engine.d * (N + 1 + sweeps * N))
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:

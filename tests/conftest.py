@@ -16,6 +16,12 @@ FIX_CAT = ("dim=2\n"
            "G[1]=0.02*sin(2*pi*(z1))\n"
            "G[2]=0.02*cos(2*pi*(z2))\n")
 
+# |det M| = 2, eigenvalues 2 +- sqrt(2): hyperbolic, F is 2-to-1 on the torus
+FIX_DET2 = ("dim=2\n"
+            "M=[[3,1],[1,1]]\n"
+            "G[1]=0.005*sin(2*pi*(z1))\n"
+            "G[2]=0.005*cos(2*pi*(z2))\n")
+
 # companion matrix of x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1,
 # the smallest known Salem polynomial; irreducible, so no integer eigenvalue
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]  # c0..c10

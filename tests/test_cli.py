@@ -8,7 +8,7 @@ import pytest
 from torusconj import semiconj
 from torusconj.cli import main
 
-from conftest import FIX_1D, FIX_2D, FIX_CAT, lehmer_spec_text
+from conftest import FIX_1D, FIX_2D, FIX_CAT, FIX_DET2, lehmer_spec_text
 
 
 @pytest.fixture()
@@ -349,6 +349,16 @@ def test_uncertified_inverse_lift_exits_1(tmp_path, capsys):
                          "--grid", "8")
     assert (code, out) == (1, "")
     assert "not certified" in err
+
+
+def test_non_unimodular_hyperbolic_exits_1(tmp_path, capsys):
+    # |det M| = 2: F is 2-to-1 on the torus, so hyperbolic mode is refused
+    # with a typed error before any report is written
+    p = tmp_path / "det2.map"
+    p.write_text(FIX_DET2)
+    code, out, err = run(capsys, "verify-semiconj", str(p), "--sublattice", "full")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "det M = 2" in err and err.count("\n") == 1
 
 
 # finite norm bounds, but G so large that every residual wraps to 0 and

@@ -165,9 +165,9 @@ def test_verify_A2_many_equals_single(spec_2d_S):
         cones.verify_A2(spec_2d_S, [], 32)
 
 
-def test_verify_A2_jacobian_twice_per_chunk(spec_2d_S, monkeypatch):
-    # each pass builds a chunk's Jacobians once, for all alphas together;
-    # no chunk's Jacobians are kept until the next pass
+def test_verify_A2_jacobian_once_per_chunk(spec_2d_S, monkeypatch):
+    # one pass over the cells: each chunk's Jacobians are built once, for
+    # all alphas together, and none is kept past its chunk
     monkeypatch.setattr(semiconj, "CHUNK", 100)
     calls = []
     real = dynamics.jacobian
@@ -175,7 +175,18 @@ def test_verify_A2_jacobian_twice_per_chunk(spec_2d_S, monkeypatch):
     for alphas in (ALPHAS[:1], ALPHAS):
         calls.clear()
         cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in alphas], 32)
-        assert sorted(calls) == 2 * [24] + 20 * [100]     # 1024 cells: 10 full chunks and 24
+        assert sorted(calls) == [24] + 10 * [100]     # 1024 cells: 10 full chunks and 24
+
+
+def test_verify_A2_range_gate_before_jacobians(monkeypatch):
+    # ||M|| + Lip(G) bounds every Jacobian norm, so a map whose pencils
+    # would leave float64 is refused before any cell is built
+    s = parse_spec("dim=2\nM=[[2,1],[0,1]]\nG[1]=1e150*sin(2*pi*(3*z1))\n")
+    calls = []
+    monkeypatch.setattr(dynamics, "jacobian", lambda *a: calls.append(1))
+    with pytest.raises(FloatRangeError, match="would leave float64"):
+        cones.verify_A2(s, cones.ConeParams(k=1, alpha=1.0, K=1.2), 8)
+    assert calls == []
 
 
 def test_cone_params_rejects_bad_alpha():

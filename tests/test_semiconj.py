@@ -8,8 +8,9 @@ import pytest
 from torusconj import parse_spec, block_triangularize, build_engine
 from torusconj import _kernels, dynamics, intlat, semiconj
 from torusconj.errors import ContractionError, EngineError
+from torusconj.specdsl import TrigTerm, make_spec
 
-from conftest import FIX_CAT
+from conftest import FIX_CAT, FIX_DET2
 
 
 def test_power_norms_batched_is_per_matrix_norm():
@@ -47,13 +48,44 @@ def test_linear_collapse():
     assert rr.max_residual <= 1e-12
 
 
-@pytest.fixture(scope="module")
-def engine_det2():
-    # |det M| = 2, eigenvalues 2 +- sqrt(2): hyperbolic, F is 2-to-1 on the torus
-    s = parse_spec("dim=2\nM=[[3,1],[1,1]]\n"
-                   "G[1]=0.005*sin(2*pi*(z1))\nG[2]=0.005*cos(2*pi*(z2))\n")
-    bf = block_triangularize(s.M_list(), intlat.identity(2))
-    return build_engine(s, bf, N=12)
+def test_hyperbolic_needs_unimodular_M():
+    # a 2-to-1 map has no branch-independent backward orbit, so the
+    # residual could not sit under its ceiling: the engine is refused
+    s = parse_spec(FIX_DET2)
+    with pytest.raises(EngineError, match=r"\|det M\| = 1, got det M = 2"):
+        build_engine(s, block_triangularize(s.M_list(), intlat.identity(2)), N=12)
+
+
+UNIMODULAR = ([[2, 1], [1, 1]], [[1, 1], [1, 2]], [[3, 1], [2, 1]], [[3, 2], [1, 1]],
+              [[2, -1], [-1, 1]])
+
+
+def _spec_at_rate(M, rng, rate):
+    """A map with M and 2 to 4 random trig terms, scaled so that
+    ||M^-1|| Lip(G) = rate."""
+    terms = []
+    for _ in range(int(rng.integers(2, 5))):
+        k = (0, 0)
+        while not any(k):
+            k = tuple(int(x) for x in rng.integers(-3, 4, size=2))
+        terms.append(TrigTerm(int(rng.integers(1, 3)), k, str(rng.choice(["sin", "cos"])),
+                              float(rng.uniform(0.2, 1.0) * rng.choice([-1, 1]))))
+    # the contraction rate is linear in the coefficients
+    scale = rate / dynamics.contraction_rate(make_spec(2, M, terms))
+    return make_spec(2, M, [TrigTerm(t.component, t.frequency, t.kind, t.coefficient * scale)
+                            for t in terms])
+
+
+def test_unimodular_hyperbolic_residual_under_ceiling():
+    # 30 seeded maps, six per unimodular family, at contraction rate 0.15
+    # and the default N: every residual sits under its ceiling
+    rng = np.random.default_rng(15)
+    for m in range(30):
+        s = _spec_at_rate(UNIMODULAR[m % 5], rng, 0.15)
+        eng = build_engine(s, block_triangularize(s.M_list(), intlat.identity(2)))
+        rr = semiconj.semiconjugacy_residual(eng, 16)
+        assert eng.mode == "hyperbolic" and rr.backward_sweeps == 1
+        assert rr.max_residual <= rr.ceiling, (s, rr)
 
 
 def _two_call_sides(eng, theta):
@@ -63,17 +95,17 @@ def _two_call_sides(eng, theta):
     return lhs, rhs
 
 
-def test_residual_is_two_call_definition(engine_2d, engine_det2):
-    # without a shared backward orbit (expanding mode, or |det M| > 1) the
-    # one-sweep residual equals, bit for bit, Phi(F theta) vs A Phi(theta)
-    # computed with two separate phi_torus calls
-    for eng in (engine_2d, engine_det2):
-        rr = semiconj.semiconjugacy_residual(eng, 16)
-        theta = semiconj._grid(eng.d, 16)
-        res = dynamics.torus_distance(*_two_call_sides(eng, theta))
-        i = int(np.argmax(res))
-        assert rr.max_residual == res[i]
-        assert np.array_equal(rr.argmax_point, theta[i])
+def test_residual_is_two_call_definition(engine_2d):
+    # without a backward orbit (expanding mode) the one-sweep residual
+    # equals, bit for bit, Phi(F theta) vs A Phi(theta) computed with two
+    # separate phi_torus calls
+    eng = engine_2d
+    rr = semiconj.semiconjugacy_residual(eng, 16)
+    theta = semiconj._grid(eng.d, 16)
+    res = dynamics.torus_distance(*_two_call_sides(eng, theta))
+    i = int(np.argmax(res))
+    assert rr.max_residual == res[i]
+    assert np.array_equal(rr.argmax_point, theta[i])
 
 
 def test_shared_backward_orbit_within_eps(engine_cat, monkeypatch):
@@ -130,14 +162,26 @@ def test_series_memory_independent_of_N(spec_2d_S, block_2d, spec_cat):
             assert long <= 1.25 * short
 
 
-def test_backward_sweeps_per_residual(engine_2d, engine_cat, engine_det2, monkeypatch):
+def test_residual_memory_independent_of_grid(spec_2d_S, block_2d, monkeypatch):
+    # each chunk hands back its argmax point as a copy, so no chunk is kept
+    # once it is merged: 4 times the chunks, the same peak memory (on one
+    # thread, so that no pool's read-ahead moves the peak)
+    eng = build_engine(spec_2d_S, block_2d, N=4)
+    monkeypatch.setattr(semiconj, "CHUNK", 1024)
+    monkeypatch.setattr(semiconj, "WORKERS", 1)
+    short, long = (_peak_bytes(lambda: semiconj.semiconjugacy_residual(eng, res))
+                   for res in (128, 256))
+    assert long <= 1.25 * short
+
+
+def test_backward_sweeps_per_residual(engine_2d, engine_cat, monkeypatch):
     # one inverse-lift solve per backward step: none in expanding mode, one
-    # sweep of N when |det M| = 1, two sweeps of N when |det M| = 2
+    # sweep of N in hyperbolic mode
     calls = []
     real = _kernels.invert_lift_numpy
     monkeypatch.setattr(_kernels, "invert_lift_numpy",
                         lambda *a: calls.append(1) or real(*a))
-    for eng, sweeps in ((engine_2d, 0), (engine_cat, 1), (engine_det2, 2)):
+    for eng, sweeps in ((engine_2d, 0), (engine_cat, 1)):
         calls.clear()
         rr = semiconj.semiconjugacy_residual(eng, 8)
         assert len(calls) == sweeps * eng.N
@@ -146,8 +190,7 @@ def test_backward_sweeps_per_residual(engine_2d, engine_cat, engine_det2, monkey
         assert (rr.inverse_lift_iters > 0) == (sweeps > 0)
 
 
-def test_contraction_rate_once_per_engine(spec_cat, spec_2d_S, block_2d, engine_det2,
-                                        monkeypatch):
+def test_contraction_rate_once_per_engine(spec_cat, spec_2d_S, block_2d, monkeypatch):
     # rho < 1 is checked once, when a hyperbolic engine builds its inverse
     # lift; residuals and phi_hat read the engine's lift
     calls = []
@@ -156,13 +199,14 @@ def test_contraction_rate_once_per_engine(spec_cat, spec_2d_S, block_2d, engine_
                         lambda s: calls.append(1) or real(s))
     cat = build_engine(spec_cat, block_triangularize(spec_cat.M_list(),
                                                      intlat.identity(2)), N=12)
-    det2 = build_engine(engine_det2.spec, block_triangularize(
-        engine_det2.spec.M_list(), intlat.identity(2)), N=12)
+    s = parse_spec("dim=2\nM=[[1,1],[1,2]]\n"
+                   "G[1]=0.005*sin(2*pi*(z1))\nG[2]=0.005*cos(2*pi*(z2))\n")
+    other = build_engine(s, block_triangularize(s.M_list(), intlat.identity(2)), N=12)
     assert len(calls) == 2
     expanding = build_engine(spec_2d_S, block_2d, N=40)
     assert len(calls) == 2 and expanding.lift is None
     theta = semiconj._grid(2, 8)
-    for eng in (cat, det2):
+    for eng in (cat, other):
         assert eng.lift.rho < 1.0
         semiconj.semiconjugacy_residual(eng, 8)
         semiconj.phi_hat(eng, theta)
