@@ -6,6 +6,14 @@ batch of points per call.  Callers pass G in the unique-phase layout of
 dynamics.term_arrays: one row per distinct (kind, frequency), sin rows
 first, so each phase goes through one transcendental however many
 components it feeds, and every component sum is one matrix product.
+
+The phases are laid out frequency-major, one row of n points per unique
+phase, so the sin rows and the cos rows are each one contiguous block,
+and sin and cos read contiguous memory instead of strided column slices
+of a point-major array.  They write their values into a point-major
+array, so the component sums are the same C-ordered matrix products as
+a point-major layout gives, bit for bit (an F-ordered product of the
+transposed values would round differently in the last bit).
 """
 
 from __future__ import annotations
@@ -21,11 +29,25 @@ def wrap(x):
     return x - np.floor(x)
 
 
-def _trig_rows(phase, nsin):
-    """sin of the first nsin phase columns and cos of the rest, in place."""
-    np.sin(phase[:, :nsin], out=phase[:, :nsin])
-    np.cos(phase[:, nsin:], out=phase[:, nsin:])
-    return phase
+def _trig_rows(Z, freqs, nsin, jac=False):
+    """(vals, dvals) at the points of Z (n, d), each (n, U) in C order:
+    vals[:, u] the sin (u < nsin) or cos (u >= nsin) of the phases
+    2 pi freqs[u] . z, and dvals[:, u] their derivatives, cos or -sin
+    (None unless jac).  The phases are computed frequency-major, (U, n):
+    2 pi (freqs @ Z.T) is, bit for bit, the transpose of 2 pi (Z @ freqs.T),
+    and each sin / cos reads one contiguous block of its rows and writes the
+    matching columns of the point-major result."""
+    phase = freqs @ Z.T
+    phase *= TWO_PI
+    vals = np.empty(phase.shape[::-1])
+    np.sin(phase[:nsin], out=vals.T[:nsin])
+    np.cos(phase[nsin:], out=vals.T[nsin:])
+    if not jac:
+        return vals, None
+    dvals = np.empty_like(vals)
+    np.cos(phase[:nsin], out=dvals.T[:nsin])
+    np.negative(np.sin(phase[nsin:]), out=dvals.T[nsin:])
+    return vals, dvals
 
 
 def eval_trig(Z, freqs, coefs, nsin):
@@ -34,19 +56,15 @@ def eval_trig(Z, freqs, coefs, nsin):
     freqs: (U, d) integer frequency rows, the nsin sin rows first; coefs:
     (U, d), coefs[u, i] the coefficient of row u in component i.
     """
-    return _trig_rows(TWO_PI * (Z @ freqs.T), nsin) @ coefs
+    return _trig_rows(Z, freqs, nsin)[0] @ coefs
 
 
 def eval_trig_and_jac(Z, freqs, coefs, nsin, jac):
     """G(Z) (n, d) and DG(Z) (n, d, d); jac: (U, d*d), jac[u, r*d + c] =
     2 pi coefs[u, r] freqs[u, c].  G is bitwise what eval_trig returns."""
     n, d = Z.shape
-    phase = TWO_PI * (Z @ freqs.T)
-    dvals = np.empty_like(phase)        # derivative of each row's sin / cos
-    np.cos(phase[:, :nsin], out=dvals[:, :nsin])
-    np.negative(np.sin(phase[:, nsin:]), out=dvals[:, nsin:])
-    g = _trig_rows(phase, nsin) @ coefs
-    return g, (dvals @ jac).reshape(n, d, d)
+    vals, dvals = _trig_rows(Z, freqs, nsin, jac=True)
+    return vals @ coefs, (dvals @ jac).reshape(n, d, d)
 
 
 def _solve_small(J, r):

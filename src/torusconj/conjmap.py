@@ -303,5 +303,6 @@ def export_skew_csv(report: SkewReport, path) -> None:
     header = ",".join([f"x_{i+1}" for i in range(d - m)]
                       + [f"y_{i+1}" for i in range(m)]
                       + [f"Fy_{i+1}" for i in range(m)])
-    semiconj._write_csv(path, header, ",".join(["%.17g"] * (d + m)) + "\r\n",
-                       [np.hstack([report.grid, report.fiber_map_samples])])
+    row = ",".join(["%.17g"] * (d + m)) + "\r\n"
+    semiconj._write_csv(path, header, [semiconj._format_rows(
+        row, np.hstack([report.grid, report.fiber_map_samples]))])

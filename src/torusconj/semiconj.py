@@ -37,6 +37,7 @@ starts no thread.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import threading
@@ -279,17 +280,20 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
     ta = dynamics.term_arrays(engine.spec)
     Mf = dynamics.M_array(engine.spec)
     for j in range(nsteps):
-        if j:
-            z = _kernels.wrap(z @ Mf.T + g)
+        if j:       # wrap(z @ Mf.T + g), bit for bit, on one new array
+            z = z @ Mf.T
+            z += g
+            z -= np.floor(z)
         g = _kernels.eval_trig(z, ta.freqs, ta.coefs, ta.nsin)
         yield z, g, 0
 
 
 def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int,
-              sign: float = 1.0) -> None:
-    """acc += sign * coef[n] G_W, if the series has a term n."""
+              op=np.add) -> None:
+    """acc = op(acc, coef[n] G_W) in place (op np.add or np.subtract), if
+    the series has a term n."""
     if 0 <= n < len(coef):
-        acc += sign * (g[:, :acc.shape[1]] @ coef[n].T)
+        op(acc, g[:, :acc.shape[1]] @ coef[n].T, out=acc)
 
 
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
@@ -305,7 +309,7 @@ def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
             _add_term(series, g, engine.coef_u, n)
         if engine.mode == "hyperbolic":
             for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N, backward=True)):
-                _add_term(series, g, engine.coef_s, n, -1.0)
+                _add_term(series, g, engine.coef_s, n, np.subtract)
         series += Zc[:, :engine.k]
 
     deque(_map_chunks(sweep, range(0, Zb.shape[0], CHUNK)), maxlen=0)
@@ -378,11 +382,11 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
             _add_term(series_f, g, engine.coef_u, n - 1)
         iters = 0
         if sweeps:
-            _add_term(series_f, g_theta, engine.coef_s, 0, -1.0)
+            _add_term(series_f, g_theta, engine.coef_s, 0, np.subtract)
             for n, (_, g, it) in enumerate(_orbit(engine, theta, N, backward=True)):
                 iters += it
-                _add_term(series, g, engine.coef_s, n, -1.0)
-                _add_term(series_f, g, engine.coef_s, n + 1, -1.0)
+                _add_term(series, g, engine.coef_s, n, np.subtract)
+                _add_term(series_f, g, engine.coef_s, n + 1, np.subtract)
         lhs = _kernels.wrap(ftheta[:, :k] + series_f)
         rhs = _kernels.wrap(_kernels.wrap(theta[:, :k] + series) @ engine.A.T)
         res = dynamics.torus_distance(lhs, rhs)
@@ -399,21 +403,47 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     """CSV with columns theta_1..theta_d, phi_1..phi_k (%.17g) and
-    error_bound (%.6g), written CHUNK rows at a time."""
+    error_bound (%.6g), written CHUNK rows at a time, all or nothing (see
+    _write_csv).  A grid coordinate takes one of grid_res values, so their
+    strings are formatted once and looked up per row; each row formats
+    only its k phi values with %.17g."""
     d, k = engine.d, engine.k
     header = ",".join([f"theta_{i+1}" for i in range(d)]
                       + [f"phi_{i+1}" for i in range(k)] + ["error_bound"])
-    row = ",".join(["%.17g"] * (d + k) + ["%.6g" % engine.eps]) + "\r\n"
-    _write_csv(path, header, row, _map_chunks(
-        lambda theta: np.hstack([theta, phi_torus(engine, theta).value]),
-        _grid_chunks(d, grid_res)))
+    row = ",".join(["%s"] * d + ["%.17g"] * k + ["%.6g" % engine.eps]) + "\r\n"
+    coords = np.array(["%.17g" % (i / grid_res) for i in range(grid_res)], dtype=object)
+
+    def lines(theta, phi):
+        cells = np.empty((len(phi), d + k), dtype=object)
+        # grid_res * (i / grid_res) rounds to i; the strings are shared, not
+        # made per row (a string per row raised peak RSS by ~2 MB)
+        cells[:, :d] = coords[np.rint(theta * grid_res).astype(np.intp)]
+        cells[:, d:] = phi
+        return (row * len(phi)) % tuple(cells.ravel().tolist())
+
+    _write_csv(path, header, itertools.starmap(lines, _map_chunks(
+        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res))))
 
 
-def _write_csv(path, header: str, row: str, blocks) -> None:
-    """Write header, then one CRLF-ended line per row of each array in
-    blocks, formatted by row (a %-format string for one line, with its
-    CRLF) in one format call per block: the bytes np.savetxt writes."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for values in blocks:
-            fh.write((row * len(values)) % tuple(values.ravel().tolist()))
+def _format_rows(row: str, values: np.ndarray) -> str:
+    """One line per row of values (n, m), formatted by row (a %-format
+    string for one line, with its CRLF) in one format call: the bytes
+    np.savetxt writes."""
+    return (row * len(values)) % tuple(values.ravel().tolist())
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write header and a CRLF, then each string of blocks, to path, all or
+    nothing: the text goes to a temporary file next to path, which replaces
+    path once the last block is written and is removed if any block fails,
+    so a failed export leaves no partial CSV behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(header + "\r\n")
+            fh.writelines(blocks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -7,6 +7,7 @@ import pytest
 
 from torusconj import semiconj
 from torusconj.cli import main
+from torusconj.errors import ContractionError
 
 from conftest import FIX_1D, FIX_2D, FIX_CAT, FIX_DET2, lehmer_spec_text
 
@@ -251,6 +252,24 @@ def test_phi_export(fix1, capsys, tmp_path):
     assert code == 0
     csv = (tmp_path / "o" / "phi_grid.csv").read_text()
     assert csv.startswith("theta_1,phi_1,error_bound")
+
+
+def test_failed_phi_export_leaves_no_csv(fix2, capsys, tmp_path, monkeypatch):
+    # the grid's second chunk fails after the first was written: exit 1,
+    # and neither the CSV nor its temporary file is left in the -o directory
+    real = semiconj.phi_torus
+
+    def fail_after_first_chunk(engine, theta):
+        if theta[0].any():
+            raise ContractionError("inverse lift residual 1 > tol 1e-15")
+        return real(engine, theta)
+
+    monkeypatch.setattr(semiconj, "CHUNK", 16)
+    monkeypatch.setattr(semiconj, "phi_torus", fail_after_first_chunk)
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "phi", fix2, "--grid", "8", "-o", str(out_dir))
+    assert code == 1 and out == "" and "inverse lift residual" in err
+    assert list(out_dir.iterdir()) == []
 
 
 # (command, flag, bad value): each must exit 1 with nothing on stdout

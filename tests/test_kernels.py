@@ -94,21 +94,33 @@ def test_trig_matches_per_term_loop(spec_2d, spec_2d_S, spec_cat, rng):
 
 
 def _count_transcendentals(monkeypatch):
-    seen = []
+    """Patch np.sin and np.cos to record each operand's size in seen and
+    whether it is C-contiguous in contiguous."""
+    seen, contiguous = [], []
     for name in ("sin", "cos"):
         real = getattr(np, name)
-        monkeypatch.setattr(np, name, lambda x, *a, real=real, **kw:
-                            seen.append(x.size) or real(x, *a, **kw))
-    return seen
+
+        def traced(x, *a, real=real, **kw):
+            seen.append(x.size)
+            contiguous.append(x.flags.c_contiguous)
+            return real(x, *a, **kw)
+
+        monkeypatch.setattr(np, name, traced)
+    return seen, contiguous
 
 
 def test_eval_trig_one_transcendental_per_term(spec_2d, rng, monkeypatch):
     # each phase goes through sin or cos, the one its term needs: n*T
     # values in all (spec_2d has one sin and one cos term)
     ta = dynamics.term_arrays(spec_2d)
-    seen = _count_transcendentals(monkeypatch)
-    _kernels.eval_trig(rng.uniform(-1, 2, size=(40, 2)), ta.freqs, ta.coefs, ta.nsin)
+    seen, contiguous = _count_transcendentals(monkeypatch)
+    Z = rng.uniform(-1, 2, size=(40, 2))
+    _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
     assert sum(seen) == 40 * len(spec_2d.terms) == 40 * len(ta.coefs) and len(seen) == 2
+    # the phases are frequency-major: sin and cos read contiguous rows,
+    # never strided column slices, also when DG needs both of each phase
+    _kernels.eval_trig_and_jac(Z, *ta)
+    assert len(contiguous) == 2 + 4 and all(contiguous)
 
 
 def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypatch):
@@ -116,12 +128,43 @@ def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypat
     # components: 3 terms, 2 unique (frequency, kind) rows, 2 phases a point
     ta = dynamics.term_arrays(spec_2d_S)
     assert len(spec_2d_S.terms) == 3 and len(ta.coefs) == 2 and ta.nsin == 1
-    seen = _count_transcendentals(monkeypatch)
+    seen, contiguous = _count_transcendentals(monkeypatch)
     Z = rng.uniform(-1, 2, size=(40, 2))
     g = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
-    assert seen == [40, 40]
+    assert seen == [40, 40] and all(contiguous)
     monkeypatch.undo()
     assert np.abs(g - _per_term(spec_2d_S, Z)[0]).max() <= 1e-17
+
+
+def _point_major(Z, freqs, coefs, nsin, jac):
+    """G and DG with the phases laid out point-major, (n, U), sin and cos
+    taken of column slices: the bits the frequency-major kernels keep."""
+    n, d = Z.shape
+    phase = TWO_PI * (Z @ freqs.T)
+    dvals = np.empty_like(phase)
+    np.cos(phase[:, :nsin], out=dvals[:, :nsin])
+    np.negative(np.sin(phase[:, nsin:]), out=dvals[:, nsin:])
+    np.sin(phase[:, :nsin], out=phase[:, :nsin])
+    np.cos(phase[:, nsin:], out=phase[:, nsin:])
+    return phase @ coefs, (dvals @ jac).reshape(n, d, d)
+
+
+def test_frequency_major_is_point_major_bitwise():
+    # every shape of G: 1 to 3 dimensions, 0 to 11 unique phases, each
+    # sin / cos split, batches of 1, 7 and 4097 points
+    rng = np.random.default_rng(16)
+    for d in (1, 2, 3):
+        for U in range(12):
+            freqs = rng.integers(-3, 4, size=(U, d)).astype(float)
+            coefs = rng.standard_normal((U, d)) * 0.05
+            jac = (TWO_PI * coefs[:, :, None] * freqs[:, None, :]).reshape(U, d * d)
+            for n in (1, 7, 4097):
+                Z = rng.uniform(-1, 2, size=(n, d))
+                for nsin in range(U + 1):
+                    g_ref, dg_ref = _point_major(Z, freqs, coefs, nsin, jac)
+                    g, dg = _kernels.eval_trig_and_jac(Z, freqs, coefs, nsin, jac)
+                    assert np.array_equal(_kernels.eval_trig(Z, freqs, coefs, nsin), g_ref)
+                    assert np.array_equal(g, g_ref) and np.array_equal(dg, dg_ref)
 
 
 def test_invert_lift_residual_uses_exact_M(rng):

@@ -376,8 +376,9 @@ def test_chunked_csv_is_savetxt(engine_2d, tmp_path, monkeypatch):
     ref = tmp_path / "ref.csv"
     np.savetxt(ref, vals, fmt=["%.17g", "%.17g", "%.6g"], delimiter=",",
                newline="\r\n", header="a,b,c", comments="")
-    semiconj._write_csv(tmp_path / "rows.csv", "a,b,c", "%.17g,%.17g,%.6g\r\n",
-                        (vals[lo:lo + 3] for lo in (0, 3)))
+    semiconj._write_csv(tmp_path / "rows.csv", "a,b,c",
+                        (semiconj._format_rows("%.17g,%.17g,%.6g\r\n", vals[lo:lo + 3])
+                         for lo in (0, 3)))
     assert (tmp_path / "rows.csv").read_bytes() == ref.read_bytes()
     assert b"\r\n-0,0,1e-300\r\n" in ref.read_bytes()
     # the whole export, in chunks of 10 rows, against one np.savetxt call
@@ -389,3 +390,33 @@ def test_chunked_csv_is_savetxt(engine_2d, tmp_path, monkeypatch):
     np.savetxt(ref, rows, fmt=["%.17g"] * 3 + ["%.6g"], delimiter=",", newline="\r\n",
                header="theta_1,theta_2,phi_1,error_bound", comments="")
     assert (tmp_path / "phi.csv").read_bytes() == ref.read_bytes()
+
+
+def _savetxt_export(engine, res, path):
+    """The phi export as one np.savetxt call writes it."""
+    theta = semiconj._grid(engine.d, res)
+    rows = np.column_stack([theta, semiconj.phi_torus(engine, theta).value,
+                            np.full(len(theta), engine.eps)])
+    header = ",".join([f"theta_{i+1}" for i in range(engine.d)]
+                      + [f"phi_{i+1}" for i in range(engine.k)] + ["error_bound"])
+    np.savetxt(path, rows, fmt=["%.17g"] * (engine.d + engine.k) + ["%.6g"],
+               delimiter=",", newline="\r\n", header=header, comments="")
+
+
+def test_csv_on_non_dyadic_grids(engine_1d, tmp_path, monkeypatch):
+    # coordinates i/res that print with 17 digits (0.10000000000000001),
+    # chunks of 7 rows that end mid-row of the grid: the coordinate strings
+    # formatted once are the ones np.savetxt formats row by row
+    s3 = parse_spec("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\n"
+                    "G[1]=0.01*sin(2*pi*(z1-2*z3))+0.02*cos(2*pi*(z2))\n"
+                    "G[2]=0.02*cos(2*pi*(z2+z3))\nG[3]=0.01*sin(2*pi*(z1))\n")
+    bf = block_triangularize(s3.M_list(), [intlat.derive_invariant_line(s3.M_list(), 2)])
+    engine_3d = build_engine(dynamics.change_coordinates(s3, bf.S_list()), bf, N=20)
+    monkeypatch.setattr(semiconj, "CHUNK", 7)
+    for engine, res in ((engine_1d, 10), (engine_3d, 5)):
+        assert res ** engine.d % 7 and res % 7
+        semiconj.export_phi_grid(engine, res, tmp_path / "phi.csv")
+        _savetxt_export(engine, res, tmp_path / "ref.csv")
+        out = (tmp_path / "phi.csv").read_bytes()
+        assert out == (tmp_path / "ref.csv").read_bytes()
+        assert b"0.10000000000000001" in out or b"0.20000000000000001" in out
