@@ -51,10 +51,15 @@ def _emit(report: dict, args) -> None:
         raise FloatRangeError(f"the {report['command']} report holds a NaN or an "
                               "infinity, which JSON cannot carry") from None
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, f"{report['command']}.json"), "w") as fh:
+        with open(_out_path(args, f"{report['command']}.json"), "w") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _out_path(args, name: str) -> str:
+    """The path of file name in the -o directory, which is made if need be."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _jsonable(x):
@@ -102,17 +107,13 @@ def _engine(spec, args):
     return semiconj.build_engine(*_block_coordinates(spec, args), N=args.trunc)
 
 
-def _vacuous(ceiling: float, k: int) -> bool:
-    """Whether a ceiling is at least 0.5 sqrt(k), the largest distance on the
-    k-torus the residual is measured on: such a ceiling bounds nothing."""
-    return not ceiling < 0.5 * math.sqrt(k)
-
-
-def _ceiling_verdict(report: dict, residual: float, ceiling: float, k: int) -> dict:
-    """report with "pass": residual <= ceiling, unless the ceiling is
-    vacuous: then the report fails with "vacuous": true."""
-    if not _vacuous(ceiling, k):
-        return {**report, "pass": bool(residual <= ceiling)}
+def _ceiling_verdict(report: dict, residual: float, k: int) -> dict:
+    """report with "pass": residual <= report["ceiling"], unless that
+    ceiling is at least 0.5 sqrt(k), the largest distance on the k-torus the
+    residual is measured on: such a ceiling bounds nothing, and the report
+    fails with "vacuous": true."""
+    if report["ceiling"] < 0.5 * math.sqrt(k):
+        return {**report, "pass": bool(residual <= report["ceiling"])}
     return {**report, "pass": False, "vacuous": True}
 
 
@@ -126,8 +127,7 @@ class _Verdict(Exception):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_validate(args) -> dict:
-    spec = _load_spec(args.spec)
+def cmd_validate(spec, args) -> dict:
     nb = dynamics.norm_bounds(spec)
     rng = np.random.default_rng(args.seed)
     z = rng.uniform(-2, 2, size=(10, spec.d))
@@ -146,8 +146,7 @@ def cmd_validate(args) -> dict:
     }
 
 
-def cmd_analyze(args) -> dict:
-    spec = _load_spec(args.spec)
+def cmd_analyze(spec, args) -> dict:
     M = spec.M_list()
     eigs = intlat.integer_eigenvalues(M)
     branches = []
@@ -155,17 +154,13 @@ def cmd_analyze(args) -> dict:
         v = intlat.left_eigenvector_integer(M, m)
         tp = intlat.tiling_parallelotope(v)
         line = intlat.derive_invariant_line(M, m)
-        bf = intlat.block_triangularize(M, [line])
         branches.append({
             "eigenvalue": m,
             "left_eigenvector": v,
             "tiling_columns": tp.columns(),
             "tiling_det": intlat.det_int([list(r) for r in tp.W]),
             "invariant_line": line,
-            "S": bf.S_list(),
-            "A": [list(r) for r in bf.A],
-            "classification": bf.classification,
-            "decoupled": bf.decoupled,
+            **_block_keys(intlat.block_triangularize(M, [line])),
         })
     report = {
         "command": "analyze",
@@ -175,20 +170,21 @@ def cmd_analyze(args) -> dict:
         "branches": branches,
     }
     if args.sublattice:
-        B = _read_sublattice(args.sublattice, spec.d)
-        bf = intlat.block_triangularize(M, B)
-        report["sublattice_block"] = {
-            "k": bf.k, "S": bf.S_list(), "A": [list(r) for r in bf.A],
-            "classification": bf.classification, "decoupled": bf.decoupled,
-        }
+        bf = intlat.block_triangularize(M, _read_sublattice(args.sublattice, spec.d))
+        report["sublattice_block"] = {"k": bf.k, **_block_keys(bf)}
     elif not eigs:
         raise _Verdict(2, "no integer eigenvalue (characteristic polynomial "
                           "has no integer root) and no --sublattice given")
     return report
 
 
-def cmd_phi(args) -> dict:
-    spec = _load_spec(args.spec)
+def _block_keys(bf) -> dict:
+    """The report keys of a block form, in report order."""
+    return {"S": bf.S_list(), "A": [list(r) for r in bf.A],
+            "classification": bf.classification, "decoupled": bf.decoupled}
+
+
+def cmd_phi(spec, args) -> dict:
     engine = _engine(spec, args)
     report = {
         "command": "phi",
@@ -199,19 +195,15 @@ def cmd_phi(args) -> dict:
         "grid_res": args.grid,
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "phi_grid.csv")
-        semiconj.export_phi_grid(engine, args.grid, path)
-        report["csv"] = path
+        report["csv"] = _out_path(args, "phi_grid.csv")
+        semiconj.export_phi_grid(engine, args.grid, report["csv"])
     else:
         theta = semiconj._grid(engine.d, min(args.grid, 8))
-        pv = semiconj.phi_torus(engine, theta)
-        report["sample"] = {"theta": theta, "phi": pv.value}
+        report["sample"] = {"theta": theta, "phi": semiconj.phi_torus(engine, theta).value}
     return report
 
 
-def cmd_verify_semiconj(args) -> dict:
-    spec = _load_spec(args.spec)
+def cmd_verify_semiconj(spec, args) -> dict:
     engine = _engine(spec, args)
     rr = semiconj.semiconjugacy_residual(engine, args.grid)
     report = _ceiling_verdict({
@@ -223,7 +215,7 @@ def cmd_verify_semiconj(args) -> dict:
         "max_residual": rr.max_residual,
         "ceiling": rr.ceiling,
         "argmax_point": rr.argmax_point,
-    }, rr.max_residual, rr.ceiling, engine.k)
+    }, rr.max_residual, engine.k)
     # additive: how the residual was computed; never moves the verdict
     report["diagnostics"] = {
         "backward_sweeps": rr.backward_sweeps,
@@ -233,14 +225,12 @@ def cmd_verify_semiconj(args) -> dict:
     return report
 
 
-def cmd_verify_cones(args) -> dict:
-    spec = _load_spec(args.spec)
+def cmd_verify_cones(spec, args) -> dict:
     spec_S, block = _block_coordinates(spec, args)
     params = [cones.ConeParams(k=block.k, alpha=alpha, K=args.K) for alpha in args.alpha]
     results = []
-    best = None
     for cert in cones.verify_A2(spec_S, params, args.grid):
-        entry = {
+        results.append({
             "alpha": cert.params.alpha,
             "K": args.K,
             "expansion_factor": cert.expansion_factor,
@@ -253,11 +243,10 @@ def cmd_verify_cones(args) -> dict:
             "pencil_rounds": cert.pencil_rounds,
             "pencil_gap": cert.pencil_gap,
             "pass": cert.a2_pass,
-        }
-        results.append(entry)
-        if cert.a2_pass and (best is None
-                             or cert.expansion_margin > best["expansion_margin"]):
-            best = entry
+        })
+    # the first passing entry of largest expansion margin
+    best = max((e for e in results if e["pass"]), key=lambda e: e["expansion_margin"],
+               default=None)
     return {
         "command": "verify-cones",
         "k": block.k,
@@ -268,8 +257,7 @@ def cmd_verify_cones(args) -> dict:
     }
 
 
-def cmd_conjugacy(args) -> dict:
-    spec = _load_spec(args.spec)
+def cmd_conjugacy(spec, args) -> dict:
     engine = _engine(spec, args)
     rng = np.random.default_rng(args.seed)
     z = rng.uniform(0, 1, size=(50, engine.d))
@@ -281,12 +269,13 @@ def cmd_conjugacy(args) -> dict:
     except FiberSolveError:
         # a vacuous ceiling fails the verdict whatever the fibers do: the
         # solves only measure the residuals, and a fiber that cannot be
-        # solved leaves them out
-        ceiling = conjmap.skew_ceiling(engine, args.tol)
-        if not _vacuous(ceiling, engine.k):
+        # solved leaves them out (an unmeasured residual is infinite)
+        report = _ceiling_verdict({"command": "conjugacy", "N": engine.N, "grid_res": args.grid,
+                                   "tol": args.tol, "ceiling": conjmap.skew_ceiling(engine, args.tol)},
+                                  math.inf, engine.k)
+        if not report.get("vacuous"):
             raise
-        return {"command": "conjugacy", "N": engine.N, "grid_res": args.grid,
-                "tol": args.tol, "ceiling": ceiling, "pass": False, "vacuous": True}
+        return report
     rt = dynamics.torus_distance(zi, z).max()
     report = _ceiling_verdict({
         "command": "conjugacy",
@@ -296,14 +285,12 @@ def cmd_conjugacy(args) -> dict:
         "max_base_residual": sr.max_base_residual,
         "ceiling": sr.ceiling,
         "round_trip_max": float(rt),
-    }, sr.max_base_residual, sr.ceiling, engine.k)
+    }, sr.max_base_residual, engine.k)
     # additive: the fiber solves' work; never moves the verdict
     report["diagnostics"] = dataclasses.asdict(stats)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "skew_grid.csv")
-        conjmap.export_skew_csv(sr, path)
-        report["csv"] = path
+        report["csv"] = _out_path(args, "skew_grid.csv")
+        conjmap.export_skew_csv(sr, report["csv"])
     return report
 
 
@@ -384,7 +371,7 @@ def main(argv=None) -> int:
         # failed verdict here, so a usage error returns 1 (bad input)
         return 0 if e.code == 0 else 1
     try:
-        report = args.fn(args)
+        report = args.fn(_load_spec(args.spec), args)
         _emit(report, args)
     except _Verdict as v:
         print(str(v), file=sys.stderr)

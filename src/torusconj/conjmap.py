@@ -279,12 +279,9 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     """Max over an (x, y) grid of dist(base of H(F(H^-1(x,y))), A x mod 1);
     the fiber solves' work is added to stats, if given."""
     _require_expanding(engine)
-    k, d = engine.k, engine.d
-    Xg = semiconj._grid(k, grid_res)
-    Yg = semiconj._grid(d - k, grid_res)
-    nx, ny = Xg.shape[0], Yg.shape[0]
-    X = np.repeat(Xg, ny, axis=0)
-    Y = np.tile(Yg, (nx, 1))
+    k = engine.k
+    grid = semiconj._grid(engine.d, grid_res)
+    X, Y = grid[:, :k], grid[:, k:]
     Z = H_inverse(engine, X, Y, tol, stats)
     FZ = dynamics.eval_torus(engine.spec, Z)
     base = semiconj.phi_torus(engine, FZ).value
@@ -293,8 +290,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     return SkewReport(grid_res=grid_res, tol=tol,
                       max_base_residual=float(resid.max()),
                       ceiling=skew_ceiling(engine, tol),
-                      fiber_map_samples=FZ[:, k:],
-                      grid=np.concatenate([X, Y], axis=1))
+                      fiber_map_samples=FZ[:, k:], grid=grid)
 
 
 def export_skew_csv(report: SkewReport, path) -> None:

@@ -45,30 +45,23 @@ def M_array(spec: TorusMapSpec) -> np.ndarray:
 
 
 def _batch(z, d):
+    """z, a point (d,) or a batch (..., d), as an (n, d) array."""
     z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        if z.shape[0] != d:
-            raise ValueError(f"point has dimension {z.shape[0]}, spec has {d}")
-        return z[None, :], True
-    if z.shape[-1] != d:
-        raise ValueError(f"points have dimension {z.shape[-1]}, spec has {d}")
-    return z.reshape(-1, d), False
+    if z.shape[-1:] != (d,):
+        raise ValueError(f"points of shape {z.shape} do not have dimension {d}")
+    return z.reshape(-1, d)
 
 
 def eval_G(spec: TorusMapSpec, z):
     """Periodic part G at z; z may be a point (d,) or a batch (..., d)."""
-    Z, single = _batch(z, spec.d)
     ta = term_arrays(spec)
-    out = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
-    return out[0] if single else out.reshape(np.asarray(z).shape)
+    return _kernels.eval_trig(_batch(z, spec.d), ta.freqs, ta.coefs, ta.nsin).reshape(np.shape(z))
 
 
 def eval_lift(spec: TorusMapSpec, z):
     """The lift F(z) = Mz + G(z)."""
-    Z, single = _batch(z, spec.d)
-    Mf = M_array(spec)
-    out = Z @ Mf.T + eval_G(spec, Z)
-    return out[0] if single else out.reshape(np.asarray(z).shape)
+    Z = _batch(z, spec.d)
+    return (Z @ M_array(spec).T + eval_G(spec, Z)).reshape(np.shape(z))
 
 
 def eval_torus(spec: TorusMapSpec, theta):
@@ -78,13 +71,9 @@ def eval_torus(spec: TorusMapSpec, theta):
 
 def jacobian(spec: TorusMapSpec, z):
     """DF(z) = M + DG(z); batch-aware, returns (..., d, d)."""
-    Z, single = _batch(z, spec.d)
     ta = term_arrays(spec)
-    dg = _kernels.eval_trig_and_jac(Z, *ta)[1]
-    out = M_array(spec)[None, :, :] + dg
-    if single:
-        return out[0]
-    return out.reshape(np.asarray(z).shape[:-1] + (spec.d, spec.d))
+    dg = _kernels.eval_trig_and_jac(_batch(z, spec.d), *ta)[1]
+    return (M_array(spec)[None, :, :] + dg).reshape(np.shape(z)[:-1] + (spec.d, spec.d))
 
 
 @dataclass(frozen=True)

@@ -330,15 +330,21 @@ def _grid(d: int, res: int, offset: float = 0.0, start: int = 0,
     For d = 0 it is the single empty point, shape (1, 0)."""
     if d == 0:
         return np.zeros((1, 0))
-    rows = np.arange(start, res ** d if stop is None else stop)
+    rows = np.arange(start, _grid_size(d, res) if stop is None else stop)
     return (np.stack(np.unravel_index(rows, (res,) * d), axis=-1) + offset) / res
 
 
+def _grid_size(d: int, res: int) -> int:
+    """res ** d, or EngineError if numpy cannot index that many points."""
+    if res ** d > np.iinfo(np.intp).max:
+        raise EngineError(f"a grid of {res}^{d} points has more than numpy can index")
+    return res ** d
+
+
 def _grid_chunks(d: int, res: int, offset: float = 0.0):
-    """_grid(d, res, offset) in consecutive pieces of at most CHUNK rows."""
-    n = res ** d
-    for lo in range(0, n, CHUNK):
-        yield _grid(d, res, offset, lo, min(lo + CHUNK, n))
+    """_grid(d, res, offset) in pieces of at most CHUNK rows; oversize raises at once."""
+    n = _grid_size(d, res)
+    return (_grid(d, res, offset, lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
 
 
 @dataclass(frozen=True)
@@ -411,6 +417,7 @@ def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     header = ",".join([f"theta_{i+1}" for i in range(d)]
                       + [f"phi_{i+1}" for i in range(k)] + ["error_bound"])
     row = ",".join(["%s"] * d + ["%.17g"] * k + ["%.6g" % engine.eps]) + "\r\n"
+    chunks = _grid_chunks(d, grid_res)      # checks the grid size before coords is made
     coords = np.array(["%.17g" % (i / grid_res) for i in range(grid_res)], dtype=object)
 
     def lines(theta, phi):
@@ -419,10 +426,10 @@ def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
         # made per row (a string per row raised peak RSS by ~2 MB)
         cells[:, :d] = coords[np.rint(theta * grid_res).astype(np.intp)]
         cells[:, d:] = phi
-        return (row * len(phi)) % tuple(cells.ravel().tolist())
+        return _format_rows(row, cells)
 
     _write_csv(path, header, itertools.starmap(lines, _map_chunks(
-        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res))))
+        lambda theta: (theta, phi_torus(engine, theta).value), chunks)))
 
 
 def _format_rows(row: str, values: np.ndarray) -> str:

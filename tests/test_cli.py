@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from torusconj import semiconj
+from torusconj import conjmap, semiconj
 from torusconj.cli import main
 from torusconj.errors import ContractionError
 
@@ -452,3 +452,26 @@ def test_non_finite_report_exits_1(fix2, tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify-semiconj", fix2, "--grid", "8", "-o", str(out_dir))
     assert (code, out) == (1, "") and not out_dir.exists()
     assert err.startswith("error: the verify-semiconj report holds a NaN")
+
+
+def test_unsolvable_fiber_under_a_real_ceiling_exits_1(fix2, capsys, monkeypatch):
+    # the skew ceiling bounds something, so a fiber that cannot be solved is
+    # an engine failure: exit 1 with the solver's message, and no report
+    monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: -0.25)
+    code, out, err = run(capsys, "conjugacy", fix2, "--grid", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bracket endpoints do not straddle") and err.count("\n") == 1
+
+
+def test_oversize_grid_is_typed_error(fix2, tmp_path, capsys):
+    # 5e9^2 grid points overflow numpy's index type: each grid command exits
+    # 1 with one error line, before it makes a grid point or a file
+    for command in ("verify-semiconj", "verify-cones", "phi", "conjugacy"):
+        out_dir = tmp_path / command
+        code, out, err = run(capsys, command, fix2, "--grid", "5000000000", "-o", str(out_dir))
+        assert (code, out) == (1, ""), command
+        assert err == "error: a grid of 5000000000^2 points has more than numpy can index\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir()), command
+    # phi without -o samples at most 8 points per axis, whatever --grid says
+    code, out, _ = run(capsys, "phi", fix2, "--grid", "5000000000")
+    assert code == 0 and len(json.loads(out)["sample"]["theta"]) == 64

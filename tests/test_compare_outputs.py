@@ -30,3 +30,25 @@ def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
     assert len(differing) == 2
     assert all(" phi <work>/" in line and line.endswith(": file phi_grid.csv (exit 0 -> 0)")
                for line in differing)
+
+
+def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
+    # a tree whose skew-product CSV prints one digit fewer: no workload job
+    # writes that CSV, and the one fixture job that does differs in it alone
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "torusconj" / "conjmap.py"
+    text = path.read_text()
+    assert text.count('["%.17g"] * (d + m)') == 1
+    path.write_text(text.replace('["%.17g"] * (d + m)', '["%.16g"] * (d + m)'))
+    code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
+                                 "--workloads", "sweep-expanding"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    n = len(compare_outputs.FIXTURE_JOBS)
+    assert out[-2:] == [f"{n} fixture jobs: {n - 1} byte-identical, 1 differ",
+                        "4 jobs of sweep-expanding at seeds 601: 4 byte-identical, 0 differ"]
+    differing = [line for line in out if line.startswith("DIFFERS")]
+    assert len(differing) == 1
+    assert differing[0].startswith("DIFFERS fixture job 0: conjugacy <work>/fixtures/fix2.map")
+    assert differing[0].endswith(": file skew_grid.csv (exit 0 -> 0)")

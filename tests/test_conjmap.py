@@ -197,6 +197,18 @@ def test_empty_batch_solves_to_empty(engine_2d, engine_k2):
     assert conjmap.H_inverse(engine_2d, np.zeros(0), np.zeros((0, 1))).shape == (0, 2)
 
 
+
+def test_skew_grid_is_the_torus_grid(engine_2d, engine_k2, engine_1d):
+    # k = 1 < d, k = 2 < d = 3 and k = d = 1: the (x, y) grid is the torus
+    # grid, bit for bit, x varying slowest as repeat / tile lay it out
+    for eng, res in ((engine_2d, 8), (engine_k2, 4), (engine_1d, 8)):
+        k, d = eng.k, eng.d
+        grid = conjmap.skew_product_residual(eng, res, tol=1e-10).grid
+        assert grid.tobytes() == semiconj._grid(d, res).tobytes()
+        Xg, Yg = semiconj._grid(k, res), semiconj._grid(d - k, res)
+        laid_out = np.hstack([np.repeat(Xg, len(Yg), axis=0), np.tile(Yg, (len(Xg), 1))])
+        assert grid.tobytes() == laid_out.tobytes()
+
 def test_exports(engine_2d, tmp_path):
     rep = conjmap.skew_product_residual(engine_2d, 8, tol=1e-10)
     conjmap.export_skew_csv(rep, tmp_path / "skew.csv")

@@ -21,6 +21,24 @@ def test_eval_G_oracle_2d(spec_2d):
     assert np.allclose(dynamics.eval_G(spec_2d, z), want, atol=1e-15)
 
 
+
+def test_point_and_batch_shapes_are_one_batch(spec_2d, rng):
+    # a point (d,), a batch (n, d) and a grid (a, b, d) give the values of
+    # the (n, d) batch in the input's shape; a wrong last axis is refused
+    Z = rng.uniform(-2, 2, size=(6, 2))
+    for f, tail in ((dynamics.eval_G, (2,)), (dynamics.eval_lift, (2,)),
+                    (dynamics.jacobian, (2, 2))):
+        flat = f(spec_2d, Z)
+        assert flat.shape == (6,) + tail
+        for shape in ((1, 2), (6, 2), (2, 3, 2)):
+            z = Z[:int(np.prod(shape[:-1]))].reshape(shape)
+            want = flat[:len(z.reshape(-1, 2))].reshape(shape[:-1] + tail)
+            assert np.array_equal(f(spec_2d, z), want), (f, shape)
+        assert np.array_equal(f(spec_2d, Z[0]), flat[0]), f
+        for bad in ((3,), (6, 3), (2, 3, 1)):
+            with pytest.raises(ValueError):
+                f(spec_2d, np.zeros(bad))
+
 def test_jacobian_against_finite_differences(spec_2d, rng):
     # independent oracle: central finite differences of the lift
     h = 1e-6

@@ -8,7 +8,9 @@ Every job of the perfbench workloads at the given seeds runs through
 imports torusconj from ``TREE/src`` and uses one BLAS thread, as
 perfbench/run.py does. The jobs and their spec files come from
 perfbench/specgen.py of the checkout holding this script, so both trees
-run the same jobs. For each job the exit code, stdout, stderr and every
+run the same jobs. After them come the FIXTURE_JOBS, the CLI paths that no
+workload job reaches, on spec files written from the test fixtures of that
+checkout. For each job the exit code, stdout, stderr and every
 file written under its ``-o`` directory are hashed, after the work
 directory and the tree's path are replaced by fixed placeholders. The jobs
 whose hashes differ are printed with the parts that differ; the exit
@@ -32,6 +34,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep-expanding", "backward-hyperbolic", "certify-conjugacy")
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
+# argv of the fixture jobs: SPEC:name is the spec file of fixture_specs()[name],
+# OUT a fresh -o directory
+FIXTURE_JOBS = (
+    ("conjugacy", "SPEC:fix2", "--grid", "8", "-o", "OUT"),
+    ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "8"),     # k > 1 fiber solve
+    ("phi", "SPEC:fix2", "--grid", "16"),
+    ("phi", "SPEC:cat", "--sublattice", "full", "--grid", "8"),             # hyperbolic
+    ("analyze", "SPEC:cat", "--sublattice", "full"),
+    ("verify-semiconj", "SPEC:huge", "--trunc", "8", "--grid", "8"),        # vacuous
+    ("conjugacy", "SPEC:fix2", "--grid", "8", "--tol", "0.3"),              # vacuous
+    ("conjugacy", "SPEC:huge", "--trunc", "8", "--grid", "8"),              # vacuous, no fiber
+    ("verify-semiconj", "SPEC:fix2", "--grid", "5000000000"),               # oversize grid
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -48,9 +64,20 @@ def _files(directory, normalise):
     return out
 
 
+def fixture_specs():
+    """{name: spec text} of the fixture jobs: the 2-D and cat fixtures of
+    tests/conftest.py, HUGE_G of tests/test_cli.py, and a k = d = 2 map."""
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    import conftest
+    import test_cli
+    return {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "huge": test_cli.HUGE_G,
+            "three": "dim=2\nM=[[3,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
+                     "G[2]=0.02*cos(2*pi*(z2))\n"}
+
+
 def run_tree(tree, workloads, seeds):
     """Run every job on this interpreter's torusconj (from tree/src):
-    a list of one record per job."""
+    a list of one record per job, the fixture jobs last."""
     src = os.path.join(os.path.abspath(tree), "src")
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -63,29 +90,40 @@ def run_tree(tree, workloads, seeds):
         def normalise(data: bytes) -> bytes:
             return data.replace(work.encode(), b"<work>").replace(src.encode(), b"<src>")
 
+        def run(name, argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = torusconj.cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
+                except Exception:
+                    traceback.print_exc()
+                    code = "traceback"
+            files = _files(argv[argv.index("-o") + 1], normalise) if "-o" in argv else {}
+            records.append({
+                "job": f"{name}: " + normalise(" ".join(argv).encode()).decode(),
+                "exit": str(code),
+                "stdout": _sha(normalise(out.getvalue().encode())),
+                "stderr": _sha(normalise(err.getvalue().encode())),
+                "files": files,
+            })
+
         for workload in workloads:
             for seed in seeds:
                 jobs, _ = specgen.generate(workload, seed, os.path.join(work, f"{workload}-{seed}"))
                 for job in jobs:
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        try:
-                            code = torusconj.cli.main(list(job.argv))
-                        except SystemExit as e:
-                            code = e.code
-                        except Exception:
-                            traceback.print_exc()
-                            code = "traceback"
-                    argv = list(job.argv)
-                    files = _files(argv[argv.index("-o") + 1], normalise) if "-o" in argv else {}
-                    records.append({
-                        "job": f"{workload} seed {seed} job {job.job_id}: "
-                               + normalise(" ".join(argv).encode()).decode(),
-                        "exit": str(code),
-                        "stdout": _sha(normalise(out.getvalue().encode())),
-                        "stderr": _sha(normalise(err.getvalue().encode())),
-                        "files": files,
-                    })
+                    run(f"{workload} seed {seed} job {job.job_id}", list(job.argv))
+        fixtures = os.path.join(work, "fixtures")
+        os.mkdir(fixtures)
+        for name, text in fixture_specs().items():
+            with open(os.path.join(fixtures, f"{name}.map"), "w") as fh:
+                fh.write(text)
+        for i, argv in enumerate(FIXTURE_JOBS):
+            run(f"fixture job {i}", [
+                os.path.join(fixtures, f"{a[5:]}.map") if a.startswith("SPEC:")
+                else os.path.join(fixtures, f"out{i:02d}") if a == "OUT" else a
+                for a in argv])
     return records
 
 
@@ -121,18 +159,22 @@ def main(argv=None):
     if len(args.trees) != 2:
         p.error("give two source trees: OLD_TREE NEW_TREE")
     old, new = (_run_in_child(tree, args.workloads, seeds) for tree in args.trees)
-    differ = 0
+    differs = []
     for a, b in zip(old, new):
         parts = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
         parts += [f"file {name}" for name in sorted(set(a["files"]) | set(b["files"]))
                   if a["files"].get(name) != b["files"].get(name)]
+        differs.append(bool(parts))
         if parts:
-            differ += 1
             print(f"DIFFERS {a['job']}: {', '.join(parts)} "
                   f"(exit {a['exit']} -> {b['exit']})")
-    print(f"{len(old)} jobs of {', '.join(args.workloads)} at seeds {' '.join(args.seeds)}: "
-          f"{len(old) - differ} byte-identical, {differ} differ")
-    return 1 if differ else 0
+    # the fixture jobs come last; the workload summary is the last line
+    n = len(old) - len(FIXTURE_JOBS)
+    for what, flags in ((f"{len(FIXTURE_JOBS)} fixture jobs", differs[n:]),
+                        (f"{n} jobs of {', '.join(args.workloads)} at seeds "
+                         f"{' '.join(args.seeds)}", differs[:n])):
+        print(f"{what}: {len(flags) - sum(flags)} byte-identical, {sum(flags)} differ")
+    return 1 if any(differs) else 0
 
 
 if __name__ == "__main__":
