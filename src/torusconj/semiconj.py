@@ -410,26 +410,32 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     """CSV with columns theta_1..theta_d, phi_1..phi_k (%.17g) and
     error_bound (%.6g), written CHUNK rows at a time, all or nothing (see
-    _write_csv).  A grid coordinate takes one of grid_res values, so their
-    strings are formatted once and looked up per row; each row formats
-    only its k phi values with %.17g."""
+    _write_csv).  A chunk's grid coordinates repeat, so each one it holds
+    is formatted once per chunk and its string shared by the rows; each row
+    formats only its k phi values with %.17g."""
     d, k = engine.d, engine.k
     header = ",".join([f"theta_{i+1}" for i in range(d)]
                       + [f"phi_{i+1}" for i in range(k)] + ["error_bound"])
     row = ",".join(["%s"] * d + ["%.17g"] * k + ["%.6g" % engine.eps]) + "\r\n"
-    chunks = _grid_chunks(d, grid_res)      # checks the grid size before coords is made
-    coords = np.array(["%.17g" % (i / grid_res) for i in range(grid_res)], dtype=object)
 
     def lines(theta, phi):
-        cells = np.empty((len(phi), d + k), dtype=object)
         # grid_res * (i / grid_res) rounds to i; the strings are shared, not
-        # made per row (a string per row raised peak RSS by ~2 MB)
-        cells[:, :d] = coords[np.rint(theta * grid_res).astype(np.intp)]
+        # made per row (a string per row raised peak RSS by ~2 MB), and only
+        # the indices lo + i the chunk holds are formatted
+        idx = np.rint(theta * grid_res).astype(np.intp)
+        lo = int(idx.min())
+        idx -= lo
+        held = np.zeros(idx.max() + 1, dtype=bool)
+        held[idx] = True
+        coords = np.empty(len(held), dtype=object)
+        coords[held] = ["%.17g" % ((lo + i) / grid_res) for i in np.flatnonzero(held).tolist()]
+        cells = np.empty((len(phi), d + k), dtype=object)
+        cells[:, :d] = coords[idx]
         cells[:, d:] = phi
         return _format_rows(row, cells)
 
     _write_csv(path, header, itertools.starmap(lines, _map_chunks(
-        lambda theta: (theta, phi_torus(engine, theta).value), chunks)))
+        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res))))
 
 
 def _format_rows(row: str, values: np.ndarray) -> str:

@@ -424,7 +424,7 @@ def test_conjugacy_diagnostics(fix2, capsys):
     assert set(rep) == {"command", "N", "grid_res", "tol", "max_base_residual", "ceiling",
                         "round_trip_max", "pass", "schema_version", "diagnostics"}
     assert rep["max_base_residual"] <= rep["ceiling"]
-    assert rep["diagnostics"] == {"fiber_iters": 14, "scan_points": 2268, "phi_points": 3638}
+    assert rep["diagnostics"] == {"fiber_iters": 14, "scan_points": 1856, "phi_points": 3164}
 
 
 def test_cone_pencil_overflow_is_typed_error(fix2, tmp_path, capsys):

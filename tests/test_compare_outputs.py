@@ -52,3 +52,27 @@ def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     assert len(differing) == 1
     assert differing[0].startswith("DIFFERS fixture job 0: conjugacy <work>/fixtures/fix2.map")
     assert differing[0].endswith(": file skew_grid.csv (exit 0 -> 0)")
+
+
+def test_a_moved_report_value_is_named(tmp_path, capsys):
+    # a tree whose verify-semiconj report says grid_res + 1 and adds a key:
+    # both verify jobs differ in stdout, and the line names the two keys
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "torusconj" / "cli.py"
+    text = path.read_text()
+    assert text.count('"grid_res": rr.grid_res,') == 1
+    path.write_text(text.replace('"grid_res": rr.grid_res,',
+                                 '"grid_res": rr.grid_res + 1, "extra": 0,'))
+    assert compare_outputs._moved_keys({"a": 1, "b": [2]}, {"a": 1, "b": [3], "c": 4}) == ["b", "c"]
+    code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
+                                 "--workloads", "sweep-expanding"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[-1].endswith("2 byte-identical, 2 differ")
+    differing = [line for line in out if line.startswith("DIFFERS")
+                 and not line.startswith("DIFFERS fixture")]
+    assert len(differing) == 2
+    assert all(" verify-semiconj <work>/" in line
+               and line.endswith(": stdout (keys grid_res extra) (exit 0 -> 0)")
+               for line in differing)

@@ -56,8 +56,9 @@ def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
 
 
 def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
-    # no (t, y) sample is evaluated twice, over the shared scan and the
-    # finish rounds, and the straddle test reads the bracket ends themselves
+    # the profile is one phi_hat call at exactly (i / P, y) on each distinct
+    # fiber line, and no (t, y) point is evaluated twice over the profile
+    # and the finish rounds
     calls = []
     real = semiconj.phi_hat
     monkeypatch.setattr(semiconj, "phi_hat",
@@ -67,14 +68,14 @@ def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
     conjmap.solve_fiber_point(engine_2d, x0, Y)
     seen = [p.tobytes() for z in calls for p in z]
     assert len(set(seen)) == len(seen)
-    half = conjmap._bracket_halfwidth(engine_2d)
-    scan = {p.tobytes() for p in calls[0]}
-    for end in (x0 - half, x0 + half):
-        assert all(np.array([e, y]).tobytes() in scan for e, y in zip(end, Y[:, 0]))
-    # the skew grid's 1024 targets lie on 32 fiber lines, scanned once per
-    # line: 67 phi_hat calls when every target scanned its own line
+    P = conjmap.PRESCAN_POINTS
+    assert len(calls[0]) == 3 * P
+    assert {tuple(p) for p in calls[0]} == {(i / P, y) for i in range(P) for y in (0.2, 0.5, 0.9)}
+    # the skew grid's 1024 targets lie on 32 fiber lines: one profile call
+    # of 32 P points, the finish rounds, and the residual's own phi_torus
     calls.clear()
     conjmap.skew_product_residual(engine_2d, 32, tol=1e-10)
+    assert len(calls[0]) == 32 * P
     assert len(calls) == 16
 
 
@@ -101,9 +102,9 @@ def test_non_monotone_line_is_refused(engine_2d, monkeypatch):
 
 
 def test_far_targets_on_one_line_solve_as_apart(engine_2d):
-    # two targets far apart on one fiber line get the t of separate solves,
-    # and their scan samples are those of the two solves: no lattice point
-    # of the gap between the brackets is evaluated
+    # two targets far apart on one fiber line get the t of separate solves
+    # from one shared profile: g = Phi_hat - t is 1-periodic, so P samples
+    # serve every target on the line
     tol = 1e-10
     x0, Y = np.array([0.1, 7.3]), np.array([[0.25], [0.25]])
     both = conjmap.FiberStats()
@@ -111,7 +112,39 @@ def test_far_targets_on_one_line_solve_as_apart(engine_2d):
     apart = conjmap.FiberStats()
     ts = [conjmap.solve_fiber_point(engine_2d, x, Y[0], tol=tol, stats=apart) for x in x0]
     assert np.abs(t - ts).max() <= tol
-    assert both.scan_points == apart.scan_points
+    assert both.scan_points == conjmap.PRESCAN_POINTS
+    assert apart.scan_points == 2 * conjmap.PRESCAN_POINTS
+
+
+def test_line_spanning_a_unit_is_refused(engine_2d, monkeypatch):
+    # Phi_hat - t of span >= 1 over a period cannot belong to an increasing
+    # t -> Phi_hat((t, y)): refused even where the displacement bound holds
+    real = semiconj.phi_hat
+
+    def swinging(eng, z):
+        pv = real(eng, z)
+        return semiconj.PhiValue(pv.value + 0.6 * np.sin(2 * np.pi * z[:, :1]),
+                                 pv.error_bound)
+
+    monkeypatch.setattr(semiconj, "phi_hat", swinging)
+    monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: 1.0)
+    with pytest.raises(FiberSolveError, match=r"spanning 1\.\d+ >= 1 over a period"):
+        conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
+
+
+def test_profile_value_is_never_the_root(engine_2d, monkeypatch):
+    # a target equal to a profile value is returned at a point of a finish
+    # round, whose direct evaluation meets tol, never off the profile
+    tol, y, P = 1e-10, 0.25, conjmap.PRESCAN_POINTS
+    x0 = semiconj.phi_hat(engine_2d, np.array([5 / P, y])).value[0]
+    calls = []
+    real = semiconj.phi_hat
+    monkeypatch.setattr(semiconj, "phi_hat",
+                        lambda eng, z: calls.append(z.copy()) or real(eng, z))
+    t = conjmap.solve_fiber_point(engine_2d, x0, np.array([y]), tol=tol)
+    assert len(calls) >= 2 and (5 / P, y) in {tuple(p) for p in calls[0]}
+    assert t in {p[0] for z in calls[1:] for p in z}
+    assert abs(real(engine_2d, np.array([t, y])).value[0] - x0) <= tol
 
 
 def test_H_inverse_round_trips(engine_2d, rng):
@@ -185,6 +218,22 @@ def test_damped_solver_k2(engine_k2):
     assert T.shape == (2, 2)
     res = np.linalg.norm(semiconj.phi_hat(eng, np.hstack([T, Y])).value - X, axis=1)
     assert res.max() <= 1e-10
+
+
+def test_damped_solve_counts_its_last_step(engine_k2, monkeypatch):
+    # a solve that meets tol on its final evaluation, after MAX_DAMPED
+    # steps, adds the same counters as one with steps to spare
+    x0, y0 = np.array([0.3, 0.6]), np.array([0.25])
+    spare = conjmap.FiberStats()
+    T = conjmap.solve_fiber_point(engine_k2, x0, y0, tol=1e-10, stats=spare)
+    assert spare.fiber_iters > 0
+    monkeypatch.setattr(conjmap, "MAX_DAMPED", spare.fiber_iters)
+    last = conjmap.FiberStats()
+    assert np.array_equal(conjmap.solve_fiber_point(engine_k2, x0, y0, tol=1e-10, stats=last), T)
+    assert last == spare
+    monkeypatch.setattr(conjmap, "MAX_DAMPED", spare.fiber_iters - 1)
+    with pytest.raises(FiberSolveError, match="damped fiber solve stalled"):
+        conjmap.solve_fiber_point(engine_k2, x0, y0, tol=1e-10)
 
 
 def test_empty_batch_solves_to_empty(engine_2d, engine_k2):

@@ -174,6 +174,17 @@ def test_residual_memory_independent_of_grid(spec_2d_S, block_2d, monkeypatch):
     assert long <= 1.25 * short
 
 
+def test_csv_memory_independent_of_grid(engine_1d, tmp_path, monkeypatch):
+    # each chunk formats only the coordinates it holds, so a 1-D export of 4
+    # times the grid, whose every row has its own coordinate, peaks at the
+    # same memory (on one thread, so that no pool's read-ahead moves the peak)
+    monkeypatch.setattr(semiconj, "CHUNK", 1024)
+    monkeypatch.setattr(semiconj, "WORKERS", 1)
+    short, long = (_peak_bytes(lambda: semiconj.export_phi_grid(engine_1d, res, tmp_path / "phi.csv"))
+                   for res in (1 << 14, 1 << 16))
+    assert long <= 1.25 * short
+
+
 def test_backward_sweeps_per_residual(engine_2d, engine_cat, monkeypatch):
     # one inverse-lift solve per backward step: none in expanding mode, one
     # sweep of N in hyperbolic mode

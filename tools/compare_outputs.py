@@ -13,8 +13,9 @@ workload job reaches, on spec files written from the test fixtures of that
 checkout. For each job the exit code, stdout, stderr and every
 file written under its ``-o`` directory are hashed, after the work
 directory and the tree's path are replaced by fixed placeholders. The jobs
-whose hashes differ are printed with the parts that differ; the exit
-status is 1 if any job differs and 0 if all are byte-identical.
+whose hashes differ are printed with the parts that differ, and where both
+stdouts are JSON reports, with the top-level keys whose values differ; the
+exit status is 1 if any job differs and 0 if all are byte-identical.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def _files(directory, normalise):
     return out
 
 
+def _report(stdout: str):
+    """stdout as a JSON object, or None if it is not one."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return None
+    return report if isinstance(report, dict) else None
+
+
+def _moved_keys(a, b):
+    """The top-level keys of two JSON reports whose values differ, in the
+    order of a and then of the keys b alone has."""
+    return [key for key in {**a, **b} if key not in a or key not in b or a[key] != b[key]]
+
+
 def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D and cat fixtures of
     tests/conftest.py, HUGE_G of tests/test_cli.py, and a k = d = 2 map."""
@@ -101,10 +117,12 @@ def run_tree(tree, workloads, seeds):
                     traceback.print_exc()
                     code = "traceback"
             files = _files(argv[argv.index("-o") + 1], normalise) if "-o" in argv else {}
+            stdout = normalise(out.getvalue().encode())
             records.append({
                 "job": f"{name}: " + normalise(" ".join(argv).encode()).decode(),
                 "exit": str(code),
-                "stdout": _sha(normalise(out.getvalue().encode())),
+                "stdout": _sha(stdout),
+                "report": _report(stdout),
                 "stderr": _sha(normalise(err.getvalue().encode())),
                 "files": files,
             })
@@ -162,6 +180,8 @@ def main(argv=None):
     differs = []
     for a, b in zip(old, new):
         parts = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
+        if "stdout" in parts and a["report"] is not None and b["report"] is not None:
+            parts[parts.index("stdout")] = f"stdout (keys {' '.join(_moved_keys(a['report'], b['report']))})"
         parts += [f"file {name}" for name in sorted(set(a["files"]) | set(b["files"]))
                   if a["files"].get(name) != b["files"].get(name)]
         differs.append(bool(parts))
