@@ -73,9 +73,29 @@ def _solve_small(J, r):
     if r.shape[1] == 2:
         a, b, c, e = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
         det = a * e - b * c
-        return np.stack([(e * r[:, 0] - b * r[:, 1]) / det,
-                         (a * r[:, 1] - c * r[:, 0]) / det], axis=1)
+        x = np.empty(r.shape)
+        np.divide(e * r[:, 0] - b * r[:, 1], det, out=x[:, 0])
+        np.divide(a * r[:, 1] - c * r[:, 0], det, out=x[:, 1])
+        return x
     return np.linalg.solve(J, r[:, :, None])[:, :, 0]
+
+
+def _row_norms(r):
+    """The Euclidean norm of each row of r (n, d), its squares summed left
+    to right: bit for bit np.sqrt((r ** 2).sum(axis=1)), without the
+    reduction's set-up cost on a few columns."""
+    s = r[:, 0] * r[:, 0]
+    for j in range(1, r.shape[1]):
+        s += r[:, j] * r[:, j]
+    return np.sqrt(s, out=s)
+
+
+def _residual(W, Mf, g, Z):
+    """M w + G(w) - z, one new array, summed left to right."""
+    r = W @ Mf.T
+    r += g
+    r -= Z
+    return r
 
 
 def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
@@ -89,6 +109,11 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     next, and accepts that one unconditionally.  The iteration stops once
     the largest accepted residual is <= tol, or after max_iter iterations.
 
+    Each round does only the work its points need, with the same iterates:
+    a round in which every point takes Newton builds no contraction
+    candidate, and a round in which every trial is accepted keeps the trial
+    arrays as the new iterate instead of copying them in under a mask.
+
     Mf is the spec's integer M as floats and Minv its float inverse; the
     residuals use Mf itself, never a float re-inversion of Minv.  terms are
     the arguments of eval_trig_and_jac after Z (a dynamics.TermArrays).
@@ -98,22 +123,31 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     uses it) and the number of G/DG evaluations after the first.
     """
     W = Z @ Minv.T
-    g, dg = eval_trig_and_jac(wrap(W), *terms)
-    r = W @ Mf.T + g - Z
-    res = np.sqrt((r ** 2).sum(axis=1))
-    newton = np.ones(Z.shape[0], dtype=bool)
+    g, J = eval_trig_and_jac(wrap(W), *terms)
+    J += Mf                 # DF(w) = M + DG(w), bit for bit Mf + DG(w)
+    r = _residual(W, Mf, g, Z)
+    res = _row_norms(r)
+    newton = None           # None: every point takes Newton
     iters = 0
-    while res.max() > tol and iters < max_iter:
-        trial = np.where(newton[:, None], W - _solve_small(Mf + dg, r),
-                         (Z - g) @ Minv.T)
-        g_t, dg_t = eval_trig_and_jac(wrap(trial), *terms)
-        r_t = trial @ Mf.T + g_t - Z
-        res_t = np.sqrt((r_t ** 2).sum(axis=1))
+    while res.max(initial=0.0) > tol and iters < max_iter:
+        trial = W - _solve_small(J, r)
+        if newton is not None:
+            trial = np.where(newton[:, None], trial, (Z - g) @ Minv.T)
+        g_t, J_t = eval_trig_and_jac(wrap(trial), *terms)
+        J_t += Mf
+        r_t = _residual(trial, Mf, g_t, Z)
+        res_t = _row_norms(r_t)
         iters += 1
-        newton = ~newton | (res_t < res)     # accepted now: Newton next
-        acc = newton[:, None]
-        for old, new in ((W, trial), (g, g_t), (r, r_t)):
-            np.copyto(old, new, where=acc)
-        np.copyto(dg, dg_t, where=acc[:, :, None])
-        np.copyto(res, res_t, where=newton)
+        acc = res_t < res
+        if newton is not None:
+            acc |= ~newton       # a contraction trial is always accepted
+        if acc.all():
+            W, g, J, r, res = trial, g_t, J_t, r_t, res_t
+            newton = None
+        else:
+            newton = acc         # accepted now: Newton next
+            for old, new in ((W, trial), (g, g_t), (r, r_t)):
+                np.copyto(old, new, where=acc[:, None])
+            np.copyto(J, J_t, where=acc[:, None, None])
+            np.copyto(res, res_t, where=acc)
     return W, res, g, iters

@@ -116,8 +116,10 @@ class LiftInverse:
     """The certified inverse of the lift F(w) = M w + G(w): rho < 1 makes F
     a bijection of R^d, and a residual r puts w within L_inv * r of the
     preimage.  Called on (Z, tol), it returns (W, G(W mod 1), iterations)
-    of _kernels.invert_lift_numpy, or raises ContractionError unless every
-    residual ||F(w) - z|| is <= tol."""
+    of _kernels.invert_lift_numpy.  It raises ContractionError, before any
+    evaluation, unless tol is finite and > 0, and after the solve unless
+    every residual ||F(w) - z|| is <= tol.  An empty batch Z (0, d) gives
+    (0, d) arrays and 0 iterations."""
     rho: float              # ||M^-1|| * Lip(G) < 1
     L_inv: float            # ||M^-1|| / (1 - rho)
     Mf: np.ndarray          # the spec's integer M as floats
@@ -125,11 +127,13 @@ class LiftInverse:
     terms: TermArrays
 
     def __call__(self, Z, tol: float):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ContractionError(f"inverse lift tolerance must be finite and > 0, got {tol:.3g}")
         rho, ta = self.rho, self.terms
         max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
         W, res, g, iters = _kernels.invert_lift_numpy(
             Z, self.Mf, self.Minv, ta, tol, max_iter)
-        if res.max() > tol:
+        if res.max(initial=0.0) > tol:
             raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
         return W, g, iters
 

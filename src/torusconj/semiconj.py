@@ -132,14 +132,21 @@ def _geometric_rate(inv_norms: np.ndarray, N: int) -> float:
         "the block is too close to non-expanding (raise N)")
 
 
-def _power_norms(B: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(powers, operator 2-norms) of B^n for n = 0..N."""
+def _power_norms(B: np.ndarray, N: int, pows: np.ndarray | None = None,
+                 norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, operator 2-norms) of B^n for n = 0..N.  Given the powers and
+    norms for n = 0..m (m < N), it keeps them and computes only n > m."""
     k = B.shape[0]
-    pows = np.empty((N + 1, k, k))
-    pows[0] = np.eye(k)
-    for n in range(1, N + 1):
-        pows[n] = pows[n - 1] @ B
-    return pows, np.linalg.norm(pows, 2, axis=(1, 2))
+    lo = 0 if pows is None else len(pows)
+    out = np.empty((N + 1, k, k))
+    if lo:
+        out[:lo] = pows
+    else:
+        out[0] = np.eye(k)
+    for n in range(max(lo, 1), N + 1):
+        out[n] = out[n - 1] @ B
+    new_norms = np.linalg.norm(out[lo:], 2, axis=(1, 2))
+    return out, new_norms if norms is None else np.concatenate([norms, new_norms])
 
 
 def _real_invariant_split(A: np.ndarray):
@@ -198,32 +205,33 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
     Du_inv = np.linalg.inv(B[:ku, :ku])
     Ds = B[ku:, ku:]
     nP = np.linalg.norm(P, 2)
+    nLu, nLs = np.linalg.norm(Lu, 2), np.linalg.norm(Ls, 2)
+    up = sp = (None, None)  # (powers, norms) of D_u^-n and D_s^n for n = 0..N so far
 
-    def assemble(Ncur: int):
-        upows, unorms = _power_norms(Du_inv, Ncur)
-        spows, snorms = _power_norms(Ds, Ncur)
+    def bound(Ncur: int):
+        """(eps_series, rho_u, c_a) at truncation Ncur; extends up and sp."""
+        nonlocal up, sp
+        up = _power_norms(Du_inv, Ncur, *up)
+        sp = _power_norms(Ds, Ncur, *sp)
+        unorms, snorms = up[1], sp[1]
         rho_u = _geometric_rate(unorms, Ncur)
         rho_s = _geometric_rate(snorms, Ncur)
         tail_u = unorms[Ncur] * rho_u / (1.0 - rho_u)
         tail_s = snorms[Ncur] / (1.0 - rho_s)       # sum_{m >= N} ||D_s^m||
-        eps_series = nb.g_sup * nP * (np.linalg.norm(Lu, 2) * tail_u
-                                      + np.linalg.norm(Ls, 2) * tail_s)
+        eps_series = nb.g_sup * nP * (nLu * tail_u + nLs * tail_s)
         c_a = float(unorms[1:].sum() + tail_u)
-        coef_u = P[:, :ku] @ upows[1:] @ Lu
-        coef_s = P[:, ku:] @ spows[:Ncur] @ Ls
-        return coef_u, coef_s, eps_series, rho_u, c_a, snorms
+        return eps_series, rho_u, c_a
 
     if N is not None:
-        out = assemble(N)
+        eps_series, rho, c_a = bound(N)
     else:
         N = 1
         while True:
             try:
-                out = assemble(N)
+                eps_series, rho, c_a = bound(N)
             except EngineError:
-                out = None
-            if out is not None:
-                eps_series, rho = out[2], out[3]
+                rho = None
+            if rho is not None:
                 if rho > 0.9:
                     raise EngineError(
                         f"contraction rate rho = {rho:.3f} > 0.9; pass N explicitly")
@@ -232,15 +240,16 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
             if N >= MAX_DEFAULT_N:
                 raise EngineError("no default N meets the error target; pass N")
             N = min(2 * N, MAX_DEFAULT_N)
-    coef_u, coef_s, eps_series, rho, c_a, snorms = out
+    coef_u = P[:, :ku] @ up[0][1:] @ Lu
+    coef_s = P[:, ku:] @ sp[0][:N] @ Ls
+    snorms = sp[1]
 
     lift = None
     inv_tol = 0.0
     eps = eps_series
     if ku < k:
         lift = dynamics.lift_inverse(spec)
-        inv_unit = _inv_budget_unit(lift.L_inv, nb.g_lip, snorms, N, nP,
-                                    np.linalg.norm(Ls, 2))
+        inv_unit = _inv_budget_unit(lift.L_inv, nb.g_lip, snorms, N, nP, nLs)
         inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
         eps = eps_series + inv_unit * inv_tol
     eps = float(eps)

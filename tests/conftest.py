@@ -16,6 +16,14 @@ FIX_CAT = ("dim=2\n"
            "G[1]=0.02*sin(2*pi*(z1))\n"
            "G[2]=0.02*cos(2*pi*(z2))\n")
 
+# det M = -1 and no eigenvalue on the unit circle: a d = 3 hyperbolic map,
+# whose inverse lift takes the LAPACK solve and three-column residuals
+FIX_HYP3 = ("dim=3\n"
+            "M=[[2,1,0],[1,1,1],[0,1,1]]\n"
+            "G[1]=0.004*sin(2*pi*(z1+z3))\n"
+            "G[2]=0.003*cos(2*pi*(z2))\n"
+            "G[3]=0.002*sin(2*pi*(z1-z2))\n")
+
 # |det M| = 2, eigenvalues 2 +- sqrt(2): hyperbolic, F is 2-to-1 on the torus
 FIX_DET2 = ("dim=2\n"
             "M=[[3,1],[1,1]]\n"

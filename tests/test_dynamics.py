@@ -140,6 +140,19 @@ def test_invert_lift_rejects_expansion_violation():
         dynamics.lift_inverse(s)(np.array([[0.3]]), 1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_invert_lift_rejects_bad_tolerance(spec_cat, tol, monkeypatch):
+    # a typed error that names the tolerance, raised before any evaluation
+    monkeypatch.setattr(dynamics._kernels, "invert_lift_numpy", None)
+    with pytest.raises(ContractionError, match="tolerance must be finite and > 0"):
+        dynamics.lift_inverse(spec_cat)(np.full((3, 2), 0.3), tol)
+
+
+def test_invert_lift_empty_batch(spec_cat):
+    W, g, iters = dynamics.lift_inverse(spec_cat)(np.zeros((0, 2)), 1e-13)
+    assert W.shape == g.shape == (0, 2) and iters == 0
+
+
 def test_change_coordinates_conjugates(spec_2d, rng):
     S = [[1, -1], [0, 1]]
     s2 = dynamics.change_coordinates(spec_2d, S)

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from torusconj import _kernels, dynamics, parse_spec, semiconj
+
+from conftest import FIX_1D, FIX_CAT, FIX_HYP3
 
 TWO_PI = 2.0 * np.pi
 
@@ -225,3 +228,103 @@ def test_wrap_is_mod_one():
     x = np.concatenate([rng.uniform(-40, 40, 5000), rng.standard_normal(500) * 1e-17,
                         [-0.0, 0.0, -1.0, 3.0, -5e-324, 1e300, -1e300, -(2.0 ** 52) - 0.5]])
     assert np.array_equal(_kernels.wrap(x).view(np.int64), np.mod(x, 1.0).view(np.int64))
+
+
+def _solve_small_ref(J, r):
+    """_solve_small with the d = 2 columns stacked into a new array."""
+    if r.shape[1] == 2:
+        a, b, c, e = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+        det = a * e - b * c
+        return np.stack([(e * r[:, 0] - b * r[:, 1]) / det,
+                         (a * r[:, 1] - c * r[:, 0]) / det], axis=1)
+    return np.linalg.solve(J, r[:, :, None])[:, :, 0]
+
+
+def _invert_lift_ref(Z, Mf, Minv, terms, tol, max_iter, solve=_solve_small_ref):
+    """The safeguarded Newton loop that builds the contraction candidate and
+    copies every array under a mask in every round: the reference whose
+    iterates, residuals, G values and iteration count the kernel keeps."""
+    W = Z @ Minv.T
+    g, dg = _kernels.eval_trig_and_jac(_kernels.wrap(W), *terms)
+    r = W @ Mf.T + g - Z
+    res = np.sqrt((r ** 2).sum(axis=1))
+    newton = np.ones(Z.shape[0], dtype=bool)
+    iters = 0
+    while res.max() > tol and iters < max_iter:
+        trial = np.where(newton[:, None], W - solve(Mf + dg, r),
+                         (Z - g) @ Minv.T)
+        g_t, dg_t = _kernels.eval_trig_and_jac(_kernels.wrap(trial), *terms)
+        r_t = trial @ Mf.T + g_t - Z
+        res_t = np.sqrt((r_t ** 2).sum(axis=1))
+        iters += 1
+        newton = ~newton | (res_t < res)
+        acc = newton[:, None]
+        for old, new in ((W, trial), (g, g_t), (r, r_t)):
+            np.copyto(old, new, where=acc)
+        np.copyto(dg, dg_t, where=acc[:, :, None])
+        np.copyto(res, res_t, where=newton)
+    return W, res, g, iters
+
+
+def _assert_same_solve(spec, Z, tol, max_iter, solve=_solve_small_ref):
+    ta = dynamics.term_arrays(spec)
+    Mf = dynamics.M_array(spec)
+    Minv = np.linalg.inv(Mf)
+    W, res, g, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, tol, max_iter)
+    W_r, res_r, g_r, iters_r = _invert_lift_ref(Z, Mf, Minv, ta, tol, max_iter, solve)
+    assert iters == iters_r
+    assert np.array_equal(W, W_r) and np.array_equal(res, res_r) and np.array_equal(g, g_r)
+    return res, iters
+
+
+@pytest.mark.parametrize("text", [FIX_1D, FIX_CAT, FIX_HYP3])
+def test_invert_lift_is_reference_bitwise(text):
+    # every round count from 0 to 6, a converging tol, and a tol under the
+    # float floor that runs to max_iter: the same iterates, bit for bit
+    spec = parse_spec(text)
+    rng = np.random.default_rng(19)
+    Z = rng.uniform(-1, 2, size=(300, spec.d))
+    for max_iter in range(7):
+        assert _assert_same_solve(spec, Z, 0.0, max_iter)[1] == max_iter
+    res, iters = _assert_same_solve(spec, Z, 1e-13, 200)
+    assert res.max() <= 1e-13 and iters < 200
+    res, iters = _assert_same_solve(spec, Z, 1e-300, 25)
+    assert res.max() > 1e-300 and iters == 25
+
+
+@pytest.mark.parametrize("text", [FIX_CAT, FIX_HYP3])
+def test_invert_lift_mixed_rounds_are_reference_bitwise(text, monkeypatch):
+    # a Newton step spoiled on every third point is refused there, so the
+    # rounds mix Newton and contraction trials and accept only some
+    spec = parse_spec(text)
+
+    def spoiled(J, r):
+        x = _solve_small_ref(J, r)
+        x[::3] += 0.25
+        return x
+
+    monkeypatch.setattr(_kernels, "_solve_small", spoiled)
+    Z = np.random.default_rng(23).uniform(-1, 2, size=(90, spec.d))
+    for max_iter in range(7):
+        _assert_same_solve(spec, Z, 0.0, max_iter, spoiled)
+    res, iters = _assert_same_solve(spec, Z, 1e-13, 200, spoiled)
+    assert res.max() <= 1e-13 and iters < 200
+
+
+def test_row_norms_is_sum_reduction():
+    # the left-to-right sum of squared columns is numpy's axis-1 reduction,
+    # bit for bit, at every scale and with zero rows
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        r = rng.standard_normal((100_000, d)) * 10.0 ** rng.integers(-150, 150, size=(100_000, 1))
+        r[:100] = 0.0
+        r[100:200, 0] = -0.0
+        assert np.array_equal(_kernels._row_norms(r), np.sqrt((r ** 2).sum(axis=1)))
+
+
+def test_solve_small_is_stacked_solve():
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        J = rng.standard_normal((500, d, d))
+        r = rng.standard_normal((500, d))
+        assert np.array_equal(_kernels._solve_small(J, r), _solve_small_ref(J, r))

@@ -47,6 +47,7 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:fix2", "--grid", "8", "--tol", "0.3"),              # vacuous
     ("conjugacy", "SPEC:huge", "--trunc", "8", "--grid", "8"),              # vacuous, no fiber
     ("verify-semiconj", "SPEC:fix2", "--grid", "5000000000"),               # oversize grid
+    ("verify-semiconj", "SPEC:hyp3", "--sublattice", "full", "--grid", "6"),  # d = 3 inverse lift
 )
 
 
@@ -81,12 +82,14 @@ def _moved_keys(a, b):
 
 
 def fixture_specs():
-    """{name: spec text} of the fixture jobs: the 2-D and cat fixtures of
-    tests/conftest.py, HUGE_G of tests/test_cli.py, and a k = d = 2 map."""
+    """{name: spec text} of the fixture jobs: the 2-D, cat and d = 3
+    hyperbolic fixtures of tests/conftest.py, HUGE_G of tests/test_cli.py,
+    and a k = d = 2 map."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
-    return {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "huge": test_cli.HUGE_G,
+    return {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "hyp3": conftest.FIX_HYP3,
+            "huge": test_cli.HUGE_G,
             "three": "dim=2\nM=[[3,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
                      "G[2]=0.02*cos(2*pi*(z2))\n"}
 
