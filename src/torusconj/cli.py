@@ -51,8 +51,7 @@ def _emit(report: dict, args) -> None:
         raise FloatRangeError(f"the {report['command']} report holds a NaN or an "
                               "infinity, which JSON cannot carry") from None
     if args.out:
-        with open(_out_path(args, f"{report['command']}.json"), "w") as fh:
-            fh.write(text + "\n")
+        semiconj._write_file(_out_path(args, f"{report['command']}.json"), [text, "\n"])
     print(text)
 
 
@@ -65,8 +64,6 @@ def _out_path(args, name: str) -> str:
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
@@ -94,10 +91,10 @@ def _block_coordinates(spec, args):
     else:
         eigs = [m for m in intlat.integer_eigenvalues(M) if abs(m) > 1]
         if not eigs:
-            raise _Verdict(2, "no integer eigenvalue of magnitude > 1 and no "
-                              "--sublattice given; the winding matrix admits no "
-                              "rank-1 invariant sublattice (irreducibility "
-                              "obstruction)")
+            raise _Verdict("no integer eigenvalue of magnitude > 1 and no "
+                           "--sublattice given; the winding matrix admits no "
+                           "rank-1 invariant sublattice (irreducibility "
+                           "obstruction)")
         B = [intlat.derive_invariant_line(M, max(eigs, key=abs))]
     block = intlat.block_triangularize(M, B)
     return dynamics.change_coordinates(spec, block.S_list()), block
@@ -118,11 +115,7 @@ def _ceiling_verdict(report: dict, residual: float, k: int) -> dict:
 
 
 class _Verdict(Exception):
-    """A failed verdict that carries a message instead of a report."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A failed verdict (exit 2) that carries a message instead of a report."""
 
 
 # ---------------------------------------------------------------- commands
@@ -173,8 +166,8 @@ def cmd_analyze(spec, args) -> dict:
         bf = intlat.block_triangularize(M, _read_sublattice(args.sublattice, spec.d))
         report["sublattice_block"] = {"k": bf.k, **_block_keys(bf)}
     elif not eigs:
-        raise _Verdict(2, "no integer eigenvalue (characteristic polynomial "
-                          "has no integer root) and no --sublattice given")
+        raise _Verdict("no integer eigenvalue (characteristic polynomial "
+                       "has no integer root) and no --sublattice given")
     return report
 
 
@@ -242,6 +235,7 @@ def cmd_verify_cones(spec, args) -> dict:
             "a4_pass": cert.a4_pass,
             "pencil_rounds": cert.pencil_rounds,
             "pencil_gap": cert.pencil_gap,
+            "worst_cell": cert.worst_cell,
             "pass": cert.a2_pass,
         })
     # the first passing entry of largest expansion margin
@@ -375,7 +369,7 @@ def main(argv=None) -> int:
         _emit(report, args)
     except _Verdict as v:
         print(str(v), file=sys.stderr)
-        return v.code
+        return 2
     except (TorusConjError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -185,9 +185,6 @@ def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
 class ConeCheck:
     expansion_factor: float     # certified min of ||a'|| over unit cone vectors
     invariance_margin: float    # certified lower bound on alpha||a'|| - ||b'||
-    q_exp: float
-    q_inv: float
-    restricted_norm: float      # sigma_max of L restricted to the off-core block
 
 
 def ray_sampling_estimates(L: np.ndarray, k: int, alpha: float,
@@ -222,7 +219,6 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     nL = float(np.linalg.norm(L, 2))
     q_exp, q_inv, _, _ = _cone_minima(L[None], nL, k, alpha)
     q_exp, q_inv = float(q_exp[0]), float(q_inv[0])
-    restricted = float(np.linalg.norm(L[:, k:], 2)) if d > k else 0.0
     inv_margin = q_inv / ((alpha + 1.0) * max(nL, 1e-300))     # inf when k = d
     if cross_validate:
         s_exp, s_inv = ray_sampling_estimates(L, k, alpha, n_rays)
@@ -231,20 +227,18 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
                 f"certified minima beat ray sampling: exp {q_exp} vs {s_exp}, "
                 f"inv {q_inv} vs {s_inv}")
     return ConeCheck(expansion_factor=math.sqrt(max(q_exp, 0.0)),
-                     invariance_margin=inv_margin,
-                     q_exp=q_exp, q_inv=q_inv, restricted_norm=restricted)
+                     invariance_margin=inv_margin)
 
 
 @dataclass(frozen=True)
 class ConeCertificate:
     params: ConeParams
-    grid_res: int
     padding: float
     expansion_factor: float       # min certified over cells, before padding
     invariance_margin: float      # min certified linear margin, before padding
     expansion_margin: float       # min over cells of (padded factor - K)
     domination_margin: float      # min padded factor - max padded off-core norm
-    worst_cell: tuple
+    worst_cell: tuple             # centre of the first cell of least padded margin
     a2_pass: bool
     a4_pass: bool                 # A2 and a positive domination margin
     pencil_rounds: int            # eigh rounds of the pencil solve
@@ -303,7 +297,7 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
         dom_margin = float(padded_factor - off_core)
         a2 = all(a2)
         certs.append(ConeCertificate(
-            params=p, grid_res=grid_res, padding=float(pad),
+            params=p, padding=float(pad),
             expansion_factor=float(np.min(factor)),
             invariance_margin=float(np.min(lin_inv)),
             expansion_margin=float(padded_factor - p.K),
@@ -326,5 +320,5 @@ def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad, centers):
     padded_inv = lin_inv - (p.alpha + 1.0) * pad
     worst = np.minimum(exp_margin, padded_inv)
     i = int(np.argmin(worst))
-    return (factors.min(), lin_inv.min(), worst[i], tuple(centers[i]),
+    return (factors.min(), lin_inv.min(), worst[i], tuple(centers[i].tolist()),
             bool(np.all(exp_margin >= 0) and np.all(padded_inv > 0)), rounds, gap)

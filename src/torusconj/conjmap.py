@@ -186,12 +186,13 @@ def _damped_batch(engine: SemiConjEngine, X0, Y, tol, stats: FiberStats | None =
     return T
 
 
-def _solve_batch(engine: SemiConjEngine, x0, Y, tol, stats):
-    """The (n, k) solutions t and the (n, d-k) batch of Y, for the n points of Y."""
+def _solve_batch(engine: SemiConjEngine, x0, y0, tol, stats):
+    """The (n, k) solutions t and the (n, d-k) batch Y of y0, for the n
+    points of y0, each with its k values of x0."""
     _require_expanding(engine)
     k = engine.k
-    X = np.asarray(x0, dtype=float).reshape(-1, k)
-    Y = Y.reshape(X.shape[0], engine.d - k)
+    Y = dynamics._batch(y0, engine.d - k)
+    X = np.asarray(x0, dtype=float).reshape(len(Y), k)
     if not X.shape[0]:
         return X, Y
     if k == 1:
@@ -206,9 +207,8 @@ def solve_fiber_point(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     y0's leading axes (and k > 1): a float for a k = 1 point.  For k = 1 the
     certified solve of _bisect_batch, uncertified damped iteration
     otherwise.  The work done is added to stats, if given."""
-    Y = np.asarray(y0, dtype=float)
-    T, _ = _solve_batch(engine, x0, Y, tol, stats)
-    lead = Y.shape[:-1]
+    T, _ = _solve_batch(engine, x0, y0, tol, stats)
+    lead = np.shape(y0)[:-1]
     # [()] makes a 0-d result a float
     return T.reshape(lead if engine.k == 1 else lead + (engine.k,))[()]
 
@@ -217,15 +217,13 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
               stats: FiberStats | None = None):
     """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
     by y0's leading axes and d."""
-    Y = np.asarray(y0, dtype=float)
-    T, Yb = _solve_batch(engine, x0, Y, tol, stats)
-    return _kernels.wrap(np.hstack([T, Yb])).reshape(Y.shape[:-1] + (engine.d,))
+    T, Y = _solve_batch(engine, x0, y0, tol, stats)
+    return _kernels.wrap(np.hstack([T, Y])).reshape(np.shape(y0)[:-1] + (engine.d,))
 
 
 @dataclass(frozen=True)
 class SkewReport:
     grid_res: int
-    tol: float
     max_base_residual: float
     ceiling: float              # skew_ceiling(engine, tol)
     fiber_map_samples: np.ndarray   # (n, d-k): the induced F_y values
@@ -252,7 +250,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     base = semiconj.phi_torus(engine, FZ).value
     target = _kernels.wrap(X @ engine.A.T)
     resid = dynamics.torus_distance(base, target)
-    return SkewReport(grid_res=grid_res, tol=tol,
+    return SkewReport(grid_res=grid_res,
                       max_base_residual=float(resid.max()),
                       ceiling=skew_ceiling(engine, tol),
                       fiber_map_samples=FZ[:, k:], grid=grid)
@@ -265,5 +263,5 @@ def export_skew_csv(report: SkewReport, path) -> None:
                       + [f"y_{i+1}" for i in range(m)]
                       + [f"Fy_{i+1}" for i in range(m)])
     row = ",".join(["%.17g"] * (d + m)) + "\r\n"
-    semiconj._write_csv(path, header, [semiconj._format_rows(
+    semiconj._write_file(path, [header + "\r\n", semiconj._format_rows(
         row, np.hstack([report.grid, report.fiber_map_samples]))])

@@ -3,6 +3,7 @@ global norm/Lipschitz bounds consumed by the certification modules."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,11 +46,13 @@ def M_array(spec: TorusMapSpec) -> np.ndarray:
 
 
 def _batch(z, d):
-    """z, a point (d,) or a batch (..., d), as an (n, d) array."""
+    """z, a point (d,) or a batch (..., d), as an (n, d) array, n the
+    product of the leading axes (so d = 0 works too); ValueError if the last
+    axis is not d.  The one shape check of every point batch."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (d,):
         raise ValueError(f"points of shape {z.shape} do not have dimension {d}")
-    return z.reshape(-1, d)
+    return z.reshape(math.prod(z.shape[:-1]), d)
 
 
 def eval_G(spec: TorusMapSpec, z):
@@ -115,11 +118,13 @@ def contraction_rate(spec: TorusMapSpec) -> float:
 class LiftInverse:
     """The certified inverse of the lift F(w) = M w + G(w): rho < 1 makes F
     a bijection of R^d, and a residual r puts w within L_inv * r of the
-    preimage.  Called on (Z, tol), it returns (W, G(W mod 1), iterations)
-    of _kernels.invert_lift_numpy.  It raises ContractionError, before any
-    evaluation, unless tol is finite and > 0, and after the solve unless
-    every residual ||F(w) - z|| is <= tol.  An empty batch Z (0, d) gives
-    (0, d) arrays and 0 iterations."""
+    preimage.  Called on (Z, tol), Z a point (d,) or a batch (..., d) taken
+    as its (n, d) batch (see _batch), it returns (W, G(W mod 1), iterations)
+    of _kernels.invert_lift_numpy, W and G (n, d).  It raises, before any
+    evaluation, ValueError unless Z's last axis is d and ContractionError
+    unless tol is finite and > 0, and after the solve ContractionError
+    unless every residual ||F(w) - z|| is <= tol (a NaN residual is not).
+    An empty batch Z (0, d) gives (0, d) arrays and 0 iterations."""
     rho: float              # ||M^-1|| * Lip(G) < 1
     L_inv: float            # ||M^-1|| / (1 - rho)
     Mf: np.ndarray          # the spec's integer M as floats
@@ -127,13 +132,14 @@ class LiftInverse:
     terms: TermArrays
 
     def __call__(self, Z, tol: float):
+        Z = _batch(Z, len(self.Mf))
         if not (np.isfinite(tol) and tol > 0):
             raise ContractionError(f"inverse lift tolerance must be finite and > 0, got {tol:.3g}")
         rho, ta = self.rho, self.terms
         max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
         W, res, g, iters = _kernels.invert_lift_numpy(
             Z, self.Mf, self.Minv, ta, tol, max_iter)
-        if res.max(initial=0.0) > tol:
+        if not res.max(initial=0.0) <= tol:
             raise ContractionError(f"inverse lift residual {res.max():.3g} > tol {tol:.3g}")
         return W, g, iters
 

@@ -308,8 +308,7 @@ def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int,
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
     """Lift of the semi-conjugacy at z (point (d,) or batch (..., d)),
     swept CHUNK points at a time."""
-    Z = np.asarray(z, dtype=float)
-    Zb = Z.reshape(-1, engine.d)
+    Zb = dynamics._batch(z, engine.d)
     val = np.zeros((Zb.shape[0], engine.k))
 
     def sweep(lo):
@@ -322,7 +321,7 @@ def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
         series += Zc[:, :engine.k]
 
     deque(_map_chunks(sweep, range(0, Zb.shape[0], CHUNK)), maxlen=0)
-    return PhiValue(value=val.reshape(Z.shape[:-1] + (engine.k,)), error_bound=engine.eps)
+    return PhiValue(value=val.reshape(np.shape(z)[:-1] + (engine.k,)), error_bound=engine.eps)
 
 
 def phi_torus(engine: SemiConjEngine, theta) -> PhiValue:
@@ -419,7 +418,7 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     """CSV with columns theta_1..theta_d, phi_1..phi_k (%.17g) and
     error_bound (%.6g), written CHUNK rows at a time, all or nothing (see
-    _write_csv).  A chunk's grid coordinates repeat, so each one it holds
+    _write_file).  A chunk's grid coordinates repeat, so each one it holds
     is formatted once per chunk and its string shared by the rows; each row
     formats only its k phi values with %.17g."""
     d, k = engine.d, engine.k
@@ -443,8 +442,9 @@ def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
         cells[:, d:] = phi
         return _format_rows(row, cells)
 
-    _write_csv(path, header, itertools.starmap(lines, _map_chunks(
-        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res))))
+    rows = itertools.starmap(lines, _map_chunks(
+        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res)))
+    _write_file(path, itertools.chain([header + "\r\n"], rows))
 
 
 def _format_rows(row: str, values: np.ndarray) -> str:
@@ -454,15 +454,14 @@ def _format_rows(row: str, values: np.ndarray) -> str:
     return (row * len(values)) % tuple(values.ravel().tolist())
 
 
-def _write_csv(path, header: str, blocks) -> None:
-    """Write header and a CRLF, then each string of blocks, to path, all or
-    nothing: the text goes to a temporary file next to path, which replaces
-    path once the last block is written and is removed if any block fails,
-    so a failed export leaves no partial CSV behind."""
+def _write_file(path, blocks) -> None:
+    """Write each string of blocks to path, all or nothing: the text goes to
+    a temporary file next to path, which replaces path once the last block
+    is written and is removed if any block fails, so a failed write leaves
+    no partial file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(header + "\r\n")
             fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:

@@ -77,7 +77,8 @@ class _Tokenizer:
         return -1 if ch == "-" else 1
 
     def number(self):
-        """Read an unsigned numeric literal; returns (text, is_integer)."""
+        """Read an unsigned numeric literal; returns (text, value, is_integer,
+        column), column the 1-based column of its first character."""
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and (self.text[self.pos].isdigit()

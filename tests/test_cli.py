@@ -201,7 +201,8 @@ def test_verify_cones_pencil_keys(fix2, capsys):
     factors = [1.7128012554998824, 1.5371788021906225, 1.148924207826233,
                0.6427516111907068, 0.25758750528188473, 0.03866272892051701]
     keys = {"alpha", "K", "expansion_factor", "invariance_margin", "expansion_margin",
-            "padding", "domination_margin", "a4_pass", "pass", "pencil_rounds", "pencil_gap"}
+            "padding", "domination_margin", "a4_pass", "pass", "pencil_rounds", "pencil_gap",
+            "worst_cell"}
     for entry, factor in zip(rep["alphas"], factors):
         assert set(entry) == keys
         assert abs(entry["expansion_factor"] - factor) <= 1e-14
@@ -269,6 +270,25 @@ def test_failed_phi_export_leaves_no_csv(fix2, capsys, tmp_path, monkeypatch):
     out_dir = tmp_path / "o"
     code, out, err = run(capsys, "phi", fix2, "--grid", "8", "-o", str(out_dir))
     assert code == 1 and out == "" and "inverse lift residual" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_failed_json_write_leaves_no_report(fix2, capsys, tmp_path, monkeypatch):
+    # the JSON report goes through the CSV's all-or-nothing writer: a write
+    # that fails after its first block leaves neither the report nor its
+    # temporary file in the -o directory, and prints no report
+    real = semiconj._write_file
+
+    def fail_after_first_block(path, blocks):
+        def failing():
+            yield next(iter(blocks))
+            raise OSError("No space left on device")
+        real(path, failing())
+
+    monkeypatch.setattr(semiconj, "_write_file", fail_after_first_block)
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "validate", fix2, "-o", str(out_dir))
+    assert code == 1 and out == "" and "No space left on device" in err
     assert list(out_dir.iterdir()) == []
 
 

@@ -180,6 +180,31 @@ def test_single_point_is_batch_of_one(engine_2d):
     assert z.shape == (2,) and zb.shape == (1, 2) and np.array_equal(zb[0], z)
 
 
+def test_fiber_solve_checks_the_shape_before_solving(monkeypatch):
+    # y0 (4, 1) on a k = 1, d = 3 engine: _batch's ValueError before any
+    # Phi_hat orbit step, not a solve of mis-paired fibers first
+    s = parse_spec("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\n"
+                   "G[1]=0.01*sin(2*pi*(z1-2*z3))\nG[2]=0.02*cos(2*pi*(z2+z3))\n")
+    bf = block_triangularize(s.M_list(), [intlat.derive_invariant_line(s.M_list(), 2)])
+    eng = build_engine(dynamics.change_coordinates(s, bf.S_list()), bf, N=20)
+    assert (eng.k, eng.d) == (1, 3)
+    assert conjmap.H_inverse(eng, [0.2, 0.7], np.full((2, 2), 0.3)).shape == (2, 3)
+    monkeypatch.setattr(semiconj, "_orbit", None)
+    for solve in (conjmap.solve_fiber_point, conjmap.H_inverse):
+        with pytest.raises(ValueError, match=r"points of shape \(4, 1\) do not have dimension 2"):
+            solve(eng, np.zeros(2), np.zeros((4, 1)))
+
+
+def test_full_block_H_inverse_takes_a_zero_width_y(engine_1d):
+    # k = d: each y holds no coordinate, and the batch counts its rows from
+    # y0's leading axes
+    x0 = np.array([0.1, 0.35, 0.8])
+    z = conjmap.H_inverse(engine_1d, x0, np.zeros((3, 0)), tol=1e-12)
+    assert z.shape == (3, 1)
+    assert dynamics.torus_distance(semiconj.phi_torus(engine_1d, z).value,
+                                   x0[:, None]).max() <= 1e-11
+
+
 def test_skew_product_linear(engine_linear):
     rep = conjmap.skew_product_residual(engine_linear, 16, tol=1e-13)
     assert rep.max_base_residual <= 1e-12

@@ -153,6 +153,28 @@ def test_invert_lift_empty_batch(spec_cat):
     assert W.shape == g.shape == (0, 2) and iters == 0
 
 
+def test_invert_lift_refuses_a_non_finite_point(spec_cat):
+    # a NaN residual is not <= tol: the solve raises instead of returning a
+    # NaN preimage after 0 iterations
+    lift = dynamics.lift_inverse(spec_cat)
+    for bad in ([[np.nan, 0.0]], [[0.3, 0.4], [0.1, np.nan]]):
+        with pytest.raises(ContractionError, match="inverse lift residual nan > tol"):
+            lift(np.array(bad), 1e-13)
+
+
+def test_invert_lift_checks_the_shape_before_solving(spec_cat, monkeypatch):
+    # a point (d,) is a batch of one; a wrong last axis is _batch's
+    # ValueError, raised before any Newton round
+    lift = dynamics.lift_inverse(spec_cat)
+    W, g, _ = lift(np.array([0.3, 0.4]), 1e-13)
+    assert W.shape == g.shape == (1, 2)
+    assert np.array_equal(W, lift(np.array([[0.3, 0.4]]), 1e-13)[0])
+    monkeypatch.setattr(dynamics._kernels, "invert_lift_numpy", None)
+    for bad in ((3, 3), (3,)):
+        with pytest.raises(ValueError, match=r"do not have dimension 2"):
+            lift(np.zeros(bad), 1e-13)
+
+
 def test_change_coordinates_conjugates(spec_2d, rng):
     S = [[1, -1], [0, 1]]
     s2 = dynamics.change_coordinates(spec_2d, S)

@@ -411,6 +411,13 @@ def test_chunked_residual_is_one_chunk(engine_1d, engine_2d, engine_cat, monkeyp
                                               for lo in range(0, len(theta), 100)]))
 
 
+def test_phi_hat_checks_the_shape_before_sweeping(engine_2d, monkeypatch):
+    # a wrong last axis is _batch's ValueError, raised before any orbit step
+    monkeypatch.setattr(semiconj, "_orbit", None)
+    with pytest.raises(ValueError, match=r"points of shape \(4, 3\) do not have dimension 2"):
+        semiconj.phi_hat(engine_2d, np.zeros((4, 3)))
+
+
 def test_grid_rows_are_slices_of_the_grid():
     # rows start..stop-1 of the row-major grid; the chunks tile it in order
     for d, res, offset in ((1, 17, 0.0), (2, 5, 0.5), (3, 4, 0.0)):
@@ -430,9 +437,8 @@ def test_chunked_csv_is_savetxt(engine_2d, tmp_path, monkeypatch):
     ref = tmp_path / "ref.csv"
     np.savetxt(ref, vals, fmt=["%.17g", "%.17g", "%.6g"], delimiter=",",
                newline="\r\n", header="a,b,c", comments="")
-    semiconj._write_csv(tmp_path / "rows.csv", "a,b,c",
-                        (semiconj._format_rows("%.17g,%.17g,%.6g\r\n", vals[lo:lo + 3])
-                         for lo in (0, 3)))
+    semiconj._write_file(tmp_path / "rows.csv", ["a,b,c\r\n"] + [
+        semiconj._format_rows("%.17g,%.17g,%.6g\r\n", vals[lo:lo + 3]) for lo in (0, 3)])
     assert (tmp_path / "rows.csv").read_bytes() == ref.read_bytes()
     assert b"\r\n-0,0,1e-300\r\n" in ref.read_bytes()
     # the whole export, in chunks of 10 rows, against one np.savetxt call

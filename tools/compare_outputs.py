@@ -48,6 +48,8 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:huge", "--trunc", "8", "--grid", "8"),              # vacuous, no fiber
     ("verify-semiconj", "SPEC:fix2", "--grid", "5000000000"),               # oversize grid
     ("verify-semiconj", "SPEC:hyp3", "--sublattice", "full", "--grid", "6"),  # d = 3 inverse lift
+    ("verify-cones", "SPEC:three", "--sublattice", "full", "--grid", "8"),  # k = d cone minima
+    ("conjugacy", "SPEC:cat", "--sublattice", "full", "--grid", "8"),       # not expanding: exit 1
 )
 
 
