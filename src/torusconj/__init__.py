@@ -9,7 +9,7 @@ from .intlat import (hermite_normal_form, integer_eigenvalues,
                      tiling_parallelotope, block_triangularize, BlockForm)
 from .semiconj import build_engine, phi_hat, phi_torus, semiconjugacy_residual
 from .cones import ConeParams, pointwise_cone_check, verify_A2
-from .conjmap import H_forward, H_inverse, solve_fiber_point, skew_product_residual
+from .conjmap import H_forward, H_inverse, skew_product_residual
 
 __version__ = "0.1.0"
 
@@ -22,5 +22,5 @@ __all__ = [
     "BlockForm",
     "build_engine", "phi_hat", "phi_torus", "semiconjugacy_residual",
     "ConeParams", "pointwise_cone_check", "verify_A2",
-    "H_forward", "H_inverse", "solve_fiber_point", "skew_product_residual",
+    "H_forward", "H_inverse", "skew_product_residual",
 ]

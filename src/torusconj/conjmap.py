@@ -3,11 +3,12 @@ fiber solving for k = 1, and the skew-product check
 H o F o H^-1 = (A x, F_y(x, y)).
 
 Everything runs in block (S-) coordinates through a SemiConjEngine in
-expanding mode.  The certified inverse path needs k = 1: Phi_hat(z + m) =
-Phi_hat(z) + m_1, so Phi_hat((t, y)) - t is 1-periodic on each fiber line,
-and one period of samples (the profile, see _bisect_batch) checks the
-bracket and the single sign change of every target on the line.  For k > 1
-an uncertified damped fixed-point solve is provided with residual reporting.
+expanding mode.  H_inverse is the one entry to the fiber solve, for every
+k.  The certified path needs k = 1: Phi_hat(z + m) = Phi_hat(z) + m_1, so
+Phi_hat((t, y)) - t is 1-periodic on each fiber line, and one period of
+samples (the profile, see _bisect_batch) checks the bracket and the single
+sign change of every target on the line.  For k > 1 it runs an uncertified
+damped fixed-point solve with a residual check (_damped_batch).
 """
 
 from __future__ import annotations
@@ -57,19 +58,6 @@ def _bracket_halfwidth(engine: SemiConjEngine) -> float:
     return 0.5 + engine.c_a * engine.norms.g_sup + engine.eps
 
 
-def _unique_rows(R):
-    """The distinct rows of R (n, m) in lexicographic order, and for each row
-    of R its index among them (np.unique with axis=0 sorts a structured
-    view, several times slower)."""
-    order = np.lexsort(R.T[::-1]) if R.shape[1] else np.arange(len(R))
-    S = R[order]
-    new = np.ones(len(S), dtype=bool)
-    new[1:] = (S[1:] != S[:-1]).any(axis=1)
-    inv = np.empty(len(S), dtype=np.int64)
-    inv[order] = np.cumsum(new) - 1
-    return S[new], inv
-
-
 def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None = None):
     """Vectorized certified fiber solve for k = 1.
 
@@ -95,7 +83,7 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
     The work done is added to stats, if given.
     """
     n, P = x0.shape[0], PRESCAN_POINTS
-    lines, line = _unique_rows(Y)
+    lines, line = np.unique(Y, axis=0, return_inverse=True)
     scan = len(lines) * P
     ts = np.arange(P) / P
     g = semiconj.phi_hat(engine, np.column_stack(
@@ -186,38 +174,24 @@ def _damped_batch(engine: SemiConjEngine, X0, Y, tol, stats: FiberStats | None =
     return T
 
 
-def _solve_batch(engine: SemiConjEngine, x0, y0, tol, stats):
-    """The (n, k) solutions t and the (n, d-k) batch Y of y0, for the n
-    points of y0, each with its k values of x0."""
+def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
+              stats: FiberStats | None = None):
+    """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
+    by y0's leading axes and d: the one fiber solve.  Each point y of y0
+    (..., d-k) and its k values of x0 (lift coordinates) get the t with
+    Phi_hat((t, y)) = x0, all as one batch: the certified solve of
+    _bisect_batch for k = 1, the uncertified damped iteration of
+    _damped_batch otherwise.  The work done is added to stats, if given."""
     _require_expanding(engine)
     k = engine.k
     Y = dynamics._batch(y0, engine.d - k)
     X = np.asarray(x0, dtype=float).reshape(len(Y), k)
-    if not X.shape[0]:
-        return X, Y
-    if k == 1:
-        return _bisect_batch(engine, X[:, 0], Y, tol, stats)[:, None], Y
-    return _damped_batch(engine, X, Y, tol, stats), Y
-
-
-def solve_fiber_point(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
-                      stats: FiberStats | None = None):
-    """The t with Phi_hat((t, y)) = x0 (lift coordinates) for each point y
-    of y0 (..., d-k) and its k values of x0, solved as one batch, shaped by
-    y0's leading axes (and k > 1): a float for a k = 1 point.  For k = 1 the
-    certified solve of _bisect_batch, uncertified damped iteration
-    otherwise.  The work done is added to stats, if given."""
-    T, _ = _solve_batch(engine, x0, y0, tol, stats)
-    lead = np.shape(y0)[:-1]
-    # [()] makes a 0-d result a float
-    return T.reshape(lead if engine.k == 1 else lead + (engine.k,))[()]
-
-
-def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
-              stats: FiberStats | None = None):
-    """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
-    by y0's leading axes and d."""
-    T, Y = _solve_batch(engine, x0, y0, tol, stats)
+    if not len(X):
+        T = X
+    elif k == 1:
+        T = _bisect_batch(engine, X[:, 0], Y, tol, stats)[:, None]
+    else:
+        T = _damped_batch(engine, X, Y, tol, stats)
     return _kernels.wrap(np.hstack([T, Y])).reshape(np.shape(y0)[:-1] + (engine.d,))
 
 
@@ -241,7 +215,6 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
                           stats: FiberStats | None = None) -> SkewReport:
     """Max over an (x, y) grid of dist(base of H(F(H^-1(x,y))), A x mod 1);
     the fiber solves' work is added to stats, if given."""
-    _require_expanding(engine)
     k = engine.k
     grid = semiconj._grid(engine.d, grid_res)
     X, Y = grid[:, :k], grid[:, k:]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +25,6 @@ class TermArrays(NamedTuple):
     jac: np.ndarray     # (U, d*d): 2 pi coefs[u, r] freqs[u, c] at r*d + c
 
 
-@lru_cache(maxsize=64)
 def term_arrays(spec: TorusMapSpec) -> TermArrays:
     d = spec.d
     rows: dict[tuple, np.ndarray] = {}      # (is cos, frequency) -> coefficient per component
@@ -122,8 +120,9 @@ class LiftInverse:
     as its (n, d) batch (see _batch), it returns (W, G(W mod 1), iterations)
     of _kernels.invert_lift_numpy, W and G (n, d).  It raises, before any
     evaluation, ValueError unless Z's last axis is d and ContractionError
-    unless tol is finite and > 0, and after the solve ContractionError
-    unless every residual ||F(w) - z|| is <= tol (a NaN residual is not).
+    unless tol is finite and > 0 and every point of Z is finite (a point
+    that is not gets the message of a NaN residual), and after the solve
+    ContractionError unless every residual ||F(w) - z|| is <= tol.
     An empty batch Z (0, d) gives (0, d) arrays and 0 iterations."""
     rho: float              # ||M^-1|| * Lip(G) < 1
     L_inv: float            # ||M^-1|| / (1 - rho)
@@ -135,6 +134,8 @@ class LiftInverse:
         Z = _batch(Z, len(self.Mf))
         if not (np.isfinite(tol) and tol > 0):
             raise ContractionError(f"inverse lift tolerance must be finite and > 0, got {tol:.3g}")
+        if not np.isfinite(Z).all():
+            raise ContractionError(f"inverse lift residual nan > tol {tol:.3g}")
         rho, ta = self.rho, self.terms
         max_iter = 200 if rho == 0.0 else max(8, int(np.ceil(np.log(tol) / np.log(max(rho, 1e-16)))) + 60)
         W, res, g, iters = _kernels.invert_lift_numpy(

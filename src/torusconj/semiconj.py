@@ -132,21 +132,13 @@ def _geometric_rate(inv_norms: np.ndarray, N: int) -> float:
         "the block is too close to non-expanding (raise N)")
 
 
-def _power_norms(B: np.ndarray, N: int, pows: np.ndarray | None = None,
-                 norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(powers, operator 2-norms) of B^n for n = 0..N.  Given the powers and
-    norms for n = 0..m (m < N), it keeps them and computes only n > m."""
-    k = B.shape[0]
-    lo = 0 if pows is None else len(pows)
-    out = np.empty((N + 1, k, k))
-    if lo:
-        out[:lo] = pows
-    else:
-        out[0] = np.eye(k)
-    for n in range(max(lo, 1), N + 1):
+def _power_norms(B: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, operator 2-norms) of B^n for n = 0..N."""
+    out = np.empty((N + 1,) + B.shape)
+    out[0] = np.eye(len(B))
+    for n in range(1, N + 1):
         out[n] = out[n - 1] @ B
-    new_norms = np.linalg.norm(out[lo:], 2, axis=(1, 2))
-    return out, new_norms if norms is None else np.concatenate([norms, new_norms])
+    return out, np.linalg.norm(out, 2, axis=(1, 2))
 
 
 def _real_invariant_split(A: np.ndarray):
@@ -206,13 +198,11 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
     Ds = B[ku:, ku:]
     nP = np.linalg.norm(P, 2)
     nLu, nLs = np.linalg.norm(Lu, 2), np.linalg.norm(Ls, 2)
-    up = sp = (None, None)  # (powers, norms) of D_u^-n and D_s^n for n = 0..N so far
 
     def bound(Ncur: int):
-        """(eps_series, rho_u, c_a) at truncation Ncur; extends up and sp."""
-        nonlocal up, sp
-        up = _power_norms(Du_inv, Ncur, *up)
-        sp = _power_norms(Ds, Ncur, *sp)
+        """(eps_series, rho_u, c_a, up, sp) at truncation Ncur, with up and
+        sp the (powers, norms) of D_u^-n and D_s^n for n = 0..Ncur."""
+        up, sp = _power_norms(Du_inv, Ncur), _power_norms(Ds, Ncur)
         unorms, snorms = up[1], sp[1]
         rho_u = _geometric_rate(unorms, Ncur)
         rho_s = _geometric_rate(snorms, Ncur)
@@ -220,15 +210,15 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
         tail_s = snorms[Ncur] / (1.0 - rho_s)       # sum_{m >= N} ||D_s^m||
         eps_series = nb.g_sup * nP * (nLu * tail_u + nLs * tail_s)
         c_a = float(unorms[1:].sum() + tail_u)
-        return eps_series, rho_u, c_a
+        return eps_series, rho_u, c_a, up, sp
 
     if N is not None:
-        eps_series, rho, c_a = bound(N)
+        eps_series, rho, c_a, up, sp = bound(N)
     else:
         N = 1
         while True:
             try:
-                eps_series, rho, c_a = bound(N)
+                eps_series, rho, c_a, up, sp = bound(N)
             except EngineError:
                 rho = None
             if rho is not None:

@@ -36,8 +36,6 @@ class TorusMapSpec:
 
 
 class _Tokenizer:
-    SYMBOLS = "[]()=,+-*"
-
     def __init__(self, text: str, line: int):
         self.text = text
         self.line = line

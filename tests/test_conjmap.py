@@ -29,18 +29,18 @@ def test_H_forward_requires_expanding(engine_cat):
         conjmap.H_forward(engine_cat, np.array([0.1, 0.2]))
 
 
-def test_solve_fiber_point_linear(engine_linear):
-    t = conjmap.solve_fiber_point(engine_linear, 0.3, np.array([0.7]), tol=1e-12)
-    assert abs(t - 0.3) <= 1e-12
+def test_H_inverse_linear(engine_linear):
+    z = conjmap.H_inverse(engine_linear, 0.3, np.array([0.7]), tol=1e-12)
+    assert dynamics.torus_distance(z, [0.3, 0.7]) <= 1e-12
 
 
-def test_solve_fiber_point_residual(engine_2d, rng):
+def test_H_inverse_residual(engine_2d, rng):
     for _ in range(50):
         x0 = float(rng.uniform(0, 1))
         y0 = rng.uniform(0, 1, size=1)
-        t = conjmap.solve_fiber_point(engine_2d, x0, y0, tol=1e-10)
-        res = abs(semiconj.phi_hat(engine_2d, np.array([t, y0[0]])).value[0] - x0)
-        assert res <= 1e-10
+        z = conjmap.H_inverse(engine_2d, x0, y0, tol=1e-10)
+        assert z[1] == y0[0]
+        assert dynamics.torus_distance(semiconj.phi_torus(engine_2d, z).value, [x0]) <= 1e-10
 
 
 def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
@@ -49,7 +49,7 @@ def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
     # least core projection of a unit vector in the alpha = 0.5 cone
     tau = 1 / np.sqrt(1 + 0.5 ** 2)
     x0, y0 = 0.4, np.array([0.25])
-    t = conjmap.solve_fiber_point(engine_2d, x0, y0, tol=1e-12)
+    t = conjmap._bisect_batch(engine_2d, np.array([x0]), y0[None], 1e-12)[0]
     for dt in rng.uniform(0.01, 0.99, size=50):
         v = semiconj.phi_hat(engine_2d, np.array([t + dt, y0[0]])).value[0]
         assert abs(v - x0) >= tau * 0.01 - 2 * engine_2d.eps
@@ -65,7 +65,7 @@ def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
                         lambda eng, z: calls.append(z.copy()) or real(eng, z))
     x0 = np.array([0.1, 0.4, 0.8, 0.3])
     Y = np.array([[0.2], [0.5], [0.9], [0.2]])     # two targets on one line
-    conjmap.solve_fiber_point(engine_2d, x0, Y)
+    conjmap.H_inverse(engine_2d, x0, Y)
     seen = [p.tobytes() for z in calls for p in z]
     assert len(set(seen)) == len(seen)
     P = conjmap.PRESCAN_POINTS
@@ -83,7 +83,7 @@ def test_fiber_bracket_must_straddle(engine_2d, monkeypatch):
     # a bracket that misses the root fails the straddle check first
     monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: -0.25)
     with pytest.raises(FiberSolveError, match="do not straddle"):
-        conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
+        conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
 
 
 def test_non_monotone_line_is_refused(engine_2d, monkeypatch):
@@ -98,7 +98,7 @@ def test_non_monotone_line_is_refused(engine_2d, monkeypatch):
 
     monkeypatch.setattr(semiconj, "phi_hat", wiggly)
     with pytest.raises(FiberSolveError, match="3 sign changes instead of 1"):
-        conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
+        conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
 
 
 def test_far_targets_on_one_line_solve_as_apart(engine_2d):
@@ -108,10 +108,10 @@ def test_far_targets_on_one_line_solve_as_apart(engine_2d):
     tol = 1e-10
     x0, Y = np.array([0.1, 7.3]), np.array([[0.25], [0.25]])
     both = conjmap.FiberStats()
-    t = conjmap.solve_fiber_point(engine_2d, x0, Y, tol=tol, stats=both)
+    z = conjmap.H_inverse(engine_2d, x0, Y, tol=tol, stats=both)
     apart = conjmap.FiberStats()
-    ts = [conjmap.solve_fiber_point(engine_2d, x, Y[0], tol=tol, stats=apart) for x in x0]
-    assert np.abs(t - ts).max() <= tol
+    zs = [conjmap.H_inverse(engine_2d, x, Y[0], tol=tol, stats=apart) for x in x0]
+    assert dynamics.torus_distance(z, zs).max() <= tol
     assert both.scan_points == conjmap.PRESCAN_POINTS
     assert apart.scan_points == 2 * conjmap.PRESCAN_POINTS
 
@@ -129,7 +129,7 @@ def test_line_spanning_a_unit_is_refused(engine_2d, monkeypatch):
     monkeypatch.setattr(semiconj, "phi_hat", swinging)
     monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: 1.0)
     with pytest.raises(FiberSolveError, match=r"spanning 1\.\d+ >= 1 over a period"):
-        conjmap.solve_fiber_point(engine_2d, 0.4, np.array([0.25]))
+        conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
 
 
 def test_profile_value_is_never_the_root(engine_2d, monkeypatch):
@@ -141,7 +141,7 @@ def test_profile_value_is_never_the_root(engine_2d, monkeypatch):
     real = semiconj.phi_hat
     monkeypatch.setattr(semiconj, "phi_hat",
                         lambda eng, z: calls.append(z.copy()) or real(eng, z))
-    t = conjmap.solve_fiber_point(engine_2d, x0, np.array([y]), tol=tol)
+    t = conjmap._bisect_batch(engine_2d, np.array([x0]), np.array([[y]]), tol)[0]
     assert len(calls) >= 2 and (5 / P, y) in {tuple(p) for p in calls[0]}
     assert t in {p[0] for z in calls[1:] for p in z}
     assert abs(real(engine_2d, np.array([t, y])).value[0] - x0) <= tol
@@ -172,12 +172,12 @@ def test_H_inverse_round_trips(engine_2d, rng):
 
 def test_single_point_is_batch_of_one(engine_2d):
     x0, y0 = 0.4, np.array([0.25])
-    t = conjmap.solve_fiber_point(engine_2d, x0, y0, tol=1e-10)
-    tb = conjmap.solve_fiber_point(engine_2d, np.array([x0]), y0[None], tol=1e-10)
-    assert isinstance(t, float) and tb.shape == (1,) and tb[0] == t
-    z = conjmap.H_inverse(engine_2d, np.array([x0]), y0, tol=1e-10)
-    zb = conjmap.H_inverse(engine_2d, np.array([[x0]]), y0[None], tol=1e-10)
-    assert z.shape == (2,) and zb.shape == (1, 2) and np.array_equal(zb[0], z)
+    z = conjmap.H_inverse(engine_2d, x0, y0, tol=1e-10)
+    assert z.shape == (2,)
+    assert np.array_equal(conjmap.H_inverse(engine_2d, np.array([x0]), y0, tol=1e-10), z)
+    for xb in (np.array([x0]), np.array([[x0]])):
+        zb = conjmap.H_inverse(engine_2d, xb, y0[None], tol=1e-10)
+        assert zb.shape == (1, 2) and np.array_equal(zb[0], z)
 
 
 def test_fiber_solve_checks_the_shape_before_solving(monkeypatch):
@@ -190,9 +190,8 @@ def test_fiber_solve_checks_the_shape_before_solving(monkeypatch):
     assert (eng.k, eng.d) == (1, 3)
     assert conjmap.H_inverse(eng, [0.2, 0.7], np.full((2, 2), 0.3)).shape == (2, 3)
     monkeypatch.setattr(semiconj, "_orbit", None)
-    for solve in (conjmap.solve_fiber_point, conjmap.H_inverse):
-        with pytest.raises(ValueError, match=r"points of shape \(4, 1\) do not have dimension 2"):
-            solve(eng, np.zeros(2), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match=r"points of shape \(4, 1\) do not have dimension 2"):
+        conjmap.H_inverse(eng, np.zeros(2), np.zeros((4, 1)))
 
 
 def test_full_block_H_inverse_takes_a_zero_width_y(engine_1d):
@@ -233,16 +232,14 @@ def test_damped_solver_k2(engine_k2):
     eng = engine_k2
     x0 = np.array([0.3, 0.6])
     y0 = np.array([0.25])
-    t = conjmap.solve_fiber_point(eng, x0, y0, tol=1e-10)
-    res = np.linalg.norm(
-        semiconj.phi_hat(eng, np.concatenate([t, y0])).value - x0)
-    assert res <= 1e-10
+    z = conjmap.H_inverse(eng, x0, y0, tol=1e-10)
+    assert z.shape == (3,) and z[2] == y0[0]
+    assert dynamics.torus_distance(semiconj.phi_torus(eng, z).value, x0) <= 1e-10
     X = np.array([[0.3, 0.6], [0.9, 0.1]])
     Y = np.array([[0.25], [0.75]])
-    T = conjmap.solve_fiber_point(eng, X, Y, tol=1e-10)
-    assert T.shape == (2, 2)
-    res = np.linalg.norm(semiconj.phi_hat(eng, np.hstack([T, Y])).value - X, axis=1)
-    assert res.max() <= 1e-10
+    Z = conjmap.H_inverse(eng, X, Y, tol=1e-10)
+    assert Z.shape == (2, 3) and np.array_equal(Z[:, 2:], Y)
+    assert dynamics.torus_distance(semiconj.phi_torus(eng, Z).value, X).max() <= 1e-10
 
 
 def test_damped_solve_counts_its_last_step(engine_k2, monkeypatch):
@@ -250,25 +247,24 @@ def test_damped_solve_counts_its_last_step(engine_k2, monkeypatch):
     # steps, adds the same counters as one with steps to spare
     x0, y0 = np.array([0.3, 0.6]), np.array([0.25])
     spare = conjmap.FiberStats()
-    T = conjmap.solve_fiber_point(engine_k2, x0, y0, tol=1e-10, stats=spare)
+    z = conjmap.H_inverse(engine_k2, x0, y0, tol=1e-10, stats=spare)
     assert spare.fiber_iters > 0
     monkeypatch.setattr(conjmap, "MAX_DAMPED", spare.fiber_iters)
     last = conjmap.FiberStats()
-    assert np.array_equal(conjmap.solve_fiber_point(engine_k2, x0, y0, tol=1e-10, stats=last), T)
+    assert np.array_equal(conjmap.H_inverse(engine_k2, x0, y0, tol=1e-10, stats=last), z)
     assert last == spare
     monkeypatch.setattr(conjmap, "MAX_DAMPED", spare.fiber_iters - 1)
     with pytest.raises(FiberSolveError, match="damped fiber solve stalled"):
-        conjmap.solve_fiber_point(engine_k2, x0, y0, tol=1e-10)
+        conjmap.H_inverse(engine_k2, x0, y0, tol=1e-10)
 
 
 def test_empty_batch_solves_to_empty(engine_2d, engine_k2):
     # an empty batch is an empty answer of the batch shape, on both paths
     stats = conjmap.FiberStats()
-    t = conjmap.solve_fiber_point(engine_2d, np.zeros(0), np.zeros((0, 1)), stats=stats)
-    assert t.shape == (0,) and stats == conjmap.FiberStats()
-    T = conjmap.solve_fiber_point(engine_k2, np.zeros((0, 2)), np.zeros((0, 1)))
-    assert T.shape == (0, 2)
-    assert conjmap.H_inverse(engine_2d, np.zeros(0), np.zeros((0, 1))).shape == (0, 2)
+    z = conjmap.H_inverse(engine_2d, np.zeros(0), np.zeros((0, 1)), stats=stats)
+    assert z.shape == (0, 2) and stats == conjmap.FiberStats()
+    assert conjmap.H_inverse(engine_k2, np.zeros((0, 2)), np.zeros((0, 1)), stats=stats).shape == (0, 3)
+    assert stats == conjmap.FiberStats()
 
 
 

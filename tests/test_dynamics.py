@@ -154,10 +154,11 @@ def test_invert_lift_empty_batch(spec_cat):
 
 
 def test_invert_lift_refuses_a_non_finite_point(spec_cat):
-    # a NaN residual is not <= tol: the solve raises instead of returning a
-    # NaN preimage after 0 iterations
+    # a NaN or infinite point is refused before the first evaluation (an
+    # infinite one would warn there), with the message of a NaN residual
     lift = dynamics.lift_inverse(spec_cat)
-    for bad in ([[np.nan, 0.0]], [[0.3, 0.4], [0.1, np.nan]]):
+    for bad in ([[np.nan, 0.0]], [[0.3, 0.4], [0.1, np.nan]], [[np.inf, 0.0]],
+                [[0.3, 0.4], [-np.inf, 0.1]]):
         with pytest.raises(ContractionError, match="inverse lift residual nan > tol"):
             lift(np.array(bad), 1e-13)
 

@@ -50,6 +50,10 @@ FIXTURE_JOBS = (
     ("verify-semiconj", "SPEC:hyp3", "--sublattice", "full", "--grid", "6"),  # d = 3 inverse lift
     ("verify-cones", "SPEC:three", "--sublattice", "full", "--grid", "8"),  # k = d cone minima
     ("conjugacy", "SPEC:cat", "--sublattice", "full", "--grid", "8"),       # not expanding: exit 1
+    # the three conjugacy repros of ROADMAP item 2, whose verdicts it will move
+    ("conjugacy", "SPEC:shear", "--grid", "32"),            # PASS, though no alpha passes A2
+    ("conjugacy", "SPEC:shear15", "--grid", "32"),          # exit 1: 3 sign changes on a fiber line
+    ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),    # exit 1: damped solve stalls
 )
 
 
@@ -86,14 +90,20 @@ def _moved_keys(a, b):
 def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat and d = 3
     hyperbolic fixtures of tests/conftest.py, HUGE_G of tests/test_cli.py,
-    and a k = d = 2 map."""
+    two k = d = 2 maps, and a shear map with two sizes of G[2]."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
     return {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "hyp3": conftest.FIX_HYP3,
             "huge": test_cli.HUGE_G,
             "three": "dim=2\nM=[[3,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
-                     "G[2]=0.02*cos(2*pi*(z2))\n"}
+                     "G[2]=0.02*cos(2*pi*(z2))\n",
+            "diag23": "dim=2\nM=[[2,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
+                      "G[2]=0.02*cos(2*pi*(z1))\n",
+            "shear": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
+                     "G[2]=0.06*cos(2*pi*(z1))\n",
+            "shear15": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
+                       "G[2]=0.15*cos(2*pi*(z1))\n"}
 
 
 def run_tree(tree, workloads, seeds):
