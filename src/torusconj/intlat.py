@@ -1,17 +1,19 @@
 """Exact integer linear algebra for lattice constructions.
 
 Everything here runs on arbitrary-precision Python ints; no floats enter
-any certificate.  One elimination, the Hermite normal form, is behind
-every inverse, kernel, membership test and linear solve; determinants
-come from Bareiss elimination.  Floating point is used only to classify
-the small top-left block by eigenvalue magnitude.
+any certificate.  Two exact tools answer every question: the Hermite
+normal form is behind every inverse, kernel, membership test and linear
+solve, and the characteristic polynomial behind every determinant and
+integer eigenvalue.  Floating point is used only to classify the small
+top-left block by eigenvalue magnitude, once 0 and ±1 are excluded exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from functools import reduce
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -53,26 +55,8 @@ def transpose(A) -> list[list]:
 
 
 def det_int(M: IntMat) -> int:
-    """Exact determinant via the Bareiss fraction-free elimination."""
-    a = [row[:] for row in M]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant: (-1)^d times the constant term of char_poly."""
+    return (-1) ** len(M) * char_poly(M)[-1]
 
 
 def mat_inv_unimodular(S: IntMat) -> IntMat:
@@ -159,35 +143,24 @@ def char_poly(M: IntMat) -> list[int]:
     return coeffs
 
 
+def _poly_at(coeffs: list[int], x: int) -> int:
+    """Exact value at x of the polynomial char_poly returns, by Horner's rule."""
+    return reduce(lambda value, c: value * x + c, coeffs, 0)
+
+
 def integer_eigenvalues(M) -> list[int]:
     """Exact integer roots of the characteristic polynomial.
 
-    Candidates come from the rational-root theorem (divisors of the
-    trailing nonzero coefficient, plus 0 when the constant term vanishes);
-    each is confirmed by an exact determinant evaluation.
+    By the rational-root theorem every nonzero integer root divides the
+    last nonzero coefficient; 0 and ± each divisor are evaluated exactly.
     """
-    M = as_int_matrix(M)
-    d = len(M)
     coeffs = char_poly(M)
-    trailing = coeffs[-1]
-    candidates = set()
-    if trailing == 0:
-        candidates.add(0)
-        tail = next((c for c in reversed(coeffs) if c != 0), None)
-    else:
-        tail = trailing
-    if tail is not None:
-        a = abs(tail)
-        for q in range(1, int(a ** 0.5) + 1):
-            if a % q == 0:
-                for m in (q, a // q):
-                    candidates.update((m, -m))
-    out = []
-    for m in sorted(candidates):
-        shifted = [[M[i][j] - (m if i == j else 0) for j in range(d)] for i in range(d)]
-        if det_int(shifted) == 0:
-            out.append(m)
-    return out
+    a = abs(next(c for c in reversed(coeffs) if c))    # the leading 1 at worst
+    candidates = {0}
+    for q in range(1, isqrt(a) + 1):
+        if a % q == 0:
+            candidates.update((q, -q, a // q, -(a // q)))
+    return [m for m in sorted(candidates) if _poly_at(coeffs, m) == 0]
 
 
 def _kernel_basis(B: IntMat) -> list[IntVec]:
@@ -211,9 +184,10 @@ def derive_invariant_line(M, m: int) -> IntVec:
     M = as_int_matrix(M)
     d = len(M)
     shifted = [[M[i][j] - (m if i == j else 0) for j in range(d)] for i in range(d)]
-    if det_int(shifted) != 0:
+    kernel = _kernel_basis(shifted)
+    if not kernel:
         raise LatticeError(f"{m} is not an eigenvalue (det(M - mI) != 0)")
-    u = primitive(_kernel_basis(shifted)[0])
+    u = primitive(kernel[0])
     if next(x for x in u if x != 0) < 0:
         u = [-x for x in u]
     return u
@@ -339,7 +313,10 @@ class BlockForm:
 
 
 def classify_block(A: IntMat, tol: float = 1e-9) -> str:
-    if det_int(A) == 0:     # eigenvalue 0: no inverse lift, no expansion
+    """"neither" when 0 (no inverse lift, no expansion) or ±1 is an exact
+    root of char_poly; otherwise by float eigenvalue magnitudes against 1 ± tol."""
+    coeffs = char_poly(A)
+    if any(_poly_at(coeffs, m) == 0 for m in (0, 1, -1)):
         return "neither"
     mags = np.abs(np.linalg.eigvals(np.array(A, dtype=float)))
     if np.all(mags > 1 + tol):

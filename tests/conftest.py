@@ -30,6 +30,12 @@ FIX_DET2 = ("dim=2\n"
             "G[1]=0.005*sin(2*pi*(z1))\n"
             "G[2]=0.005*cos(2*pi*(z2))\n")
 
+# M has the eigenvalue 1 twice in one Jordan block, which float eigvals
+# split by ~2e-8: neither expanding nor hyperbolic
+FIX_DEFECTIVE = ("dim=2\n"
+                 "M=[[3,2],[-2,-1]]\n"
+                 "G[1]=0.01*sin(2*pi*(z1))\n")
+
 # companion matrix of x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1,
 # the smallest known Salem polynomial; irreducible, so no integer eigenvalue
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]  # c0..c10

@@ -9,7 +9,7 @@ from torusconj import conjmap, semiconj
 from torusconj.cli import main
 from torusconj.errors import ContractionError
 
-from conftest import FIX_1D, FIX_2D, FIX_CAT, FIX_DET2, lehmer_spec_text
+from conftest import FIX_1D, FIX_2D, FIX_CAT, FIX_DEFECTIVE, FIX_DET2, lehmer_spec_text
 
 
 @pytest.fixture()
@@ -167,6 +167,20 @@ def test_singular_branch_is_neither(tmp_path, capsys):
     assert code == 0
     b0 = next(b for b in json.loads(out)["branches"] if b["eigenvalue"] == 0)
     assert b0["classification"] == "neither"
+    code, out, err = run(capsys, "verify-semiconj", str(p), "--sublattice", "full",
+                         "--grid", "8")
+    assert code == 1 and not out
+    assert "neither expanding nor hyperbolic" in err
+
+
+def test_defective_unit_eigenvalue_is_neither(tmp_path, capsys):
+    # the full lattice of a map with a defective eigenvalue 1 is neither
+    # expanding nor hyperbolic, and the engine refuses it as such
+    p = tmp_path / "defective.map"
+    p.write_text(FIX_DEFECTIVE)
+    code, out, _ = run(capsys, "analyze", str(p), "--sublattice", "full")
+    assert code == 0
+    assert json.loads(out)["sublattice_block"]["classification"] == "neither"
     code, out, err = run(capsys, "verify-semiconj", str(p), "--sublattice", "full",
                          "--grid", "8")
     assert code == 1 and not out

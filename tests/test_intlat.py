@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,6 +128,52 @@ def test_integer_eigenvalues():
     assert intlat.integer_eigenvalues(lehmer_matrix()) == []
 
 
+def _fraction_det(M):
+    """Determinant by Gaussian elimination over the rationals, independent
+    of char_poly."""
+    a = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for i in range(len(a)):
+        p = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Integer matrices of size 1 to 4 with entries in [-4, 4]; half of them
+    upper triangular with diagonal entries in [-2, 2], so repeated and zero
+    eigenvalues are common."""
+    d = draw(st.integers(1, 4))
+    M = [[draw(st.integers(-4, 4)) for _ in range(d)] for _ in range(d)]
+    if draw(st.booleans()):
+        for i in range(d):
+            M[i][:i] = [0] * i
+            M[i][i] = draw(st.integers(-2, 2))
+    return M
+
+
+@given(small_int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_and_integer_eigenvalues_match_a_rational_elimination(M):
+    d = len(M)
+    assert intlat.det_int(M) == _fraction_det(M)
+    # every eigenvalue lies within the infinity norm of M
+    norm = max(sum(abs(x) for x in row) for row in M)
+    roots = [m for m in range(-norm, norm + 1)
+             if _fraction_det([[M[i][j] - m * (i == j) for j in range(d)]
+                               for i in range(d)]) == 0]
+    assert intlat.integer_eigenvalues(M) == roots
+
+
 def test_lehmer_char_poly():
     # companion matrix reproduces its defining polynomial exactly
     got = intlat.char_poly(lehmer_matrix())
@@ -138,6 +186,8 @@ def test_left_eigenvector_and_invariant_line():
     assert [sum(v[i] * M[i][j] for i in range(2)) for j in range(2)] == [2 * x for x in v]
     line = intlat.derive_invariant_line(M, 2)
     assert intlat.mat_vec(M, line) == [2 * x for x in line]
+    with pytest.raises(LatticeError, match=re.escape("3 is not an eigenvalue (det(M - mI) != 0)")):
+        intlat.derive_invariant_line(M, 3)
 
 
 # ---------------------------------------------------------------- tilings
@@ -223,6 +273,17 @@ def test_classification():
     # eigenvalue 0 is off the unit circle but singular: not hyperbolic
     assert intlat.classify_block([[0]]) == "neither"
     assert intlat.classify_block([[2, 4], [1, 2]]) == "neither"
+
+
+@pytest.mark.parametrize("A", [
+    [[3, 2], [-2, -1]],                         # (x - 1)^2, one Jordan block
+    [[-5, -4], [4, 3]],                         # (x + 1)^2, one Jordan block
+    [[3, 2, 0], [-2, -1, 0], [0, 0, 2]],        # (x - 1)^2 (x - 2)
+])
+def test_defective_unit_eigenvalue_is_neither(A):
+    # float eigvals split a defective eigenvalue ±1 by ~1e-8, more than the
+    # magnitude tolerance; the exact root test of char_poly does not
+    assert intlat.classify_block(A) == "neither"
 
 
 def test_3d_block_decoupled():

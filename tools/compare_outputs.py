@@ -54,6 +54,14 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:shear", "--grid", "32"),            # PASS, though no alpha passes A2
     ("conjugacy", "SPEC:shear15", "--grid", "32"),          # exit 1: 3 sign changes on a fiber line
     ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),    # exit 1: damped solve stalls
+    # the exact eigenvalue questions of intlat: no root, 0 and a double root,
+    # a negative root, a d = 3 unimodular block, a defective root 1
+    ("analyze", "SPEC:lehmer"),                                 # d = 10, exit 2
+    ("analyze", "SPEC:sing3"),
+    ("analyze", "SPEC:neg"),
+    ("analyze", "SPEC:hyp3", "--sublattice", "full"),
+    ("analyze", "SPEC:defective", "--sublattice", "full"),
+    ("verify-semiconj", "SPEC:defective", "--sublattice", "full", "--grid", "8"),   # exit 1
 )
 
 
@@ -88,9 +96,10 @@ def _moved_keys(a, b):
 
 
 def fixture_specs():
-    """{name: spec text} of the fixture jobs: the 2-D, cat and d = 3
-    hyperbolic fixtures of tests/conftest.py, HUGE_G of tests/test_cli.py,
-    two k = d = 2 maps, and a shear map with two sizes of G[2]."""
+    """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
+    hyperbolic, defective and Lehmer fixtures of tests/conftest.py, HUGE_G
+    of tests/test_cli.py, two k = d = 2 maps, a shear map with two sizes of
+    G[2], a singular d = 3 map and a map with a negative eigenvalue."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
@@ -103,7 +112,11 @@ def fixture_specs():
             "shear": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
                      "G[2]=0.06*cos(2*pi*(z1))\n",
             "shear15": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
-                       "G[2]=0.15*cos(2*pi*(z1))\n"}
+                       "G[2]=0.15*cos(2*pi*(z1))\n",
+            "defective": conftest.FIX_DEFECTIVE,
+            "lehmer": conftest.lehmer_spec_text(),
+            "sing3": "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n",
+            "neg": "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n"}
 
 
 def run_tree(tree, workloads, seeds):
