@@ -187,10 +187,9 @@ class ConeCheck:
     invariance_margin: float    # certified lower bound on alpha||a'|| - ||b'||
 
 
-def ray_sampling_estimates(L: np.ndarray, k: int, alpha: float,
-                           n_rays: int = 10_000, seed: int = 0):
+def ray_sampling_estimates(L: np.ndarray, k: int, alpha: float, n_rays: int = 10_000):
     """Sampling upper bounds for (q_exp, q_inv): dense random rays in C_alpha."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     d = L.shape[0]
     a = rng.normal(size=(n_rays, k))
     a /= np.linalg.norm(a, axis=1, keepdims=True)

@@ -312,16 +312,16 @@ class BlockForm:
         return np.array(self.A, dtype=float)
 
 
-def classify_block(A: IntMat, tol: float = 1e-9) -> str:
+def classify_block(A: IntMat) -> str:
     """"neither" when 0 (no inverse lift, no expansion) or ±1 is an exact
-    root of char_poly; otherwise by float eigenvalue magnitudes against 1 ± tol."""
+    root of char_poly; otherwise by float eigenvalue magnitudes against 1 ± 1e-9."""
     coeffs = char_poly(A)
     if any(_poly_at(coeffs, m) == 0 for m in (0, 1, -1)):
         return "neither"
     mags = np.abs(np.linalg.eigvals(np.array(A, dtype=float)))
-    if np.all(mags > 1 + tol):
+    if np.all(mags > 1 + 1e-9):
         return "expanding"
-    if np.all(np.abs(mags - 1) > tol):
+    if np.all(np.abs(mags - 1) > 1e-9):
         return "hyperbolic"
     return "neither"
 

@@ -3,16 +3,19 @@ tail bounds, for expanding and hyperbolic top-left blocks.
 
 There is one construction.  A hyperbolic block A is split by a real
 eigenbasis P = [P_u P_s], P^-1 = [L_u; L_s], into an expanding part D_u and
-a contracting part D_s.  The basis is folded into the coefficients
-coef_u[n] = P_u D_u^{-(n+1)} L_u and coef_s[n] = P_s D_s^n L_s, n < N, and
+a contracting part D_s.  The basis and the sign are folded into the
+coefficients coef_u[n] = P_u D_u^{-(n+1)} L_u and coef_s[n] = -P_s D_s^n L_s,
+n < N, and
 
     Phi_hat(z) = z_W + sum_n coef_u[n] G(F^n z)_W
-                     - sum_n coef_s[n] G(F^-(n+1) z)_W,
+                     + sum_n coef_s[n] G(F^-(n+1) z)_W,
 
-each sum added up while its orbit is swept, so memory does not grow with
-N.  An expanding block is the case with an empty stable part: P = I and
-coef_s = 0, so the backward orbit and the inverse-lift budget drop out and
-every certified quantity comes from the same formulas.
+each sum added up while its orbit is swept (by _phi_series, the one place
+Phi_hat is summed), so memory does not grow with N.  An expanding block is
+the case with an empty stable part: P = I and no stable terms (coef_s has
+no rows), so it runs no backward sweep, has no inverse lift and no
+inverse-lift budget, and every certified quantity comes from the same
+formulas.
 
 Hyperbolic mode needs |det M| = 1, which makes F a bijection of the torus
 with one backward orbit per point.  With |det M| > 1, F is many-to-one and
@@ -114,7 +117,7 @@ class SemiConjEngine:
     norms: dynamics.NormBounds
     A: np.ndarray               # (k, k) float
     coef_u: np.ndarray          # (N, k, k): P_u D_u^{-(n+1)} L_u, n = 0..N-1
-    coef_s: np.ndarray          # (N, k, k): P_s D_s^n L_s; zero if expanding
+    coef_s: np.ndarray          # (N, k, k): -P_s D_s^n L_s; (0, k, k) if expanding
     inv_tol: float              # backward-orbit solve tolerance (0 if expanding)
     lift: dynamics.LiftInverse | None   # the inverse lift (None if expanding)
 
@@ -231,15 +234,14 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
                 raise EngineError("no default N meets the error target; pass N")
             N = min(2 * N, MAX_DEFAULT_N)
     coef_u = P[:, :ku] @ up[0][1:] @ Lu
-    coef_s = P[:, ku:] @ sp[0][:N] @ Ls
-    snorms = sp[1]
-
+    coef_s = np.empty((0, k, k))    # an expanding block has no stable terms
     lift = None
     inv_tol = 0.0
     eps = eps_series
     if ku < k:
+        coef_s = -(P[:, ku:] @ sp[0][:N] @ Ls)
         lift = dynamics.lift_inverse(spec)
-        inv_unit = _inv_budget_unit(lift.L_inv, nb.g_lip, snorms, N, nP, nLs)
+        inv_unit = _inv_budget_unit(lift.L_inv, nb.g_lip, sp[1], N, nP, nLs)
         inv_tol = max(1e-15, (eps_series / 10.0) / inv_unit)
         eps = eps_series + inv_unit * inv_tol
     eps = float(eps)
@@ -287,28 +289,50 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
         yield z, g, 0
 
 
-def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int,
-              op=np.add) -> None:
-    """acc = op(acc, coef[n] G_W) in place (op np.add or np.subtract), if
-    the series has a term n."""
+def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int) -> None:
+    """acc += coef[n] G_W in place, if the series has a term n."""
     if 0 <= n < len(coef):
-        op(acc, g[:, :acc.shape[1]] @ coef[n].T, out=acc)
+        acc += g[:, :acc.shape[1]] @ coef[n].T
+
+
+def _phi_series(engine: SemiConjEngine, Z: np.ndarray, image: bool = False):
+    """([Phi_hat(Z) - Z_W, and with image Phi_hat(F Z) - (F Z)_W], F(Z),
+    inverse-lift iterations) for a batch Z (n, d): the one place Phi_hat is
+    summed, from one forward sweep of N steps (N + 1 with image; F(Z) is
+    step 1) and one backward sweep of len(coef_s) steps.  With stable terms
+    F is a bijection of the torus (|det M| = 1, see build_engine), so the
+    backward orbit of F(Z) is Z, F^-1(Z), ...: G(Z), then the backward
+    sweep, feed Phi(F Z)."""
+    # Phi(F^lag Z) takes forward step n as its term n - lag and backward
+    # step n as its stable term n + lag
+    sums = [np.zeros((Z.shape[0], engine.k)) for _ in range(1 + image)]
+    fz = None
+    for n, (z, g, _) in enumerate(_orbit(engine, Z, engine.N + image)):
+        if n == 0:
+            g_z = g
+        elif n == 1:
+            fz = z
+        for lag, acc in enumerate(sums):
+            _add_term(acc, g, engine.coef_u, n - lag)
+    if image:
+        _add_term(sums[1], g_z, engine.coef_s, 0)
+    iters = 0
+    for n, (_, g, it) in enumerate(_orbit(engine, Z, len(engine.coef_s), backward=True)):
+        iters += it
+        for lag, acc in enumerate(sums):
+            _add_term(acc, g, engine.coef_s, n + lag)
+    return sums, fz, iters
 
 
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
     """Lift of the semi-conjugacy at z (point (d,) or batch (..., d)),
     swept CHUNK points at a time."""
     Zb = dynamics._batch(z, engine.d)
-    val = np.zeros((Zb.shape[0], engine.k))
+    val = np.empty((Zb.shape[0], engine.k))
 
     def sweep(lo):
-        Zc, series = Zb[lo:lo + CHUNK], val[lo:lo + CHUNK]
-        for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N)):
-            _add_term(series, g, engine.coef_u, n)
-        if engine.mode == "hyperbolic":
-            for n, (_, g, _) in enumerate(_orbit(engine, Zc, engine.N, backward=True)):
-                _add_term(series, g, engine.coef_s, n, np.subtract)
-        series += Zc[:, :engine.k]
+        Zc = Zb[lo:lo + CHUNK]
+        np.add(_phi_series(engine, Zc)[0][0], Zc[:, :engine.k], out=val[lo:lo + CHUNK])
 
     deque(_map_chunks(sweep, range(0, Zb.shape[0], CHUNK)), maxlen=0)
     return PhiValue(value=val.reshape(np.shape(z)[:-1] + (engine.k,)), error_bound=engine.eps)
@@ -351,7 +375,7 @@ class ResidualReport:
     argmax_point: np.ndarray
     ceiling: float              # engine.ceiling: (||A|| + 1) * eps_N
     grid_res: int
-    backward_sweeps: int        # inverse-lift orbit sweeps: 0 (expanding) or 1
+    backward_sweeps: int        # inverse-lift orbit sweeps: 0 (no stable terms) or 1
     inverse_lift_iters: int     # Newton iterations summed over backward steps and chunks
     point_steps: int            # points x orbit steps, forward plus backward
 
@@ -359,38 +383,14 @@ class ResidualReport:
 def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualReport:
     """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)),
     swept CHUNK grid points at a time (on the chunk pool, see _map_chunks);
-    the argmax is the first grid point attaining the maximum.
-
-    One forward sweep of N + 1 steps serves both sides: F(theta) is the
-    sweep's step 1, so steps 0..N-1 feed Phi(theta) and steps 1..N feed
-    Phi(F(theta)), each step into both as it arrives.  In hyperbolic mode
-    F is a bijection of the torus (|det M| = 1, see build_engine), so the
-    backward orbit of F(theta) is theta, F^-1(theta), ...: one backward
-    sweep of N steps from theta feeds Phi(theta), and G(theta) followed by
-    its first N - 1 values feeds Phi(F(theta)).
-    """
-    N, k = engine.N, engine.k
-    sweeps = int(engine.mode == "hyperbolic")
+    the argmax is the first grid point attaining the maximum.  Both sides
+    come from one _phi_series sweep per chunk."""
+    k, nsteps = engine.k, len(engine.coef_u) + 1 + len(engine.coef_s)
 
     def sweep(theta):
         """(max residual, its point, inverse-lift iterations) over one
         chunk of the grid."""
-        series = np.zeros((theta.shape[0], k))      # Phi(theta) - theta_W
-        series_f = np.zeros_like(series)            # Phi(F theta) - (F theta)_W
-        for n, (z, g, _) in enumerate(_orbit(engine, theta, N + 1)):
-            if n == 0:
-                g_theta = g
-            elif n == 1:
-                ftheta = z
-            _add_term(series, g, engine.coef_u, n)
-            _add_term(series_f, g, engine.coef_u, n - 1)
-        iters = 0
-        if sweeps:
-            _add_term(series_f, g_theta, engine.coef_s, 0, np.subtract)
-            for n, (_, g, it) in enumerate(_orbit(engine, theta, N, backward=True)):
-                iters += it
-                _add_term(series, g, engine.coef_s, n, np.subtract)
-                _add_term(series_f, g, engine.coef_s, n + 1, np.subtract)
+        (series, series_f), ftheta, iters = _phi_series(engine, theta, image=True)
         lhs = _kernels.wrap(ftheta[:, :k] + series_f)
         rhs = _kernels.wrap(_kernels.wrap(theta[:, :k] + series) @ engine.A.T)
         res = dynamics.torus_distance(lhs, rhs)
@@ -401,8 +401,9 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
     j = int(np.argmax(peak))
     return ResidualReport(max_residual=float(peak[j]), argmax_point=point[j],
                           ceiling=engine.ceiling, grid_res=grid_res,
-                          backward_sweeps=sweeps, inverse_lift_iters=int(sum(iters)),
-                          point_steps=grid_res ** engine.d * (N + 1 + sweeps * N))
+                          backward_sweeps=int(len(engine.coef_s) > 0),
+                          inverse_lift_iters=int(sum(iters)),
+                          point_steps=grid_res ** engine.d * nsteps)
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:

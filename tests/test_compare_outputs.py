@@ -14,7 +14,8 @@ def test_seed_ranges():
 
 def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
     # a tree whose phi export prints the error bound with one more digit:
-    # both phi jobs differ in their CSV only, both verify jobs are identical
+    # both phi jobs differ in their CSV only, both verify jobs are identical,
+    # and of the fixture jobs only the hyperbolic phi -o job differs
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "semiconj.py"
@@ -26,10 +27,13 @@ def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert out[-1].endswith("2 byte-identical, 2 differ")
+    n = len(compare_outputs.FIXTURE_JOBS)
+    assert out[-2] == f"{n} fixture jobs: {n - 1} byte-identical, 1 differ"
     differing = [line for line in out if line.startswith("DIFFERS")]
-    assert len(differing) == 2
+    assert len(differing) == 3
     assert all(" phi <work>/" in line and line.endswith(": file phi_grid.csv (exit 0 -> 0)")
                for line in differing)
+    assert " phi <work>/fixtures/cat.map --sublattice full " in differing[-1]
 
 
 def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):

@@ -267,13 +267,31 @@ def test_uncertified_inverse_lift_rejected():
 
 
 def test_expanding_is_empty_stable_split(engine_2d, engine_cat):
+    # an expanding engine has no stable terms, so no backward sweep and no
+    # inverse lift; the cat engine has N signed stable terms, none zero, and
+    # coef_s[0] = -P_s L_s is minus the projection onto its stable line
     k, N = engine_2d.k, engine_2d.N
     assert engine_2d.mode == "expanding"
-    assert engine_2d.coef_u.shape == engine_2d.coef_s.shape == (N, k, k)
-    assert not engine_2d.coef_s.any()
-    assert engine_2d.inv_tol == 0.0
+    assert engine_2d.coef_u.shape == (N, k, k)
+    assert engine_2d.coef_s.shape == (0, k, k)
+    assert engine_2d.lift is None and engine_2d.inv_tol == 0.0
     assert engine_cat.mode == "hyperbolic"
-    assert engine_cat.coef_s.any() and engine_cat.inv_tol > 0
+    assert engine_cat.coef_s.shape == (engine_cat.N, engine_cat.k, engine_cat.k)
+    assert all(c.any() for c in engine_cat.coef_s) and engine_cat.inv_tol > 0
+    proj = -engine_cat.coef_s[0]
+    assert np.allclose(proj @ proj, proj) and np.isclose(np.trace(proj), 1.0)
+
+
+def test_expanding_phi_hat_is_batch_independent(engine_2d):
+    # with no backward sweep a point's Phi_hat is the same, bit for bit,
+    # alone, in a slice that straddles a chunk boundary and in one batch of
+    # three chunks
+    z = np.random.default_rng(23).uniform(-2.0, 3.0, size=(9000, 2))
+    whole = semiconj.phi_hat(engine_2d, z).value
+    alone = np.array([semiconj.phi_hat(engine_2d, p).value for p in z[::30]])
+    assert len(alone) == 300 and np.array_equal(alone, whole[::30])
+    lo = semiconj.CHUNK - 100
+    assert np.array_equal(semiconj.phi_hat(engine_2d, z[lo:lo + 200]).value, whole[lo:lo + 200])
 
 
 def test_residual_under_ceiling(engine_2d):

@@ -62,6 +62,10 @@ FIXTURE_JOBS = (
     ("analyze", "SPEC:hyp3", "--sublattice", "full"),
     ("analyze", "SPEC:defective", "--sublattice", "full"),
     ("verify-semiconj", "SPEC:defective", "--sublattice", "full", "--grid", "8"),   # exit 1
+    ("phi", "SPEC:cat", "--sublattice", "full", "--grid", "8", "-o", "OUT"),  # hyperbolic CSV
+    # the two large-entry unimodular repros of ROADMAP item 1, whose exits it will move
+    ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: float det 0
+    ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
 )
 
 
@@ -99,7 +103,8 @@ def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
     hyperbolic, defective and Lehmer fixtures of tests/conftest.py, HUGE_G
     of tests/test_cli.py, two k = d = 2 maps, a shear map with two sizes of
-    G[2], a singular d = 3 map and a map with a negative eigenvalue."""
+    G[2], a singular d = 3 map, a map with a negative eigenvalue and two
+    unimodular maps with entries near 1e8 and 3e6."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
@@ -116,7 +121,10 @@ def fixture_specs():
             "defective": conftest.FIX_DEFECTIVE,
             "lehmer": conftest.lehmer_spec_text(),
             "sing3": "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n",
-            "neg": "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n"}
+            "neg": "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n",
+            "big8": "dim=2\nM=[[100000000,100000001],[99999999,100000000]]\n",
+            "big6": "dim=2\nM=[[3000001,3000000],[3000000,2999999]]\n"
+                    "G[1]=1e-9*sin(2*pi*(z1))\n"}
 
 
 def run_tree(tree, workloads, seeds):
