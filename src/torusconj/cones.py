@@ -181,6 +181,11 @@ def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
     return sol.value[:n], sol.value[n:], sol.rounds, float(sol.gap.max())
 
 
+def _margins(q_exp, q_inv, nL, alpha):
+    """Expansion factors sqrt(q_exp) and margins q_inv / ((alpha + 1) ||L||), inf if k = d."""
+    return np.sqrt(np.maximum(q_exp, 0.0)), q_inv / ((alpha + 1.0) * np.maximum(nL, 1e-300))
+
+
 @dataclass(frozen=True)
 class ConeCheck:
     expansion_factor: float     # certified min of ||a'|| over unit cone vectors
@@ -212,21 +217,18 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
                          n_rays: int = 10_000) -> ConeCheck:
     """Certified expansion and invariance minima of a single matrix."""
     L = np.asarray(L, dtype=float)
-    d = L.shape[0]
-    k, alpha = params.k, params.alpha
+    d, k, alpha = L.shape[0], params.k, params.alpha
     _range_gate(float(np.abs(L).max()) * d, alpha)     # d max|L_ij| bounds ||L||
     nL = float(np.linalg.norm(L, 2))
-    q_exp, q_inv, _, _ = _cone_minima(L[None], nL, k, alpha)
-    q_exp, q_inv = float(q_exp[0]), float(q_inv[0])
-    inv_margin = q_inv / ((alpha + 1.0) * max(nL, 1e-300))     # inf when k = d
+    (q_exp,), (q_inv,), _, _ = _cone_minima(L[None], nL, k, alpha)
+    factor, inv_margin = _margins(q_exp, q_inv, nL, alpha)
     if cross_validate:
         s_exp, s_inv = ray_sampling_estimates(L, k, alpha, n_rays)
         if q_exp > s_exp + 1e-9 or (k < d and q_inv > s_inv + 1e-9):
             raise AssertionError(
                 f"certified minima beat ray sampling: exp {q_exp} vs {s_exp}, "
                 f"inv {q_inv} vs {s_inv}")
-    return ConeCheck(expansion_factor=math.sqrt(max(q_exp, 0.0)),
-                     invariance_margin=inv_margin)
+    return ConeCheck(expansion_factor=float(factor), invariance_margin=float(inv_margin))
 
 
 @dataclass(frozen=True)
@@ -313,8 +315,7 @@ def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad, centers):
     margin, the centre of the first cell attaining it, A2 holds, eigh
     rounds, pencil gap)."""
     q_exp, q_inv, rounds, gap = _cone_minima(Ls, nL_max, k, p.alpha)
-    factors = np.sqrt(np.maximum(q_exp, 0.0))
-    lin_inv = q_inv / ((p.alpha + 1.0) * np.maximum(nLs, 1e-300))  # inf if k = d
+    factors, lin_inv = _margins(q_exp, q_inv, nLs, p.alpha)
     exp_margin = (factors - pad) - p.K
     padded_inv = lin_inv - (p.alpha + 1.0) * pad
     worst = np.minimum(exp_margin, padded_inv)

@@ -6,9 +6,9 @@ Everything runs in block (S-) coordinates through a SemiConjEngine in
 expanding mode.  H_inverse is the one entry to the fiber solve, for every
 k.  The certified path needs k = 1: Phi_hat(z + m) = Phi_hat(z) + m_1, so
 Phi_hat((t, y)) - t is 1-periodic on each fiber line, and one period of
-samples (the profile, see _bisect_batch) checks the bracket and the single
-sign change of every target on the line.  For k > 1 it runs an uncertified
-damped fixed-point solve with a residual check (_damped_batch).
+samples (the profile, see _bisect_batch) checks the bracket and that Phi_hat
+rises along the line; bisecting the sample index then finds each target's
+root interval.  For k > 1 an uncertified damped iteration is residual-checked.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ def H_forward(engine: SemiConjEngine, z):
     """H(theta) = (Phi(theta), last d-k coordinates), both torus-valued."""
     _require_expanding(engine)
     Z = np.asarray(z, dtype=float)
-    phi = semiconj.phi_torus(engine, Z).value
-    y = _kernels.wrap(Z[..., engine.k:])
-    return phi, y
+    return semiconj.phi_torus(engine, Z).value, _kernels.wrap(Z[..., engine.k:])
 
 
 def _bracket_halfwidth(engine: SemiConjEngine) -> float:
@@ -68,11 +66,10 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
     samples it at t = i / P, i < P = PRESCAN_POINTS, on each distinct row of
     Y, and Phi_hat - x0 at t = j / P is f(j) = j / P + g(j mod P) - x0 (j / P
     is exact for a power of two P).  Each |g| must be < half, the
-    displacement bound that makes x0 +- half a bracket.  A line with
-    max g - min g >= 1 is refused: t + g(t) falls from a max of g to the
-    next min of g, less than 1 later.  Else every sign change of f (0 counts
-    as +) lies in j = floor((x0 - max g) P) - 1 .. ceil((x0 - min g) P) + 1,
-    and there must be exactly one.
+    displacement bound that makes x0 +- half a bracket, and s = i / P + g
+    must rise strictly along each line, wrap step s[P - 1] < s[0] + 1 too,
+    or the line is refused.  Then f changes sign once, in a sample interval
+    that bisecting the sample index finds (_sign_change).
 
     Finish: Illinois regula falsi (M. Dowell and P. Jarratt, BIT 11, 1971)
     from the sign-change interval and its profile values, with a bisection
@@ -93,24 +90,11 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
         raise FiberSolveError(
             "bracket endpoints do not straddle the target; the engine's "
             "displacement bound is inconsistent")
-    gmin, gmax = g.min(axis=1), g.max(axis=1)
-    if np.any(gmax - gmin >= 1):
-        raise FiberSolveError(f"fiber line has Phi_hat - t spanning {(gmax - gmin).max():.3g} "
-                              ">= 1 over a period (monotonicity / cone-certificate inconsistency)")
-    lo = np.floor((x0 - gmax[line]) * P).astype(np.int64) - 1
-    hi = np.ceil((x0 - gmin[line]) * P).astype(np.int64) + 1
-    # each target's window, its last sample repeated up to the longest one
-    j = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
-    f = j / P + g[line[:, None], j % P] - x0[:, None]
-    flip = (f[:, 1:] >= 0) != (f[:, :-1] >= 0)
-    changes = flip.sum(axis=1)
-    if np.any(changes != 1):
-        bad = int(np.argmax(changes != 1))
-        raise FiberSolveError(
-            f"fiber line has {int(changes[bad])} sign changes instead of 1 "
-            "(monotonicity / cone-certificate inconsistency)")
-    act, first = np.arange(n), np.argmax(flip, axis=1)
-    a, fa, fb = j[act, first] / P, f[act, first], f[act, first + 1]
+    s = ts + g
+    if np.any(np.diff(np.column_stack([s, s[:, :1] + 1]), axis=1) <= 0):
+        raise FiberSolveError("fiber line has Phi_hat not increasing in t over its samples "
+                              "(monotonicity / cone-certificate inconsistency)")
+    act, (a, fa, fb) = np.arange(n), _sign_change(g, line, x0)
     b, t = a + 1 / P, np.empty(n)
     side = np.zeros(n)                  # +1: b moved last round, -1: a did
     w1 = w2 = w3 = np.full(n, np.inf)   # bracket widths one to three rounds back
@@ -151,6 +135,22 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
     if stats is not None:
         stats.add(rounds, scan, points)
     return t
+
+
+def _sign_change(g, line, x0):
+    """(a, f(a), f(a + 1 / P)) at each target's sign change of f (0 counts as +; see
+    _bisect_batch): j bisected from floor((x0 - max g) P) - 1 to ceil((x0 - min g) P) + 1."""
+    P = g.shape[1]
+
+    def f(j):
+        return j / P + g[line, j % P] - x0
+
+    lo = np.floor((x0 - g.max(axis=1)[line]) * P).astype(np.int64) - 1
+    hi = np.ceil((x0 - g.min(axis=1)[line]) * P).astype(np.int64) + 1
+    while np.any(hi - lo > 1):          # f(lo) < 0 <= f(hi)
+        mid = (lo + hi) // 2
+        lo, hi = np.where(f(mid) >= 0, (lo, mid), (mid, hi))
+    return lo / P, f(lo), f(hi)
 
 
 def _damped_batch(engine: SemiConjEngine, X0, Y, tol, stats: FiberStats | None = None):
@@ -230,8 +230,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
 
 
 def export_skew_csv(report: SkewReport, path) -> None:
-    d = report.grid.shape[1]
-    m = report.fiber_map_samples.shape[1]
+    d, m = report.grid.shape[1], report.fiber_map_samples.shape[1]
     header = ",".join([f"x_{i+1}" for i in range(d - m)]
                       + [f"y_{i+1}" for i in range(m)]
                       + [f"Fy_{i+1}" for i in range(m)])

@@ -38,7 +38,8 @@ def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
 
 def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     # a tree whose skew-product CSV prints one digit fewer: no workload job
-    # writes that CSV, and the one fixture job that does differs in it alone
+    # writes that CSV, and the two fixture jobs that do (d = 2 and d = 3)
+    # differ in it alone
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "conjmap.py"
@@ -50,12 +51,13 @@ def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     n = len(compare_outputs.FIXTURE_JOBS)
-    assert out[-2:] == [f"{n} fixture jobs: {n - 1} byte-identical, 1 differ",
+    assert out[-2:] == [f"{n} fixture jobs: {n - 2} byte-identical, 2 differ",
                         "4 jobs of sweep-expanding at seeds 601: 4 byte-identical, 0 differ"]
     differing = [line for line in out if line.startswith("DIFFERS")]
-    assert len(differing) == 1
+    assert len(differing) == 2
     assert differing[0].startswith("DIFFERS fixture job 0: conjugacy <work>/fixtures/fix2.map")
-    assert differing[0].endswith(": file skew_grid.csv (exit 0 -> 0)")
+    assert differing[1].startswith(f"DIFFERS fixture job {n - 1}: conjugacy <work>/fixtures/d3k1.map")
+    assert all(line.endswith(": file skew_grid.csv (exit 0 -> 0)") for line in differing)
 
 
 def test_a_moved_report_value_is_named(tmp_path, capsys):

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torusconj import parse_spec, block_triangularize, build_engine
 from torusconj import conjmap, dynamics, intlat, semiconj
@@ -97,7 +99,7 @@ def test_non_monotone_line_is_refused(engine_2d, monkeypatch):
                                  pv.error_bound)
 
     monkeypatch.setattr(semiconj, "phi_hat", wiggly)
-    with pytest.raises(FiberSolveError, match="3 sign changes instead of 1"):
+    with pytest.raises(FiberSolveError, match="not increasing in t over its samples"):
         conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
 
 
@@ -118,7 +120,8 @@ def test_far_targets_on_one_line_solve_as_apart(engine_2d):
 
 def test_line_spanning_a_unit_is_refused(engine_2d, monkeypatch):
     # Phi_hat - t of span >= 1 over a period cannot belong to an increasing
-    # t -> Phi_hat((t, y)): refused even where the displacement bound holds
+    # t -> Phi_hat((t, y)): the monotonicity rule refuses it even where the
+    # displacement bound holds
     real = semiconj.phi_hat
 
     def swinging(eng, z):
@@ -128,8 +131,65 @@ def test_line_spanning_a_unit_is_refused(engine_2d, monkeypatch):
 
     monkeypatch.setattr(semiconj, "phi_hat", swinging)
     monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: 1.0)
-    with pytest.raises(FiberSolveError, match=r"spanning 1\.\d+ >= 1 over a period"):
+    with pytest.raises(FiberSolveError, match="not increasing in t over its samples"):
         conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
+
+
+def test_descent_that_no_target_meets_is_refused(engine_2d, monkeypatch):
+    # a bump of slope up to 3.8 on t in (0.5, 0.75) makes Phi_hat fall there,
+    # at levels near 0.6 that the targets 0.1 and 0.15 never meet: the line
+    # is refused for every target on it, not only for those whose level
+    # crosses the descent
+    real = semiconj.phi_hat
+
+    def bumped(eng, z):
+        pv = real(eng, z)
+        t = z[:, :1] % 1.0
+        bump = np.where((0.5 < t) & (t < 0.75), 0.05 * np.sin(6 * np.pi * (t - 0.5) / 0.25), 0.0)
+        return semiconj.PhiValue(pv.value + bump, pv.error_bound)
+
+    monkeypatch.setattr(semiconj, "phi_hat", bumped)
+    with pytest.raises(FiberSolveError, match="not increasing in t over its samples"):
+        conjmap.H_inverse(engine_2d, np.array([0.1, 0.15]), np.array([[0.25], [0.25]]))
+
+
+def window_scan(g, line, x0):
+    """The first sign change of f = j / P + g[line, j % P] - x0 over each
+    target's whole window of sample indices, one (n, w) array of them: the
+    sign-change search the index bisection of conjmap._sign_change replaced."""
+    P = g.shape[1]
+    lo = np.floor((x0 - g.max(axis=1)[line]) * P).astype(np.int64) - 1
+    hi = np.ceil((x0 - g.min(axis=1)[line]) * P).astype(np.int64) + 1
+    j = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
+    f = j / P + g[line[:, None], j % P] - x0[:, None]
+    flip = (f[:, 1:] >= 0) != (f[:, :-1] >= 0)
+    assert np.all(flip.sum(axis=1) == 1)
+    act, first = np.arange(len(x0)), np.argmax(flip, axis=1)
+    return j[act, first] / P, f[act, first], f[act, first + 1]
+
+
+@given(hnp.arrays(float, st.tuples(st.integers(1, 4), st.just(conjmap.PRESCAN_POINTS)),
+                  elements=st.floats(1e-3, 1.0)),
+       st.floats(-0.45, 0.45), st.data())
+@settings(max_examples=200, deadline=None)
+def test_index_bisection_is_the_window_scan(steps, shift, data):
+    # on any rising profile, the bisected sample interval and its two
+    # profile values are those of the first sign change of the whole-window
+    # scan, bit for bit; targets drawn at profile values test f = 0 as +
+    P = conjmap.PRESCAN_POINTS
+    ts = np.arange(P) / P
+    steps = steps / steps.sum(axis=1, keepdims=True)
+    g = shift + np.cumsum(steps, axis=1) - steps - ts
+    s = ts + g
+    assume(np.all(np.diff(np.column_stack([s, s[:, :1] + 1]), axis=1) > 0))
+    n = data.draw(st.integers(1, 12))
+    line = np.array(data.draw(st.lists(st.integers(0, len(g) - 1), min_size=n, max_size=n)))
+    x0 = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    on_sample = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    j = np.array(data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n)))
+    x0 = np.where(on_sample, j / P + g[line, j % P], x0)
+    for got, want in zip(conjmap._sign_change(g, line, x0), window_scan(g, line, x0)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_profile_value_is_never_the_root(engine_2d, monkeypatch):

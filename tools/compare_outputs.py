@@ -52,7 +52,7 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:cat", "--sublattice", "full", "--grid", "8"),       # not expanding: exit 1
     # the three conjugacy repros of ROADMAP item 2, whose verdicts it will move
     ("conjugacy", "SPEC:shear", "--grid", "32"),            # PASS, though no alpha passes A2
-    ("conjugacy", "SPEC:shear15", "--grid", "32"),          # exit 1: 3 sign changes on a fiber line
+    ("conjugacy", "SPEC:shear15", "--grid", "32"),          # exit 1: a fiber line not increasing
     ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),    # exit 1: damped solve stalls
     # the exact eigenvalue questions of intlat: no root, 0 and a double root,
     # a negative root, a d = 3 unimodular block, a defective root 1
@@ -66,6 +66,7 @@ FIXTURE_JOBS = (
     # the two large-entry unimodular repros of ROADMAP item 1, whose exits it will move
     ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: float det 0
     ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
+    ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),  # k = 1 fiber lines with a 2-D y
 )
 
 
@@ -103,8 +104,9 @@ def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
     hyperbolic, defective and Lehmer fixtures of tests/conftest.py, HUGE_G
     of tests/test_cli.py, two k = d = 2 maps, a shear map with two sizes of
-    G[2], a singular d = 3 map, a map with a negative eigenvalue and two
-    unimodular maps with entries near 1e8 and 3e6."""
+    G[2], a singular d = 3 map, a map with a negative eigenvalue, two
+    unimodular maps with entries near 1e8 and 3e6 and an expanding d = 3
+    map with k = 1."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
@@ -124,7 +126,9 @@ def fixture_specs():
             "neg": "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n",
             "big8": "dim=2\nM=[[100000000,100000001],[99999999,100000000]]\n",
             "big6": "dim=2\nM=[[3000001,3000000],[3000000,2999999]]\n"
-                    "G[1]=1e-9*sin(2*pi*(z1))\n"}
+                    "G[1]=1e-9*sin(2*pi*(z1))\n",
+            "d3k1": "dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\nG[1]=0.01*sin(2*pi*(z1-2*z3))\n"
+                    "G[2]=0.02*cos(2*pi*(z2+z3))\n"}
 
 
 def run_tree(tree, workloads, seeds):
