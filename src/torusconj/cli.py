@@ -257,6 +257,7 @@ def cmd_conjugacy(spec, args) -> dict:
     z = rng.uniform(0, 1, size=(50, engine.d))
     x, y = conjmap.H_forward(engine, z)
     stats = conjmap.FiberStats()
+    head = {"command": "conjugacy", "N": engine.N, "grid_res": args.grid, "tol": args.tol}
     try:
         sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol, stats=stats)
         zi = conjmap.H_inverse(engine, x, y, tol=args.tol, stats=stats)
@@ -264,18 +265,14 @@ def cmd_conjugacy(spec, args) -> dict:
         # a vacuous ceiling fails the verdict whatever the fibers do: the
         # solves only measure the residuals, and a fiber that cannot be
         # solved leaves them out (an unmeasured residual is infinite)
-        report = _ceiling_verdict({"command": "conjugacy", "N": engine.N, "grid_res": args.grid,
-                                   "tol": args.tol, "ceiling": conjmap.skew_ceiling(engine, args.tol)},
+        report = _ceiling_verdict({**head, "ceiling": conjmap.skew_ceiling(engine, args.tol)},
                                   math.inf, engine.k)
         if not report.get("vacuous"):
             raise
         return report
     rt = dynamics.torus_distance(zi, z).max()
     report = _ceiling_verdict({
-        "command": "conjugacy",
-        "N": engine.N,
-        "grid_res": sr.grid_res,
-        "tol": args.tol,
+        **head,
         "max_base_residual": sr.max_base_residual,
         "ceiling": sr.ceiling,
         "round_trip_max": float(rt),

@@ -200,8 +200,8 @@ class SkewReport:
     grid_res: int
     max_base_residual: float
     ceiling: float              # skew_ceiling(engine, tol)
-    fiber_map_samples: np.ndarray   # (n, d-k): the induced F_y values
-    grid: np.ndarray            # (n, d): the (x, y) grid
+    fiber_map_samples: np.ndarray   # (n, d-k): the induced F_y values, in torus grid order
+    k: int                      # the x columns of the (x, y) grid
 
 
 def skew_ceiling(engine: SemiConjEngine, tol: float) -> float:
@@ -213,27 +213,23 @@ def skew_ceiling(engine: SemiConjEngine, tol: float) -> float:
 def skew_product_residual(engine: SemiConjEngine, grid_res: int,
                           tol: float = 1e-10,
                           stats: FiberStats | None = None) -> SkewReport:
-    """Max over an (x, y) grid of dist(base of H(F(H^-1(x,y))), A x mod 1);
-    the fiber solves' work is added to stats, if given."""
+    """Max over the (x, y) grid semiconj._grid(d, grid_res) of dist(base of
+    H(F(H^-1(x,y))), A x mod 1); the fiber solves' work is added to stats, if given."""
     k = engine.k
     grid = semiconj._grid(engine.d, grid_res)
     X, Y = grid[:, :k], grid[:, k:]
-    Z = H_inverse(engine, X, Y, tol, stats)
-    FZ = dynamics.eval_torus(engine.spec, Z)
-    base = semiconj.phi_torus(engine, FZ).value
-    target = _kernels.wrap(X @ engine.A.T)
-    resid = dynamics.torus_distance(base, target)
-    return SkewReport(grid_res=grid_res,
-                      max_base_residual=float(resid.max()),
-                      ceiling=skew_ceiling(engine, tol),
-                      fiber_map_samples=FZ[:, k:], grid=grid)
+    FZ = dynamics.eval_torus(engine.spec, H_inverse(engine, X, Y, tol, stats))
+    resid = dynamics.torus_distance(semiconj.phi_torus(engine, FZ).value,
+                                    _kernels.wrap(X @ engine.A.T))
+    return SkewReport(grid_res=grid_res, max_base_residual=float(resid.max()),
+                      ceiling=skew_ceiling(engine, tol), fiber_map_samples=FZ[:, k:], k=k)
 
 
 def export_skew_csv(report: SkewReport, path) -> None:
-    d, m = report.grid.shape[1], report.fiber_map_samples.shape[1]
-    header = ",".join([f"x_{i+1}" for i in range(d - m)]
-                      + [f"y_{i+1}" for i in range(m)]
-                      + [f"Fy_{i+1}" for i in range(m)])
-    row = ",".join(["%.17g"] * (d + m)) + "\r\n"
-    semiconj._write_file(path, [header + "\r\n", semiconj._format_rows(
-        row, np.hstack([report.grid, report.fiber_map_samples]))])
+    """CSV with columns x_1..x_k, y_1..y_m and Fy_1..Fy_m (%.17g): each CHUNK-row
+    piece of the grid beside its rows of F_y, written by semiconj._write_grid_csv."""
+    fy, k, res, c = report.fiber_map_samples, report.k, report.grid_res, semiconj.CHUNK
+    m = fy.shape[1]
+    names = ",".join(f"{a}_{i+1}" for a, n in (("x", k), ("y", m), ("Fy", m)) for i in range(n))
+    semiconj._write_grid_csv(path, res, names, ["%.17g"] * m, zip(
+        semiconj._grid_chunks(k + m, res), (fy[lo:lo + c] for lo in range(0, len(fy), c))))

@@ -106,10 +106,17 @@ def norm_bounds(spec: TorusMapSpec) -> NormBounds:
 
 def contraction_rate(spec: TorusMapSpec) -> float:
     """rho = ||M^-1||_2 * Lip(G); the inverse lift is certified iff rho < 1."""
-    Mf = M_array(spec)
-    if abs(np.linalg.det(Mf)) < 1e-12:
+    return _inv_norm(spec) * norm_bounds(spec).g_lip
+
+
+def _inv_norm(spec: TorusMapSpec) -> float:
+    """||M^-1||_2 of the exact inverse adj(M) / det M (intlat.adjugate), so
+    that rho and L_inv are not understated by a rounded inverse.  A float
+    det M under 1e-12 also counts as singular."""
+    adj, det = intlat.adjugate(spec.M_list())
+    if not det or abs(np.linalg.det(M_array(spec))) < 1e-12:
         raise ContractionError("M is singular; no lift inverse")
-    return float(np.linalg.norm(np.linalg.inv(Mf), 2)) * norm_bounds(spec).g_lip
+    return float(np.linalg.norm(np.array(adj, dtype=float) / det, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +134,7 @@ class LiftInverse:
     rho: float              # ||M^-1|| * Lip(G) < 1
     L_inv: float            # ||M^-1|| / (1 - rho)
     Mf: np.ndarray          # the spec's integer M as floats
-    Minv: np.ndarray        # its float inverse
+    Minv: np.ndarray        # its float inverse, for the Newton steps only
     terms: TermArrays
 
     def __call__(self, Z, tol: float):
@@ -153,9 +160,8 @@ def lift_inverse(spec: TorusMapSpec) -> LiftInverse:
             f"contraction margin violated (||M^-1||*Lip(G) = {rho:.3g} >= 1); "
             "the lift inverse is not certified")
     Mf = M_array(spec)
-    Minv = np.linalg.inv(Mf)
-    L_inv = float(np.linalg.norm(Minv, 2)) / (1.0 - rho)
-    return LiftInverse(rho=rho, L_inv=L_inv, Mf=Mf, Minv=Minv, terms=term_arrays(spec))
+    return LiftInverse(rho=rho, L_inv=_inv_norm(spec) / (1.0 - rho), Mf=Mf,
+                       Minv=np.linalg.inv(Mf), terms=term_arrays(spec))
 
 
 def change_coordinates(spec: TorusMapSpec, S) -> TorusMapSpec:

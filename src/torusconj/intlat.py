@@ -2,9 +2,10 @@
 
 Everything here runs on arbitrary-precision Python ints; no floats enter
 any certificate.  Two exact tools answer every question: the Hermite
-normal form is behind every inverse, kernel, membership test and linear
-solve, and the characteristic polynomial behind every determinant and
-integer eigenvalue.  Floating point is used only to classify the small
+normal form is behind every unimodular inverse, kernel, membership test
+and linear solve, and the Faddeev-LeVerrier recursion of the
+characteristic polynomial behind every determinant, adjugate and integer
+eigenvalue.  Floating point is used only to classify the small
 top-left block by eigenvalue magnitude, once 0 and ±1 are excluded exactly.
 """
 
@@ -126,21 +127,37 @@ def primitive(v) -> IntVec:
 
 
 def char_poly(M: IntMat) -> list[int]:
-    """Coefficients [1, c1, ..., cd] of det(xI - M), exact integers
-    (Faddeev-LeVerrier recursion; every N_k is an integer matrix and each
-    division by k is exact)."""
+    """Coefficients [1, c1, ..., cd] of det(xI - M), exact integers (see
+    _leverrier)."""
+    return _leverrier(M)[0]
+
+
+def adjugate(M: IntMat) -> tuple[IntMat, int]:
+    """(adj M, det M), exact: the last step of _leverrier is
+    M N_{d-1} + c_d I = 0 (Cayley-Hamilton) and det M = (-1)^d c_d, so
+    adj M = det M * M^-1 = (-1)^(d+1) N_{d-1}."""
+    coeffs, N = _leverrier(M)
+    sign = (-1) ** (len(N) + 1)
+    return [[sign * v for v in row] for row in N], -sign * coeffs[-1]
+
+
+def _leverrier(M) -> tuple[list[int], IntMat]:
+    """([1, c1, ..., cd], N_{d-1}) of the Faddeev-LeVerrier recursion
+    N_0 = I, c_k = -tr(M N_{k-1}) / k, N_k = M N_{k-1} + c_k I: every N_k
+    is an integer matrix and each division by k is exact."""
     M = as_int_matrix(M)
     d = len(M)
     Nk = identity(d)
     coeffs = [1]
     for k in range(1, d + 1):
+        last = Nk
         MN = mat_mul(M, Nk)
         ck = -sum(MN[i][i] for i in range(d)) // k
         coeffs.append(ck)
         for i in range(d):
             MN[i][i] += ck
         Nk = MN
-    return coeffs
+    return coeffs, last
 
 
 def _poly_at(coeffs: list[int], x: int) -> int:

@@ -407,35 +407,39 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
-    """CSV with columns theta_1..theta_d, phi_1..phi_k (%.17g) and
-    error_bound (%.6g), written CHUNK rows at a time, all or nothing (see
-    _write_file).  A chunk's grid coordinates repeat, so each one it holds
-    is formatted once per chunk and its string shared by the rows; each row
-    formats only its k phi values with %.17g."""
+    """CSV of theta_1..theta_d, phi_1..phi_k (%.17g) and error_bound (%.6g):
+    phi_torus swept CHUNK grid points at a time on the chunk pool (see
+    _map_chunks), each chunk written as it comes by _write_grid_csv."""
     d, k = engine.d, engine.k
-    header = ",".join([f"theta_{i+1}" for i in range(d)]
-                      + [f"phi_{i+1}" for i in range(k)] + ["error_bound"])
-    row = ",".join(["%s"] * d + ["%.17g"] * k + ["%.6g" % engine.eps]) + "\r\n"
+    _write_grid_csv(path, grid_res, ",".join([f"theta_{i+1}" for i in range(d)]
+                                             + [f"phi_{i+1}" for i in range(k)] + ["error_bound"]),
+                    ["%.17g"] * k + ["%.6g" % engine.eps], _map_chunks(
+        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res)))
 
-    def lines(theta, phi):
-        # grid_res * (i / grid_res) rounds to i; the strings are shared, not
-        # made per row (a string per row raised peak RSS by ~2 MB), and only
-        # the indices lo + i the chunk holds are formatted
-        idx = np.rint(theta * grid_res).astype(np.intp)
-        lo = int(idx.min())
-        idx -= lo
+
+def _write_grid_csv(path, grid_res: int, header: str, formats: list[str], chunks) -> None:
+    """The one grid-CSV writer: the header line, then for each (theta (n, d),
+    values (n, m)) of chunks one CRLF line per row, theta's coordinates
+    (%.17g) and then the values formatted by formats, made and written one
+    chunk at a time, all or nothing (see _write_file)."""
+
+    def lines(theta, values):
+        # grid_res * (i / grid_res) rounds to i; each index lo + i the chunk
+        # holds is formatted once and its string shared by the rows (a string
+        # per row raised peak RSS by ~2 MB)
+        d = theta.shape[1]
+        lo = int(np.rint(theta.min() * grid_res))
+        idx = np.rint(theta * grid_res).astype(np.intp) - lo
         held = np.zeros(idx.max() + 1, dtype=bool)
         held[idx] = True
         coords = np.empty(len(held), dtype=object)
         coords[held] = ["%.17g" % ((lo + i) / grid_res) for i in np.flatnonzero(held).tolist()]
-        cells = np.empty((len(phi), d + k), dtype=object)
+        cells = np.empty((len(values), d + values.shape[1]), dtype=object)
         cells[:, :d] = coords[idx]
-        cells[:, d:] = phi
-        return _format_rows(row, cells)
+        cells[:, d:] = values
+        return _format_rows(",".join(["%s"] * d + formats) + "\r\n", cells)
 
-    rows = itertools.starmap(lines, _map_chunks(
-        lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res)))
-    _write_file(path, itertools.chain([header + "\r\n"], rows))
+    _write_file(path, itertools.chain([header + "\r\n"], itertools.starmap(lines, chunks)))
 
 
 def _format_rows(row: str, values: np.ndarray) -> str:

@@ -37,26 +37,28 @@ def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
 
 
 def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
-    # a tree whose skew-product CSV prints one digit fewer: no workload job
-    # writes that CSV, and the two fixture jobs that do (d = 2 and d = 3)
-    # differ in it alone
+    # a tree whose skew-product CSV prints its F_y columns one digit
+    # shorter: no workload job writes that CSV, and the three fixture jobs
+    # that do (d = 2 in one chunk and in two, d = 3) differ in it alone
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "conjmap.py"
     text = path.read_text()
-    assert text.count('["%.17g"] * (d + m)') == 1
-    path.write_text(text.replace('["%.17g"] * (d + m)', '["%.16g"] * (d + m)'))
+    assert text.count('["%.17g"] * m') == 1
+    path.write_text(text.replace('["%.17g"] * m', '["%.16g"] * m'))
     code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
                                  "--workloads", "sweep-expanding"])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     n = len(compare_outputs.FIXTURE_JOBS)
-    assert out[-2:] == [f"{n} fixture jobs: {n - 2} byte-identical, 2 differ",
+    assert out[-2:] == [f"{n} fixture jobs: {n - 3} byte-identical, 3 differ",
                         "4 jobs of sweep-expanding at seeds 601: 4 byte-identical, 0 differ"]
     differing = [line for line in out if line.startswith("DIFFERS")]
-    assert len(differing) == 2
+    assert len(differing) == 3
     assert differing[0].startswith("DIFFERS fixture job 0: conjugacy <work>/fixtures/fix2.map")
-    assert differing[1].startswith(f"DIFFERS fixture job {n - 1}: conjugacy <work>/fixtures/d3k1.map")
+    assert differing[1].startswith(f"DIFFERS fixture job {n - 2}: conjugacy <work>/fixtures/d3k1.map")
+    assert differing[2].startswith(f"DIFFERS fixture job {n - 1}: conjugacy <work>/fixtures/fix2.map "
+                                   "--grid 72")
     assert all(line.endswith(": file skew_grid.csv (exit 0 -> 0)") for line in differing)
 
 

@@ -268,7 +268,7 @@ def test_skew_product_linear(engine_linear):
     rep = conjmap.skew_product_residual(engine_linear, 16, tol=1e-13)
     assert rep.max_base_residual <= 1e-12
     # the fiber map reproduces the linear action on y
-    y = rep.grid[:, 1]
+    y = semiconj._grid(2, 16)[:, 1]
     assert np.abs(rep.fiber_map_samples[:, 0] - np.mod(y, 1.0)).max() <= 1e-12
 
 
@@ -329,26 +329,58 @@ def test_empty_batch_solves_to_empty(engine_2d, engine_k2):
 
 
 def test_skew_grid_is_the_torus_grid(engine_2d, engine_k2, engine_1d):
-    # k = 1 < d, k = 2 < d = 3 and k = d = 1: the (x, y) grid is the torus
-    # grid, bit for bit, x varying slowest as repeat / tile lay it out
+    # k = 1 < d, k = 2 < d = 3 and k = d = 1: the skew report's F_y samples
+    # are taken on the torus grid, row for row, and that grid lays x out
+    # slowest, bit for bit as repeat / tile would
     for eng, res in ((engine_2d, 8), (engine_k2, 4), (engine_1d, 8)):
         k, d = eng.k, eng.d
-        grid = conjmap.skew_product_residual(eng, res, tol=1e-10).grid
-        assert grid.tobytes() == semiconj._grid(d, res).tobytes()
+        rep = conjmap.skew_product_residual(eng, res, tol=1e-10)
+        grid = semiconj._grid(d, res)
+        z = conjmap.H_inverse(eng, grid[:, :k], grid[:, k:], tol=1e-10)
+        assert rep.k == k and rep.fiber_map_samples.shape == (res ** d, d - k)
+        assert rep.fiber_map_samples.tobytes() == dynamics.eval_torus(eng.spec, z)[:, k:].tobytes()
         Xg, Yg = semiconj._grid(k, res), semiconj._grid(d - k, res)
         laid_out = np.hstack([np.repeat(Xg, len(Yg), axis=0), np.tile(Yg, (len(Xg), 1))])
         assert grid.tobytes() == laid_out.tobytes()
+
+
+def _skew_reference(rep):
+    """The skew CSV as csv.writer writes it, row by row, from the torus grid."""
+    k, m = rep.k, rep.fiber_map_samples.shape[1]
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow([f"x_{i+1}" for i in range(k)] + [f"y_{i+1}" for i in range(m)]
+               + [f"Fy_{i+1}" for i in range(m)])
+    for g, fy in zip(semiconj._grid(k + m, rep.grid_res), rep.fiber_map_samples):
+        w.writerow([f"{v:.17g}" for v in g] + [f"{v:.17g}" for v in fy])
+    return ref.getvalue().encode()
+
 
 def test_exports(engine_2d, tmp_path):
     rep = conjmap.skew_product_residual(engine_2d, 8, tol=1e-10)
     conjmap.export_skew_csv(rep, tmp_path / "skew.csv")
     # byte for byte what csv.writer writes for the same rows
-    ref = io.StringIO(newline="")
-    w = csv.writer(ref)
-    w.writerow(["x_1", "y_1", "Fy_1"])
-    for g, fy in zip(rep.grid, rep.fiber_map_samples):
-        w.writerow([f"{v:.17g}" for v in g] + [f"{v:.17g}" for v in fy])
-    assert (tmp_path / "skew.csv").read_bytes() == ref.getvalue().encode()
+    assert (tmp_path / "skew.csv").read_bytes() == _skew_reference(rep)
+
+
+def test_skew_csv_is_written_chunk_by_chunk(engine_2d, engine_k2, engine_1d, tmp_path,
+                                            monkeypatch):
+    # chunks of 7 rows split the fiber lines (8 or 4 points each, 5 with a
+    # non-dyadic 1/5): the file is still csv.writer's bytes, and it reaches
+    # the writer as the header and one string per chunk, never one string
+    # for the whole grid
+    reps = [(eng, conjmap.skew_product_residual(eng, res, tol=1e-10))
+            for eng, res in ((engine_2d, 8), (engine_2d, 5), (engine_k2, 4), (engine_1d, 8))]
+    real, blocks = semiconj._write_file, []
+    monkeypatch.setattr(semiconj, "_write_file",
+                        lambda path, b: real(path, (blocks.append(x) or x for x in b)))
+    monkeypatch.setattr(semiconj, "CHUNK", 7)
+    for eng, rep in reps:
+        blocks.clear()
+        conjmap.export_skew_csv(rep, tmp_path / "skew.csv")
+        n = rep.grid_res ** eng.d
+        assert (tmp_path / "skew.csv").read_bytes() == _skew_reference(rep)
+        assert [x.count("\n") for x in blocks] == [1] + [7] * (n // 7) + [n % 7] * (n % 7 > 0)
 
 
 def test_public_names_resolve():

@@ -133,6 +133,33 @@ def test_newton_inverse_lift_on_random_maps():
         assert np.linalg.norm(W - Wc, axis=1).max() <= L_inv * (tol + res_c)
 
 
+def test_lift_constants_read_the_exact_inverse():
+    # entries near 3e6 and det M = 1: np.linalg.inv is off by up to ~700 in
+    # the entries of M^-1 and understated rho as 0.0376900369 and L_inv as
+    # 6233496.39; M^-1 = adj M is symmetric positive definite with trace
+    # t = 6e6, so ||M^-1||_2 = (t + sqrt(t^2 - 4)) / 2 and Lip(G) = 2 pi 1e-9
+    s = parse_spec("dim=2\nM=[[3000001,3000000],[3000000,2999999]]\n"
+                   "G[1]=1e-9*sin(2*pi*(z1))\n")
+    t = 6e6
+    rho = (t + np.sqrt(t * t - 4)) / 2 * 2 * np.pi * 1e-9
+    lift = dynamics.lift_inverse(s)
+    assert lift.rho == pytest.approx(rho, rel=1e-12)
+    assert lift.rho == pytest.approx(0.0376991118, abs=1e-10)
+    assert lift.L_inv == pytest.approx(rho / (2 * np.pi * 1e-9) / (1 - rho), rel=1e-12)
+    assert lift.L_inv == pytest.approx(6235056.08, abs=0.01)
+    assert dynamics.contraction_rate(s) == lift.rho
+
+
+def test_singular_M_is_refused_by_its_exact_det():
+    # det M = 0 exactly, while the float det reads about -920: the exact
+    # inverse would divide by zero, so M is refused as singular
+    s = parse_spec("dim=2\nM=[[154272509,621178002],[7713625450,31058900100]]\n"
+                   "G[1]=0.01*sin(2*pi*(z1))\n")
+    assert abs(np.linalg.det(dynamics.M_array(s))) > 1
+    with pytest.raises(ContractionError, match="M is singular"):
+        dynamics.lift_inverse(s)
+
+
 def test_invert_lift_rejects_expansion_violation():
     s = parse_spec("dim=1\nM=[[2]]\nG[1]=0.9*sin(2*pi*(z1))\n")
     # rho = 0.5 * 0.9 * 2 pi > 1

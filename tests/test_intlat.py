@@ -174,6 +174,20 @@ def test_det_and_integer_eigenvalues_match_a_rational_elimination(M):
     assert intlat.integer_eigenvalues(M) == roots
 
 
+@given(small_int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_adjugate_is_the_cofactor_transpose(M):
+    # adj M [i][j] = (-1)^(i+j) det of M without row j and column i, singular
+    # M included, and M adj M = det M I
+    d = len(M)
+    adj, det = intlat.adjugate(M)
+    assert det == _fraction_det(M)
+    assert adj == [[(-1) ** (i + j) * _fraction_det([[M[r][c] for c in range(d) if c != i]
+                                                      for r in range(d) if r != j])
+                    for j in range(d)] for i in range(d)]
+    assert intlat.mat_mul(M, adj) == [[det * (i == j) for j in range(d)] for i in range(d)]
+
+
 def test_lehmer_char_poly():
     # companion matrix reproduces its defining polynomial exactly
     got = intlat.char_poly(lehmer_matrix())

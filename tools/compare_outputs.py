@@ -67,6 +67,7 @@ FIXTURE_JOBS = (
     ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: float det 0
     ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
     ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),  # k = 1 fiber lines with a 2-D y
+    ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks
 )
 
 
