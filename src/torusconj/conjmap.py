@@ -1,14 +1,13 @@
 """The conjugacy H(z) = (Phi(z), proj_{W-perp} z): forward map, certified
-fiber solving for k = 1, and the skew-product check
-H o F o H^-1 = (A x, F_y(x, y)).
+fiber solving, and the skew-product check H o F o H^-1 = (A x, F_y(x, y)).
 
 Everything runs in block (S-) coordinates through a SemiConjEngine in
-expanding mode.  H_inverse is the one entry to the fiber solve, for every
-k.  The certified path needs k = 1: Phi_hat(z + m) = Phi_hat(z) + m_1, so
+expanding mode.  H_inverse is the one entry to the fiber solve, with one
+certified route per k.  For k = 1, Phi_hat(z + m) = Phi_hat(z) + m_1, so
 Phi_hat((t, y)) - t is 1-periodic on each fiber line, and one period of
 samples (the profile, see _bisect_batch) checks the bracket and that Phi_hat
 rises along the line; bisecting the sample index then finds each target's
-root interval.  For k > 1 an uncertified damped iteration is residual-checked.
+root interval.  For k = d, see _orbit_batch.  1 < k < d is refused.
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ from .semiconj import SemiConjEngine
 
 PRESCAN_POINTS = 32     # profile samples per unit period of a fiber line; a power of two
 MAX_BISECT = 120        # cap on the finish rounds of a fiber solve
-MAX_DAMPED = 500
 
 
 @dataclass
 class FiberStats:
     """Work counters of the fiber solves that are given this object."""
-    fiber_iters: int = 0    # most finish rounds any one point needed
-    scan_points: int = 0    # profile samples: PRESCAN_POINTS per fiber line
+    fiber_iters: int = 0    # most finish rounds (k = 1) or backward steps (k = d) of a point
+    scan_points: int = 0    # profile samples: PRESCAN_POINTS per fiber line (k = 1)
     phi_points: int = 0     # Phi_hat points the solves evaluated, profiles included
 
     def add(self, iters: int, scan: int, points: int) -> None:
@@ -40,8 +38,11 @@ class FiberStats:
 
 
 def _require_expanding(engine: SemiConjEngine):
+    """The precondition of H and H^-1: expanding mode, and k = 1 or k = d."""
     if engine.mode != "expanding":
         raise EngineError("the conjugacy construction runs in expanding mode")
+    if 1 < engine.k < engine.d:
+        raise EngineError("no certified fiber solve for 1 < k < d")
 
 
 def H_forward(engine: SemiConjEngine, z):
@@ -153,25 +154,32 @@ def _sign_change(g, line, x0):
     return lo / P, f(lo), f(hi)
 
 
-def _damped_batch(engine: SemiConjEngine, X0, Y, tol, stats: FiberStats | None = None):
-    """Uncertified damped solve for k > 1: t <- t - A^-1 (Phi_hat - x0), at
-    most MAX_DAMPED steps."""
-    Ainv = np.linalg.inv(engine.A)
-    T = X0.copy()
-    for it in range(MAX_DAMPED + 1):
-        r = semiconj.phi_hat(engine, np.concatenate([T, Y], axis=1)).value - X0
-        res = np.linalg.norm(r, axis=1).max()
-        if res <= tol:
-            break
-        if it == MAX_DAMPED:
-            raise FiberSolveError(
-                f"damped fiber solve stalled at residual {res:.3g} > tol {tol:.3g}")
-        T = T - r @ Ainv.T
-        if not np.all(np.isfinite(T)):
-            raise FiberSolveError("damped fiber solve diverged")
+def _orbit_batch(engine: SemiConjEngine, X, tol, stats: FiberStats | None = None):
+    """Certified fiber solve for k = d: Z (n, d) with |Phi_hat(z) - x| <= tol
+    at each row x of X.  Phi_hat = A^-N F^N, so z = F^-N(A^N x): A^N x is
+    carried mod 1, f <- frac(A f) with carries c_j = floor(A f_j), and undone
+    by u <- F^-1(u + c_j) from u = f_N, as F(w + p) = F(w) + A p for integer p.
+    rho < 1, which the inverse lift demands, makes Phi_hat a bijection of R^d:
+    the root is unique on the torus.  The carry's rounding r_j moves Phi_hat(z)
+    by sum_j A^-(j+1) r_j only.  A point over tol raises FiberSolveError."""
+    lift, Z = dynamics.lift_inverse(engine.spec), np.empty_like(X)
+
+    def solve(lo):
+        f, carries = X[lo:lo + semiconj.CHUNK], []
+        for _ in range(engine.N):
+            c, f = np.divmod(f @ engine.A.T, 1.0)
+            carries.append(c)
+        for c in reversed(carries):
+            f = lift(f + c, tol)[0]
+        Z[lo:lo + len(f)] = f
+        return np.linalg.norm(semiconj.phi_hat(engine, f).value - X[lo:lo + len(f)], axis=1).max()
+
+    res = max(semiconj._map_chunks(solve, range(0, len(X), semiconj.CHUNK)))
+    if not res <= tol:
+        raise FiberSolveError(f"fiber solve residual {res:.3g} > tol {tol:.3g}")
     if stats is not None:
-        stats.add(it, 0, (it + 1) * len(T))
-    return T
+        stats.add(engine.N, 0, len(X))
+    return Z
 
 
 def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
@@ -179,9 +187,8 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
     by y0's leading axes and d: the one fiber solve.  Each point y of y0
     (..., d-k) and its k values of x0 (lift coordinates) get the t with
-    Phi_hat((t, y)) = x0, all as one batch: the certified solve of
-    _bisect_batch for k = 1, the uncertified damped iteration of
-    _damped_batch otherwise.  The work done is added to stats, if given."""
+    Phi_hat((t, y)) = x0, as one batch: by _bisect_batch for k = 1 and by
+    _orbit_batch for k = d.  The work done is added to stats, if given."""
     _require_expanding(engine)
     k = engine.k
     Y = dynamics._batch(y0, engine.d - k)
@@ -191,7 +198,7 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     elif k == 1:
         T = _bisect_batch(engine, X[:, 0], Y, tol, stats)[:, None]
     else:
-        T = _damped_batch(engine, X, Y, tol, stats)
+        T = _orbit_batch(engine, X, tol, stats)
     return _kernels.wrap(np.hstack([T, Y])).reshape(np.shape(y0)[:-1] + (engine.d,))
 
 
@@ -222,7 +229,7 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
     resid = dynamics.torus_distance(semiconj.phi_torus(engine, FZ).value,
                                     _kernels.wrap(X @ engine.A.T))
     return SkewReport(grid_res=grid_res, max_base_residual=float(resid.max()),
-                      ceiling=skew_ceiling(engine, tol), fiber_map_samples=FZ[:, k:], k=k)
+                      ceiling=skew_ceiling(engine, tol), fiber_map_samples=FZ[:, k:].copy(), k=k)
 
 
 def export_skew_csv(report: SkewReport, path) -> None:

@@ -2,11 +2,11 @@
 
 Everything here runs on arbitrary-precision Python ints; no floats enter
 any certificate.  Two exact tools answer every question: the Hermite
-normal form is behind every unimodular inverse, kernel, membership test
-and linear solve, and the Faddeev-LeVerrier recursion of the
-characteristic polynomial behind every determinant, adjugate and integer
-eigenvalue.  Floating point is used only to classify the small
-top-left block by eigenvalue magnitude, once 0 and ±1 are excluded exactly.
+normal form is behind every kernel, membership test and linear solve, and
+the Faddeev-LeVerrier recursion of the characteristic polynomial behind
+every determinant, adjugate, unimodular inverse and integer eigenvalue.
+Floating point is used only to classify the small top-left block by
+eigenvalue magnitude, once 0 and ±1 are excluded exactly.
 """
 
 from __future__ import annotations
@@ -61,13 +61,12 @@ def det_int(M: IntMat) -> int:
 
 
 def mat_inv_unimodular(S: IntMat) -> IntMat:
-    """Exact inverse of a determinant-±1 integer matrix: the transform U of
-    the Hermite normal form U S = H, which is the inverse when H = I."""
-    H, U = hermite_normal_form(S)
-    if H != identity(len(S)):
-        raise LatticeError("matrix is not unimodular" if any(H[-1])
-                           else "matrix is singular")
-    return U
+    """Exact inverse of a determinant-±1 integer matrix: S^-1 = adj S / det S
+    = det S * adj S (see adjugate)."""
+    adj, det = adjugate(S)
+    if abs(det) != 1:
+        raise LatticeError("matrix is not unimodular" if det else "matrix is singular")
+    return [[det * v for v in row] for row in adj]
 
 
 def hermite_normal_form(M) -> tuple[list[list[int]], IntMat]:

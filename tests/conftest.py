@@ -36,6 +36,13 @@ FIX_DEFECTIVE = ("dim=2\n"
                  "M=[[3,2],[-2,-1]]\n"
                  "G[1]=0.01*sin(2*pi*(z1))\n")
 
+# k = d = 2 expanding maps with one G: A = diag(2, 3), A conformal with
+# eigenvalues 2 +- i, and a Jordan block of eigenvalue 2
+_G_KD = "G[1]=0.02*sin(2*pi*(z1+z2))\nG[2]=0.02*cos(2*pi*(z1))\n"
+FULL_BLOCK_MAPS = {"diag23": "dim=2\nM=[[2,0],[0,3]]\n" + _G_KD,
+                   "conf": "dim=2\nM=[[2,-1],[1,2]]\n" + _G_KD,
+                   "jordan": "dim=2\nM=[[2,1],[0,2]]\n" + _G_KD}
+
 # companion matrix of x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1,
 # the smallest known Salem polynomial; irreducible, so no integer eigenvalue
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]  # c0..c10

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -6,10 +7,12 @@ import warnings
 import pytest
 
 from torusconj import conjmap, semiconj
-from torusconj.cli import main
+from torusconj.cli import cmd_validate, main
+from torusconj.specdsl import TorusMapSpec, TrigTerm
 from torusconj.errors import ContractionError
 
-from conftest import FIX_1D, FIX_2D, FIX_CAT, FIX_DEFECTIVE, FIX_DET2, lehmer_spec_text
+from conftest import (FIX_1D, FIX_2D, FIX_CAT, FIX_DEFECTIVE, FIX_DET2, FULL_BLOCK_MAPS,
+                      lehmer_spec_text)
 
 
 @pytest.fixture()
@@ -47,6 +50,29 @@ def test_validate_ok(fix1, capsys):
     assert rep["schema_version"] == "1"
     assert rep["pass"]
     assert rep["norm_bounds"]["g_sup"] == 0.125
+
+
+def test_validate_passes_large_entries(tmp_path, capsys):
+    # F(z + m) = F(z) + M m holds exactly for integer M: entries near 1e8
+    # and 3e6 round M z by 1e-7 and 2e-9, under the a-priori rounding bound
+    for text, dev in (("M=[[100000000,100000001],[99999999,100000000]]\n", 1e-7),
+                      ("M=[[3000001,3000000],[3000000,2999999]]\n"
+                       "G[1]=1e-9*sin(2*pi*(z1))\n", 1e-9)):
+        p = tmp_path / "big.map"
+        p.write_text("dim=2\n" + text)
+        code, out, _ = run(capsys, "validate", str(p))
+        rep = json.loads(out)
+        assert code == 0 and rep["pass"] is True
+        assert dev <= rep["equivariance_max_deviation"] <= rep["equivariance_bound"] < 1e-5
+
+
+def test_validate_fails_a_half_frequency():
+    # a spec built past the parser with frequency 0.5 is not Z^2-periodic:
+    # its deviation is far over the rounding bound, and validate fails
+    spec = TorusMapSpec(2, ((2, 0), (0, 2)), (TrigTerm(1, (0.5, 0.0), "sin", 0.1),))
+    rep = cmd_validate(spec, argparse.Namespace(seed=0))
+    assert rep["pass"] is False
+    assert rep["equivariance_max_deviation"] > 0.1 > 1e-12 > rep["equivariance_bound"]
 
 
 def test_validate_parse_error(tmp_path, capsys):
@@ -459,6 +485,34 @@ def test_conjugacy_diagnostics(fix2, capsys):
                         "round_trip_max", "pass", "schema_version", "diagnostics"}
     assert rep["max_base_residual"] <= rep["ceiling"]
     assert rep["diagnostics"] == {"fiber_iters": 14, "scan_points": 1856, "phi_points": 3164}
+
+
+THREE = ("dim=2\nM=[[3,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
+         "G[2]=0.02*cos(2*pi*(z2))\n")
+
+
+@pytest.mark.parametrize("name", ["three"] + sorted(FULL_BLOCK_MAPS))
+def test_full_block_conjugacy_passes(name, tmp_path, capsys):
+    # k = d: the fiber solve undoes the backward orbit, N steps per point,
+    # with one Phi evaluation per point (64 grid points and 50 round trips)
+    p = tmp_path / "map.map"
+    p.write_text(FULL_BLOCK_MAPS.get(name, THREE))
+    code, out, err = run(capsys, "conjugacy", str(p), "--sublattice", "full", "--grid", "8")
+    rep = json.loads(out)
+    assert (code, err) == (0, "") and rep["pass"] is True
+    assert rep["max_base_residual"] <= rep["ceiling"]
+    assert rep["round_trip_max"] <= (1e-12 if name == "three" else 1e-10)
+    assert rep["diagnostics"] == {"fiber_iters": rep["N"], "scan_points": 0, "phi_points": 114}
+
+
+def test_k_between_1_and_d_exits_1(tmp_path, capsys):
+    # k = 2 < d = 3 has no certified fiber solve: exit 1 with a message
+    p = tmp_path / "k2.map"
+    p.write_text("dim=3\nM=[[3,0,0],[0,3,0],[0,0,1]]\nG[1]=0.02*sin(2*pi*(z1+z3))\n")
+    sub = tmp_path / "sub.json"
+    sub.write_text("[[1, 0, 0], [0, 1, 0]]")
+    code, out, err = run(capsys, "conjugacy", str(p), "--sublattice", str(sub), "--grid", "4")
+    assert (code, out, err) == (1, "", "error: no certified fiber solve for 1 < k < d\n")
 
 
 def test_cone_pencil_overflow_is_typed_error(fix2, tmp_path, capsys):

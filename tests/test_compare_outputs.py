@@ -84,3 +84,29 @@ def test_a_moved_report_value_is_named(tmp_path, capsys):
     assert all(" verify-semiconj <work>/" in line
                and line.endswith(": stdout (keys grid_res extra) (exit 0 -> 0)")
                for line in differing)
+
+
+def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):
+    # a tree whose k = d fiber solve counts one more backward step: the
+    # conjugacy job of certify-conjugacy (k = 1) is identical, and the four
+    # k = d conjugacy fixture jobs differ in their diagnostics alone
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "torusconj" / "conjmap.py"
+    text = path.read_text()
+    add = "stats.add(engine.N, 0, len(X))"
+    assert text.count(add) == 1
+    path.write_text(text.replace(add, "stats.add(engine.N + 1, 0, len(X))"))
+    code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
+                                 "--workloads", "certify-conjugacy"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    n = len(compare_outputs.FIXTURE_JOBS)
+    assert out[-2] == f"{n} fixture jobs: {n - 4} byte-identical, 4 differ"
+    assert out[-1] == "9 jobs of certify-conjugacy at seeds 601: 9 byte-identical, 0 differ"
+    differing = [line for line in out if line.startswith("DIFFERS")]
+    assert [line.split(":")[0] for line in differing] == [
+        f"DIFFERS fixture job {i}" for i in (1, 14, 15, 16)]
+    assert all(line.endswith(": stdout (keys diagnostics) (exit 0 -> 0)") for line in differing)
+    assert [line.split("fixtures/")[1].split(".map")[0] for line in differing] == [
+        "three", "diag23", "conf", "jordan"]

@@ -10,6 +10,8 @@ from torusconj import parse_spec, block_triangularize, build_engine
 from torusconj import conjmap, dynamics, intlat, semiconj
 from torusconj.errors import EngineError, FiberSolveError
 
+from conftest import FULL_BLOCK_MAPS
+
 
 @pytest.fixture(scope="module")
 def engine_linear():
@@ -240,13 +242,19 @@ def test_single_point_is_batch_of_one(engine_2d):
         assert zb.shape == (1, 2) and np.array_equal(zb[0], z)
 
 
-def test_fiber_solve_checks_the_shape_before_solving(monkeypatch):
-    # y0 (4, 1) on a k = 1, d = 3 engine: _batch's ValueError before any
-    # Phi_hat orbit step, not a solve of mis-paired fibers first
+@pytest.fixture(scope="module")
+def engine_d3k1():
+    # k = 1 < d = 3: each fiber line has a 2-D y
     s = parse_spec("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\n"
                    "G[1]=0.01*sin(2*pi*(z1-2*z3))\nG[2]=0.02*cos(2*pi*(z2+z3))\n")
     bf = block_triangularize(s.M_list(), [intlat.derive_invariant_line(s.M_list(), 2)])
-    eng = build_engine(dynamics.change_coordinates(s, bf.S_list()), bf, N=20)
+    return build_engine(dynamics.change_coordinates(s, bf.S_list()), bf, N=20)
+
+
+def test_fiber_solve_checks_the_shape_before_solving(engine_d3k1, monkeypatch):
+    # y0 (4, 1) on a k = 1, d = 3 engine: _batch's ValueError before any
+    # Phi_hat orbit step, not a solve of mis-paired fibers first
+    eng = engine_d3k1
     assert (eng.k, eng.d) == (1, 3)
     assert conjmap.H_inverse(eng, [0.2, 0.7], np.full((2, 2), 0.3)).shape == (2, 3)
     monkeypatch.setattr(semiconj, "_orbit", None)
@@ -279,60 +287,85 @@ def test_skew_product_fixture(engine_2d):
 
 @pytest.fixture(scope="module")
 def engine_k2():
-    # k = 2 expanding block; the conformal core (A = 3I) keeps the series
-    # well-conditioned in t
+    # k = 2 < d = 3 expanding block: no certified fiber solve is known
     s = parse_spec("dim=3\nM=[[3,0,0],[0,3,0],[0,0,1]]\n"
                    "G[1]=0.02*sin(2*pi*(z1+z3))\nG[2]=0.02*cos(2*pi*(z2))\n")
     bf = block_triangularize(s.M_list(), [[1, 0, 0], [0, 1, 0]])
     return build_engine(s, bf, N=20)
 
 
-def test_damped_solver_k2(engine_k2):
-    # k = 2: uncertified damped solve with residual check
-    eng = engine_k2
-    x0 = np.array([0.3, 0.6])
-    y0 = np.array([0.25])
-    z = conjmap.H_inverse(eng, x0, y0, tol=1e-10)
-    assert z.shape == (3,) and z[2] == y0[0]
-    assert dynamics.torus_distance(semiconj.phi_torus(eng, z).value, x0) <= 1e-10
-    X = np.array([[0.3, 0.6], [0.9, 0.1]])
-    Y = np.array([[0.25], [0.75]])
-    Z = conjmap.H_inverse(eng, X, Y, tol=1e-10)
-    assert Z.shape == (2, 3) and np.array_equal(Z[:, 2:], Y)
-    assert dynamics.torus_distance(semiconj.phi_torus(eng, Z).value, X).max() <= 1e-10
+def test_k_between_1_and_d_is_refused(engine_k2, monkeypatch):
+    # 1 < k < d: H and H^-1 share one precondition, which raises EngineError
+    # before any Phi_hat evaluation
+    monkeypatch.setattr(semiconj, "_orbit", None)
+    with pytest.raises(EngineError, match="no certified fiber solve for 1 < k < d"):
+        conjmap.H_forward(engine_k2, np.array([0.3, 0.6, 0.25]))
+    with pytest.raises(EngineError, match="no certified fiber solve for 1 < k < d"):
+        conjmap.H_inverse(engine_k2, np.array([0.3, 0.6]), np.array([0.25]))
+    with pytest.raises(EngineError, match="no certified fiber solve for 1 < k < d"):
+        conjmap.skew_product_residual(engine_k2, 4)
 
 
-def test_damped_solve_counts_its_last_step(engine_k2, monkeypatch):
-    # a solve that meets tol on its final evaluation, after MAX_DAMPED
-    # steps, adds the same counters as one with steps to spare
-    x0, y0 = np.array([0.3, 0.6]), np.array([0.25])
-    spare = conjmap.FiberStats()
-    z = conjmap.H_inverse(engine_k2, x0, y0, tol=1e-10, stats=spare)
-    assert spare.fiber_iters > 0
-    monkeypatch.setattr(conjmap, "MAX_DAMPED", spare.fiber_iters)
-    last = conjmap.FiberStats()
-    assert np.array_equal(conjmap.H_inverse(engine_k2, x0, y0, tol=1e-10, stats=last), z)
-    assert last == spare
-    monkeypatch.setattr(conjmap, "MAX_DAMPED", spare.fiber_iters - 1)
-    with pytest.raises(FiberSolveError, match="damped fiber solve stalled"):
-        conjmap.H_inverse(engine_k2, x0, y0, tol=1e-10)
+def full_block_engine(text):
+    s = parse_spec(text)
+    return build_engine(s, block_triangularize(s.M_list(), intlat.identity(s.d)))
 
 
-def test_empty_batch_solves_to_empty(engine_2d, engine_k2):
-    # an empty batch is an empty answer of the batch shape, on both paths
+@pytest.fixture(scope="module")
+def engine_kd():
+    return full_block_engine(FULL_BLOCK_MAPS["conf"])
+
+
+@pytest.mark.parametrize("name", sorted(FULL_BLOCK_MAPS))
+def test_full_block_H_inverse_meets_tol(name, monkeypatch):
+    # k = d: each of 2000 random targets is solved within tol, in one chunk
+    # and in chunks of 300 that split the batch
+    eng = full_block_engine(FULL_BLOCK_MAPS[name])
+    assert eng.k == eng.d == 2
+    X = np.random.default_rng(7).uniform(0, 1, size=(2000, 2))
+    for chunk in (semiconj.CHUNK, 300):
+        monkeypatch.setattr(semiconj, "CHUNK", chunk)
+        z = conjmap.H_inverse(eng, X, np.zeros((2000, 0)), tol=1e-10)
+        assert z.shape == (2000, 2)
+        assert dynamics.torus_distance(semiconj.phi_torus(eng, z).value, X).max() <= 1e-10
+
+
+def test_full_block_route_counters(engine_kd, monkeypatch):
+    # the k = d route takes N backward steps per point, samples no profile,
+    # and evaluates Phi_hat once per point, whatever the chunking
+    monkeypatch.setattr(semiconj, "CHUNK", 7)
+    X = np.random.default_rng(8).uniform(0, 1, size=(20, 2))
+    stats = conjmap.FiberStats()
+    conjmap.H_inverse(engine_kd, X, np.zeros((20, 0)), stats=stats)
+    assert stats == conjmap.FiberStats(fiber_iters=engine_kd.N, scan_points=0, phi_points=20)
+
+
+def test_full_block_route_checks_its_residual(engine_kd, monkeypatch):
+    # a root is only returned after a direct evaluation of Phi_hat meets tol
+    real = semiconj.phi_hat
+    monkeypatch.setattr(semiconj, "phi_hat", lambda eng, z: semiconj.PhiValue(
+        real(eng, z).value + 1e-6, eng.eps))
+    with pytest.raises(FiberSolveError, match=r"fiber solve residual 1.41e-06 > tol 1e-10"):
+        conjmap.H_inverse(engine_kd, np.array([0.3, 0.6]), np.zeros(0))
+
+
+def test_empty_batch_solves_to_empty(engine_2d, engine_d3k1, engine_kd):
+    # an empty batch is an empty answer of the batch shape, on both routes
+    # and with a 2-D y
     stats = conjmap.FiberStats()
     z = conjmap.H_inverse(engine_2d, np.zeros(0), np.zeros((0, 1)), stats=stats)
     assert z.shape == (0, 2) and stats == conjmap.FiberStats()
-    assert conjmap.H_inverse(engine_k2, np.zeros((0, 2)), np.zeros((0, 1)), stats=stats).shape == (0, 3)
+    for eng, x0, y0 in ((engine_d3k1, np.zeros(0), np.zeros((0, 2))),
+                        (engine_kd, np.zeros((0, 2)), np.zeros((0, 0)))):
+        assert conjmap.H_inverse(eng, x0, y0, stats=stats).shape == (0, eng.d)
     assert stats == conjmap.FiberStats()
 
 
-
-def test_skew_grid_is_the_torus_grid(engine_2d, engine_k2, engine_1d):
-    # k = 1 < d, k = 2 < d = 3 and k = d = 1: the skew report's F_y samples
-    # are taken on the torus grid, row for row, and that grid lays x out
-    # slowest, bit for bit as repeat / tile would
-    for eng, res in ((engine_2d, 8), (engine_k2, 4), (engine_1d, 8)):
+def test_skew_grid_is_the_torus_grid(engine_2d, engine_d3k1, engine_kd, engine_1d):
+    # k = 1 < d, k = 1 < d = 3, k = d = 2 and k = d = 1: the skew report's
+    # F_y samples are taken on the torus grid, row for row, and that grid
+    # lays x out slowest, bit for bit as repeat / tile would
+    for eng, res in ((engine_2d, 8), (engine_d3k1, 4), (engine_kd, 4), (engine_1d, 8)):
         k, d = eng.k, eng.d
         rep = conjmap.skew_product_residual(eng, res, tol=1e-10)
         grid = semiconj._grid(d, res)
@@ -342,6 +375,14 @@ def test_skew_grid_is_the_torus_grid(engine_2d, engine_k2, engine_1d):
         Xg, Yg = semiconj._grid(k, res), semiconj._grid(d - k, res)
         laid_out = np.hstack([np.repeat(Xg, len(Yg), axis=0), np.tile(Yg, (len(Xg), 1))])
         assert grid.tobytes() == laid_out.tobytes()
+
+
+def test_skew_report_owns_its_samples(engine_2d, engine_d3k1, engine_kd):
+    # the F_y samples are a copy of their columns, not a view that would
+    # keep the whole (n, d) image of the grid alive
+    for eng in (engine_2d, engine_d3k1, engine_kd):
+        rep = conjmap.skew_product_residual(eng, 4, tol=1e-10)
+        assert rep.fiber_map_samples.base is None and rep.fiber_map_samples.flags.c_contiguous
 
 
 def _skew_reference(rep):
@@ -363,14 +404,15 @@ def test_exports(engine_2d, tmp_path):
     assert (tmp_path / "skew.csv").read_bytes() == _skew_reference(rep)
 
 
-def test_skew_csv_is_written_chunk_by_chunk(engine_2d, engine_k2, engine_1d, tmp_path,
-                                            monkeypatch):
+def test_skew_csv_is_written_chunk_by_chunk(engine_2d, engine_d3k1, engine_kd, engine_1d,
+                                            tmp_path, monkeypatch):
     # chunks of 7 rows split the fiber lines (8 or 4 points each, 5 with a
     # non-dyadic 1/5): the file is still csv.writer's bytes, and it reaches
     # the writer as the header and one string per chunk, never one string
     # for the whole grid
     reps = [(eng, conjmap.skew_product_residual(eng, res, tol=1e-10))
-            for eng, res in ((engine_2d, 8), (engine_2d, 5), (engine_k2, 4), (engine_1d, 8))]
+            for eng, res in ((engine_2d, 8), (engine_2d, 5), (engine_d3k1, 4), (engine_kd, 4),
+                             (engine_1d, 8))]
     real, blocks = semiconj._write_file, []
     monkeypatch.setattr(semiconj, "_write_file",
                         lambda path, b: real(path, (blocks.append(x) or x for x in b)))

@@ -39,7 +39,7 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 # OUT a fresh -o directory
 FIXTURE_JOBS = (
     ("conjugacy", "SPEC:fix2", "--grid", "8", "-o", "OUT"),
-    ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "8"),     # k > 1 fiber solve
+    ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "8"),     # k = d fiber solve
     ("phi", "SPEC:fix2", "--grid", "16"),
     ("phi", "SPEC:cat", "--sublattice", "full", "--grid", "8"),             # hyperbolic
     ("analyze", "SPEC:cat", "--sublattice", "full"),
@@ -50,10 +50,13 @@ FIXTURE_JOBS = (
     ("verify-semiconj", "SPEC:hyp3", "--sublattice", "full", "--grid", "6"),  # d = 3 inverse lift
     ("verify-cones", "SPEC:three", "--sublattice", "full", "--grid", "8"),  # k = d cone minima
     ("conjugacy", "SPEC:cat", "--sublattice", "full", "--grid", "8"),       # not expanding: exit 1
-    # the three conjugacy repros of ROADMAP item 2, whose verdicts it will move
+    # the two conjugacy repros of ROADMAP item 2, whose verdicts it will move
     ("conjugacy", "SPEC:shear", "--grid", "32"),            # PASS, though no alpha passes A2
     ("conjugacy", "SPEC:shear15", "--grid", "32"),          # exit 1: a fiber line not increasing
-    ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),    # exit 1: damped solve stalls
+    # k = d fiber solves along the backward orbit: A diagonal, conformal, a Jordan block
+    ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),
+    ("conjugacy", "SPEC:conf", "--sublattice", "full", "--grid", "8"),
+    ("conjugacy", "SPEC:jordan", "--sublattice", "full", "--grid", "8"),
     # the exact eigenvalue questions of intlat: no root, 0 and a double root,
     # a negative root, a d = 3 unimodular block, a defective root 1
     ("analyze", "SPEC:lehmer"),                                 # d = 10, exit 2
@@ -103,20 +106,18 @@ def _moved_keys(a, b):
 
 def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
-    hyperbolic, defective and Lehmer fixtures of tests/conftest.py, HUGE_G
-    of tests/test_cli.py, two k = d = 2 maps, a shear map with two sizes of
-    G[2], a singular d = 3 map, a map with a negative eigenvalue, two
-    unimodular maps with entries near 1e8 and 3e6 and an expanding d = 3
-    map with k = 1."""
+    hyperbolic, defective and Lehmer fixtures and the k = d = 2 maps of
+    FULL_BLOCK_MAPS of tests/conftest.py, HUGE_G and the k = d = 2 map THREE
+    of tests/test_cli.py, a shear map with two sizes of G[2], a singular
+    d = 3 map, a map with a negative eigenvalue, two unimodular maps with
+    entries near 1e8 and 3e6 and an expanding d = 3 map with k = 1."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
     return {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "hyp3": conftest.FIX_HYP3,
             "huge": test_cli.HUGE_G,
-            "three": "dim=2\nM=[[3,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
-                     "G[2]=0.02*cos(2*pi*(z2))\n",
-            "diag23": "dim=2\nM=[[2,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
-                      "G[2]=0.02*cos(2*pi*(z1))\n",
+            "three": test_cli.THREE,
+            **conftest.FULL_BLOCK_MAPS,
             "shear": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
                      "G[2]=0.06*cos(2*pi*(z1))\n",
             "shear15": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
