@@ -24,6 +24,7 @@ from .specdsl import parse_spec, serialize_spec
 
 SCHEMA_VERSION = "1"
 DEFAULT_ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+DEFAULT_K = 1.0 + 1e-9      # the expansion constant A2 asks for, > 1
 
 
 def _read_text(path: str) -> str:
@@ -104,12 +105,16 @@ def _engine(spec, args):
     return semiconj.build_engine(*_block_coordinates(spec, args), N=args.trunc)
 
 
+def _vacuous(ceiling: float, k: int) -> bool:
+    """Whether ceiling is at least 0.5 sqrt(k), the largest distance on the
+    k-torus a residual is measured on: such a ceiling bounds nothing."""
+    return not ceiling < 0.5 * math.sqrt(k)
+
+
 def _ceiling_verdict(report: dict, residual: float, k: int) -> dict:
     """report with "pass": residual <= report["ceiling"], unless that
-    ceiling is at least 0.5 sqrt(k), the largest distance on the k-torus the
-    residual is measured on: such a ceiling bounds nothing, and the report
-    fails with "vacuous": true."""
-    if report["ceiling"] < 0.5 * math.sqrt(k):
+    ceiling is vacuous: then the report fails with "vacuous": true."""
+    if not _vacuous(report["ceiling"], k):
         return {**report, "pass": bool(residual <= report["ceiling"])}
     return {**report, "pass": False, "vacuous": True}
 
@@ -259,13 +264,36 @@ def cmd_verify_cones(spec, args) -> dict:
     }
 
 
+def _a2_gate(spec_S, k: int, grid: int):
+    """(alpha, g): the first of DEFAULT_ALPHAS whose cones pass A2 with
+    K = DEFAULT_K at grid g, trying g = min(8, grid), then min(2 g, grid)
+    up to grid; (None, grid) if none does.  The padding covers each cell,
+    so a pass at any grid certifies every point of the torus."""
+    g = min(8, grid)
+    while True:
+        for alpha in DEFAULT_ALPHAS:
+            if cones.verify_A2(spec_S, cones.ConeParams(k, alpha, DEFAULT_K), g).a2_pass:
+                return alpha, g
+        if g == grid:
+            return None, g
+        g = min(2 * g, grid)
+
+
 def cmd_conjugacy(spec, args) -> dict:
-    engine = _engine(spec, args)
+    spec_S, block = _block_coordinates(spec, args)
+    engine = semiconj.build_engine(spec_S, block, N=args.trunc)
     rng = np.random.default_rng(args.seed)
     z = rng.uniform(0, 1, size=(50, engine.d))
     x, y = conjmap.H_forward(engine, z)
+    semiconj._grid_size(engine.d, args.grid)    # an oversize grid exits 1 before any work
     stats = conjmap.FiberStats()
     head = {"command": "conjugacy", "N": engine.N, "grid_res": args.grid, "tol": args.tol}
+    ceiling = conjmap.skew_ceiling(engine, args.tol)
+    vacuous = _vacuous(ceiling, engine.k)
+    # A2 makes each fiber line a bijection: its gate decides the verdict
+    # with the ceiling, and a vacuous ceiling fails without it
+    gate = {} if vacuous else dict(
+        zip(("a2_alpha", "a2_grid"), _a2_gate(spec_S, engine.k, args.grid)))
     try:
         sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol, stats=stats)
         zi = conjmap.H_inverse(engine, x, y, tol=args.tol, stats=stats)
@@ -273,18 +301,18 @@ def cmd_conjugacy(spec, args) -> dict:
         # a vacuous ceiling fails the verdict whatever the fibers do: the
         # solves only measure the residuals, and a fiber that cannot be
         # solved leaves them out (an unmeasured residual is infinite)
-        report = _ceiling_verdict({**head, "ceiling": conjmap.skew_ceiling(engine, args.tol)},
-                                  math.inf, engine.k)
-        if not report.get("vacuous"):
+        if not vacuous:
             raise
-        return report
+        return _ceiling_verdict({**head, "ceiling": ceiling}, math.inf, engine.k)
     rt = dynamics.torus_distance(zi, z).max()
     report = _ceiling_verdict({
         **head,
         "max_base_residual": sr.max_base_residual,
         "ceiling": sr.ceiling,
         "round_trip_max": float(rt),
+        **gate,
     }, sr.max_base_residual, engine.k)
+    report["pass"] = report["pass"] and gate.get("a2_alpha") is not None
     # additive: the fiber solves' work; never moves the verdict
     report["diagnostics"] = dataclasses.asdict(stats)
     if args.out:
@@ -326,7 +354,7 @@ FLAGS = {
                    help="grid resolution per axis"),
     "--alpha": dict(type=_alpha_list, default=DEFAULT_ALPHAS, metavar="LIST",
                     help="comma-separated cone openings, each > 0"),
-    "--K": dict(type=_bounded(float, 1.0, strict=True), default=1.0 + 1e-9,
+    "--K": dict(type=_bounded(float, 1.0, strict=True), default=DEFAULT_K,
                 help="required expansion constant, > 1"),
     "--tol": dict(type=_positive, default=1e-10,
                   help="fiber solver tolerance, > 0"),

@@ -3,11 +3,11 @@ fiber solving, and the skew-product check H o F o H^-1 = (A x, F_y(x, y)).
 
 Everything runs in block (S-) coordinates through a SemiConjEngine in
 expanding mode.  H_inverse is the one entry to the fiber solve, with one
-certified route per k.  For k = 1, Phi_hat(z + m) = Phi_hat(z) + m_1, so
-Phi_hat((t, y)) - t is 1-periodic on each fiber line, and one period of
-samples (the profile, see _bisect_batch) checks the bracket and that Phi_hat
-rises along the line; bisecting the sample index then finds each target's
-root interval.  For k = d, see _orbit_batch.  1 < k < d is refused.
+certified route per k.  For k = 1, |Phi_hat((t, y)) - t| is under the
+displacement bound, so each target is bracketed from it and solved to a
+direct |Phi_hat - x| <= tol (see _bisect_batch); that the root is unique on
+its fiber line is the cone condition A2, which the conjugacy command
+certifies.  For k = d, see _orbit_batch.  1 < k < d is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import _kernels, dynamics, semiconj
 from .errors import EngineError, FiberSolveError
 from .semiconj import SemiConjEngine
 
-PRESCAN_POINTS = 32     # profile samples per unit period of a fiber line; a power of two
 MAX_BISECT = 120        # cap on the finish rounds of a fiber solve
 
 
@@ -28,12 +27,10 @@ MAX_BISECT = 120        # cap on the finish rounds of a fiber solve
 class FiberStats:
     """Work counters of the fiber solves that are given this object."""
     fiber_iters: int = 0    # most finish rounds (k = 1) or backward steps (k = d) of a point
-    scan_points: int = 0    # profile samples: PRESCAN_POINTS per fiber line (k = 1)
-    phi_points: int = 0     # Phi_hat points the solves evaluated, profiles included
+    phi_points: int = 0     # Phi_hat points the solves evaluated, bracket ends included
 
-    def add(self, iters: int, scan: int, points: int) -> None:
+    def add(self, iters: int, points: int) -> None:
         self.fiber_iters = max(self.fiber_iters, iters)
-        self.scan_points += scan
         self.phi_points += points
 
 
@@ -63,43 +60,32 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
     x0: (n,) lift targets; Y: (n, d-1) fixed off-core coordinates.
     Returns t: (n,) with |Phi_hat((t, y)) - x0| <= tol at every point.
 
-    Profile: g(t) = Phi_hat((t, y)) - t is 1-periodic; one phi_hat call
-    samples it at t = i / P, i < P = PRESCAN_POINTS, on each distinct row of
-    Y, and Phi_hat - x0 at t = j / P is f(j) = j / P + g(j mod P) - x0 (j / P
-    is exact for a power of two P).  Each |g| must be < half, the
-    displacement bound that makes x0 +- half a bracket, and s = i / P + g
-    must rise strictly along each line, wrap step s[P - 1] < s[0] + 1 too,
-    or the line is refused.  Then f changes sign once, in a sample interval
-    that bisecting the sample index finds (_sign_change).
+    Bracket: |Phi_hat((t, y)) - t| < half = _bracket_halfwidth, so f(t) =
+    Phi_hat((t, y)) - x0 is < 0 at x0 - half and > 0 at x0 + half; both ends
+    are evaluated in one phi_hat call, and a pair that does not straddle 0
+    is refused.  The solve certifies |f| <= tol and nothing more: that f has
+    one root on the line is the cone condition A2, whose gate is the
+    conjugacy command's.
 
     Finish: Illinois regula falsi (M. Dowell and P. Jarratt, BIT 11, 1971)
-    from the sign-change interval and its profile values, with a bisection
-    step whenever the bracket has not halved in three rounds.  Only a direct
-    evaluation is accepted: a point stops when |f| <= tol / 16, or when
-    |f| <= tol and its bracket is down to adjacent floats; after MAX_BISECT
-    rounds every point must have |f| <= tol, or FiberSolveError is raised.
-    The work done is added to stats, if given.
+    from the bracket, with a bisection step whenever the bracket has not
+    halved in three rounds.  Only a finish round's evaluation is accepted:
+    a point stops when |f| <= tol / 16, or when |f| <= tol and its
+    bracket is down to adjacent floats; after MAX_BISECT rounds every point
+    must have |f| <= tol, or FiberSolveError is raised.  The work done is
+    added to stats, if given.
     """
-    n, P = x0.shape[0], PRESCAN_POINTS
-    lines, line = np.unique(Y, axis=0, return_inverse=True)
-    scan = len(lines) * P
-    ts = np.arange(P) / P
-    g = semiconj.phi_hat(engine, np.column_stack(
-        [np.tile(ts, len(lines)), np.repeat(lines, P, axis=0)])).value[:, 0]
-    g = g.reshape(len(lines), P) - ts
-    if np.any(np.abs(g) >= _bracket_halfwidth(engine)):
+    n, half = x0.shape[0], _bracket_halfwidth(engine)
+    act, a, b, t = np.arange(n), x0 - half, x0 + half, np.empty(n)
+    ends = np.column_stack([np.concatenate([a, b]), np.vstack([Y, Y])])
+    fa, fb = (semiconj.phi_hat(engine, ends).value[:, 0] - np.tile(x0, 2)).reshape(2, n)
+    if not (np.all(fa < 0) and np.all(fb > 0)):
         raise FiberSolveError(
             "bracket endpoints do not straddle the target; the engine's "
             "displacement bound is inconsistent")
-    s = ts + g
-    if np.any(np.diff(np.column_stack([s, s[:, :1] + 1]), axis=1) <= 0):
-        raise FiberSolveError("fiber line has Phi_hat not increasing in t over its samples "
-                              "(monotonicity / cone-certificate inconsistency)")
-    act, (a, fa, fb) = np.arange(n), _sign_change(g, line, x0)
-    b, t = a + 1 / P, np.empty(n)
     side = np.zeros(n)                  # +1: b moved last round, -1: a did
     w1 = w2 = w3 = np.full(n, np.inf)   # bracket widths one to three rounds back
-    points = scan
+    points = 2 * n
     # stop well inside tol: a root that only just meets it would leave the
     # skew-product and round-trip residuals near their bounds
     tight = tol / 16
@@ -108,9 +94,8 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
         rounds += 1
         width = b - a
         c = b - fb * (width / (fb - fa))
-        # bisect when the regula falsi point is outside the bracket (an end
-        # may be tried: a profile value is no direct evaluation), or when the
-        # bracket has not halved in three rounds
+        # bisect when the regula falsi point is outside the bracket, or when
+        # the bracket has not halved in three rounds
         c = np.where((width > 0.5 * w3) | ~((a <= c) & (c <= b)), a + 0.5 * width, c)
         w1, w2, w3 = width, w1, w2
         f = semiconj.phi_hat(engine, np.column_stack([c, Y[act]])).value[:, 0] - x0[act]
@@ -134,24 +119,8 @@ def _bisect_batch(engine: SemiConjEngine, x0, Y, tol, stats: FiberStats | None =
         act, a, b, fa, fb, side, w1, w2, w3 = (
             v[keep] for v in (act, a, b, fa, fb, side, w1, w2, w3))
     if stats is not None:
-        stats.add(rounds, scan, points)
+        stats.add(rounds, points)
     return t
-
-
-def _sign_change(g, line, x0):
-    """(a, f(a), f(a + 1 / P)) at each target's sign change of f (0 counts as +; see
-    _bisect_batch): j bisected from floor((x0 - max g) P) - 1 to ceil((x0 - min g) P) + 1."""
-    P = g.shape[1]
-
-    def f(j):
-        return j / P + g[line, j % P] - x0
-
-    lo = np.floor((x0 - g.max(axis=1)[line]) * P).astype(np.int64) - 1
-    hi = np.ceil((x0 - g.min(axis=1)[line]) * P).astype(np.int64) + 1
-    while np.any(hi - lo > 1):          # f(lo) < 0 <= f(hi)
-        mid = (lo + hi) // 2
-        lo, hi = np.where(f(mid) >= 0, (lo, mid), (mid, hi))
-    return lo / P, f(lo), f(hi)
 
 
 def _orbit_batch(engine: SemiConjEngine, X, tol, stats: FiberStats | None = None):
@@ -178,7 +147,7 @@ def _orbit_batch(engine: SemiConjEngine, X, tol, stats: FiberStats | None = None
     if not res <= tol:
         raise FiberSolveError(f"fiber solve residual {res:.3g} > tol {tol:.3g}")
     if stats is not None:
-        stats.add(engine.N, 0, len(X))
+        stats.add(engine.N, len(X))
     return Z
 
 

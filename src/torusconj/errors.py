@@ -28,7 +28,7 @@ class EngineError(TorusConjError):
 
 
 class FiberSolveError(TorusConjError):
-    """Fiber root isolation failed (bad bracket or monotonicity violation)."""
+    """Fiber root isolation failed (bad bracket or stall)."""
 
 
 class FloatRangeError(TorusConjError):

@@ -278,11 +278,13 @@ def test_verify_cones_identity_exit_2(tmp_path, capsys):
 
 def test_conjugacy(fix2, capsys, tmp_path):
     out_dir = str(tmp_path / "out")
-    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "8",
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32",
                        "--tol", "1e-9", "--trunc", "40", "-o", out_dir)
     assert code == 0
     rep = json.loads(out)
     assert rep["max_base_residual"] <= rep["ceiling"]
+    assert (rep["a2_grid"], rep["a2_alpha"]) == (32, 0.5)
+    assert rep["diagnostics"] == {"fiber_iters": 16, "phi_points": 16419}
     assert (tmp_path / "out" / "skew_grid.csv").exists()
     assert (tmp_path / "out" / "conjugacy.json").exists()
 
@@ -458,8 +460,10 @@ def test_vacuous_ceiling_fails(fix2, tmp_path, capsys):
         residual = rep.get("max_residual", rep.get("max_base_residual"))
         assert residual <= rep["ceiling"] and rep["ceiling"] >= 0.5, argv
     # a ceiling below it leaves the report as it was: no "vacuous" key
-    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "8", "--tol", "1e-9")
-    assert code == 0 and "vacuous" not in json.loads(out)
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32", "--tol", "1e-9")
+    rep = json.loads(out)
+    assert code == 0 and "vacuous" not in rep
+    assert rep["diagnostics"] == {"fiber_iters": 16, "phi_points": 16367}
 
 
 def test_vacuous_conjugacy_fails_without_residuals(tmp_path, capsys):
@@ -478,13 +482,46 @@ def test_vacuous_conjugacy_fails_without_residuals(tmp_path, capsys):
 def test_conjugacy_diagnostics(fix2, capsys):
     # diagnostics is additive: the other keys and the verdict are as before,
     # and the fiber solves' counters are pinned on the 2-D fixture
-    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "8")
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32")
     rep = json.loads(out)
     assert code == 0 and rep["pass"] is True
     assert set(rep) == {"command", "N", "grid_res", "tol", "max_base_residual", "ceiling",
-                        "round_trip_max", "pass", "schema_version", "diagnostics"}
+                        "round_trip_max", "a2_alpha", "a2_grid", "pass", "schema_version",
+                        "diagnostics"}
     assert rep["max_base_residual"] <= rep["ceiling"]
-    assert rep["diagnostics"] == {"fiber_iters": 14, "scan_points": 1856, "phi_points": 3164}
+    assert rep["diagnostics"] == {"fiber_iters": 18, "phi_points": 17738}
+
+
+# ROADMAP item 2's repro of a PASS without A2, and the same map with a
+# larger G[2], whose fiber lines do not rise
+SHEAR = "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\nG[2]=0.06*cos(2*pi*(z1))\n"
+SHEAR15 = "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\nG[2]=0.15*cos(2*pi*(z1))\n"
+
+
+@pytest.mark.parametrize("text", [SHEAR, SHEAR15])
+def test_conjugacy_without_A2_fails(text, tmp_path, capsys):
+    # no alpha passes A2 up to --grid 32: the verdict fails with exit 2 and
+    # a2_alpha null, whatever the residuals, which are still reported
+    p = tmp_path / "shear.map"
+    p.write_text(text)
+    code, out, err = run(capsys, "conjugacy", str(p), "--grid", "32")
+    rep = json.loads(out)
+    assert (code, err) == (2, "")
+    assert rep["pass"] is False and rep["a2_alpha"] is None and rep["a2_grid"] == 32
+    assert rep["max_base_residual"] <= rep["ceiling"]
+    assert {"round_trip_max", "diagnostics"} <= set(rep)
+
+
+@pytest.mark.parametrize("grid, verdict", [("8", (2, 8, None)), ("24", (0, 24, 1.0)),
+                                           ("32", (0, 32, 0.5))])
+def test_conjugacy_gate_refines_to_grid(fix2, grid, verdict, capsys):
+    # the gate tries grids 8, 16, 32, ... capped at --grid, and each grid's
+    # alphas in order: the 2-D fixture first certifies A2 at grid 24 with
+    # alpha 1 and at grid 32 with alpha 0.5, and not at grid 8
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", grid)
+    rep = json.loads(out)
+    assert (code, rep["a2_grid"], rep["a2_alpha"]) == verdict
+    assert rep["pass"] is (code == 0)
 
 
 THREE = ("dim=2\nM=[[3,0],[0,3]]\nG[1]=0.02*sin(2*pi*(z1+z2))\n"
@@ -502,7 +539,8 @@ def test_full_block_conjugacy_passes(name, tmp_path, capsys):
     assert (code, err) == (0, "") and rep["pass"] is True
     assert rep["max_base_residual"] <= rep["ceiling"]
     assert rep["round_trip_max"] <= (1e-12 if name == "three" else 1e-10)
-    assert rep["diagnostics"] == {"fiber_iters": rep["N"], "scan_points": 0, "phi_points": 114}
+    assert rep["diagnostics"] == {"fiber_iters": rep["N"], "phi_points": 114}
+    assert (rep["a2_grid"], rep["a2_alpha"]) == (8, 0.25)
 
 
 def test_k_between_1_and_d_exits_1(tmp_path, capsys):

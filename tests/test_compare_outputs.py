@@ -59,7 +59,10 @@ def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     assert differing[1].startswith(f"DIFFERS fixture job {n - 2}: conjugacy <work>/fixtures/d3k1.map")
     assert differing[2].startswith(f"DIFFERS fixture job {n - 1}: conjugacy <work>/fixtures/fix2.map "
                                    "--grid 72")
-    assert all(line.endswith(": file skew_grid.csv (exit 0 -> 0)") for line in differing)
+    # A2 is not certified at grid 8 (fix2) or 10 (d3k1): both fail with exit
+    # 2, and still write their CSV
+    assert [line.split(": file skew_grid.csv ")[1] for line in differing] == [
+        "(exit 2 -> 2)", "(exit 2 -> 2)", "(exit 0 -> 0)"]
 
 
 def test_a_moved_report_value_is_named(tmp_path, capsys):
@@ -94,9 +97,9 @@ def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "conjmap.py"
     text = path.read_text()
-    add = "stats.add(engine.N, 0, len(X))"
+    add = "stats.add(engine.N, len(X))"
     assert text.count(add) == 1
-    path.write_text(text.replace(add, "stats.add(engine.N + 1, 0, len(X))"))
+    path.write_text(text.replace(add, "stats.add(engine.N + 1, len(X))"))
     code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
                                  "--workloads", "certify-conjugacy"])
     out = capsys.readouterr().out.splitlines()

@@ -3,11 +3,9 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from torusconj import parse_spec, block_triangularize, build_engine
-from torusconj import conjmap, dynamics, intlat, semiconj
+from torusconj import cli, conjmap, dynamics, intlat, semiconj
 from torusconj.errors import EngineError, FiberSolveError
 
 from conftest import FULL_BLOCK_MAPS
@@ -60,9 +58,9 @@ def test_fiber_uniqueness_probe(engine_2d, block_2d, rng):
 
 
 def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
-    # the profile is one phi_hat call at exactly (i / P, y) on each distinct
-    # fiber line, and no (t, y) point is evaluated twice over the profile
-    # and the finish rounds
+    # the bracket is one phi_hat call at exactly (x0 -+ half, y) for each
+    # target, and no (t, y) point is evaluated twice over the bracket and
+    # the finish rounds
     calls = []
     real = semiconj.phi_hat
     monkeypatch.setattr(semiconj, "phi_hat",
@@ -72,15 +70,17 @@ def test_fiber_solve_evaluates_each_t_once(engine_2d, monkeypatch):
     conjmap.H_inverse(engine_2d, x0, Y)
     seen = [p.tobytes() for z in calls for p in z]
     assert len(set(seen)) == len(seen)
-    P = conjmap.PRESCAN_POINTS
-    assert len(calls[0]) == 3 * P
-    assert {tuple(p) for p in calls[0]} == {(i / P, y) for i in range(P) for y in (0.2, 0.5, 0.9)}
-    # the skew grid's 1024 targets lie on 32 fiber lines: one profile call
-    # of 32 P points, the finish rounds, and the residual's own phi_torus
+    half = conjmap._bracket_halfwidth(engine_2d)
+    assert calls[0].tobytes() == np.column_stack(
+        [np.concatenate([x0 - half, x0 + half]), np.vstack([Y, Y])]).tobytes()
+    # the skew grid's 1024 targets: one bracket call of 2048 points, the
+    # finish rounds, and the residual's own phi_torus
     calls.clear()
-    conjmap.skew_product_residual(engine_2d, 32, tol=1e-10)
-    assert len(calls[0]) == 32 * P
-    assert len(calls) == 16
+    stats = conjmap.FiberStats()
+    conjmap.skew_product_residual(engine_2d, 32, tol=1e-10, stats=stats)
+    assert len(calls[0]) == 2 * 1024
+    assert len(calls) == stats.fiber_iters + 2
+    assert sum(map(len, calls)) == stats.phi_points + 1024
 
 
 def test_fiber_bracket_must_straddle(engine_2d, monkeypatch):
@@ -90,123 +90,31 @@ def test_fiber_bracket_must_straddle(engine_2d, monkeypatch):
         conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
 
 
-def test_non_monotone_line_is_refused(engine_2d, monkeypatch):
-    # a wiggle of slope up to 5 makes t -> Phi_hat((t, y)) cross x0 three
-    # times; the scan, 1/32 of the bracket apart, sees the extra crossings
-    real = semiconj.phi_hat
-
-    def wiggly(eng, z):
-        pv = real(eng, z)
-        return semiconj.PhiValue(pv.value + 0.2 * np.sin(2 * np.pi * z[:, :1] / 0.25),
-                                 pv.error_bound)
-
-    monkeypatch.setattr(semiconj, "phi_hat", wiggly)
-    with pytest.raises(FiberSolveError, match="not increasing in t over its samples"):
-        conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
-
-
 def test_far_targets_on_one_line_solve_as_apart(engine_2d):
-    # two targets far apart on one fiber line get the t of separate solves
-    # from one shared profile: g = Phi_hat - t is 1-periodic, so P samples
-    # serve every target on the line
+    # two targets far apart on one fiber line get the t of separate solves,
+    # bit for bit, at the same cost: each target's bracket and finish
+    # rounds are its own
     tol = 1e-10
     x0, Y = np.array([0.1, 7.3]), np.array([[0.25], [0.25]])
     both = conjmap.FiberStats()
     z = conjmap.H_inverse(engine_2d, x0, Y, tol=tol, stats=both)
     apart = conjmap.FiberStats()
     zs = [conjmap.H_inverse(engine_2d, x, Y[0], tol=tol, stats=apart) for x in x0]
-    assert dynamics.torus_distance(z, zs).max() <= tol
-    assert both.scan_points == conjmap.PRESCAN_POINTS
-    assert apart.scan_points == 2 * conjmap.PRESCAN_POINTS
+    assert np.array_equal(z, zs)
+    assert both == apart
 
 
-def test_line_spanning_a_unit_is_refused(engine_2d, monkeypatch):
-    # Phi_hat - t of span >= 1 over a period cannot belong to an increasing
-    # t -> Phi_hat((t, y)): the monotonicity rule refuses it even where the
-    # displacement bound holds
-    real = semiconj.phi_hat
-
-    def swinging(eng, z):
-        pv = real(eng, z)
-        return semiconj.PhiValue(pv.value + 0.6 * np.sin(2 * np.pi * z[:, :1]),
-                                 pv.error_bound)
-
-    monkeypatch.setattr(semiconj, "phi_hat", swinging)
-    monkeypatch.setattr(conjmap, "_bracket_halfwidth", lambda eng: 1.0)
-    with pytest.raises(FiberSolveError, match="not increasing in t over its samples"):
-        conjmap.H_inverse(engine_2d, 0.4, np.array([0.25]))
-
-
-def test_descent_that_no_target_meets_is_refused(engine_2d, monkeypatch):
-    # a bump of slope up to 3.8 on t in (0.5, 0.75) makes Phi_hat fall there,
-    # at levels near 0.6 that the targets 0.1 and 0.15 never meet: the line
-    # is refused for every target on it, not only for those whose level
-    # crosses the descent
-    real = semiconj.phi_hat
-
-    def bumped(eng, z):
-        pv = real(eng, z)
-        t = z[:, :1] % 1.0
-        bump = np.where((0.5 < t) & (t < 0.75), 0.05 * np.sin(6 * np.pi * (t - 0.5) / 0.25), 0.0)
-        return semiconj.PhiValue(pv.value + bump, pv.error_bound)
-
-    monkeypatch.setattr(semiconj, "phi_hat", bumped)
-    with pytest.raises(FiberSolveError, match="not increasing in t over its samples"):
-        conjmap.H_inverse(engine_2d, np.array([0.1, 0.15]), np.array([[0.25], [0.25]]))
-
-
-def window_scan(g, line, x0):
-    """The first sign change of f = j / P + g[line, j % P] - x0 over each
-    target's whole window of sample indices, one (n, w) array of them: the
-    sign-change search the index bisection of conjmap._sign_change replaced."""
-    P = g.shape[1]
-    lo = np.floor((x0 - g.max(axis=1)[line]) * P).astype(np.int64) - 1
-    hi = np.ceil((x0 - g.min(axis=1)[line]) * P).astype(np.int64) + 1
-    j = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
-    f = j / P + g[line[:, None], j % P] - x0[:, None]
-    flip = (f[:, 1:] >= 0) != (f[:, :-1] >= 0)
-    assert np.all(flip.sum(axis=1) == 1)
-    act, first = np.arange(len(x0)), np.argmax(flip, axis=1)
-    return j[act, first] / P, f[act, first], f[act, first + 1]
-
-
-@given(hnp.arrays(float, st.tuples(st.integers(1, 4), st.just(conjmap.PRESCAN_POINTS)),
-                  elements=st.floats(1e-3, 1.0)),
-       st.floats(-0.45, 0.45), st.data())
-@settings(max_examples=200, deadline=None)
-def test_index_bisection_is_the_window_scan(steps, shift, data):
-    # on any rising profile, the bisected sample interval and its two
-    # profile values are those of the first sign change of the whole-window
-    # scan, bit for bit; targets drawn at profile values test f = 0 as +
-    P = conjmap.PRESCAN_POINTS
+def test_fix2_fiber_lines_rise_where_A2_holds(engine_2d, spec_2d_S, block_2d):
+    # the claim the k = 1 solve relies on: where the gate certifies A2, each
+    # fiber line is strictly increasing.  On the 2-D fixture, Phi_hat at
+    # 4096 samples per period on 16 fiber lines rises at every step, the
+    # wrap step to the first sample a period on included
+    assert cli._a2_gate(spec_2d_S, block_2d.k, 32) == (0.5, 32)
+    P, ys = 4096, (np.arange(16) + 0.5) / 16
     ts = np.arange(P) / P
-    steps = steps / steps.sum(axis=1, keepdims=True)
-    g = shift + np.cumsum(steps, axis=1) - steps - ts
-    s = ts + g
-    assume(np.all(np.diff(np.column_stack([s, s[:, :1] + 1]), axis=1) > 0))
-    n = data.draw(st.integers(1, 12))
-    line = np.array(data.draw(st.lists(st.integers(0, len(g) - 1), min_size=n, max_size=n)))
-    x0 = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
-    on_sample = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    j = np.array(data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n)))
-    x0 = np.where(on_sample, j / P + g[line, j % P], x0)
-    for got, want in zip(conjmap._sign_change(g, line, x0), window_scan(g, line, x0)):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_profile_value_is_never_the_root(engine_2d, monkeypatch):
-    # a target equal to a profile value is returned at a point of a finish
-    # round, whose direct evaluation meets tol, never off the profile
-    tol, y, P = 1e-10, 0.25, conjmap.PRESCAN_POINTS
-    x0 = semiconj.phi_hat(engine_2d, np.array([5 / P, y])).value[0]
-    calls = []
-    real = semiconj.phi_hat
-    monkeypatch.setattr(semiconj, "phi_hat",
-                        lambda eng, z: calls.append(z.copy()) or real(eng, z))
-    t = conjmap._bisect_batch(engine_2d, np.array([x0]), np.array([[y]]), tol)[0]
-    assert len(calls) >= 2 and (5 / P, y) in {tuple(p) for p in calls[0]}
-    assert t in {p[0] for z in calls[1:] for p in z}
-    assert abs(real(engine_2d, np.array([t, y])).value[0] - x0) <= tol
+    v = semiconj.phi_hat(engine_2d, np.column_stack([np.tile(ts, 16), np.repeat(ys, P)]))
+    s = v.value[:, 0].reshape(16, P)
+    assert np.all(np.diff(np.column_stack([s, s[:, :1] + 1]), axis=1) > 0)
 
 
 def test_H_inverse_round_trips(engine_2d, rng):
@@ -331,13 +239,13 @@ def test_full_block_H_inverse_meets_tol(name, monkeypatch):
 
 
 def test_full_block_route_counters(engine_kd, monkeypatch):
-    # the k = d route takes N backward steps per point, samples no profile,
-    # and evaluates Phi_hat once per point, whatever the chunking
+    # the k = d route takes N backward steps per point and evaluates
+    # Phi_hat once per point, whatever the chunking
     monkeypatch.setattr(semiconj, "CHUNK", 7)
     X = np.random.default_rng(8).uniform(0, 1, size=(20, 2))
     stats = conjmap.FiberStats()
     conjmap.H_inverse(engine_kd, X, np.zeros((20, 0)), stats=stats)
-    assert stats == conjmap.FiberStats(fiber_iters=engine_kd.N, scan_points=0, phi_points=20)
+    assert stats == conjmap.FiberStats(fiber_iters=engine_kd.N, phi_points=20)
 
 
 def test_full_block_route_checks_its_residual(engine_kd, monkeypatch):

@@ -38,7 +38,7 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 # argv of the fixture jobs: SPEC:name is the spec file of fixture_specs()[name],
 # OUT a fresh -o directory
 FIXTURE_JOBS = (
-    ("conjugacy", "SPEC:fix2", "--grid", "8", "-o", "OUT"),
+    ("conjugacy", "SPEC:fix2", "--grid", "8", "-o", "OUT"),   # A2 not certified at grid 8: exit 2
     ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "8"),     # k = d fiber solve
     ("phi", "SPEC:fix2", "--grid", "16"),
     ("phi", "SPEC:cat", "--sublattice", "full", "--grid", "8"),             # hyperbolic
@@ -50,9 +50,9 @@ FIXTURE_JOBS = (
     ("verify-semiconj", "SPEC:hyp3", "--sublattice", "full", "--grid", "6"),  # d = 3 inverse lift
     ("verify-cones", "SPEC:three", "--sublattice", "full", "--grid", "8"),  # k = d cone minima
     ("conjugacy", "SPEC:cat", "--sublattice", "full", "--grid", "8"),       # not expanding: exit 1
-    # the two conjugacy repros of ROADMAP item 2, whose verdicts it will move
-    ("conjugacy", "SPEC:shear", "--grid", "32"),            # PASS, though no alpha passes A2
-    ("conjugacy", "SPEC:shear15", "--grid", "32"),          # exit 1: a fiber line not increasing
+    # the two conjugacy repros of ROADMAP item 2: no alpha passes A2
+    ("conjugacy", "SPEC:shear", "--grid", "32"),            # FAIL, exit 2
+    ("conjugacy", "SPEC:shear15", "--grid", "32"),          # FAIL, exit 2: fiber lines not rising
     # k = d fiber solves along the backward orbit: A diagonal, conformal, a Jordan block
     ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),
     ("conjugacy", "SPEC:conf", "--sublattice", "full", "--grid", "8"),
@@ -69,8 +69,9 @@ FIXTURE_JOBS = (
     # the two large-entry unimodular repros of ROADMAP item 1, whose exits it will move
     ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: float det 0
     ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
-    ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),  # k = 1 fiber lines with a 2-D y
-    ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks
+    # k = 1 fiber lines with a 2-D y; A2 is first certified at grid 48: exit 2
+    ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),
+    ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks: PASS
 )
 
 
@@ -107,8 +108,9 @@ def _moved_keys(a, b):
 def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
     hyperbolic, defective and Lehmer fixtures and the k = d = 2 maps of
-    FULL_BLOCK_MAPS of tests/conftest.py, HUGE_G and the k = d = 2 map THREE
-    of tests/test_cli.py, a shear map with two sizes of G[2], a singular
+    FULL_BLOCK_MAPS of tests/conftest.py, HUGE_G, the k = d = 2 map THREE
+    and the shear maps SHEAR and SHEAR15 (two sizes of G[2]) of
+    tests/test_cli.py, a singular
     d = 3 map, a map with a negative eigenvalue, two unimodular maps with
     entries near 1e8 and 3e6 and an expanding d = 3 map with k = 1."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
@@ -118,10 +120,7 @@ def fixture_specs():
             "huge": test_cli.HUGE_G,
             "three": test_cli.THREE,
             **conftest.FULL_BLOCK_MAPS,
-            "shear": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
-                     "G[2]=0.06*cos(2*pi*(z1))\n",
-            "shear15": "dim=2\nM=[[2,1],[0,1]]\nG[1]=0.03*sin(2*pi*(z1+z2))\n"
-                       "G[2]=0.15*cos(2*pi*(z1))\n",
+            "shear": test_cli.SHEAR, "shear15": test_cli.SHEAR15,
             "defective": conftest.FIX_DEFECTIVE,
             "lehmer": conftest.lehmer_spec_text(),
             "sing3": "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n",
