@@ -294,9 +294,11 @@ def cmd_conjugacy(spec, args) -> dict:
     # with the ceiling, and a vacuous ceiling fails without it
     gate = {} if vacuous else dict(
         zip(("a2_alpha", "a2_grid"), _a2_gate(spec_S, engine.k, args.grid)))
+    # the round trip first: a fiber it cannot solve leaves no CSV
+    csv = _out_path(args, "skew_grid.csv") if args.out else None
     try:
-        sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol, stats=stats)
         zi = conjmap.H_inverse(engine, x, y, tol=args.tol, stats=stats)
+        sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol, stats=stats, path=csv)
     except FiberSolveError:
         # a vacuous ceiling fails the verdict whatever the fibers do: the
         # solves only measure the residuals, and a fiber that cannot be
@@ -315,9 +317,8 @@ def cmd_conjugacy(spec, args) -> dict:
     report["pass"] = report["pass"] and gate.get("a2_alpha") is not None
     # additive: the fiber solves' work; never moves the verdict
     report["diagnostics"] = dataclasses.asdict(stats)
-    if args.out:
-        report["csv"] = _out_path(args, "skew_grid.csv")
-        conjmap.export_skew_csv(sr, report["csv"])
+    if csv:
+        report["csv"] = csv
     return report
 
 

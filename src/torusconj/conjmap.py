@@ -7,11 +7,13 @@ certified route per k.  For k = 1, |Phi_hat((t, y)) - t| is under the
 displacement bound, so each target is bracketed from it and solved to a
 direct |Phi_hat - x| <= tol (see _bisect_batch); that the root is unique on
 its fiber line is the cone condition A2, which the conjugacy command
-certifies.  For k = d, see _orbit_batch.  1 < k < d is refused.
+certifies.  For k = d, see _orbit_batch; 1 < k < d is refused.  Fiber
+batches and the skew grid are swept CHUNK points at a time, as every grid is.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,24 +133,18 @@ def _orbit_batch(engine: SemiConjEngine, X, tol, stats: FiberStats | None = None
     rho < 1, which the inverse lift demands, makes Phi_hat a bijection of R^d:
     the root is unique on the torus.  The carry's rounding r_j moves Phi_hat(z)
     by sum_j A^-(j+1) r_j only.  A point over tol raises FiberSolveError."""
-    lift, Z = dynamics.lift_inverse(engine.spec), np.empty_like(X)
-
-    def solve(lo):
-        f, carries = X[lo:lo + semiconj.CHUNK], []
-        for _ in range(engine.N):
-            c, f = np.divmod(f @ engine.A.T, 1.0)
-            carries.append(c)
-        for c in reversed(carries):
-            f = lift(f + c, tol)[0]
-        Z[lo:lo + len(f)] = f
-        return np.linalg.norm(semiconj.phi_hat(engine, f).value - X[lo:lo + len(f)], axis=1).max()
-
-    res = max(semiconj._map_chunks(solve, range(0, len(X), semiconj.CHUNK)))
+    lift, f, carries = dynamics.lift_inverse(engine.spec), X, []
+    for _ in range(engine.N):
+        c, f = np.divmod(f @ engine.A.T, 1.0)
+        carries.append(c)
+    for c in reversed(carries):
+        f = lift(f + c, tol)[0]
+    res = np.linalg.norm(semiconj.phi_hat(engine, f).value - X, axis=1).max()
     if not res <= tol:
         raise FiberSolveError(f"fiber solve residual {res:.3g} > tol {tol:.3g}")
     if stats is not None:
         stats.add(engine.N, len(X))
-    return Z
+    return f
 
 
 def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
@@ -156,18 +152,24 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
     by y0's leading axes and d: the one fiber solve.  Each point y of y0
     (..., d-k) and its k values of x0 (lift coordinates) get the t with
-    Phi_hat((t, y)) = x0, as one batch: by _bisect_batch for k = 1 and by
-    _orbit_batch for k = d.  The work done is added to stats, if given."""
+    Phi_hat((t, y)) = x0, CHUNK points at a time (see semiconj._map_chunks):
+    by _bisect_batch for k = 1 and by _orbit_batch for k = d.  The work done
+    is added to stats, if given."""
     _require_expanding(engine)
-    k = engine.k
+    k, c = engine.k, semiconj.CHUNK
     Y = dynamics._batch(y0, engine.d - k)
     X = np.asarray(x0, dtype=float).reshape(len(Y), k)
-    if not len(X):
-        T = X
-    elif k == 1:
-        T = _bisect_batch(engine, X[:, 0], Y, tol, stats)[:, None]
-    else:
-        T = _orbit_batch(engine, X, tol, stats)
+    T = np.empty_like(X)
+
+    def solve(lo):
+        s, Xc = FiberStats(), X[lo:lo + c]
+        T[lo:lo + c] = (_bisect_batch(engine, Xc[:, 0], Y[lo:lo + c], tol, s)[:, None]
+                        if k == 1 else _orbit_batch(engine, Xc, tol, s))
+        return s
+
+    total = stats or FiberStats()
+    for s in semiconj._map_chunks(solve, range(0, len(X), c)):    # on the calling thread
+        total.add(s.fiber_iters, s.phi_points)
     return _kernels.wrap(np.hstack([T, Y])).reshape(np.shape(y0)[:-1] + (engine.d,))
 
 
@@ -176,8 +178,6 @@ class SkewReport:
     grid_res: int
     max_base_residual: float
     ceiling: float              # skew_ceiling(engine, tol)
-    fiber_map_samples: np.ndarray   # (n, d-k): the induced F_y values, in torus grid order
-    k: int                      # the x columns of the (x, y) grid
 
 
 def skew_ceiling(engine: SemiConjEngine, tol: float) -> float:
@@ -187,25 +187,33 @@ def skew_ceiling(engine: SemiConjEngine, tol: float) -> float:
 
 
 def skew_product_residual(engine: SemiConjEngine, grid_res: int,
-                          tol: float = 1e-10,
-                          stats: FiberStats | None = None) -> SkewReport:
+                          tol: float = 1e-10, stats: FiberStats | None = None,
+                          path=None) -> SkewReport:
     """Max over the (x, y) grid semiconj._grid(d, grid_res) of dist(base of
-    H(F(H^-1(x,y))), A x mod 1); the fiber solves' work is added to stats, if given."""
-    k = engine.k
-    grid = semiconj._grid(engine.d, grid_res)
-    X, Y = grid[:, :k], grid[:, k:]
-    FZ = dynamics.eval_torus(engine.spec, H_inverse(engine, X, Y, tol, stats))
-    resid = dynamics.torus_distance(semiconj.phi_torus(engine, FZ).value,
-                                    _kernels.wrap(X @ engine.A.T))
-    return SkewReport(grid_res=grid_res, max_base_residual=float(resid.max()),
-                      ceiling=skew_ceiling(engine, tol), fiber_map_samples=FZ[:, k:].copy(), k=k)
+    H(F(H^-1(x,y))), A x mod 1), swept CHUNK grid points at a time on the
+    chunk pool; the fiber solves' work is added to stats, if given.  With a
+    path, the same sweep writes there the CSV of x_1..x_k, y_1..y_m and the
+    fiber map Fy_1..Fy_m (%.17g), one chunk at a time, by _write_grid_csv."""
+    k, m = engine.k, engine.d - engine.k
+    peaks, total = [], stats or FiberStats()
 
+    def sweep(grid):
+        s = FiberStats()
+        FZ = dynamics.eval_torus(engine.spec, H_inverse(engine, grid[:, :k], grid[:, k:], tol, s))
+        resid = dynamics.torus_distance(semiconj.phi_torus(engine, FZ).value,
+                                        _kernels.wrap(grid[:, :k] @ engine.A.T))
+        return grid, FZ[:, k:], resid.max(), s
 
-def export_skew_csv(report: SkewReport, path) -> None:
-    """CSV with columns x_1..x_k, y_1..y_m and Fy_1..Fy_m (%.17g): each CHUNK-row
-    piece of the grid beside its rows of F_y, written by semiconj._write_grid_csv."""
-    fy, k, res, c = report.fiber_map_samples, report.k, report.grid_res, semiconj.CHUNK
-    m = fy.shape[1]
-    names = ",".join(f"{a}_{i+1}" for a, n in (("x", k), ("y", m), ("Fy", m)) for i in range(n))
-    semiconj._write_grid_csv(path, res, names, ["%.17g"] * m, zip(
-        semiconj._grid_chunks(k + m, res), (fy[lo:lo + c] for lo in range(0, len(fy), c))))
+    def measured():
+        for grid, fy, peak, s in semiconj._map_chunks(sweep, semiconj._grid_chunks(engine.d, grid_res)):
+            peaks.append(peak)
+            total.add(s.fiber_iters, s.phi_points)     # on the calling thread, in chunk order
+            yield grid, fy
+
+    if path is None:
+        deque(measured(), maxlen=0)
+    else:
+        names = ",".join(f"{a}_{i+1}" for a, n in (("x", k), ("y", m), ("Fy", m)) for i in range(n))
+        semiconj._write_grid_csv(path, grid_res, names, ["%.17g"] * m, measured())
+    return SkewReport(grid_res=grid_res, max_base_residual=float(max(peaks)),
+                      ceiling=skew_ceiling(engine, tol))

@@ -9,7 +9,7 @@ import pytest
 from torusconj import conjmap, semiconj
 from torusconj.cli import cmd_validate, main
 from torusconj.specdsl import TorusMapSpec, TrigTerm
-from torusconj.errors import ContractionError
+from torusconj.errors import ContractionError, FiberSolveError
 
 from conftest import (FIX_1D, FIX_2D, FIX_CAT, FIX_DEFECTIVE, FIX_DET2, FULL_BLOCK_MAPS,
                       lehmer_spec_text)
@@ -587,6 +587,25 @@ def test_unsolvable_fiber_under_a_real_ceiling_exits_1(fix2, capsys, monkeypatch
     code, out, err = run(capsys, "conjugacy", fix2, "--grid", "8")
     assert (code, out) == (1, "")
     assert err.startswith("error: bracket endpoints do not straddle") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [50, 72 ** 2 % semiconj.CHUNK])
+def test_failed_conjugacy_fiber_writes_no_csv(n, fix2, tmp_path, capsys, monkeypatch):
+    # the k = 1 solve of the 50-point round trip, or of the grid's second
+    # chunk after the first was written, fails under a real ceiling: exit 1,
+    # and neither the CSV nor its temporary file is left in the -o directory
+    real = conjmap._bisect_batch
+
+    def fail(engine, x0, *a):
+        if len(x0) == n:
+            raise FiberSolveError("fiber solve stalled at residual 1 > tol 1e-10")
+        return real(engine, x0, *a)
+
+    monkeypatch.setattr(conjmap, "_bisect_batch", fail)
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "conjugacy", fix2, "--grid", "72", "-o", str(out_dir))
+    assert (code, out, err) == (1, "", "error: fiber solve stalled at residual 1 > tol 1e-10\n")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_oversize_grid_is_typed_error(fix2, tmp_path, capsys):

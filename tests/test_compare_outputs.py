@@ -39,7 +39,8 @@ def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
 def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     # a tree whose skew-product CSV prints its F_y columns one digit
     # shorter: no workload job writes that CSV, and the three fixture jobs
-    # that do (d = 2 in one chunk and in two, d = 3) differ in it alone
+    # whose CSV has F_y columns (d = 2 in one chunk and in two, d = 3)
+    # differ in it alone; the k = d CSV has none
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "conjmap.py"
@@ -91,8 +92,9 @@ def test_a_moved_report_value_is_named(tmp_path, capsys):
 
 def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):
     # a tree whose k = d fiber solve counts one more backward step: the
-    # conjugacy job of certify-conjugacy (k = 1) is identical, and the four
-    # k = d conjugacy fixture jobs differ in their diagnostics alone
+    # conjugacy job of certify-conjugacy (k = 1) is identical, and the five
+    # k = d conjugacy fixture jobs differ in their diagnostics alone (the
+    # one with -o in its JSON report too, and not in its CSV)
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "conjmap.py"
@@ -105,11 +107,13 @@ def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     n = len(compare_outputs.FIXTURE_JOBS)
-    assert out[-2] == f"{n} fixture jobs: {n - 4} byte-identical, 4 differ"
+    assert out[-2] == f"{n} fixture jobs: {n - 5} byte-identical, 5 differ"
     assert out[-1] == "9 jobs of certify-conjugacy at seeds 601: 9 byte-identical, 0 differ"
     differing = [line for line in out if line.startswith("DIFFERS")]
     assert [line.split(":")[0] for line in differing] == [
-        f"DIFFERS fixture job {i}" for i in (1, 14, 15, 16)]
-    assert all(line.endswith(": stdout (keys diagnostics) (exit 0 -> 0)") for line in differing)
+        f"DIFFERS fixture job {i}" for i in (1, 14, 15, 16, 17)]
+    assert all(line.endswith(": stdout (keys diagnostics) (exit 0 -> 0)") for line in differing[:4])
+    assert differing[4].endswith(
+        ": stdout (keys diagnostics), file conjugacy.json (exit 0 -> 0)")
     assert [line.split("fixtures/")[1].split(".map")[0] for line in differing] == [
-        "three", "diag23", "conf", "jordan"]
+        "three", "diag23", "conf", "jordan", "three"]

@@ -57,6 +57,8 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),
     ("conjugacy", "SPEC:conf", "--sublattice", "full", "--grid", "8"),
     ("conjugacy", "SPEC:jordan", "--sublattice", "full", "--grid", "8"),
+    # the k = d route over two grid chunks on the chunk pool, with its CSV
+    ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "72", "-o", "OUT"),
     # the exact eigenvalue questions of intlat: no root, 0 and a double root,
     # a negative root, a d = 3 unimodular block, a defective root 1
     ("analyze", "SPEC:lehmer"),                                 # d = 10, exit 2
