@@ -23,8 +23,8 @@ from .errors import FiberSolveError, FloatRangeError, LatticeError, TorusConjErr
 from .specdsl import parse_spec, serialize_spec
 
 SCHEMA_VERSION = "1"
-DEFAULT_ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-DEFAULT_K = 1.0 + 1e-9      # the expansion constant A2 asks for, > 1
+ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)     # the cone openings, in the order tried
+K = 1.0 + 1e-9      # the expansion constant A2 asks for, > 1
 
 
 def _read_text(path: str) -> str:
@@ -127,7 +127,7 @@ class _Verdict(Exception):
 
 def cmd_validate(spec, args) -> dict:
     nb = dynamics.norm_bounds(spec)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     z = rng.uniform(-2, 2, size=(10, spec.d))
     m = rng.integers(-3, 4, size=(10, spec.d)).astype(float)
     Mf = dynamics.M_array(spec)
@@ -233,12 +233,11 @@ def cmd_verify_semiconj(spec, args) -> dict:
 
 def cmd_verify_cones(spec, args) -> dict:
     spec_S, block = _block_coordinates(spec, args)
-    params = [cones.ConeParams(k=block.k, alpha=alpha, K=args.K) for alpha in args.alpha]
     results = []
-    for cert in cones.verify_A2(spec_S, params, args.grid):
+    for cert in cones.verify_A2(spec_S, _cone_family(block.k), args.grid):
         results.append({
             "alpha": cert.params.alpha,
-            "K": args.K,
+            "K": cert.params.K,
             "expansion_factor": cert.expansion_factor,
             # vacuous (infinite) when k = d; JSON has no infinity
             "invariance_margin": None if block.k == spec.d else cert.invariance_margin,
@@ -264,25 +263,32 @@ def cmd_verify_cones(spec, args) -> dict:
     }
 
 
+def _cone_family(k: int):
+    """The cones of verify-cones and of the conjugacy A2 gate: one
+    ConeParams per opening of ALPHAS, in order, each with K."""
+    return [cones.ConeParams(k, alpha, K) for alpha in ALPHAS]
+
+
 def _a2_gate(spec_S, k: int, grid: int):
-    """(alpha, g): the first of DEFAULT_ALPHAS whose cones pass A2 with
-    K = DEFAULT_K at grid g, trying g = min(8, grid), then min(2 g, grid)
-    up to grid; (None, grid) if none does.  The padding covers each cell,
-    so a pass at any grid certifies every point of the torus."""
+    """(alpha, g): the opening of the first cone of _cone_family(k) that
+    passes A2 at grid g, trying g = min(8, grid), then min(2 g, grid) up to
+    grid; (None, grid) if none does.  The padding covers each cell, so a
+    pass at any grid certifies every point of the torus.  One verify_A2
+    call per cone stops at the first pass, which is faster than one call
+    for the whole family per grid."""
     g = min(8, grid)
     while True:
-        for alpha in DEFAULT_ALPHAS:
-            if cones.verify_A2(spec_S, cones.ConeParams(k, alpha, DEFAULT_K), g).a2_pass:
-                return alpha, g
+        for params in _cone_family(k):
+            if cones.verify_A2(spec_S, params, g).a2_pass:
+                return params.alpha, g
         if g == grid:
             return None, g
         g = min(2 * g, grid)
 
 
 def cmd_conjugacy(spec, args) -> dict:
-    spec_S, block = _block_coordinates(spec, args)
-    engine = semiconj.build_engine(spec_S, block, N=args.trunc)
-    rng = np.random.default_rng(args.seed)
+    engine = _engine(spec, args)
+    rng = np.random.default_rng(0)
     z = rng.uniform(0, 1, size=(50, engine.d))
     x, y = conjmap.H_forward(engine, z)
     semiconj._grid_size(engine.d, args.grid)    # an oversize grid exits 1 before any work
@@ -293,7 +299,7 @@ def cmd_conjugacy(spec, args) -> dict:
     # A2 makes each fiber line a bijection: its gate decides the verdict
     # with the ceiling, and a vacuous ceiling fails without it
     gate = {} if vacuous else dict(
-        zip(("a2_alpha", "a2_grid"), _a2_gate(spec_S, engine.k, args.grid)))
+        zip(("a2_alpha", "a2_grid"), _a2_gate(engine.spec, engine.k, args.grid)))
     # the round trip first: a fiber it cannot solve leaves no CSV
     csv = _out_path(args, "skew_grid.csv") if args.out else None
     try:
@@ -338,42 +344,25 @@ def _bounded(cast, lo, strict=False):
     return parse
 
 
-_positive = _bounded(float, 0.0, strict=True)
-
-
-def _alpha_list(text: str):
-    vals = [_positive(x) for x in text.split(",") if x.strip()]
-    if not vals:
-        raise argparse.ArgumentTypeError("empty alpha list")
-    return vals
-
-
 FLAGS = {
     "--trunc": dict(type=_bounded(int, 1), default=None, metavar="N",
                     help="series truncation order (default: auto)"),
     "--grid": dict(type=_bounded(int, 2), default=64, metavar="R",
                    help="grid resolution per axis"),
-    "--alpha": dict(type=_alpha_list, default=DEFAULT_ALPHAS, metavar="LIST",
-                    help="comma-separated cone openings, each > 0"),
-    "--K": dict(type=_bounded(float, 1.0, strict=True), default=DEFAULT_K,
-                help="required expansion constant, > 1"),
-    "--tol": dict(type=_positive, default=1e-10,
+    "--tol": dict(type=_bounded(float, 0.0, strict=True), default=1e-10,
                   help="fiber solver tolerance, > 0"),
     "--sublattice": dict(default=None, metavar="FILE|full",
                          help="invariant sublattice basis (JSON file) or 'full'"),
-    "--seed": dict(type=_bounded(int, 0), default=0,
-                   help="seed of the sampled test points"),
 }
 
 # each command gets only the flags it reads (plus -o)
 COMMANDS = {
-    "validate": (cmd_validate, ("--seed",)),
+    "validate": (cmd_validate, ()),
     "analyze": (cmd_analyze, ("--sublattice",)),
     "phi": (cmd_phi, ("--trunc", "--grid", "--sublattice")),
     "verify-semiconj": (cmd_verify_semiconj, ("--trunc", "--grid", "--sublattice")),
-    "verify-cones": (cmd_verify_cones, ("--grid", "--alpha", "--K", "--sublattice")),
-    "conjugacy": (cmd_conjugacy,
-                  ("--trunc", "--grid", "--tol", "--sublattice", "--seed")),
+    "verify-cones": (cmd_verify_cones, ("--grid", "--sublattice")),
+    "conjugacy": (cmd_conjugacy, ("--trunc", "--grid", "--tol", "--sublattice")),
 }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels, intlat
 from .errors import ContractionError, LatticeError
 from ._kernels import TWO_PI
-from .specdsl import TorusMapSpec, TrigTerm, make_spec
+from .specdsl import TorusMapSpec, TrigTerm, float_exact, make_spec
 
 
 class TermArrays(NamedTuple):
@@ -167,16 +167,24 @@ def lift_inverse(spec: TorusMapSpec) -> LiftInverse:
 def change_coordinates(spec: TorusMapSpec, S) -> TorusMapSpec:
     """Conjugated spec: M' = S^-1 M S, G'(z) = S^-1 G(S z), computed exactly
     term-by-term (frequencies become S^T kappa, coefficients scale by the
-    integer entries of S^-1)."""
+    integer entries of S^-1).  LatticeError unless each integer that goes
+    into the float map is float_exact."""
     Sm = intlat.as_int_matrix(S)
     if len(Sm) != spec.d:
         raise LatticeError("coordinate change has wrong dimension")
     Sinv = intlat.mat_inv_unimodular(Sm)  # LatticeError unless unimodular
     M2 = intlat.mat_mul(Sinv, intlat.mat_mul(spec.M_list(), Sm))
     St = intlat.transpose(Sm)
+    freqs = [tuple(intlat.mat_vec(St, list(t.frequency))) for t in spec.terms]
+    # the integers the float map is made of: M', the frequencies and the
+    # entries of S^-1 that scale a coefficient
+    scales = [row[t.component - 1] for row in Sinv for t in spec.terms]
+    big = next((x for row in (*M2, *freqs, scales) for x in row if not float_exact(x)), None)
+    if big is not None:
+        raise LatticeError(f"the coordinate change makes the integer {big}, beyond 2^53, "
+                           "where float64 rounds integers")
     new_terms = []
-    for t in spec.terms:
-        freq2 = tuple(intlat.mat_vec(St, list(t.frequency)))
+    for t, freq2 in zip(spec.terms, freqs):
         for r in range(spec.d):
             c = Sinv[r][t.component - 1] * t.coefficient
             if c != 0.0:

@@ -177,8 +177,15 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
     geometric estimate ||D_u^{-N}|| * rho / (1 - rho), plus the stable-side
     term and, when the stable block is not empty (ku < k), a backward-orbit
     inversion budget.  With N=None the smallest N meeting eps_target is chosen
-    (requires rho <= 0.9).  Hyperbolic mode requires |det M| = 1.
+    (requires rho <= 0.9); a given N is at most MAX_DEFAULT_N, as a chosen
+    one is.  spec must be in the block's coordinates (spec.M is
+    block.M_conj).  Hyperbolic mode requires |det M| = 1.
     """
+    if spec.M != block.M_conj:
+        raise EngineError(f"the spec's M = {spec.M_list()} is not the block form "
+                          f"{[list(r) for r in block.M_conj]}: change its coordinates first")
+    if N is not None and N > MAX_DEFAULT_N:
+        raise EngineError(f"truncation N = {N} is above {MAX_DEFAULT_N}")
     mode = block.classification
     if mode == "neither":
         raise EngineError("top-left block is neither expanding nor hyperbolic")

@@ -108,6 +108,12 @@ class _Tokenizer:
         return self.text[start:self.pos], start + 1
 
 
+def float_exact(x: int) -> bool:
+    """Whether float64 holds the integer x exactly (|x| <= 2^53): beyond
+    that the float M and frequencies of a map would not be its own."""
+    return abs(x) <= 2 ** 53
+
+
 def _strip_comment(line: str) -> str:
     i = line.find("#")
     return line if i < 0 else line[:i]
@@ -130,7 +136,11 @@ def _parse_int(tk: _Tokenizer) -> int:
     tok, val, is_int, col = tk.number()
     if not is_int:
         raise SpecParseError(f"non-integer matrix entry {tok!r}", tk.line, col)
-    return sign * int(tok)
+    x = sign * int(tok)
+    if not float_exact(x):
+        raise SpecParseError(f"matrix entry {x} is beyond 2^53, where float64 rounds "
+                             "integers", tk.line, col)
+    return x
 
 
 def _parse_lincomb(tk: _Tokenizer, d: int) -> tuple[int, ...]:
@@ -142,11 +152,11 @@ def _parse_lincomb(tk: _Tokenizer, d: int) -> tuple[int, ...]:
             if not first:
                 break
             sign = 1
-        coef = 1
+        coef, ccol = 1, None
         if tk.peek() is not None and tk.peek().isdigit():
-            tok, val, is_int, col = tk.number()
+            tok, val, is_int, ccol = tk.number()
             if not is_int:
-                raise SpecParseError(f"non-integer frequency {tok!r}", tk.line, col)
+                raise SpecParseError(f"non-integer frequency {tok!r}", tk.line, ccol)
             coef = int(tok)
             tk.expect("*")
         name, col = tk.name()
@@ -158,6 +168,9 @@ def _parse_lincomb(tk: _Tokenizer, d: int) -> tuple[int, ...]:
             raise SpecParseError(f"variable {name!r} out of range for dim={d}",
                                  tk.line, col)
         freq[idx - 1] += sign * coef
+        if not float_exact(freq[idx - 1]):
+            raise SpecParseError(f"frequency {freq[idx - 1]} of {name} is beyond 2^53, where "
+                                 "float64 rounds integers", tk.line, ccol or col)
         first = False
     return tuple(freq)
 

@@ -43,6 +43,21 @@ FULL_BLOCK_MAPS = {"diag23": "dim=2\nM=[[2,0],[0,3]]\n" + _G_KD,
                    "conf": "dim=2\nM=[[2,-1],[1,2]]\n" + _G_KD,
                    "jordan": "dim=2\nM=[[2,1],[0,2]]\n" + _G_KD}
 
+# k = 1 < d = 3 expanding: each fiber line has a 2-D y
+FIX_D3K1 = ("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\nG[1]=0.01*sin(2*pi*(z1-2*z3))\n"
+            "G[2]=0.02*cos(2*pi*(z2+z3))\n")
+
+# a singular d = 3 map and a map with a negative eigenvalue
+FIX_SING3 = "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n"
+FIX_NEG = "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n"
+
+# unimodular maps with entries near 1e8 and 3e6
+FIX_BIG8 = "dim=2\nM=[[100000000,100000001],[99999999,100000000]]\n"
+FIX_BIG6 = "dim=2\nM=[[3000001,3000000],[3000000,2999999]]\nG[1]=1e-9*sin(2*pi*(z1))\n"
+
+# a frequency of 1e20, beyond 2^53: float64 would round it
+FIX_BIGFREQ = "dim=1\nM=[[2]]\nG[1]=0.01*sin(2*pi*(100000000000000000000*z1))\n"
+
 # companion matrix of x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1,
 # the smallest known Salem polynomial; irreducible, so no integer eigenvalue
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]  # c0..c10

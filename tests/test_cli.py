@@ -6,13 +6,13 @@ import warnings
 
 import pytest
 
-from torusconj import conjmap, semiconj
+from torusconj import cli, conjmap, semiconj
 from torusconj.cli import cmd_validate, main
 from torusconj.specdsl import TorusMapSpec, TrigTerm
 from torusconj.errors import ContractionError, FiberSolveError
 
-from conftest import (FIX_1D, FIX_2D, FIX_CAT, FIX_DEFECTIVE, FIX_DET2, FULL_BLOCK_MAPS,
-                      lehmer_spec_text)
+from conftest import (FIX_1D, FIX_2D, FIX_BIG6, FIX_BIG8, FIX_BIGFREQ, FIX_CAT, FIX_DEFECTIVE,
+                      FIX_DET2, FULL_BLOCK_MAPS, lehmer_spec_text)
 
 
 @pytest.fixture()
@@ -55,11 +55,9 @@ def test_validate_ok(fix1, capsys):
 def test_validate_passes_large_entries(tmp_path, capsys):
     # F(z + m) = F(z) + M m holds exactly for integer M: entries near 1e8
     # and 3e6 round M z by 1e-7 and 2e-9, under the a-priori rounding bound
-    for text, dev in (("M=[[100000000,100000001],[99999999,100000000]]\n", 1e-7),
-                      ("M=[[3000001,3000000],[3000000,2999999]]\n"
-                       "G[1]=1e-9*sin(2*pi*(z1))\n", 1e-9)):
+    for text, dev in ((FIX_BIG8, 1e-7), (FIX_BIG6, 1e-9)):
         p = tmp_path / "big.map"
-        p.write_text("dim=2\n" + text)
+        p.write_text(text)
         code, out, _ = run(capsys, "validate", str(p))
         rep = json.loads(out)
         assert code == 0 and rep["pass"] is True
@@ -70,7 +68,7 @@ def test_validate_fails_a_half_frequency():
     # a spec built past the parser with frequency 0.5 is not Z^2-periodic:
     # its deviation is far over the rounding bound, and validate fails
     spec = TorusMapSpec(2, ((2, 0), (0, 2)), (TrigTerm(1, (0.5, 0.0), "sin", 0.1),))
-    rep = cmd_validate(spec, argparse.Namespace(seed=0))
+    rep = cmd_validate(spec, argparse.Namespace())
     assert rep["pass"] is False
     assert rep["equivariance_max_deviation"] > 0.1 > 1e-12 > rep["equivariance_bound"]
 
@@ -254,12 +252,27 @@ def test_verify_cones_pencil_keys(fix2, capsys):
 def test_verify_cones_full_block_null_margin(fix1, capsys):
     # k = d: the cone is the whole space, so invariance is vacuous and its
     # margin is reported as null, not as the non-JSON Infinity
-    code, out, _ = run(capsys, "verify-cones", fix1, "--grid", "64", "--alpha", "1")
+    code, out, _ = run(capsys, "verify-cones", fix1, "--grid", "64")
     assert code == 0
     rep = json.loads(out)
     assert rep["k"] == 1 and rep["pass"]
-    assert rep["alphas"][0]["invariance_margin"] is None
+    assert [a["alpha"] for a in rep["alphas"]] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+    assert all(a["invariance_margin"] is None for a in rep["alphas"])
     assert rep["best"]["invariance_margin"] is None
+
+
+@pytest.mark.parametrize("grid, a2", [("32", (0.75, 32)), ("8", (None, 8))])
+def test_one_cone_family(fix2, grid, a2, capsys, monkeypatch):
+    # verify-cones and the conjugacy A2 gate read the one family of
+    # cli.ALPHAS when they run: an opening outside the default family is
+    # the one entry reported and the one opening the gate tries
+    monkeypatch.setattr(cli, "ALPHAS", (0.75,))
+    code, out, _ = run(capsys, "verify-cones", fix2, "--grid", grid)
+    rep = json.loads(out)
+    assert [(a["alpha"], a["K"]) for a in rep["alphas"]] == [(0.75, cli.K)]
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", grid)
+    rep = json.loads(out)
+    assert (rep["a2_alpha"], rep["a2_grid"]) == a2 and code == (0 if a2[0] else 2)
 
 
 def test_verify_cones_identity_exit_2(tmp_path, capsys):
@@ -337,26 +350,21 @@ def test_failed_json_write_leaves_no_report(fix2, capsys, tmp_path, monkeypatch)
 # (command, flag, bad value): each must exit 1 with nothing on stdout
 BAD_FLAGS = [
     ("validate", "--grid", "8"),            # not a flag of validate
-    ("validate", "--seed", "-1"),
+    ("validate", "--seed", "0"),            # not a flag of validate
     ("analyze", "--trunc", "5"),            # not a flag of analyze
     ("phi", "--format", "csv"),             # no command has --format
     ("phi", "--grid", "x"),
     ("verify-semiconj", "--grid", "1"),
     ("verify-semiconj", "--trunc", "0"),
     ("verify-cones", "--tol", "1e-9"),      # not a flag of verify-cones
-    ("verify-cones", "--alpha", "nan"),
-    ("verify-cones", "--alpha", "inf"),
-    ("verify-cones", "--alpha", "0.5,-1"),
-    ("verify-cones", "--alpha", ","),
-    ("verify-cones", "--K", "1"),
-    ("verify-cones", "--K", "0.5"),
-    ("verify-cones", "--K", "nan"),
-    ("verify-cones", "--K", "inf"),
+    ("verify-cones", "--alpha", "1"),       # not a flag of verify-cones
+    ("verify-cones", "--K", "1.2"),         # not a flag of verify-cones
     ("conjugacy", "--tol", "0"),
     ("conjugacy", "--tol", "-1e-9"),
     ("conjugacy", "--tol", "nan"),
     ("conjugacy", "--tol", "inf"),
     ("conjugacy", "--alpha", "1"),          # not a flag of conjugacy
+    ("conjugacy", "--seed", "0"),           # not a flag of conjugacy
 ]
 
 
@@ -368,12 +376,12 @@ def test_bad_flags(fix1, capsys):
 
 
 FLAGS_BY_COMMAND = {
-    "validate": {"--seed", "-o"},
+    "validate": {"-o"},
     "analyze": {"--sublattice", "-o"},
     "phi": {"--trunc", "--grid", "--sublattice", "-o"},
     "verify-semiconj": {"--trunc", "--grid", "--sublattice", "-o"},
-    "verify-cones": {"--grid", "--alpha", "--K", "--sublattice", "-o"},
-    "conjugacy": {"--trunc", "--grid", "--tol", "--sublattice", "--seed", "-o"},
+    "verify-cones": {"--grid", "--sublattice", "-o"},
+    "conjugacy": {"--trunc", "--grid", "--tol", "--sublattice", "-o"},
 }
 
 
@@ -385,8 +393,8 @@ def test_flags_per_command(capsys):
 
 
 def test_deterministic_output(fix2, capsys):
-    a = run(capsys, "validate", fix2, "--seed", "7")
-    b = run(capsys, "validate", fix2, "--seed", "7")
+    a = run(capsys, "validate", fix2)
+    b = run(capsys, "validate", fix2)
     assert a == b
 
 
@@ -553,19 +561,45 @@ def test_k_between_1_and_d_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: no certified fiber solve for 1 < k < d\n")
 
 
-def test_cone_pencil_overflow_is_typed_error(fix2, tmp_path, capsys):
-    # Jacobians near 3e151, or an opening of 1e200: the pencil Q - lambda J
-    # would overflow float64, so verify-cones exits 1 with a message, with
-    # no NaN report, no warning and no traceback
+def test_cone_pencil_overflow_is_typed_error(tmp_path, capsys):
+    # Jacobians near 3e151: the pencil Q - lambda J would overflow float64,
+    # so verify-cones exits 1 with a message, with no NaN report, no warning
+    # and no traceback
     p = tmp_path / "huge.map"
     p.write_text(HUGE_G)
-    for argv in ((str(p), "--alpha", "1"), (fix2, "--alpha", "1e200")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "verify-cones", *argv, "--grid", "8")
-        assert (code, out) == (1, ""), argv
-        assert err.startswith("error: the cone pencils would leave float64"), argv
-        assert err.count("\n") == 1, argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify-cones", str(p), "--grid", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the cone pencils would leave float64")
+    assert err.count("\n") == 1
+
+
+def test_truncation_above_bound_exits_1(fix2, capsys):
+    # N = 1e14 orbit steps per point: each engine command exits 1 with one
+    # error line, before it allocates the series
+    for command in ("phi", "verify-semiconj", "conjugacy"):
+        code, out, err = run(capsys, command, fix2, "--trunc", "100000000000000", "--grid", "4")
+        assert (code, out, err) == (1, "", "error: truncation N = 100000000000000 is above 512\n")
+
+
+def test_integer_beyond_float64_exits_1(tmp_path, capsys):
+    # a frequency of 1e20, parsed or made by the coordinate change of a
+    # sublattice basis, is not a float64: exit 1 with one error line
+    p = tmp_path / "bigfreq.map"
+    p.write_text(FIX_BIGFREQ)
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (1, "")
+    assert err == ("error: line 3, col 21: frequency 100000000000000000000 of z1 is beyond "
+                   "2^53, where float64 rounds integers\n")
+    p.write_text("dim=2\nM=[[2,0],[0,2]]\nG[1]=0.01*sin(2*pi*(z1))\n")
+    sub = tmp_path / "sub.json"
+    sub.write_text("[[100000000000000000000, 1]]")
+    for command in ("verify-semiconj", "verify-cones"):
+        code, out, err = run(capsys, command, str(p), "--sublattice", str(sub), "--grid", "4")
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error: the coordinate change makes the integer ") and \
+            err.endswith(", beyond 2^53, where float64 rounds integers\n"), command
 
 
 def test_non_finite_report_exits_1(fix2, tmp_path, capsys, monkeypatch):

@@ -176,14 +176,16 @@ def test_verify_A2_jacobian_once_per_chunk(spec_2d_S, monkeypatch):
         assert sorted(calls) == [24] + 10 * [100]     # 1024 cells: 10 full chunks and 24
 
 
-def test_verify_A2_range_gate_before_jacobians(monkeypatch):
+def test_verify_A2_range_gate_before_jacobians(spec_2d_S, monkeypatch):
     # ||M|| + Lip(G) bounds every Jacobian norm, so a map whose pencils
-    # would leave float64 is refused before any cell is built
+    # would leave float64, or an opening of 1e200 on the 2-D fixture, is
+    # refused before any cell is built
     s = parse_spec("dim=2\nM=[[2,1],[0,1]]\nG[1]=1e150*sin(2*pi*(3*z1))\n")
     calls = []
     monkeypatch.setattr(dynamics, "jacobian", lambda *a: calls.append(1))
-    with pytest.raises(FloatRangeError, match="would leave float64"):
-        cones.verify_A2(s, cones.ConeParams(k=1, alpha=1.0, K=1.2), 8)
+    for spec, alpha in ((s, 1.0), (spec_2d_S, 1e200)):
+        with pytest.raises(FloatRangeError, match="would leave float64"):
+            cones.verify_A2(spec, cones.ConeParams(k=1, alpha=alpha, K=1.2), 8)
     assert calls == []
 
 

@@ -8,7 +8,7 @@ from torusconj import parse_spec, block_triangularize, build_engine
 from torusconj import cli, conjmap, dynamics, intlat, semiconj
 from torusconj.errors import EngineError, FiberSolveError
 
-from conftest import FULL_BLOCK_MAPS
+from conftest import FIX_D3K1, FULL_BLOCK_MAPS
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +152,7 @@ def test_single_point_is_batch_of_one(engine_2d):
 
 @pytest.fixture(scope="module")
 def engine_d3k1():
-    # k = 1 < d = 3: each fiber line has a 2-D y
-    s = parse_spec("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\n"
-                   "G[1]=0.01*sin(2*pi*(z1-2*z3))\nG[2]=0.02*cos(2*pi*(z2+z3))\n")
+    s = parse_spec(FIX_D3K1)
     bf = block_triangularize(s.M_list(), [intlat.derive_invariant_line(s.M_list(), 2)])
     return build_engine(dynamics.change_coordinates(s, bf.S_list()), bf, N=20)
 

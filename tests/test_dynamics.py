@@ -220,6 +220,16 @@ def test_change_coordinates_rejects_non_unimodular(spec_2d):
         dynamics.change_coordinates(spec_2d, [[2, 0], [0, 1]])
 
 
+def test_change_coordinates_rejects_integers_beyond_float64():
+    # M = 2I is 2I in any basis, but the basis makes a frequency of 1e20,
+    # or scales a coefficient by an entry of S^-1 near -1e20
+    s = make_spec(2, [[2, 0], [0, 2]], [TrigTerm(1, (1, 0), "sin", 0.01)])
+    big = 10 ** 20
+    for S, made in (([[big, 1], [-1, 0]], big), ([[1, 0], [big, 1]], -big)):
+        with pytest.raises(LatticeError, match=f"makes the integer {made}, beyond 2\\^53"):
+            dynamics.change_coordinates(s, S)
+
+
 def test_torus_distance():
     assert np.isclose(dynamics.torus_distance(np.array([0.95]), np.array([0.05])), 0.1)
     assert dynamics.torus_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0

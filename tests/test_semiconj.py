@@ -354,6 +354,23 @@ def test_rejects_neither_classification():
         build_engine(s, bf, N=10)
 
 
+def test_rejects_spec_not_in_block_coordinates(spec_2d, block_2d):
+    # the raw 2-D fixture with the block of S = [[1,-1],[0,1]]: at N = 40 its
+    # Phi_hat would miss the semi-conjugacy by 0.5 against a ceiling of 1.2e-13
+    assert block_2d.S_list() == [[1, -1], [0, 1]]
+    with pytest.raises(EngineError, match=r"M = \[\[2, 1\], \[0, 1\]\] is not the block form "
+                                          r"\[\[2, 0\], \[0, 1\]\]"):
+        build_engine(spec_2d, block_2d, N=40)
+
+
+def test_rejects_N_above_bound(spec_2d_S, block_2d, monkeypatch):
+    # a given N is bounded as a chosen one is, before anything is allocated
+    monkeypatch.setattr(semiconj, "_power_norms", None)
+    for N in (semiconj.MAX_DEFAULT_N + 1, 10 ** 14):
+        with pytest.raises(EngineError, match=f"truncation N = {N} is above 512"):
+            build_engine(spec_2d_S, block_2d, N=N)
+
+
 def test_rejects_coupled_form():
     # [[2,3],[3,2]] cannot be decoupled over the integers (k = 1)
     s = parse_spec("dim=2\nM=[[2,3],[3,2]]\nG[1]=0.01*sin(2*pi*(z1))\n")

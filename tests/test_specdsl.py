@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from torusconj import parse_spec, serialize_spec, make_spec, TrigTerm
 from torusconj.errors import SpecParseError
 
+from conftest import FIX_BIGFREQ
+
 
 def test_parse_basic():
     s = parse_spec("dim=2\nM=[[2,1],[0,1]]\nG[1]=0.05*sin(2*pi*(z1+z2))\n")
@@ -48,6 +50,20 @@ def test_overflowing_literal_rejected():
         parse_spec("dim=2\nM=[[2,1],[0,1]]\nG[1]=1e999*sin(2*pi*(z1))\n")
     with pytest.raises(SpecParseError, match="line 2, col 5"):
         parse_spec("dim=1\nM=[[" + "9" * 400 + "]]\n")
+
+
+def test_integer_beyond_float64_rejected():
+    # float64 holds every integer up to 2^53 and rounds some beyond it: an
+    # M entry or a frequency beyond it is refused where it is written, a
+    # frequency also where a sum of terms first passes it
+    two53 = 2 ** 53
+    assert parse_spec(f"dim=1\nM=[[-{two53}]]\n").M == ((-two53,),)
+    for text, where in ((f"dim=1\nM=[[{two53 + 1}]]\n", "line 2, col 5: matrix entry"),
+                        (FIX_BIGFREQ, "line 3, col 21: frequency 100000000000000000000 of z1"),
+                        (f"dim=1\nM=[[2]]\nG[1]=sin(2*pi*(z1-{two53}*z1-2*z1))\n",
+                         f"line 3, col 39: frequency -{two53 + 1} of z1")):
+        with pytest.raises(SpecParseError, match=f"{where} .*beyond 2\\^53"):
+            parse_spec(text)
 
 
 def test_canonicalization_merges_and_drops():

@@ -59,6 +59,9 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:jordan", "--sublattice", "full", "--grid", "8"),
     # the k = d route over two grid chunks on the chunk pool, with its CSV
     ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "72", "-o", "OUT"),
+    # integers float64 cannot hold: a frequency of 1e20 and N = 1e14, exit 1
+    ("validate", "SPEC:bigfreq"),
+    ("verify-semiconj", "SPEC:fix2", "--trunc", "100000000000000", "--grid", "4"),
     # the exact eigenvalue questions of intlat: no root, 0 and a double root,
     # a negative root, a d = 3 unimodular block, a defective root 1
     ("analyze", "SPEC:lehmer"),                                 # d = 10, exit 2
@@ -109,12 +112,12 @@ def _moved_keys(a, b):
 
 def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
-    hyperbolic, defective and Lehmer fixtures and the k = d = 2 maps of
-    FULL_BLOCK_MAPS of tests/conftest.py, HUGE_G, the k = d = 2 map THREE
-    and the shear maps SHEAR and SHEAR15 (two sizes of G[2]) of
-    tests/test_cli.py, a singular
-    d = 3 map, a map with a negative eigenvalue, two unimodular maps with
-    entries near 1e8 and 3e6 and an expanding d = 3 map with k = 1."""
+    hyperbolic, defective and Lehmer fixtures, the k = d = 2 maps of
+    FULL_BLOCK_MAPS, a singular d = 3 map, a map with a negative
+    eigenvalue, two unimodular maps with entries near 1e8 and 3e6, an
+    expanding d = 3 map with k = 1 and a map with a frequency beyond 2^53,
+    all of tests/conftest.py, and HUGE_G, the k = d = 2 map THREE and the
+    shear maps SHEAR and SHEAR15 (two sizes of G[2]) of tests/test_cli.py."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
@@ -125,13 +128,9 @@ def fixture_specs():
             "shear": test_cli.SHEAR, "shear15": test_cli.SHEAR15,
             "defective": conftest.FIX_DEFECTIVE,
             "lehmer": conftest.lehmer_spec_text(),
-            "sing3": "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n",
-            "neg": "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n",
-            "big8": "dim=2\nM=[[100000000,100000001],[99999999,100000000]]\n",
-            "big6": "dim=2\nM=[[3000001,3000000],[3000000,2999999]]\n"
-                    "G[1]=1e-9*sin(2*pi*(z1))\n",
-            "d3k1": "dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\nG[1]=0.01*sin(2*pi*(z1-2*z3))\n"
-                    "G[2]=0.02*cos(2*pi*(z2+z3))\n"}
+            "sing3": conftest.FIX_SING3, "neg": conftest.FIX_NEG,
+            "big8": conftest.FIX_BIG8, "big6": conftest.FIX_BIG6,
+            "d3k1": conftest.FIX_D3K1, "bigfreq": conftest.FIX_BIGFREQ}
 
 
 def run_tree(tree, workloads, seeds):
