@@ -7,6 +7,11 @@ dynamics.term_arrays: one row per distinct (kind, frequency), sin rows
 first, so each phase goes through one transcendental however many
 components it feeds, and every component sum is one matrix product.
 
+Each phase k.z is reduced mod 1 before it is scaled by 2 pi: s - rint(s)
+is exact (Sterbenz), and sin(2 pi s) = sin(2 pi (s - rint s)), so every
+sin / cos argument lies in [-pi, pi].  There libm is both faster and more
+accurate: the rounding of sin(2 pi s) no longer grows with |s|.
+
 The phases are laid out frequency-major, one row of n points per unique
 phase, so the sin rows and the cos rows are each one contiguous block,
 and sin and cos read contiguous memory instead of strided column slices
@@ -29,25 +34,34 @@ def wrap(x):
     return x - np.floor(x)
 
 
-def _trig_rows(Z, freqs, nsin, jac=False):
-    """(vals, dvals) at the points of Z (n, d), each (n, U) in C order:
-    vals[:, u] the sin (u < nsin) or cos (u >= nsin) of the phases
-    2 pi freqs[u] . z, and dvals[:, u] their derivatives, cos or -sin
-    (None unless jac).  The phases are computed frequency-major, (U, n):
-    2 pi (freqs @ Z.T) is, bit for bit, the transpose of 2 pi (Z @ freqs.T),
-    and each sin / cos reads one contiguous block of its rows and writes the
-    matching columns of the point-major result."""
+def _phases(Z, freqs):
+    """The reduced phases 2 pi (s - rint s), s = freqs @ Z.T, at the points
+    of Z (n, d): frequency-major, (U, n).  freqs @ Z.T is, bit for bit, the
+    transpose of Z @ freqs.T, and its subtraction of rint is exact."""
     phase = freqs @ Z.T
+    phase -= np.rint(phase)
     phase *= TWO_PI
+    return phase
+
+
+def _trig_values(phase, nsin, deriv=False):
+    """(n, U) in C order from phases (U, n) of _phases: column u the sin
+    (u < nsin) or cos (u >= nsin) of phase[u], or with deriv their
+    derivatives, cos or -sin.  Each sin / cos reads one contiguous block of
+    rows and writes the matching columns of the point-major result."""
     vals = np.empty(phase.shape[::-1])
-    np.sin(phase[:nsin], out=vals.T[:nsin])
-    np.cos(phase[nsin:], out=vals.T[nsin:])
-    if not jac:
-        return vals, None
-    dvals = np.empty_like(vals)
-    np.cos(phase[:nsin], out=dvals.T[:nsin])
-    np.negative(np.sin(phase[nsin:]), out=dvals.T[nsin:])
-    return vals, dvals
+    if deriv:
+        np.cos(phase[:nsin], out=vals.T[:nsin])
+        np.negative(np.sin(phase[nsin:]), out=vals.T[nsin:])
+    else:
+        np.sin(phase[:nsin], out=vals.T[:nsin])
+        np.cos(phase[nsin:], out=vals.T[nsin:])
+    return vals
+
+
+def _dg(phase, nsin, jac, d):
+    """DG (n, d, d) at n points from their phases (U, n) of _phases."""
+    return (_trig_values(phase, nsin, deriv=True) @ jac).reshape(-1, d, d)
 
 
 def eval_trig(Z, freqs, coefs, nsin):
@@ -56,15 +70,14 @@ def eval_trig(Z, freqs, coefs, nsin):
     freqs: (U, d) integer frequency rows, the nsin sin rows first; coefs:
     (U, d), coefs[u, i] the coefficient of row u in component i.
     """
-    return _trig_rows(Z, freqs, nsin)[0] @ coefs
+    return _trig_values(_phases(Z, freqs), nsin) @ coefs
 
 
 def eval_trig_and_jac(Z, freqs, coefs, nsin, jac):
     """G(Z) (n, d) and DG(Z) (n, d, d); jac: (U, d*d), jac[u, r*d + c] =
     2 pi coefs[u, r] freqs[u, c].  G is bitwise what eval_trig returns."""
-    n, d = Z.shape
-    vals, dvals = _trig_rows(Z, freqs, nsin, jac=True)
-    return vals @ coefs, (dvals @ jac).reshape(n, d, d)
+    phase = _phases(Z, freqs)
+    return _trig_values(phase, nsin) @ coefs, _dg(phase, nsin, jac, Z.shape[1])
 
 
 def _solve_small(J, r):
@@ -101,18 +114,20 @@ def _residual(W, Mf, g, Z):
 def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     """Batch solve F(w) = M w + G(w) = z by safeguarded Newton.
 
-    Each iteration evaluates G and DG once (eval_trig_and_jac) at a trial
-    point per z.  From its accepted iterate w a point tries the Newton step
-    w - (M + DG(w))^-1 (M w + G(w) - z); it accepts the trial if the
-    Euclidean residual ||M w + G(w) - z|| drops.  A point whose Newton trial
-    did not lower its residual tries the contraction step M^-1 (z - G(w))
-    next, and accepts that one unconditionally.  The iteration stops once
-    the largest accepted residual is <= tol, or after max_iter iterations.
+    Each iteration evaluates G at a trial point per z.  From its accepted
+    iterate w a point tries the Newton step w - (M + DG(w))^-1
+    (M w + G(w) - z); it accepts the trial if the Euclidean residual
+    ||M w + G(w) - z|| drops.  A point whose Newton trial did not lower its
+    residual tries the contraction step M^-1 (z - G(w)) next, and accepts
+    that one unconditionally.  The iteration stops once the largest accepted
+    residual is <= tol, or after max_iter iterations.
 
     Each round does only the work its points need, with the same iterates:
-    a round in which every point takes Newton builds no contraction
-    candidate, and a round in which every trial is accepted keeps the trial
-    arrays as the new iterate instead of copying them in under a mask.
+    DG at the trials is taken from the phases G was summed from, and only
+    if another round follows to read it; a round in which every point takes
+    Newton builds no contraction candidate; and a round in which every
+    trial is accepted keeps the trial arrays as the new iterate instead of
+    copying them in under a mask.
 
     Mf is the spec's integer M as floats and Minv its float inverse; the
     residuals use Mf itself, never a float re-inversion of Minv.  terms are
@@ -120,8 +135,9 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
 
     Returns (w, residual, G(w mod 1), iterations): the accepted iterates,
     their residuals, G at them (reduced mod 1 first, as the torus orbit
-    uses it) and the number of G/DG evaluations after the first.
+    uses it) and the number of G evaluations after the first.
     """
+    freqs, coefs, nsin, jac = terms
     W = Z @ Minv.T
     g, J = eval_trig_and_jac(wrap(W), *terms)
     J += Mf                 # DF(w) = M + DG(w), bit for bit Mf + DG(w)
@@ -133,21 +149,27 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
         trial = W - _solve_small(J, r)
         if newton is not None:
             trial = np.where(newton[:, None], trial, (Z - g) @ Minv.T)
-        g_t, J_t = eval_trig_and_jac(wrap(trial), *terms)
-        J_t += Mf
+        phase = _phases(wrap(trial), freqs)
+        g_t = _trig_values(phase, nsin) @ coefs
         r_t = _residual(trial, Mf, g_t, Z)
         res_t = _row_norms(r_t)
         iters += 1
         acc = res_t < res
         if newton is not None:
             acc |= ~newton       # a contraction trial is always accepted
-        if acc.all():
-            W, g, J, r, res = trial, g_t, J_t, r_t, res_t
-            newton = None
+        every = acc.all()
+        if every:
+            W, g, r, res = trial, g_t, r_t, res_t
         else:
-            newton = acc         # accepted now: Newton next
             for old, new in ((W, trial), (g, g_t), (r, r_t)):
                 np.copyto(old, new, where=acc[:, None])
-            np.copyto(J, J_t, where=acc[:, None, None])
             np.copyto(res, res_t, where=acc)
+        if res.max(initial=0.0) > tol and iters < max_iter:     # another round reads J
+            J_t = _dg(phase, nsin, jac, len(Mf))
+            J_t += Mf
+            if every:
+                J = J_t
+            else:
+                np.copyto(J, J_t, where=acc[:, None, None])
+        newton = None if every else acc     # accepted now: Newton next
     return W, res, g, iters

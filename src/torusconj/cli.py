@@ -73,7 +73,10 @@ def _read_sublattice(arg: str, d: int):
     holding a JSON list of integer basis vectors."""
     if arg == "full":
         return intlat.identity(d)
-    vecs = json.loads(_read_text(arg))
+    try:
+        vecs = json.loads(_read_text(arg))
+    except ValueError as e:     # malformed JSON, or an int of over 4300 digits
+        raise LatticeError(f"--sublattice file {arg} is not readable JSON: {e}") from None
     # type() is int rejects floats and bools (bool is a subclass of int)
     if not (isinstance(vecs, list) and all(
             isinstance(v, list) and all(type(x) is int for x in v) for v in vecs)):
@@ -393,7 +396,7 @@ def main(argv=None) -> int:
     except _Verdict as v:
         print(str(v), file=sys.stderr)
         return 2
-    except (TorusConjError, OSError, json.JSONDecodeError) as e:
+    except (TorusConjError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0 if report.get("pass", True) else 2

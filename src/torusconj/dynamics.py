@@ -111,10 +111,10 @@ def contraction_rate(spec: TorusMapSpec) -> float:
 
 def _inv_norm(spec: TorusMapSpec) -> float:
     """||M^-1||_2 of the exact inverse adj(M) / det M (intlat.adjugate), so
-    that rho and L_inv are not understated by a rounded inverse.  A float
-    det M under 1e-12 also counts as singular."""
+    that rho and L_inv are not understated by a rounded inverse; M is
+    singular iff its exact det is 0."""
     adj, det = intlat.adjugate(spec.M_list())
-    if not det or abs(np.linalg.det(M_array(spec))) < 1e-12:
+    if not det:
         raise ContractionError("M is singular; no lift inverse")
     return float(np.linalg.norm(np.array(adj, dtype=float) / det, 2))
 
@@ -160,8 +160,14 @@ def lift_inverse(spec: TorusMapSpec) -> LiftInverse:
             f"contraction margin violated (||M^-1||*Lip(G) = {rho:.3g} >= 1); "
             "the lift inverse is not certified")
     Mf = M_array(spec)
+    try:
+        Minv = np.linalg.inv(Mf)
+    except np.linalg.LinAlgError:
+        raise ContractionError(
+            "M has no float64 inverse (LU meets a zero pivot), although det M "
+            "!= 0; the Newton steps of the lift inverse need one") from None
     return LiftInverse(rho=rho, L_inv=_inv_norm(spec) / (1.0 - rho), Mf=Mf,
-                       Minv=np.linalg.inv(Mf), terms=term_arrays(spec))
+                       Minv=Minv, terms=term_arrays(spec))
 
 
 def change_coordinates(spec: TorusMapSpec, S) -> TorusMapSpec:

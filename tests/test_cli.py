@@ -135,6 +135,18 @@ def test_bad_sublattice_files(fix2, tmp_path, capsys):
         assert "list of lists of integers" in err, text
 
 
+def test_unreadable_sublattice_json_exits_1(fix2, tmp_path, capsys):
+    # malformed JSON, and an integer of 5000 digits, beyond Python's limit
+    # on int-string conversion: exit 1 with one error line, no traceback
+    p = tmp_path / "sub.json"
+    for text in ('[[1, 0]', "[[1" + "0" * 4999 + ", 1]]"):
+        p.write_text(text)
+        code, out, err = run(capsys, "analyze", fix2, "--sublattice", str(p))
+        assert (code, out) == (1, ""), text[:8]
+        assert err.startswith(f"error: --sublattice file {p} is not readable JSON: "), text[:8]
+        assert err.count("\n") == 1, text[:8]
+
+
 def test_verify_semiconj(fix2, capsys):
     code, out, _ = run(capsys, "verify-semiconj", fix2, "--grid", "16",
                        "--trunc", "40")
@@ -438,6 +450,19 @@ def test_uncertified_inverse_lift_exits_1(tmp_path, capsys):
                          "--grid", "8")
     assert (code, out) == (1, "")
     assert "not certified" in err
+
+
+def test_float_singular_unimodular_hyperbolic_exits_1(tmp_path, capsys):
+    # big8 (det M = 1 exactly, float det 0) is not refused as singular: exit
+    # 1 with one error line that names the float64 inverse the Newton steps
+    # of its lift inverse lack
+    p = tmp_path / "big8.map"
+    p.write_text(FIX_BIG8)
+    code, out, err = run(capsys, "verify-semiconj", str(p), "--sublattice", "full",
+                         "--grid", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: M has no float64 inverse") and err.count("\n") == 1
+    assert "singular" not in err
 
 
 def test_non_unimodular_hyperbolic_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import re
 import shutil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -88,6 +89,36 @@ def test_a_moved_report_value_is_named(tmp_path, capsys):
     assert all(" verify-semiconj <work>/" in line
                and line.endswith(": stdout (keys grid_res extra) (exit 0 -> 0)")
                for line in differing)
+
+
+def test_a_differing_job_names_its_largest_relative_change(tmp_path, capsys):
+    # a tree whose phi export writes 1.5 eps as the error bound and whose
+    # verify-semiconj report doubles grid_res: the phi jobs move by 0.5 in
+    # the last CSV field (eps to 6 digits), the verify jobs by 1 in the report
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for name, old, new in (("semiconj.py", '"%.6g" % engine.eps', '"%.6g" % (1.5 * engine.eps)'),
+                           ("cli.py", '"grid_res": rr.grid_res,', '"grid_res": 2 * rr.grid_res,')):
+        path = tmp_path / "src" / "torusconj" / name
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
+                                 "--workloads", "sweep-expanding"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[-1].endswith("0 byte-identical, 4 differ")
+    pairs = [(out[i], out[i + 1]) for i, line in enumerate(out) if line.startswith("DIFFERS sweep")]
+    assert len(pairs) == 4
+    for differs, change in pairs:
+        if " phi " in differs:
+            assert re.fullmatch(r"  largest relative change 0\.5 at phi_grid\.csv line \d+ field \d+",
+                                change)
+        else:
+            assert change == "  largest relative change 1 at report grid_res"
+    assert compare_outputs._relative_change(0.0, 0.0) == 0.0
+    assert compare_outputs._relative_change(0.0, 1e-300) == float("inf")
+    assert compare_outputs._relative_change(-2.0, -1.0) == 0.5
 
 
 def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):

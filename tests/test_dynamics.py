@@ -6,6 +6,8 @@ from torusconj import dynamics, intlat
 from torusconj.specdsl import TrigTerm, make_spec
 from torusconj.errors import ContractionError, LatticeError
 
+from conftest import FIX_BIG8
+
 
 def test_eval_G_oracle(spec_1d):
     # closed form: G(z) = 0.125 sin(2 pi z)
@@ -158,6 +160,18 @@ def test_singular_M_is_refused_by_its_exact_det():
     assert abs(np.linalg.det(dynamics.M_array(s))) > 1
     with pytest.raises(ContractionError, match="M is singular"):
         dynamics.lift_inverse(s)
+
+
+def test_float_singular_unimodular_M_is_not_called_singular():
+    # big8: det M = 1 exactly, while the float det reads 0; its exact det
+    # says M is invertible (rho = 0 with no G), and the lift is refused only
+    # because float64 LU cannot invert it for the Newton steps
+    s = parse_spec(FIX_BIG8)
+    assert intlat.adjugate(s.M_list())[1] == 1 and np.linalg.det(dynamics.M_array(s)) == 0
+    assert dynamics.contraction_rate(s) == 0.0
+    with pytest.raises(ContractionError, match="no float64 inverse") as e:
+        dynamics.lift_inverse(s)
+    assert "singular" not in str(e.value)
 
 
 def test_invert_lift_rejects_expansion_violation():

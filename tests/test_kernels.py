@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from torusconj import _kernels, dynamics, parse_spec, semiconj
 
 from conftest import FIX_1D, FIX_CAT, FIX_HYP3
+from test_oracle import DPS
 
 TWO_PI = 2.0 * np.pi
 
 
 def _per_term(spec, Z):
     """G and DG summed one spec term at a time, the layout before unique
-    phases: a reference for the kernels."""
+    phases, each phase reduced mod 1 before the 2 pi: a reference for the
+    kernels."""
     freqs = np.array([t.frequency for t in spec.terms], dtype=float)
-    phase = TWO_PI * (Z @ freqs.T)
+    s = Z @ freqs.T
+    phase = TWO_PI * (s - np.rint(s))
     g = np.zeros(Z.shape)
     dg = np.zeros(Z.shape + (spec.d,))
     for j, t in enumerate(spec.terms):
@@ -112,6 +116,54 @@ def _count_transcendentals(monkeypatch):
     return seen, contiguous
 
 
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u = 2^-53 (Higham 2002, ch. 3)."""
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+
+def test_trig_rounding_does_not_grow_with_the_frequency():
+    # G and DG of eval_trig_and_jac against mpmath, at phases k.z up to 1e3:
+    # z on a 2^-30 grid and integer k make k.z exact in float64, so every
+    # error is the kernel's own.  Reduced mod 1, each sin / cos argument
+    # lies in [-pi, pi], and the error stays under gamma_{U+16} times the
+    # sum of the |coefficients| at every frequency scale; the unreduced
+    # sin(2 pi k.z) rounds its argument by up to |2 pi k.z| u and exceeds
+    # that bound from |k.z| ~ 50 on
+    rng = np.random.default_rng(37)
+    U, nsin, n, d = 6, 3, 200, 2
+    bound = _gamma(U + 16)
+    coefs = rng.standard_normal((U, d)) * 0.05
+    Z = rng.integers(0, 2 ** 30, size=(n, d)) / 2.0 ** 30
+    for K in (1, 30, 500):
+        freqs = rng.integers(-K, K + 1, size=(U, d)).astype(float)
+        freqs[0] = K                            # |k.z| reaches 2K
+        jac = (TWO_PI * coefs[:, :, None] * freqs[:, None, :]).reshape(U, d * d)
+        s = Z @ freqs.T
+        assert np.abs(s).max() > K
+        phase = TWO_PI * s
+        unreduced = (np.concatenate([np.sin(phase[:, :nsin]), np.cos(phase[:, nsin:])], 1),
+                     np.concatenate([np.cos(phase[:, :nsin]), -np.sin(phase[:, nsin:])], 1))
+        g, dg = _kernels.eval_trig_and_jac(Z, freqs, coefs, nsin, jac)
+        with mp.workdps(DPS):
+            ref = np.empty((2, n, U), dtype=object)
+            for i, j in np.ndindex(n, U):
+                x = 2 * mp.pi * mp.mpf(s[i, j])
+                ref[:, i, j] = (mp.sin(x), mp.cos(x)) if j < nsin else (mp.cos(x), -mp.sin(x))
+
+            def error(values, weights, ref):
+                # max over points and columns of |values - ref @ weights|
+                # over the column's sum of |weights|
+                exact = ref.dot(np.vectorize(mp.mpf, otypes=[object])(weights))
+                err = np.vectorize(lambda v, e: float(abs(mp.mpf(v) - e)))(values, exact)
+                return (err / np.abs(weights).sum(axis=0)).max()
+
+            assert error(g, coefs, ref[0]) <= bound
+            assert error(dg.reshape(n, d * d), jac, ref[1]) <= bound
+            if K > 1:
+                assert error(unreduced[0] @ coefs, coefs, ref[0]) > bound
+                assert error(unreduced[1] @ jac, jac, ref[1]) > bound
+
+
 def test_eval_trig_one_transcendental_per_term(spec_2d, rng, monkeypatch):
     # each phase goes through sin or cos, the one its term needs: n*T
     # values in all (spec_2d has one sin and one cos term)
@@ -140,10 +192,12 @@ def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypat
 
 
 def _point_major(Z, freqs, coefs, nsin, jac):
-    """G and DG with the phases laid out point-major, (n, U), sin and cos
-    taken of column slices: the bits the frequency-major kernels keep."""
+    """G and DG with the phases laid out point-major, (n, U), reduced mod 1
+    before the 2 pi, sin and cos taken of column slices: the bits the
+    frequency-major kernels keep."""
     n, d = Z.shape
-    phase = TWO_PI * (Z @ freqs.T)
+    s = Z @ freqs.T
+    phase = TWO_PI * (s - np.rint(s))
     dvals = np.empty_like(phase)
     np.cos(phase[:, :nsin], out=dvals[:, :nsin])
     np.negative(np.sin(phase[:, nsin:]), out=dvals[:, nsin:])
@@ -187,19 +241,26 @@ def test_invert_lift_residual_uses_exact_M(rng):
 
 
 def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
-    # Newton's cost pin: one shared G/DG evaluation before the loop and one
-    # per iteration, no separate G evaluation; tol 0 runs every iteration
+    # Newton's cost pin: G before the loop and once per iteration, and DG
+    # from the same phases only where another iteration reads it; tol 0
+    # runs every iteration, so the last one skips its DG
     ta = dynamics.term_arrays(spec_cat)
     Mf = dynamics.M_array(spec_cat)
     Minv = np.linalg.inv(Mf)
-    calls = []
-    real = _kernels.eval_trig_and_jac
-    monkeypatch.setattr(_kernels, "eval_trig_and_jac",
-                        lambda *a: calls.append(1) or real(*a))
+    calls = []                  # per _trig_values call: True for DG, False for G
+    real = _kernels._trig_values
+    monkeypatch.setattr(_kernels, "_trig_values",
+                        lambda phase, nsin, deriv=False: calls.append(deriv) or real(phase, nsin, deriv))
     monkeypatch.setattr(_kernels, "eval_trig", None)
     Z = rng.uniform(-1, 2, size=(10, 2))
     iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 0.0, 5)[3]
-    assert iters == 5 and len(calls) == 1 + 5
+    assert iters == 5
+    assert calls.count(False) == 1 + 5 and calls.count(True) == 1 + 4
+    # a solve that converges early skips the DG of its last round too
+    calls.clear()
+    res, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 1e-13, 200)[1::2]
+    assert res.max() <= 1e-13 and 1 < iters < 200
+    assert calls.count(False) == 1 + iters and calls.count(True) == iters
 
 
 def test_invert_lift_rejected_newton_takes_contraction_step(spec_cat, rng, monkeypatch):

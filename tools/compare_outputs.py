@@ -14,7 +14,10 @@ checkout. For each job the exit code, stdout, stderr and every
 file written under its ``-o`` directory are hashed, after the work
 directory and the tree's path are replaced by fixed placeholders. The jobs
 whose hashes differ are printed with the parts that differ, and where both
-stdouts are JSON reports, with the top-level keys whose values differ; the
+stdouts are JSON reports, with the top-level keys whose values differ. Each
+such job gets a second line with the largest relative change |new - old| /
+|old| over the numbers the two trees wrote in the same place: every number
+of the JSON report and every numeric field of a CSV file under ``-o``. The
 exit status is 1 if any job differs and 0 if all are byte-identical.
 """
 
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,7 +77,7 @@ FIXTURE_JOBS = (
     ("verify-semiconj", "SPEC:defective", "--sublattice", "full", "--grid", "8"),   # exit 1
     ("phi", "SPEC:cat", "--sublattice", "full", "--grid", "8", "-o", "OUT"),  # hyperbolic CSV
     # the two large-entry unimodular repros of ROADMAP item 1, whose exits it will move
-    ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: float det 0
+    ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: LU finds no float inverse
     ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
     # k = 1 fiber lines with a 2-D y; A2 is first certified at grid 48: exit 2
     ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),
@@ -110,6 +115,53 @@ def _moved_keys(a, b):
     return [key for key in {**a, **b} if key not in a or key not in b or a[key] != b[key]]
 
 
+def _relative_change(a, b) -> float:
+    """|b - a| / |a|: 0 if a == b, inf if a is 0 or either is not finite."""
+    if a == b:
+        return 0.0
+    if not (a and math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def _numbers(value, path=""):
+    """(path, number) of each number in a JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def _csv_numbers(path):
+    """(line field, number) of each numeric field of a CSV file, 1-based."""
+    with open(path, newline="") as fh:
+        for line, row in enumerate(csv.reader(fh), 1):
+            for field, cell in enumerate(row, 1):
+                try:
+                    yield f"line {line} field {field}", float(cell)
+                except ValueError:
+                    pass
+
+
+def _largest_change(a, b):
+    """(change, where) of the largest relative change between the numbers of
+    two records of one job: their JSON reports, and the CSV files both -o
+    directories hold, compared number by number in the same place."""
+    pairs = []
+    if a["report"] is not None and b["report"] is not None:
+        old = dict(_numbers(a["report"]))
+        pairs += [(f"report {key[1:]}", old[key], x) for key, x in _numbers(b["report"]) if key in old]
+    for name in sorted(set(a["files"]) & set(b["files"])):
+        if name.endswith(".csv") and a["files"][name] != b["files"][name]:
+            pairs += [(f"{name} {where}", x, y) for (where, x), (_, y) in zip(
+                _csv_numbers(os.path.join(a["out"], name)), _csv_numbers(os.path.join(b["out"], name)))]
+    return max(((_relative_change(x, y), where) for where, x, y in pairs), default=(0.0, None))
+
+
 def fixture_specs():
     """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
     hyperbolic, defective and Lehmer fixtures, the k = d = 2 maps of
@@ -133,9 +185,10 @@ def fixture_specs():
             "d3k1": conftest.FIX_D3K1, "bigfreq": conftest.FIX_BIGFREQ}
 
 
-def run_tree(tree, workloads, seeds):
-    """Run every job on this interpreter's torusconj (from tree/src):
-    a list of one record per job, the fixture jobs last."""
+def run_tree(tree, workloads, seeds, work):
+    """Run every job on this interpreter's torusconj (from tree/src), with
+    its spec files and -o directories in the new directory work: a list of
+    one record per job, the fixture jobs last."""
     src = os.path.join(os.path.abspath(tree), "src")
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -144,52 +197,55 @@ def run_tree(tree, workloads, seeds):
     if not os.path.abspath(torusconj.cli.__file__).startswith(src + os.sep):
         sys.exit(f"error: torusconj imported from {torusconj.cli.__file__}, not {src}")
     records = []
-    with tempfile.TemporaryDirectory() as work:
-        def normalise(data: bytes) -> bytes:
-            return data.replace(work.encode(), b"<work>").replace(src.encode(), b"<src>")
+    os.mkdir(work)
 
-        def run(name, argv):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = torusconj.cli.main(argv)
-                except SystemExit as e:
-                    code = e.code
-                except Exception:
-                    traceback.print_exc()
-                    code = "traceback"
-            files = _files(argv[argv.index("-o") + 1], normalise) if "-o" in argv else {}
-            stdout = normalise(out.getvalue().encode())
-            records.append({
-                "job": f"{name}: " + normalise(" ".join(argv).encode()).decode(),
-                "exit": str(code),
-                "stdout": _sha(stdout),
-                "report": _report(stdout),
-                "stderr": _sha(normalise(err.getvalue().encode())),
-                "files": files,
-            })
+    def normalise(data: bytes) -> bytes:
+        return data.replace(work.encode(), b"<work>").replace(src.encode(), b"<src>")
 
-        for workload in workloads:
-            for seed in seeds:
-                jobs, _ = specgen.generate(workload, seed, os.path.join(work, f"{workload}-{seed}"))
-                for job in jobs:
-                    run(f"{workload} seed {seed} job {job.job_id}", list(job.argv))
-        fixtures = os.path.join(work, "fixtures")
-        os.mkdir(fixtures)
-        for name, text in fixture_specs().items():
-            with open(os.path.join(fixtures, f"{name}.map"), "w") as fh:
-                fh.write(text)
-        for i, argv in enumerate(FIXTURE_JOBS):
-            run(f"fixture job {i}", [
-                os.path.join(fixtures, f"{a[5:]}.map") if a.startswith("SPEC:")
-                else os.path.join(fixtures, f"out{i:02d}") if a == "OUT" else a
-                for a in argv])
+    def run(name, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = torusconj.cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+            except Exception:
+                traceback.print_exc()
+                code = "traceback"
+        out_dir = argv[argv.index("-o") + 1] if "-o" in argv else None
+        files = _files(out_dir, normalise) if out_dir else {}
+        stdout = normalise(out.getvalue().encode())
+        records.append({
+            "job": f"{name}: " + normalise(" ".join(argv).encode()).decode(),
+            "exit": str(code),
+            "stdout": _sha(stdout),
+            "report": _report(stdout),
+            "stderr": _sha(normalise(err.getvalue().encode())),
+            "files": files,
+            "out": out_dir,
+        })
+
+    for workload in workloads:
+        for seed in seeds:
+            jobs, _ = specgen.generate(workload, seed, os.path.join(work, f"{workload}-{seed}"))
+            for job in jobs:
+                run(f"{workload} seed {seed} job {job.job_id}", list(job.argv))
+    fixtures = os.path.join(work, "fixtures")
+    os.mkdir(fixtures)
+    for name, text in fixture_specs().items():
+        with open(os.path.join(fixtures, f"{name}.map"), "w") as fh:
+            fh.write(text)
+    for i, argv in enumerate(FIXTURE_JOBS):
+        run(f"fixture job {i}", [
+            os.path.join(fixtures, f"{a[5:]}.map") if a.startswith("SPEC:")
+            else os.path.join(fixtures, f"out{i:02d}") if a == "OUT" else a
+            for a in argv])
     return records
 
 
-def _run_in_child(tree, workloads, seeds):
+def _run_in_child(tree, workloads, seeds, work):
     """run_tree in a fresh interpreter with one BLAS thread."""
-    argv = [sys.executable, os.path.abspath(__file__), "--worker", tree,
+    argv = [sys.executable, os.path.abspath(__file__), "--worker", tree, work,
             "--workloads", *workloads, "--seeds", *map(str, seeds)]
     done = subprocess.run(argv, env={**os.environ, **ONE_THREAD}, check=True,
                           stdout=subprocess.PIPE, text=True)
@@ -210,26 +266,31 @@ def main(argv=None):
     p.add_argument("trees", nargs="*", metavar="TREE", help="OLD_TREE NEW_TREE")
     p.add_argument("--seeds", nargs="+", default=["601-608"])
     p.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    p.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
+    p.add_argument("--worker", nargs=2, metavar=("TREE", "WORK"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     seeds = _seeds(args.seeds)
     if args.worker:
-        print(json.dumps(run_tree(args.worker, args.workloads, seeds)))
+        tree, work = args.worker
+        print(json.dumps(run_tree(tree, args.workloads, seeds, work)))
         return 0
     if len(args.trees) != 2:
         p.error("give two source trees: OLD_TREE NEW_TREE")
-    old, new = (_run_in_child(tree, args.workloads, seeds) for tree in args.trees)
     differs = []
-    for a, b in zip(old, new):
-        parts = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
-        if "stdout" in parts and a["report"] is not None and b["report"] is not None:
-            parts[parts.index("stdout")] = f"stdout (keys {' '.join(_moved_keys(a['report'], b['report']))})"
-        parts += [f"file {name}" for name in sorted(set(a["files"]) | set(b["files"]))
-                  if a["files"].get(name) != b["files"].get(name)]
-        differs.append(bool(parts))
-        if parts:
-            print(f"DIFFERS {a['job']}: {', '.join(parts)} "
-                  f"(exit {a['exit']} -> {b['exit']})")
+    with tempfile.TemporaryDirectory() as work:
+        old, new = (_run_in_child(tree, args.workloads, seeds, os.path.join(work, side))
+                    for tree, side in zip(args.trees, ("old", "new")))
+        for a, b in zip(old, new):
+            parts = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
+            if "stdout" in parts and a["report"] is not None and b["report"] is not None:
+                parts[parts.index("stdout")] = f"stdout (keys {' '.join(_moved_keys(a['report'], b['report']))})"
+            parts += [f"file {name}" for name in sorted(set(a["files"]) | set(b["files"]))
+                      if a["files"].get(name) != b["files"].get(name)]
+            differs.append(bool(parts))
+            if parts:
+                print(f"DIFFERS {a['job']}: {', '.join(parts)} "
+                      f"(exit {a['exit']} -> {b['exit']})")
+                change, where = _largest_change(a, b)
+                print(f"  largest relative change {change:.3g}" + (f" at {where}" if change else ""))
     # the fixture jobs come last; the workload summary is the last line
     n = len(old) - len(FIXTURE_JOBS)
     for what, flags in ((f"{len(FIXTURE_JOBS)} fixture jobs", differs[n:]),
