@@ -29,9 +29,12 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap(x):
-    """x mod 1: bit for bit np.mod(x, 1.0) for finite x, and several times
-    cheaper."""
-    return x - np.floor(x)
+    """x mod 1 in [0, 1) for an array x: bit for bit np.mod(x, 1.0) for
+    finite x, except that a result that rounds up to 1.0 (x a tiny
+    negative) is +0.0, and several times cheaper."""
+    y = x - np.floor(x)
+    y[y >= 1.0] = 0.0
+    return y
 
 
 def _phases(Z, freqs):
@@ -139,7 +142,8 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     """
     freqs, coefs, nsin, jac = terms
     W = Z @ Minv.T
-    g, J = eval_trig_and_jac(wrap(W), *terms)
+    # G at w - floor(w): wrap's fold of 1.0 to 0.0 would only cost time here
+    g, J = eval_trig_and_jac(W - np.floor(W), *terms)
     J += Mf                 # DF(w) = M + DG(w), bit for bit Mf + DG(w)
     r = _residual(W, Mf, g, Z)
     res = _row_norms(r)
@@ -149,7 +153,7 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
         trial = W - _solve_small(J, r)
         if newton is not None:
             trial = np.where(newton[:, None], trial, (Z - g) @ Minv.T)
-        phase = _phases(wrap(trial), freqs)
+        phase = _phases(trial - np.floor(trial), freqs)
         g_t = _trig_values(phase, nsin) @ coefs
         r_t = _residual(trial, Mf, g_t, Z)
         res_t = _row_norms(r_t)

@@ -7,8 +7,9 @@ certified route per k.  For k = 1, |Phi_hat((t, y)) - t| is under the
 displacement bound, so each target is bracketed from it and solved to a
 direct |Phi_hat - x| <= tol (see _bisect_batch); that the root is unique on
 its fiber line is the cone condition A2, which the conjugacy command
-certifies.  For k = d, see _orbit_batch; 1 < k < d is refused.  Fiber
-batches and the skew grid are swept CHUNK points at a time, as every grid is.
+certifies.  For k = d, see _orbit_batch; 1 < k < d is refused.  The skew
+grid is swept CHUNK points at a time, as every grid is; H_inverse solves
+the batch it is given in one piece.
 """
 
 from __future__ import annotations
@@ -152,24 +153,17 @@ def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
     """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
     by y0's leading axes and d: the one fiber solve.  Each point y of y0
     (..., d-k) and its k values of x0 (lift coordinates) get the t with
-    Phi_hat((t, y)) = x0, CHUNK points at a time (see semiconj._map_chunks):
-    by _bisect_batch for k = 1 and by _orbit_batch for k = d.  The work done
-    is added to stats, if given."""
+    Phi_hat((t, y)) = x0, in one solve of the whole batch on the calling
+    thread, so memory grows with the batch: by _bisect_batch for k = 1 and
+    by _orbit_batch for k = d.  The work done is added to stats, if given."""
     _require_expanding(engine)
-    k, c = engine.k, semiconj.CHUNK
+    k = engine.k
     Y = dynamics._batch(y0, engine.d - k)
     X = np.asarray(x0, dtype=float).reshape(len(Y), k)
-    T = np.empty_like(X)
-
-    def solve(lo):
-        s, Xc = FiberStats(), X[lo:lo + c]
-        T[lo:lo + c] = (_bisect_batch(engine, Xc[:, 0], Y[lo:lo + c], tol, s)[:, None]
-                        if k == 1 else _orbit_batch(engine, Xc, tol, s))
-        return s
-
-    total = stats or FiberStats()
-    for s in semiconj._map_chunks(solve, range(0, len(X), c)):    # on the calling thread
-        total.add(s.fiber_iters, s.phi_points)
+    T = X                                       # an empty batch solves to itself
+    if len(X):
+        T = (_bisect_batch(engine, X[:, 0], Y, tol, stats)[:, None]
+             if k == 1 else _orbit_batch(engine, X, tol, stats))
     return _kernels.wrap(np.hstack([T, Y])).reshape(np.shape(y0)[:-1] + (engine.d,))
 
 

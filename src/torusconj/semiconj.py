@@ -28,14 +28,15 @@ the decoupled form (zero top-right block) is required: only then does the
 orthogonal projection onto the first k coordinates intertwine M with A,
 which is what the series construction rests on.
 
-Grids and batches are swept CHUNK points at a time, so memory does not grow
-with the grid either.  Chunks are independent: when there is more than one,
-_map_chunks runs them on a pool of one thread per CPU in the process's
-affinity mask (numpy releases the GIL inside sin, cos, floor and matmul),
-opened for that one call and joined before it returns, and hands their
-results back in chunk order, so every result is the one a serial sweep
-gives, bit for bit.  One chunk, or one CPU, runs on the calling thread and
-starts no thread.
+Grids are swept CHUNK points at a time, so memory does not grow with the
+grid either; the four grid sweeps are the one place that chunks, and
+phi_hat and conjmap.H_inverse sweep the batch they are given in one piece.
+Chunks are independent: when there is more than one, _map_chunks runs them
+on a pool of one thread per CPU in the process's affinity mask (numpy
+releases the GIL inside sin, cos, floor and matmul), opened for that one
+call and joined before it returns, and hands their results back in chunk
+order, so every result is the one a serial sweep gives, bit for bit.  One
+chunk, or one CPU, runs on the calling thread and starts no thread.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -70,15 +70,14 @@ def _map_chunks(fn, chunks):
     WORKERS threads opened for this call and joined when it ends, however
     it ends (numpy releases the GIL in the sweeps), with at most 2 WORKERS
     chunks read ahead of the results taken, so memory stays bounded
-    whatever the number of chunks.  A single chunk, WORKERS == 1, or a call
-    from a pool thread (a chunk that maps chunks) runs inline on the calling
-    thread.  An exception in chunk j is raised at j's turn, as in the serial
-    order; the chunks still pending are then cancelled.
+    whatever the number of chunks.  A single chunk or WORKERS == 1 runs
+    inline on the calling thread.  An exception in chunk j is raised at j's
+    turn, as in the serial order; the chunks still pending are then
+    cancelled.
     """
     chunks = iter(chunks)
     head = list(itertools.islice(chunks, 2))
-    if (len(head) < 2 or WORKERS == 1
-            or threading.current_thread().name.startswith(POOL_PREFIX)):
+    if len(head) < 2 or WORKERS == 1:
         for c in itertools.chain(head, chunks):
             yield fn(c)
         return
@@ -112,7 +111,7 @@ class SemiConjEngine:
     eps: float                  # certified truncation (+ inversion) bound
     norm_A: float               # ||A||_2
     ceiling: float              # (||A||_2 + 1) eps: the semi-conjugacy residual's ceiling
-    rho: float                  # contraction rate used in the tail
+    rho: float                  # contraction rate of D_u^-1: the auto-N search needs <= 0.9
     c_a: float                  # sum_{n>=1} ||A^{-n}|| bound (unstable part)
     norms: dynamics.NormBounds
     A: np.ndarray               # (k, k) float
@@ -122,24 +121,27 @@ class SemiConjEngine:
     lift: dynamics.LiftInverse | None   # the inverse lift (None if expanding)
 
 
-def _geometric_rate(inv_norms: np.ndarray, N: int) -> float:
-    """rho = ||B|| if < 1, else the smallest-p root ||B^p||^(1/p) < 1."""
-    if inv_norms[1] < 1.0:
-        return float(inv_norms[1])
-    for p in range(2, N + 1):
-        r = inv_norms[p] ** (1.0 / p)
-        if r < 1.0:
-            return float(r)
+def _tail(norms: np.ndarray, start: int, N: int) -> tuple[float, float]:
+    """(sum_{j >= start} ||B^j||, rho) from the norms of B^n, n = 0..start+p-1,
+    with p <= N the least power with ||B^p|| < 1 and rho = ||B^p||^(1/p):
+    each j >= start is start + r + q p with r < p, so the sum is at most
+    sum_{r < p} ||B^(start+r)|| / (1 - ||B^p||)."""
+    for p in range(1, N + 1):
+        if norms[p] < 1.0:
+            return (float(norms[start:start + p].sum() / (1.0 - norms[p])),
+                    float(norms[p] ** (1.0 / p)))
     raise EngineError(
         "no power p <= N certifies a contraction rate < 1; "
         "the block is too close to non-expanding (raise N)")
 
 
-def _power_norms(B: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(powers, operator 2-norms) of B^n for n = 0..N."""
+def _power_norms(B: np.ndarray, N: int, head=None) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, operator 2-norms) of B^n for n = 0..N; head, the result of
+    an earlier call for the same B, supplies the powers it holds."""
     out = np.empty((N + 1,) + B.shape)
-    out[0] = np.eye(len(B))
-    for n in range(1, N + 1):
+    m = 1 if head is None else min(len(head[0]), N + 1)
+    out[:m] = np.eye(len(B)) if head is None else head[0][:m]
+    for n in range(m, N + 1):
         out[n] = out[n - 1] @ B
     return out, np.linalg.norm(out, 2, axis=(1, 2))
 
@@ -173,10 +175,10 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
                  N: int | None = None) -> SemiConjEngine:
     """Precompute block powers and the certified tail bound.
 
-    The tail closes the computed norms ||D_u^{-n}||, n <= N, with the
-    geometric estimate ||D_u^{-N}|| * rho / (1 - rho), plus the stable-side
-    term and, when the stable block is not empty (ku < k), a backward-orbit
-    inversion budget.  With N=None the smallest N meeting eps_target is chosen
+    The tail sum_{n > N} ||D_u^{-n}|| is closed by _tail from the computed
+    norms up to n = 2N, as is the stable-side sum_{m >= N} ||D_s^m||; when
+    the stable block is not empty (ku < k), a backward-orbit inversion
+    budget is added.  With N=None the smallest N meeting eps_target is chosen
     (requires rho <= 0.9); a given N is at most MAX_DEFAULT_N, as a chosen
     one is.  spec must be in the block's coordinates (spec.M is
     block.M_conj).  Hyperbolic mode requires |det M| = 1.
@@ -209,26 +211,25 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
     nP = np.linalg.norm(P, 2)
     nLu, nLs = np.linalg.norm(Lu, 2), np.linalg.norm(Ls, 2)
 
-    def bound(Ncur: int):
+    def bound(Ncur: int, up=None, sp=None):
         """(eps_series, rho_u, c_a, up, sp) at truncation Ncur, with up and
-        sp the (powers, norms) of D_u^-n and D_s^n for n = 0..Ncur."""
-        up, sp = _power_norms(Du_inv, Ncur), _power_norms(Ds, Ncur)
+        sp the (powers, norms) of D_u^-n and D_s^n for n = 0..2 Ncur,
+        continuing the up and sp of a smaller Ncur, if given."""
+        up, sp = _power_norms(Du_inv, 2 * Ncur, up), _power_norms(Ds, 2 * Ncur, sp)
         unorms, snorms = up[1], sp[1]
-        rho_u = _geometric_rate(unorms, Ncur)
-        rho_s = _geometric_rate(snorms, Ncur)
-        tail_u = unorms[Ncur] * rho_u / (1.0 - rho_u)
-        tail_s = snorms[Ncur] / (1.0 - rho_s)       # sum_{m >= N} ||D_s^m||
+        tail_u, rho_u = _tail(unorms, Ncur + 1, Ncur)     # sum_{n > N} ||D_u^-n||
+        tail_s = _tail(snorms, Ncur, Ncur)[0]             # sum_{m >= N} ||D_s^m||
         eps_series = nb.g_sup * nP * (nLu * tail_u + nLs * tail_s)
-        c_a = float(unorms[1:].sum() + tail_u)
+        c_a = float(unorms[1:Ncur + 1].sum() + tail_u)
         return eps_series, rho_u, c_a, up, sp
 
     if N is not None:
         eps_series, rho, c_a, up, sp = bound(N)
     else:
-        N = 1
+        N, up, sp = 1, None, None
         while True:
             try:
-                eps_series, rho, c_a, up, sp = bound(N)
+                eps_series, rho, c_a, up, sp = bound(N, up, sp)
             except EngineError:
                 rho = None
             if rho is not None:
@@ -240,7 +241,7 @@ def build_engine(spec: TorusMapSpec, block: BlockForm,
             if N >= MAX_DEFAULT_N:
                 raise EngineError("no default N meets the error target; pass N")
             N = min(2 * N, MAX_DEFAULT_N)
-    coef_u = P[:, :ku] @ up[0][1:] @ Lu
+    coef_u = P[:, :ku] @ up[0][1:N + 1] @ Lu
     coef_s = np.empty((0, k, k))    # an expanding block has no stable terms
     lift = None
     inv_tol = 0.0
@@ -288,7 +289,7 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
     ta = dynamics.term_arrays(engine.spec)
     Mf = dynamics.M_array(engine.spec)
     for j in range(nsteps):
-        if j:       # wrap(z @ Mf.T + g), bit for bit, on one new array
+        if j:       # wrap(z @ Mf.T + g) on one new array, without the fold of 1.0
             z = z @ Mf.T
             z += g
             z -= np.floor(z)
@@ -332,16 +333,11 @@ def _phi_series(engine: SemiConjEngine, Z: np.ndarray, image: bool = False):
 
 
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:
-    """Lift of the semi-conjugacy at z (point (d,) or batch (..., d)),
-    swept CHUNK points at a time."""
+    """Lift of the semi-conjugacy at z (point (d,) or batch (..., d)), in
+    one sweep of the whole batch on the calling thread, so memory grows
+    with the batch."""
     Zb = dynamics._batch(z, engine.d)
-    val = np.empty((Zb.shape[0], engine.k))
-
-    def sweep(lo):
-        Zc = Zb[lo:lo + CHUNK]
-        np.add(_phi_series(engine, Zc)[0][0], Zc[:, :engine.k], out=val[lo:lo + CHUNK])
-
-    deque(_map_chunks(sweep, range(0, Zb.shape[0], CHUNK)), maxlen=0)
+    val = _phi_series(engine, Zb)[0][0] + Zb[:, :engine.k]
     return PhiValue(value=val.reshape(np.shape(z)[:-1] + (engine.k,)), error_bound=engine.eps)
 
 

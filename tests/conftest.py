@@ -47,6 +47,11 @@ FULL_BLOCK_MAPS = {"diag23": "dim=2\nM=[[2,0],[0,3]]\n" + _G_KD,
 FIX_D3K1 = ("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\nG[1]=0.01*sin(2*pi*(z1-2*z3))\n"
             "G[2]=0.02*cos(2*pi*(z2+z3))\n")
 
+# A = [[0,-4],[1,0]], A^2 = -4 I: eigenvalues +-2i and ||A^-1||_2 = 1, so
+# the norms ||A^-n|| are no geometric sequence and the series tail closes
+# only at the second power
+FIX_ROT = "dim=2\nM=[[0,-4],[1,0]]\nG[2]=0.02*cos(2*pi*(z2))\n"
+
 # a singular d = 3 map and a map with a negative eigenvalue
 FIX_SING3 = "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n"
 FIX_NEG = "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n"
@@ -120,6 +125,12 @@ def spec_cat():
 def engine_cat(spec_cat):
     bf = block_triangularize(spec_cat.M_list(), intlat.identity(2))
     return build_engine(spec_cat, bf, N=12)
+
+
+@pytest.fixture(scope="session")
+def engine_rot():
+    spec = parse_spec(FIX_ROT)
+    return build_engine(spec, block_triangularize(spec.M_list(), intlat.identity(2)), N=32)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,10 @@ import threading
 import numpy as np
 import pytest
 
-from torusconj import cones, dynamics, semiconj
+from torusconj import cli, cones, dynamics, semiconj
 from torusconj.errors import EngineError
+
+from conftest import FIX_2D, FULL_BLOCK_MAPS
 
 
 @pytest.fixture
@@ -44,27 +46,31 @@ def _chunk_threads():
 
 
 def _results(engines, tmp_path):
-    theta = np.random.default_rng(5).uniform(-1, 2, size=(1234, 2))
     out = []
     for eng, grid in zip(engines, (3000, 40, 40)):
         r = semiconj.semiconjugacy_residual(eng, grid)
         out.append((r.max_residual, r.argmax_point.tolist(), r.inverse_lift_iters,
                     r.backward_sweeps))
-    for eng in engines[1:]:
-        out.append(semiconj.phi_hat(eng, theta).value.tobytes())
     for eng, grid in zip(engines[:2], (3000, 40)):
         semiconj.export_phi_grid(eng, grid, tmp_path / "phi.csv")
         out.append((tmp_path / "phi.csv").read_bytes())
     return out
 
 
+def _phi_hats(engines):
+    theta = np.random.default_rng(5).uniform(-1, 2, size=(1234, 2))
+    return [semiconj.phi_hat(eng, theta).value.tobytes() for eng in engines[1:]]
+
+
 def test_pooled_equals_serial(engine_1d, engine_2d, engine_cat, workers, orbit_threads,
                               tmp_path):
-    # pool threads write disjoint slices of one output array; more threads
-    # than CPUs and frequent thread switches would show a lost write
+    # the grid sweeps merge their chunks' results on the calling thread;
+    # more threads than CPUs and frequent thread switches would show a
+    # result lost or out of order.  phi_hat sweeps its batch on the calling
+    # thread, whatever WORKERS is
     engines = (engine_1d, engine_2d, engine_cat)
     workers(1)
-    serial = _results(engines, tmp_path)
+    serial, phis = _results(engines, tmp_path), _phi_hats(engines)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
@@ -73,6 +79,7 @@ def test_pooled_equals_serial(engine_1d, engine_2d, engine_cat, workers, orbit_t
             orbit_threads.clear()
             assert _results(engines, tmp_path) == serial
             assert all(name.startswith(semiconj.POOL_PREFIX) for name in orbit_threads)
+            assert _phi_hats(engines) == phis
     finally:
         sys.setswitchinterval(interval)
 
@@ -139,7 +146,6 @@ def test_one_cpu_or_one_chunk_starts_no_thread(engine_2d, workers, orbit_threads
 def test_no_pool_thread_outlives_a_pooled_sweep(engine_2d, workers, orbit_threads, tmp_path):
     workers(2)
     for sweep in (lambda: semiconj.semiconjugacy_residual(engine_2d, 40),
-                  lambda: semiconj.phi_hat(engine_2d, semiconj._grid(2, 40)),
                   lambda: semiconj.export_phi_grid(engine_2d, 40, tmp_path / "phi.csv")):
         orbit_threads.clear()
         sweep()
@@ -156,17 +162,34 @@ def test_no_pool_thread_outlives_a_closed_chunk_map(workers):
     assert _chunk_threads() == []
 
 
-def test_chunk_map_inside_a_chunk_runs_inline(workers):
-    # a nested map on its chunk's thread: no pool per pool thread, and no
-    # submit that waits on the outer map's window
+@pytest.mark.parametrize("argv", [
+    ("verify-semiconj", "fix2.map", "--grid", "8"),
+    ("phi", "fix2.map", "--grid", "8", "-o", "out"),
+    ("verify-cones", "fix2.map", "--grid", "8"),
+    ("conjugacy", "fix2.map", "--grid", "8"),                           # k = 1
+    ("conjugacy", "conf.map", "--sublattice", "full", "--grid", "8"),   # k = d
+], ids=["verify-semiconj", "phi-o", "verify-cones", "conjugacy-k1", "conjugacy-kd"])
+def test_no_chunk_map_runs_on_a_pool_thread(argv, workers, orbit_threads, tmp_path,
+                                            monkeypatch, capsys):
+    # the grid sweeps are the one place that chunks: their chunks, on the
+    # pool, hand whole batches to phi_hat and H_inverse, which map nothing
+    (tmp_path / "fix2.map").write_text(FIX_2D)
+    (tmp_path / "conf.map").write_text(FULL_BLOCK_MAPS["conf"])
+    monkeypatch.chdir(tmp_path)
     workers(2)
+    monkeypatch.setattr(semiconj, "CHUNK", 16)
+    entered, real = [], semiconj._map_chunks
 
-    def outer(i):
-        inner = semiconj._map_chunks(lambda j: threading.current_thread(), range(5))
-        return threading.current_thread(), set(inner)
+    def map_chunks(fn, chunks):
+        entered.append(threading.current_thread().name)
+        return real(fn, chunks)
 
-    for thread, inner in semiconj._map_chunks(outer, range(6)):
-        assert thread.name.startswith(semiconj.POOL_PREFIX) and inner == {thread}
+    monkeypatch.setattr(semiconj, "_map_chunks", map_chunks)
+    assert cli.main(list(argv)) in (0, 2)
+    capsys.readouterr()
+    assert entered and not [name for name in entered if name.startswith(semiconj.POOL_PREFIX)]
+    if argv[0] != "verify-cones":       # the cone check sweeps no orbit
+        assert any(name.startswith(semiconj.POOL_PREFIX) for name in orbit_threads)
 
 
 def test_forked_child_sweeps_on_its_own_pool(engine_2d, workers):

@@ -224,22 +224,22 @@ def engine_kd():
 
 
 @pytest.mark.parametrize("name", sorted(FULL_BLOCK_MAPS))
-def test_full_block_H_inverse_meets_tol(name, monkeypatch):
-    # k = d: each of 2000 random targets is solved within tol, in one chunk
-    # and in chunks of 300 that split the batch
+def test_full_block_H_inverse_meets_tol(name):
+    # k = d: each of 2000 random targets is solved within tol, in one batch
+    # and in batches of 300 that split it
     eng = full_block_engine(FULL_BLOCK_MAPS[name])
     assert eng.k == eng.d == 2
-    X = np.random.default_rng(7).uniform(0, 1, size=(2000, 2))
-    for chunk in (semiconj.CHUNK, 300):
-        monkeypatch.setattr(semiconj, "CHUNK", chunk)
-        z = conjmap.H_inverse(eng, X, np.zeros((2000, 0)), tol=1e-10)
+    X, Y = np.random.default_rng(7).uniform(0, 1, size=(2000, 2)), np.zeros((2000, 0))
+    for size in (2000, 300):
+        z = np.concatenate([conjmap.H_inverse(eng, X[lo:lo + size], Y[lo:lo + size], tol=1e-10)
+                            for lo in range(0, 2000, size)])
         assert z.shape == (2000, 2)
         assert dynamics.torus_distance(semiconj.phi_torus(eng, z).value, X).max() <= 1e-10
 
 
 def test_full_block_route_counters(engine_kd, monkeypatch):
     # the k = d route takes N backward steps per point and evaluates
-    # Phi_hat once per point, whatever the chunking
+    # Phi_hat once per point, in one batch whatever CHUNK is
     monkeypatch.setattr(semiconj, "CHUNK", 7)
     X = np.random.default_rng(8).uniform(0, 1, size=(20, 2))
     stats = conjmap.FiberStats()
@@ -369,11 +369,14 @@ def test_chunking_does_not_change_the_skew_sweep(workers, engine_2d, engine_d3k1
 
 @pytest.mark.xfail(strict=True, reason="the inverse lift iterates every point of its batch "
                    "until the slowest converges, so a k = d root depends on its chunk")
-def test_full_block_root_is_the_same_in_any_chunk(engine_kd, monkeypatch):
+def test_full_block_root_is_the_same_in_any_chunk(engine_kd):
+    # the grid split by hand into batches of 7, 7 and 2 points, as the skew
+    # sweep's chunks would split it
     grid, Y = semiconj._grid(2, 4), np.zeros((16, 0))
     z = conjmap.H_inverse(engine_kd, grid, Y)
-    monkeypatch.setattr(semiconj, "CHUNK", 7)
-    assert np.array_equal(conjmap.H_inverse(engine_kd, grid, Y), z)
+    parts = [conjmap.H_inverse(engine_kd, grid[lo:hi], Y[lo:hi])
+             for lo, hi in ((0, 7), (7, 14), (14, 16))]
+    assert np.array_equal(np.concatenate(parts), z)
 
 
 def test_public_names_resolve():

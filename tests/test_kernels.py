@@ -283,12 +283,18 @@ def test_invert_lift_rejected_newton_takes_contraction_step(spec_cat, rng, monke
 
 
 def test_wrap_is_mod_one():
-    # x - floor(x) is np.mod(x, 1.0) bit for bit, signed zeros and values
-    # that round up to 1.0 included
+    # wrap is np.mod(x, 1.0) bit for bit, signed zeros included, except that
+    # a value that rounds up to 1.0 is +0.0: every output lies in [0, 1)
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.uniform(-40, 40, 5000), rng.standard_normal(500) * 1e-17,
                         [-0.0, 0.0, -1.0, 3.0, -5e-324, 1e300, -1e300, -(2.0 ** 52) - 0.5]])
-    assert np.array_equal(_kernels.wrap(x).view(np.int64), np.mod(x, 1.0).view(np.int64))
+    expected = np.mod(x, 1.0)
+    assert (expected == 1.0).sum() > 200
+    expected[expected == 1.0] = 0.0
+    got = _kernels.wrap(x)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.all((0.0 <= got) & (got < 1.0))
+    assert _kernels.wrap(np.array([-1e-17])).tolist() == [0.0]
 
 
 def _solve_small_ref(J, r):

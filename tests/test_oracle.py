@@ -147,7 +147,7 @@ def _certify_d3_engine(tmp_path):
     return build_engine(dynamics.change_coordinates(spec, block.S_list()), block)
 
 
-@pytest.mark.parametrize("name", ["engine_1d", "engine_2d", "engine_cat", "d3"])
+@pytest.mark.parametrize("name", ["engine_1d", "engine_2d", "engine_cat", "engine_rot", "d3"])
 def test_phi_hat_is_within_eps_of_the_oracle(name, request, tmp_path):
     engine = _certify_d3_engine(tmp_path) if name == "d3" else request.getfixturevalue(name)
     points = np.random.default_rng(7).uniform(0, 1, size=(3, engine.d))

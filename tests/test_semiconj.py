@@ -15,12 +15,17 @@ from conftest import FIX_CAT, FIX_DET2
 
 
 def test_power_norms_batched_is_per_matrix_norm():
-    # one batched 2-norm call, bit for bit the per-power norms
+    # one batched 2-norm call, bit for bit the per-power norms; continuing
+    # the powers of a shorter call gives the same bits
     rng = np.random.default_rng(3)
     for m in range(120):
         k = 1 + m % 3
-        pows, norms = semiconj._power_norms(rng.uniform(-1.5, 1.5, size=(k, k)), 6)
+        B = rng.uniform(-1.5, 1.5, size=(k, k))
+        pows, norms = semiconj._power_norms(B, 6)
         assert np.array_equal(norms, [np.linalg.norm(p, 2) for p in pows])
+        for head in (semiconj._power_norms(B, 2), semiconj._power_norms(B, 9)):
+            more = semiconj._power_norms(B, 6, head)
+            assert np.array_equal(more[0], pows) and np.array_equal(more[1], norms)
     assert np.array_equal(semiconj._power_norms(np.zeros((0, 0)), 3)[1], np.zeros(4))
 
 
@@ -284,8 +289,8 @@ def test_expanding_is_empty_stable_split(engine_2d, engine_cat):
 
 def test_expanding_phi_hat_is_batch_independent(engine_2d):
     # with no backward sweep a point's Phi_hat is the same, bit for bit,
-    # alone, in a slice that straddles a chunk boundary and in one batch of
-    # three chunks
+    # alone, in a slice of the batch and in one batch of more than two
+    # CHUNK points
     z = np.random.default_rng(23).uniform(-2.0, 3.0, size=(9000, 2))
     whole = semiconj.phi_hat(engine_2d, z).value
     alone = np.array([semiconj.phi_hat(engine_2d, p).value for p in z[::30]])

@@ -79,6 +79,8 @@ FIXTURE_JOBS = (
     # the two large-entry unimodular repros of ROADMAP item 1, whose exits it will move
     ("verify-semiconj", "SPEC:big8", "--sublattice", "full", "--grid", "4"),  # exit 1: LU finds no float inverse
     ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
+    # ||A^-1|| = 1: the series tail closes at the second power of A^-1
+    ("verify-semiconj", "SPEC:rot", "--sublattice", "full", "--grid", "32"),
     # k = 1 fiber lines with a 2-D y; A2 is first certified at grid 48: exit 2
     ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),
     ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks: PASS
@@ -167,8 +169,8 @@ def fixture_specs():
     hyperbolic, defective and Lehmer fixtures, the k = d = 2 maps of
     FULL_BLOCK_MAPS, a singular d = 3 map, a map with a negative
     eigenvalue, two unimodular maps with entries near 1e8 and 3e6, an
-    expanding d = 3 map with k = 1 and a map with a frequency beyond 2^53,
-    all of tests/conftest.py, and HUGE_G, the k = d = 2 map THREE and the
+    expanding d = 3 map with k = 1, a map with a frequency beyond 2^53 and
+    a map with ||A^-1|| = 1, all of tests/conftest.py, and HUGE_G, the k = d = 2 map THREE and the
     shear maps SHEAR and SHEAR15 (two sizes of G[2]) of tests/test_cli.py."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
@@ -182,7 +184,7 @@ def fixture_specs():
             "lehmer": conftest.lehmer_spec_text(),
             "sing3": conftest.FIX_SING3, "neg": conftest.FIX_NEG,
             "big8": conftest.FIX_BIG8, "big6": conftest.FIX_BIG6,
-            "d3k1": conftest.FIX_D3K1, "bigfreq": conftest.FIX_BIGFREQ}
+            "d3k1": conftest.FIX_D3K1, "bigfreq": conftest.FIX_BIGFREQ, "rot": conftest.FIX_ROT}
 
 
 def run_tree(tree, workloads, seeds, work):
