@@ -1,11 +1,24 @@
 """Invariant / expanding / dominated cone certification on grids.
 
 Cones are the constant coordinate cones C_alpha = {(a, b): ||b|| <= alpha
-||a||} with a the first k components (checked in block coordinates).  The
-per-point minima are certified by an S-procedure on the symmetric pencil
-Q - lambda*J: for any lambda >= 0, h(lambda) = lambda_min(Q - lambda*J)
-lower-bounds the constrained minimum, and max over lambda of h is tight for
-a single homogeneous quadratic constraint (Polik & Terlaky, "A survey of the
+||a||} with a the first k components (checked in block coordinates).  Each
+cell needs two minima over the unit vectors v of C_alpha, of the expansion
+form ||(Lv)_a||^2 and of the invariance form alpha^2 ||(Lv)_a||^2 -
+||(Lv)_b||^2.
+
+For k = 1 the expansion minimum has a closed form on every d, and on d = 2
+so has the invariance minimum (the least value of a 2x2 quadratic form on
+an arc of the circle).  Both are rounded outward: the returned value is the
+float result minus an a-priori bound on its rounding in the standard model
+of floating-point arithmetic, |fl(x op y) - x op y| <= u |x op y|, whose n
+operations accumulate to gamma_n = n u / (1 - n u) (Higham, "Accuracy and
+Stability of Numerical Algorithms", 2nd ed., 2002, ch. 3).
+
+Every other minimum (k >= 2, and the invariance minimum at d >= 3) is
+certified by an S-procedure on the symmetric pencil Q - lambda*J: for any
+lambda >= 0, h(lambda) = lambda_min(Q - lambda*J) lower-bounds the
+constrained minimum, and max over lambda of h is tight for a single
+homogeneous quadratic constraint (Polik & Terlaky, "A survey of the
 S-lemma", SIAM Review 49, 2007).  h is concave; lambda is located by a
 safeguarded Newton iteration on h' with one batched eigh per round, and the
 certified value is the largest h actually evaluated.
@@ -28,6 +41,16 @@ MAX_ROUNDS = 200    # cap on eigh rounds; a capped cell still returns an evaluat
 LAM_HI = 1e6        # the pencil's lambda runs over [0, LAM_HI * max(||L||^2, 1)]
 # the largest ||L|| max(alpha, 1) whose pencils stay 64x inside float64
 MAX_SCALE = math.sqrt(np.finfo(float).max / 64.0 / (LAM_HI + 1.0))
+U = np.finfo(float).eps / 2     # unit roundoff of float64
+# an absolute term for underflow, which the standard model leaves out: each
+# closed form makes fewer than 64 operations, each off by at most half the
+# least subnormal when its result underflows, and none amplified
+TINY = 2.0 ** -1069
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the relative rounding of n operations."""
+    return n * U / (1.0 - n * U)
 
 
 @dataclass(frozen=True)
@@ -156,16 +179,90 @@ def _range_gate(nL_max: float, alpha_max: float, pad: float = 0.0) -> None:
                               f"<= {scale:.3g} (at most {MAX_SCALE:.3g}), padding {pad:.3g}")
 
 
+def _q_exp_k1(Ls: np.ndarray, alpha: float) -> np.ndarray:
+    """min over unit v with ||v_b|| <= alpha |v_1| of (l.v)^2, l the first
+    row of each L (l_1 its first entry, l_b the rest), rounded outward.
+
+    Writing v = (cos t, sin t u) with ||u|| = 1 and tan|t| <= alpha, |l.v| is
+    least at t = atan(alpha) with u along -sign(l_1) l_b, so the minimum is
+    max(|l_1| - alpha ||l_b||, 0)^2 / (1 + alpha^2): 0 once the cone reaches
+    the orthogonal complement of l.
+
+    Rounding: ||l_b|| takes m - 1 hypot calls of at most one ulp (2u) each
+    for the m = d - 1 entries of l_b, so p = alpha ||l_b|| is off by
+    gamma_(2m-1) p and t = |l_1| - p by u |t| more.  A unit more on each
+    term covers evaluating the bound and subtracting it.  When l_b = 0, t =
+    |l_1| is exact and nothing is subtracted.  The quotient t^2 / (1 +
+    alpha^2) is then off by at most 4u, so scaling it by the float 1 - 6u
+    leaves it below the exact minimum."""
+    m = Ls.shape[1] - 1
+    l1 = np.abs(Ls[:, 0, 0])
+    lb = np.hypot.reduce(np.abs(Ls[:, 0, 1:]), axis=1)
+    p = alpha * lb
+    t = l1 - p
+    t = t - np.where(lb > 0, _gamma(3) * np.abs(t) + _gamma(2 * m) * p + TINY, 0.0)
+    q = np.maximum(t, 0.0) ** 2 / (1.0 + alpha * alpha)
+    return np.maximum(q * (1.0 - 6.0 * U) - TINY, 0.0)
+
+
+def _q_inv_arc(Ls: np.ndarray, alpha: float) -> np.ndarray:
+    """min over unit v with |v_2| <= alpha |v_1| of v^T Q v, Q = L^T J L with
+    J = diag(alpha^2, -1), for a batch of 2x2 L, rounded outward.
+
+    With Q = [[a, b], [b, c]], p = (a - c) / 2 and h = hypot(p, b), the form
+    on v = (cos t, sin t) is (a + c) / 2 + h cos(2t - phi): its one minimum
+    per half-turn is lambda_min = (a + c) / 2 - h, at the eigenvector with
+    tan^2 t = (h + p) / (h - p).  That eigenvector lies in the arc |tan t|
+    <= alpha iff h + p <= alpha |b| (the test read when p >= 0) or, the
+    same, |b| <= alpha (h - p) (read when p < 0, free of cancellation).
+    Outside the arc the minimum is the lesser end, v = (1, -+alpha) /
+    sqrt(1 + alpha^2), of value (a + alpha^2 c - 2 alpha |b|) / (1 +
+    alpha^2).  lambda_min lower-bounds the form on any arc, so only a
+    certain outside is taken: a test whose sides are within gamma_16 of
+    each other reads as inside.
+
+    Rounding, with S = alpha^2 ||l||^2 + ||m||^2 for the rows l, m of L:
+    each entry of Q is off by gamma_4 of the same entry of alpha^2 |l||l|^T
+    + |m||m|^T, a matrix of 2-norm at most S, and a perturbation of Q moves
+    the minimum over the arc by at most its 2-norm.  Given the float Q, and
+    hypot taken as accurate to one ulp (2u), lambda_min is off by at most
+    4u ||Q||_2 = 4u (|a + c| / 2 + h), and the end by 7u of its value with
+    |a|, |b| and |c| in place of a, -b and c.  Subtracting the bound rounds
+    by u of the value, and the unit of S beyond gamma_4 covers evaluating
+    the bound and every second-order term."""
+    l, m = Ls[:, 0, :], Ls[:, 1, :]
+    x = alpha * l
+    a = x[:, 0] * x[:, 0] - m[:, 0] * m[:, 0]
+    b = x[:, 0] * x[:, 1] - m[:, 0] * m[:, 1]
+    c = x[:, 1] * x[:, 1] - m[:, 1] * m[:, 1]
+    p = 0.5 * (a - c)
+    h = np.hypot(p, b)
+    s = 0.5 * (a + c)
+    den = 1.0 + alpha * alpha
+    end = (a + (alpha * alpha) * c - (2.0 * alpha) * np.abs(b)) / den
+    lhs = np.where(p >= 0, h + p, np.abs(b))
+    rhs = alpha * np.where(p >= 0, np.abs(b), h - p)
+    outside = lhs > rhs * (1.0 + _gamma(16)) + TINY
+    S = (x * x).sum(axis=1) + (m * m).sum(axis=1)
+    end_abs = (np.abs(a) + (alpha * alpha) * np.abs(c) + (2.0 * alpha) * np.abs(b)) / den
+    err = _gamma(5) * S + np.where(outside, _gamma(8) * end_abs, _gamma(5) * (np.abs(s) + h))
+    return np.where(outside, end, s - h) - (err + TINY)
+
+
 def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
     """Certified (q_exp, q_inv, rounds, gap) for a batch of matrices (n, d, d)
     whose spectral norms are at most nL_max (checked by _range_gate), which
     sets every pencil's lambda range:
 
     q_exp = min over unit v in C_alpha of ||(Lv)_a||^2,
-    q_inv = min over unit v in C_alpha of alpha^2 ||(Lv)_a||^2 - ||(Lv)_b||^2;
+    q_inv = min over unit v in C_alpha of alpha^2 ||(Lv)_a||^2 - ||(Lv)_b||^2.
 
-    rounds is the number of eigh rounds of the pencil solve and gap its
-    largest tangent-cut gap (both 0 when no pencil is solved).
+    For k = 1, q_exp is the closed form of _q_exp_k1 on every d, and on d = 2
+    q_inv is that of _q_inv_arc; both are rounded outward.  The other minima
+    (k >= 2, and q_inv at d >= 3) are solved as pencils in one batch.
+    rounds is the number of eigh rounds of that solve and gap its largest
+    tangent-cut gap; both are 0 when no pencil is solved, as for every
+    (k, d) = (1, 2) and k = d batch.
     """
     n, d, _ = Ls.shape
     Pm = np.zeros((d, d))
@@ -176,9 +273,18 @@ def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
         return np.linalg.eigvalsh(Q)[..., 0], np.full(n, np.inf), 0, 0.0
     Jm = np.diag([alpha ** 2] * k + [-1.0] * (d - k))
     Lt = Ls.transpose(0, 2, 1)
+    pencils = []
+    if k == 1:
+        q_exp = _q_exp_k1(Ls, alpha)
+    else:
+        pencils.append(Lt @ Pm @ Ls)
+    if d == 2:      # k = 1 < d
+        return q_exp, _q_inv_arc(Ls, alpha), 0, 0.0
+    pencils.append(Lt @ Jm @ Ls)
     lam_hi = LAM_HI * max(nL_max ** 2, 1.0)
-    sol = _pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi)
-    return sol.value[:n], sol.value[n:], sol.rounds, float(sol.gap.max())
+    sol = _pencil_max_lambda_min(np.concatenate(pencils), Jm, lam_hi)
+    q_exp, q_inv = (q_exp, sol.value) if k == 1 else np.split(sol.value, 2)
+    return q_exp, q_inv, sol.rounds, float(sol.gap.max())
 
 
 def _margins(q_exp, q_inv, nL, alpha):
@@ -242,8 +348,8 @@ class ConeCertificate:
     worst_cell: tuple             # centre of the first cell of least padded margin
     a2_pass: bool
     a4_pass: bool                 # A2 and a positive domination margin
-    pencil_rounds: int            # eigh rounds of the pencil solve
-    pencil_gap: float             # largest tangent-cut gap of the pencil solve
+    pencil_rounds: int            # eigh rounds of the pencil solve, 0 if none
+    pencil_gap: float             # largest tangent-cut gap of the pencil solve, 0 if none
 
 
 def verify_A2(spec: TorusMapSpec, params, grid_res: int):
@@ -260,8 +366,8 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     call from ||M||_2 + Lip(G), which bounds ||DF(z)||_2 at every point.
     The cells are swept in one chunk map, CHUNK cells (semiconj.CHUNK) at a
     time, so memory does not grow with the grid: each chunk builds its
-    Jacobians once, takes their largest padded off-core stretch and solves
-    the pencils of every alpha.  The results are merged per alpha in grid
+    Jacobians once, takes their largest padded off-core stretch and finds
+    the cone minima of every alpha.  The results are merged per alpha in grid
     order, so the certificates are those of one batch over all cells."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
@@ -278,7 +384,7 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     _range_gate(nL_max, max(p.alpha for p in plist), pad)
 
     # the padded off-core stretch (0 + pad if k = d) and every alpha's
-    # pencils, chunk by chunk
+    # cone minima, chunk by chunk
     def margins(centers):
         Ls = dynamics.jacobian(spec, centers)
         nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from torusconj import parse_spec
-from torusconj import cones, dynamics, semiconj
+from torusconj import block_triangularize, parse_spec
+from torusconj import cones, dynamics, intlat, semiconj
 from torusconj.errors import FloatRangeError
+
+from conftest import FIX_D3K1
+from test_oracle import DPS
 
 
 def test_pointwise_oracle_diag21():
@@ -145,11 +149,154 @@ ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def test_pencil_rounds_fixture(spec_2d_S):
-    # all six default alphas at grid 32 take at most 100 eigh rounds in
-    # total (the ternary search made 401 eigvalsh calls per pencil)
+    # k = 1 on d = 2: both minima are closed forms, so no opening solves a
+    # pencil; on the d = 3 fixture q_inv is still a pencil, and all six
+    # alphas at grid 16 take at most 100 eigh rounds in total (the ternary
+    # search made 401 eigvalsh calls per pencil)
     certs = cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 32)
+    assert [(c.pencil_rounds, c.pencil_gap) for c in certs] == [(0, 0.0)] * len(ALPHAS)
+    s = parse_spec(FIX_D3K1)
+    block = block_triangularize(s.M_list(), [intlat.derive_invariant_line(s.M_list(), 2)])
+    spec_S = dynamics.change_coordinates(s, block.S_list())
+    certs = cones.verify_A2(spec_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 16)
     rounds = [c.pencil_rounds for c in certs]
     assert all(r >= 2 for r in rounds) and sum(rounds) <= 100, rounds
+    assert all(0.0 <= c.pencil_gap <= 1e-12 for c in certs)
+
+
+def _turned(L0, alpha, angle):
+    """L0 R for the rotation R that puts the lambda_min eigenvector of
+    L^T diag(alpha^2, -1) L at the given angle from e_1; the cone's arc is
+    |angle| <= atan(alpha)."""
+    _, V = np.linalg.eigh(L0.T @ np.diag([alpha ** 2, -1.0]) @ L0)
+    psi = math.atan2(V[1, 0], V[0, 0]) - angle
+    return L0 @ np.array([[math.cos(psi), -math.sin(psi)], [math.sin(psi), math.cos(psi)]])
+
+
+def _closed_form_cases(rng, n_random):
+    """(L, alpha) pairs for the k = 1 closed forms: n_random seeded random L
+    per d in (2, 3) and opening, of norms 0.1 to 10, then edge cases at
+    every opening (the six are powers of 2, so alpha l is exact)."""
+    cases = [(rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-1.0, 1.0), alpha)
+             for d in (2, 3) for alpha in ALPHAS for _ in range(n_random)]
+    L0 = np.array([[1.3, 0.4], [0.2, 0.9]])
+    for alpha in ALPHAS:
+        theta = math.atan(alpha)
+        cases += [
+            (np.array([[-1.5, 0.2], [0.3, 1.0]]), alpha),               # l_1 < 0
+            (np.array([[-1.5, 0.2, -0.1], [0.3, 1.0, 0.2], [0.0, 0.1, 0.8]]), alpha),
+            (np.array([[0.0, 0.7], [1.0, 0.4]]), alpha),                # l_1 = 0
+            (np.array([[0.0, 0.7, 0.1], [1.0, 0.4, 0.0], [0.2, 0.0, 1.0]]), alpha),
+            # the cone reaches l's orthogonal complement (q_exp = 0), and
+            # |l_1| = alpha ||l_b|| within a float either way
+            (np.array([[0.5, 2.0 / alpha], [0.3, 1.0]]), alpha),
+            (np.array([[0.5, 1.5 / alpha, -1.5 / alpha], [0.3, 1.0, 0.0], [0.0, 0.2, 1.0]]), alpha),
+            (np.array([[1.0, 1.0 / alpha * (1 + 1e-12)], [0.3, 1.0]]), alpha),
+            (np.array([[1.0, 1.0 / alpha * (1 - 1e-12)], [0.3, 1.0]]), alpha),
+            (np.array([[1.0, 0.6 / alpha, 0.8 / alpha], [0.3, 1.0, 0.0], [0.0, 0.2, 1.0]]), alpha),
+            # lambda_min's eigenvector inside the arc, on either end, outside
+            (_turned(L0, alpha, 0.5 * theta), alpha),
+            (_turned(L0, alpha, theta), alpha),
+            (_turned(L0, alpha, -theta), alpha),
+            (_turned(L0, alpha, 0.5 * (theta + 0.5 * math.pi)), alpha),
+            # Q = 0, the one multiple of I a k = 1 form on d = 2 can be: hypot = 0
+            (np.array([[1.5, -0.5], [1.5 * alpha, -0.5 * alpha]]), alpha),
+            (np.array([[1.0, 2.0], [0.5, 1.0]]), alpha),                 # singular
+            (np.zeros((2, 2)), alpha),
+            (np.diag([3.0, 3.0]), alpha),                                # the kink
+        ]
+    return cases
+
+
+def _pencil_minima(Ls, alpha):
+    """(q_exp, q_inv) of the pencil solver for a batch of k = 1 matrices."""
+    n, d, _ = Ls.shape
+    Jm = np.diag([alpha ** 2] + [-1.0] * (d - 1))
+    Pm = np.diag([1.0] + [0.0] * (d - 1))
+    Lt = Ls.transpose(0, 2, 1)
+    lam_hi = 1e6 * max(float(np.linalg.norm(Ls, 2, axis=(1, 2)).max()) ** 2, 1.0)
+    value = cones._pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi).value
+    return value[:n], value[n:]
+
+
+def test_closed_form_minima_match_the_pencil():
+    # the closed forms of k = 1 (q_exp on d = 2 and 3, q_inv on d = 2) never
+    # sit more than 8 ulps of the scale max(alpha, 1)^2 ||L||_F^2 (plus the
+    # underflow term TINY) below the pencil's certified minimum, rounding
+    # outward included, and never above dense ray sampling, an upper bound
+    eps = np.finfo(float).eps
+    cases = _closed_form_cases(np.random.default_rng(33), 200)
+    for d in (2, 3):
+        for alpha in ALPHAS:
+            Ls = np.stack([L for L, a in cases if len(L) == d and a == alpha])
+            q_exp, q_inv, rounds, gap = cones._cone_minima(
+                Ls, float(np.linalg.norm(Ls, 2, axis=(1, 2)).max()), 1, alpha)
+            assert d == 3 or (rounds, gap) == (0, 0.0)
+            p_exp, p_inv = _pencil_minima(Ls, alpha)
+            tol = 8 * eps * max(alpha, 1.0) ** 2 * (Ls ** 2).sum(axis=(1, 2)) + cones.TINY
+            closed = [(q_exp, p_exp)] + ([(q_inv, p_inv)] if d == 2 else [])
+            for got, ref in closed:
+                assert np.all(got >= ref - tol), (d, alpha, np.argmin(got - ref + tol))
+            for i, L in enumerate(Ls):
+                s_exp, s_inv = cones.ray_sampling_estimates(L, 1, alpha, n_rays=2000)
+                assert q_exp[i] <= s_exp + 1e-9, (L, alpha)
+                assert d > 2 or q_inv[i] <= s_inv + 1e-9, (L, alpha)
+
+
+def _exact_minima(L, alpha):
+    """(q_exp, q_inv) at DPS digits for the float matrix L (q_inv for d = 2
+    only): q_exp from its closed form, q_inv as the least of the arc's two
+    ends and, if its eigenvector lies in the arc, lambda_min of mp.eigsy."""
+    al = mp.mpf(alpha)
+    l = [mp.mpf(float(v)) for v in L[0]]
+    q_exp = max(abs(l[0]) - al * mp.sqrt(sum(v * v for v in l[1:])), 0) ** 2 / (1 + al * al)
+    if len(L) > 2:
+        return q_exp, None
+    Lm = mp.matrix([[mp.mpf(float(v)) for v in row] for row in L])
+    Q = Lm.T * mp.diag([al * al, -1]) * Lm
+    E, V = mp.eigsy(Q)
+    candidates = [(Q[0, 0] + sign * 2 * al * Q[0, 1] + al * al * Q[1, 1]) / (1 + al * al)
+                  for sign in (1, -1)]
+    if abs(V[1, 0]) <= al * abs(V[0, 0]):
+        candidates.append(E[0])
+    return q_exp, min(candidates)
+
+
+def test_closed_forms_round_outward():
+    # the outward-rounded closed forms never exceed the exact minima of the
+    # float matrices they are given, summed at DPS digits, on 2000 random L
+    # and near-degenerate ones: the clamp boundary |l_1| = alpha ||l_b||,
+    # eigenvectors on an arc end, near-singular L and Q near 0
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(34)
+    cases = [(rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-1.0, 1.0), float(rng.choice(ALPHAS)))
+             for d in (2, 3) for _ in range(800)]
+    for alpha in (*ALPHAS, 0.3, 3.7):
+        for _ in range(25):
+            L0 = rng.normal(size=(2, 2))
+            tiny = float(rng.normal()) * 1e-15
+            near = L0.copy()
+            near[0, 1] = np.copysign(abs(near[0, 0]) / alpha * (1 + tiny), near[0, 1])
+            cases += [(near, alpha),
+                      (_turned(L0, alpha, math.atan(alpha) * (1 + tiny)), alpha),
+                      (np.stack([L0[0], alpha * L0[0] * (1 + tiny)]), alpha),
+                      (np.stack([L0[0], L0[0] * (2 + tiny)]), alpha)]
+    with mp.workdps(DPS):
+        for d in (2, 3):
+            for alpha in sorted({a for _, a in cases}):
+                batch = [L for L, a in cases if len(L) == d and a == alpha]
+                if not batch:
+                    continue
+                Ls = np.stack(batch)
+                q_exp, q_inv, _, _ = cones._cone_minima(
+                    Ls, float(np.linalg.norm(Ls, 2, axis=(1, 2)).max()), 1, alpha)
+                scale = max(alpha, 1.0) ** 2 * (Ls ** 2).sum(axis=(1, 2))
+                for i, L in enumerate(Ls):
+                    e_exp, e_inv = _exact_minima(L, alpha)
+                    pairs = [(q_exp[i], e_exp)] + ([(q_inv[i], e_inv)] if d == 2 else [])
+                    for got, exact in pairs:
+                        assert mp.mpf(float(got)) <= exact, (L, alpha, got, exact)
+                        assert got >= exact - 16 * eps * scale[i], (L, alpha, got, exact)
 
 
 def test_verify_A2_many_equals_single(spec_2d_S):

@@ -81,6 +81,11 @@ FIXTURE_JOBS = (
     ("verify-semiconj", "SPEC:big6", "--sublattice", "full", "--grid", "4"),  # exit 1: tol floor
     # ||A^-1|| = 1: the series tail closes at the second power of A^-1
     ("verify-semiconj", "SPEC:rot", "--sublattice", "full", "--grid", "32"),
+    # the k = 1 cone minima: both in closed form on d = 2 (exit 2: the factor
+    # clamps to 0.0 at alpha = 4 and 8, and every invariance margin is
+    # negative), closed-form q_exp with pencil q_inv on d = 3 (exit 2)
+    ("verify-cones", "SPEC:shear", "--grid", "32"),
+    ("verify-cones", "SPEC:d3k1", "--grid", "16"),
     # k = 1 fiber lines with a 2-D y; A2 is first certified at grid 48: exit 2
     ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),
     ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks: PASS
