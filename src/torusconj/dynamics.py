@@ -11,8 +11,9 @@ import numpy as np
 
 from . import _kernels, intlat
 from .errors import ContractionError, LatticeError
-from ._kernels import TWO_PI
 from .specdsl import TorusMapSpec, TrigTerm, float_exact, make_spec
+
+TWO_PI = 2.0 * np.pi
 
 
 class TermArrays(NamedTuple):
@@ -73,7 +74,7 @@ def eval_torus(spec: TorusMapSpec, theta):
 def jacobian(spec: TorusMapSpec, z):
     """DF(z) = M + DG(z); batch-aware, returns (..., d, d)."""
     ta = term_arrays(spec)
-    dg = _kernels.eval_trig_and_jac(_batch(z, spec.d), *ta)[1]
+    dg = _kernels.eval_jac(_batch(z, spec.d), ta.freqs, ta.nsin, ta.jac)
     return (M_array(spec)[None, :, :] + dg).reshape(np.shape(z)[:-1] + (spec.d, spec.d))
 
 

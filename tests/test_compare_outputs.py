@@ -121,6 +121,26 @@ def test_a_differing_job_names_its_largest_relative_change(tmp_path, capsys):
     assert compare_outputs._relative_change(-2.0, -1.0) == 0.5
 
 
+def test_a_differing_job_names_the_change_of_each_field(tmp_path):
+    # the report's alphas entries make one field, list indices dropped, a
+    # CSV column is its file and header name, the fields come largest
+    # first, and a number that did not move names no field
+    records = []
+    for side, phi, margins, rounds in (("old", 0.25, (1.0, 2.0), 4),
+                                       ("new", 0.375, (1.0 + 2.0 ** -40, 2.0 + 2.0 ** -37), 0)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "phi_grid.csv").write_text(
+            f"theta_1,phi_1,err\r\n0,{phi},1e-9\r\n0.5,0.5,1e-9\r\n")
+        records.append({"report": {"alphas": [{"alpha": a, "invariance_margin": m}
+                                              for a, m in zip((0.5, 1.0), margins)],
+                                   "pencil_rounds": rounds, "a2_pass": True},
+                        "files": {"phi_grid.csv": side}, "out": str(tmp_path / side)})
+    assert compare_outputs._change_lines(*records) == [
+        "  largest relative change 1 at report pencil_rounds",
+        "  by field: pencil_rounds 1, phi_grid.csv phi_1 0.5, alphas.invariance_margin 3.64e-12"]
+    assert compare_outputs._change_lines(records[0], records[0]) == ["  largest relative change 0"]
+
+
 def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):
     # a tree whose k = d fiber solve counts one more backward step: the
     # conjugacy job of certify-conjugacy (k = 1) is identical, and the five

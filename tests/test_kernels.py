@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -101,18 +103,22 @@ def test_trig_matches_per_term_loop(spec_2d, spec_2d_S, spec_cat, rng):
 
 
 def _count_transcendentals(monkeypatch):
-    """Patch np.sin and np.cos to record each operand's size in seen and
-    whether it is C-contiguous in contiguous."""
+    """Patch np.tan to record each operand's size in seen and whether it is
+    C-contiguous in contiguous, and np.sin and np.cos to fail the test."""
     seen, contiguous = [], []
-    for name in ("sin", "cos"):
-        real = getattr(np, name)
+    real = np.tan
 
-        def traced(x, *a, real=real, **kw):
-            seen.append(x.size)
-            contiguous.append(x.flags.c_contiguous)
-            return real(x, *a, **kw)
+    def traced(x, *a, **kw):
+        seen.append(x.size)
+        contiguous.append(x.flags.c_contiguous)
+        return real(x, *a, **kw)
 
-        monkeypatch.setattr(np, name, traced)
+    def refused(x, *a, **kw):
+        pytest.fail("the kernels take sin and cos from the tangent, not from libm")
+
+    monkeypatch.setattr(np, "tan", traced)
+    monkeypatch.setattr(np, "sin", refused)
+    monkeypatch.setattr(np, "cos", refused)
     return seen, contiguous
 
 
@@ -164,18 +170,52 @@ def test_trig_rounding_does_not_grow_with_the_frequency():
                 assert error(unreduced[1] @ jac, jac, ref[1]) > bound
 
 
+def test_tangent_route_at_its_edges():
+    # phases at the quarter turns k/4, k = -2..2, and 1 and 2 ulps either
+    # side; at r = s - rint(s) = +-1/2 exactly, where t is about +-1.6e16;
+    # and the same offsets past +-2^40.  Every sin and cos of G and of DG
+    # is finite, at most 1 in size and within 4 u of mpmath, with no
+    # floating-point warning
+    base = [k / 4 for k in range(-2, 3)] + [1.5, -2.5]
+    base += [x + c for x in base for c in (2.0 ** 40, -2.0 ** 40)]
+    s = []
+    for x in base:
+        for way in (np.inf, -np.inf):
+            y = x
+            for _ in range(3):
+                s.append(y)
+                y = np.nextafter(y, way)
+    s = np.unique(s)
+    r = s - np.rint(s)
+    assert {-0.5, 0.5} <= set(r.tolist()) and np.abs(s).max() > 2.0 ** 40
+    freqs = np.ones((2, 1))                     # row 0 sin, row 1 cos
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = _kernels._phases(s[:, None], freqs)
+        vals = _kernels._trig_values(t, 1)
+        dvals = _kernels._trig_values(t, 1, deriv=True)
+    assert np.abs(t).max() > 1e16
+    with mp.workdps(DPS):
+        ref = [(mp.sin(2 * mp.pi * mp.mpf(v)), mp.cos(2 * mp.pi * mp.mpf(v))) for v in s]
+        for got in (vals, dvals[:, ::-1] * [-1.0, 1.0]):     # (sin, cos) of each phase
+            assert np.isfinite(got).all() and np.abs(got).max() <= 1.0
+            err = max(abs(mp.mpf(value) - exact)
+                      for row, want in zip(got, ref) for value, exact in zip(row, want))
+            assert err <= 4 * 2.0 ** -53
+
+
 def test_eval_trig_one_transcendental_per_term(spec_2d, rng, monkeypatch):
-    # each phase goes through sin or cos, the one its term needs: n*T
-    # values in all (spec_2d has one sin and one cos term)
+    # each phase goes through one tangent, sin and cos terms alike: n*T
+    # values in one call (spec_2d has one sin and one cos term)
     ta = dynamics.term_arrays(spec_2d)
     seen, contiguous = _count_transcendentals(monkeypatch)
     Z = rng.uniform(-1, 2, size=(40, 2))
     _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
-    assert sum(seen) == 40 * len(spec_2d.terms) == 40 * len(ta.coefs) and len(seen) == 2
-    # the phases are frequency-major: sin and cos read contiguous rows,
-    # never strided column slices, also when DG needs both of each phase
+    assert seen == [40 * len(spec_2d.terms)] == [40 * len(ta.coefs)]
+    # the phases are frequency-major: tan reads one contiguous block, never
+    # strided column slices, and G and DG share its tangents
     _kernels.eval_trig_and_jac(Z, *ta)
-    assert len(contiguous) == 2 + 4 and all(contiguous)
+    assert len(contiguous) == 1 + 1 and all(contiguous)
 
 
 def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypatch):
@@ -186,24 +226,25 @@ def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypat
     seen, contiguous = _count_transcendentals(monkeypatch)
     Z = rng.uniform(-1, 2, size=(40, 2))
     g = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
-    assert seen == [40, 40] and all(contiguous)
+    assert seen == [80] and all(contiguous)
     monkeypatch.undo()
     assert np.abs(g - _per_term(spec_2d_S, Z)[0]).max() <= 1e-17
 
 
 def _point_major(Z, freqs, coefs, nsin, jac):
-    """G and DG with the phases laid out point-major, (n, U), reduced mod 1
-    before the 2 pi, sin and cos taken of column slices: the bits the
-    frequency-major kernels keep."""
+    """G and DG with the tangents laid out point-major, (n, U), each phase
+    reduced mod 1 before the pi, and the half-angle formulas taken on
+    column slices: the bits the frequency-major kernels keep."""
     n, d = Z.shape
     s = Z @ freqs.T
-    phase = TWO_PI * (s - np.rint(s))
-    dvals = np.empty_like(phase)
-    np.cos(phase[:, :nsin], out=dvals[:, :nsin])
-    np.negative(np.sin(phase[:, nsin:]), out=dvals[:, nsin:])
-    np.sin(phase[:, :nsin], out=phase[:, :nsin])
-    np.cos(phase[:, nsin:], out=phase[:, nsin:])
-    return phase @ coefs, (dvals @ jac).reshape(n, d, d)
+    t = np.tan(np.pi * (s - np.rint(s)))
+    q = 1.0 + t * t
+    vals, dvals = np.empty_like(t), np.empty_like(t)
+    for out, sin, cos, two in ((vals, slice(nsin), slice(nsin, None), 2.0),
+                               (dvals, slice(nsin, None), slice(nsin), -2.0)):
+        out[:, sin] = two * (t[:, sin] / q[:, sin])
+        out[:, cos] = (1.0 - t[:, cos] * t[:, cos]) / q[:, cos]
+    return vals @ coefs, (dvals @ jac).reshape(n, d, d)
 
 
 def test_frequency_major_is_point_major_bitwise():
@@ -221,6 +262,7 @@ def test_frequency_major_is_point_major_bitwise():
                     g_ref, dg_ref = _point_major(Z, freqs, coefs, nsin, jac)
                     g, dg = _kernels.eval_trig_and_jac(Z, freqs, coefs, nsin, jac)
                     assert np.array_equal(_kernels.eval_trig(Z, freqs, coefs, nsin), g_ref)
+                    assert np.array_equal(_kernels.eval_jac(Z, freqs, nsin, jac), dg_ref)
                     assert np.array_equal(g, g_ref) and np.array_equal(dg, dg_ref)
 
 
@@ -242,8 +284,8 @@ def test_invert_lift_residual_uses_exact_M(rng):
 
 def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
     # Newton's cost pin: G before the loop and once per iteration, and DG
-    # from the same phases only where another iteration reads it; tol 0
-    # runs every iteration, so the last one skips its DG
+    # from the same tangents only where another iteration reads it; tol 0
+    # runs every iteration, so the last one skips its DG.  One tan a round
     ta = dynamics.term_arrays(spec_cat)
     Mf = dynamics.M_array(spec_cat)
     Minv = np.linalg.inv(Mf)
@@ -252,15 +294,19 @@ def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
     monkeypatch.setattr(_kernels, "_trig_values",
                         lambda phase, nsin, deriv=False: calls.append(deriv) or real(phase, nsin, deriv))
     monkeypatch.setattr(_kernels, "eval_trig", None)
+    seen, _ = _count_transcendentals(monkeypatch)
     Z = rng.uniform(-1, 2, size=(10, 2))
     iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 0.0, 5)[3]
     assert iters == 5
     assert calls.count(False) == 1 + 5 and calls.count(True) == 1 + 4
+    assert seen == [10 * len(ta.coefs)] * (1 + 5)
     # a solve that converges early skips the DG of its last round too
     calls.clear()
+    seen.clear()
     res, iters = _kernels.invert_lift_numpy(Z, Mf, Minv, ta, 1e-13, 200)[1::2]
     assert res.max() <= 1e-13 and 1 < iters < 200
     assert calls.count(False) == 1 + iters and calls.count(True) == iters
+    assert len(seen) == 1 + iters
 
 
 def test_invert_lift_rejected_newton_takes_contraction_step(spec_cat, rng, monkeypatch):

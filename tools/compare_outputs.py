@@ -17,8 +17,12 @@ whose hashes differ are printed with the parts that differ, and where both
 stdouts are JSON reports, with the top-level keys whose values differ. Each
 such job gets a second line with the largest relative change |new - old| /
 |old| over the numbers the two trees wrote in the same place: every number
-of the JSON report and every numeric field of a CSV file under ``-o``. The
-exit status is 1 if any job differs and 0 if all are byte-identical.
+of the JSON report and every numeric field of a CSV file under ``-o``. A
+third line gives the largest relative change of each field that moved,
+largest first. A field of the report is the path of its numbers with the
+list indices dropped (``alphas.invariance_margin``), one of a CSV file is
+the file and a column's header name (``phi_grid.csv phi_1``). The exit
+status is 1 if any job differs and 0 if all are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -144,29 +149,55 @@ def _numbers(value, path=""):
 
 
 def _csv_numbers(path):
-    """(line field, number) of each numeric field of a CSV file, 1-based."""
+    """(line field, header name, number) of each numeric field of a CSV
+    file below its header line, 1-based."""
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), 1):
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        for line, row in enumerate(rows, 2):
             for field, cell in enumerate(row, 1):
                 try:
-                    yield f"line {line} field {field}", float(cell)
+                    number = float(cell)
                 except ValueError:
-                    pass
+                    continue
+                name = header[field - 1] if field <= len(header) else f"field {field}"
+                yield f"line {line} field {field}", name, number
 
 
 def _largest_change(a, b):
-    """(change, where) of the largest relative change between the numbers of
-    two records of one job: their JSON reports, and the CSV files both -o
-    directories hold, compared number by number in the same place."""
+    """(change, where, fields) of two records of one job, comparing their
+    JSON reports and the CSV files both -o directories hold number by
+    number in the same place: the largest relative change and where it is,
+    and (change, field) of the largest change of each field that moved,
+    largest first."""
     pairs = []
     if a["report"] is not None and b["report"] is not None:
         old = dict(_numbers(a["report"]))
-        pairs += [(f"report {key[1:]}", old[key], x) for key, x in _numbers(b["report"]) if key in old]
+        pairs += [(f"report {key[1:]}", re.sub(r"\[\d+\]", "", key[1:]), old[key], x)
+                  for key, x in _numbers(b["report"]) if key in old]
     for name in sorted(set(a["files"]) & set(b["files"])):
         if name.endswith(".csv") and a["files"][name] != b["files"][name]:
-            pairs += [(f"{name} {where}", x, y) for (where, x), (_, y) in zip(
-                _csv_numbers(os.path.join(a["out"], name)), _csv_numbers(os.path.join(b["out"], name)))]
-    return max(((_relative_change(x, y), where) for where, x, y in pairs), default=(0.0, None))
+            pairs += [(f"{name} {where}", f"{name} {field}", x, y)
+                      for (where, field, x), (_, _, y) in zip(
+                          _csv_numbers(os.path.join(a["out"], name)),
+                          _csv_numbers(os.path.join(b["out"], name)))]
+    changes = [(_relative_change(x, y), where, field) for where, field, x, y in pairs]
+    by_field = {}
+    for change, _, field in changes:
+        by_field[field] = max(change, by_field.get(field, 0.0))
+    fields = sorted(((c, f) for f, c in by_field.items() if c), key=lambda cf: -cf[0])
+    change, where = max(((c, w) for c, w, _ in changes), default=(0.0, None))
+    return change, where, fields
+
+
+def _change_lines(a, b):
+    """The lines printed under a differing job: its largest relative change,
+    and the largest of each field that moved."""
+    change, where, fields = _largest_change(a, b)
+    lines = [f"  largest relative change {change:.3g}" + (f" at {where}" if change else "")]
+    if fields:
+        lines.append("  by field: " + ", ".join(f"{field} {c:.3g}" for c, field in fields))
+    return lines
 
 
 def fixture_specs():
@@ -296,8 +327,7 @@ def main(argv=None):
             if parts:
                 print(f"DIFFERS {a['job']}: {', '.join(parts)} "
                       f"(exit {a['exit']} -> {b['exit']})")
-                change, where = _largest_change(a, b)
-                print(f"  largest relative change {change:.3g}" + (f" at {where}" if change else ""))
+                print(*_change_lines(a, b), sep="\n")
     # the fixture jobs come last; the workload summary is the last line
     n = len(old) - len(FIXTURE_JOBS)
     for what, flags in ((f"{len(FIXTURE_JOBS)} fixture jobs", differs[n:]),
