@@ -50,43 +50,43 @@ def wrap(x):
     return y
 
 
-def _phases(Z, freqs):
+def _phases(Z, freqs, t=None, scratch=None):
     """The tangents tan(pi (s - rint s)) of the half phases, s = freqs @ Z.T,
-    at the points of Z (n, d): frequency-major, (U, n).  freqs @ Z.T is, bit
-    for bit, the transpose of Z @ freqs.T, its subtraction of rint is exact,
-    and the scaling and the tangent work in place on the one buffer."""
-    t = freqs @ Z.T
-    t -= np.rint(t)
+    at the points of Z (n, d): frequency-major, (U, n), written into t if
+    given, with scratch (U, n) holding rint s.  Z may be the transposed
+    view of coordinate-major rows (d, n).  The subtraction of rint is
+    exact, and the scaling and the tangent work in place on t."""
+    t = np.matmul(freqs, Z.T, out=t)
+    t -= np.rint(t, out=scratch)
     t *= np.pi
     return np.tan(t, out=t)
 
 
-def _trig_values(t, nsin, deriv=False):
-    """(n, U) in C order from tangents t (U, n) of _phases: column u the sin
-    (u < nsin) or cos (u >= nsin) of the phase 2 pi r of row u, or with
-    deriv their derivatives, cos or -sin.
+def _trig_values(t, nsin, deriv=False, vals=None, num=None):
+    """(n, U), the transposed view of contiguous rows (U, n), from tangents
+    t (U, n) of _phases: row u the sin (u < nsin) or cos (u >= nsin) of the
+    phase 2 pi r of row u of t, or with deriv their derivatives, cos or -sin.
 
-    h = (1 + t^2) / 2 is built in the result itself, by one strided write
-    of t^2 and two contiguous passes; each column then becomes sin = t / h
-    (-sin negated) or cos = (1/2 - t^2 / 2) / h, whose numerator is the one
-    new array, a row per cos column.  Halving is exact, so these are the
-    bits of 2 t / (1 + t^2) and (1 - t^2) / (1 + t^2), one division fewer."""
-    vals = np.empty(t.shape[::-1])
-    cols = vals.T
-    np.multiply(t, t, out=cols)
+    The rows are written into vals (U, n) if given.  h = (1 + t^2) / 2
+    fills them first; each row then becomes sin = t / h (-sin negated) or
+    cos = (1/2 - t^2 / 2) / h.  The cos numerators go to the rows of num
+    (U, n), a new array if num is None; num may be t itself, whose cos
+    rows are then spent.  Halving is exact, so these are the bits of
+    2 t / (1 + t^2) and (1 - t^2) / (1 + t^2), one division fewer."""
+    vals = np.multiply(t, t, out=vals)
     vals *= 0.5
     vals += 0.5
     sin, cos = slice(nsin), slice(nsin, None)
     if deriv:
         sin, cos = cos, sin
-    np.divide(t[sin], cols[sin], out=cols[sin])
-    if deriv:   # not np.negative: numpy 2.4 negates a strided view in place wrongly
-        cols[sin] *= -1.0
-    num = t[cos] * t[cos]
+    np.divide(t[sin], vals[sin], out=vals[sin])
+    if deriv:
+        np.negative(vals[sin], out=vals[sin])
+    num = np.multiply(t[cos], t[cos], out=None if num is None else num[cos])
     num *= -0.5
     num += 0.5
-    np.divide(num, cols[cos], out=cols[cos])
-    return vals
+    np.divide(num, vals[cos], out=vals[cos])
+    return vals.T
 
 
 def _dg(t, nsin, jac, d):
@@ -94,13 +94,18 @@ def _dg(t, nsin, jac, d):
     return (_trig_values(t, nsin, deriv=True) @ jac).reshape(-1, d, d)
 
 
-def eval_trig(Z, freqs, coefs, nsin):
+def eval_trig(Z, freqs, coefs, nsin, work=None, out=None):
     """G(Z) (n, d) for a batch Z of shape (n, d).
 
     freqs: (U, d) integer frequency rows, the nsin sin rows first; coefs:
-    (U, d), coefs[u, i] the coefficient of row u in component i.
+    (U, d), coefs[u, i] the coefficient of row u in component i.  work, if
+    given, is two (U, n) buffers (tangents, values) the call overwrites,
+    and out an (n, d) array, or the transposed view of (d, n) rows, that
+    receives G; a sweep passes the same ones at every step.
     """
-    return _trig_values(_phases(Z, freqs), nsin) @ coefs
+    t, vals = (None, None) if work is None else work
+    t = _phases(Z, freqs, t, vals)
+    return np.matmul(_trig_values(t, nsin, False, vals, t), coefs, out=out)
 
 
 def eval_jac(Z, freqs, nsin, jac):
@@ -117,12 +122,12 @@ def eval_trig_and_jac(Z, freqs, coefs, nsin, jac):
 
 
 def _solve_small(J, r):
-    """x with J x = r for batches J (n, d, d), r (n, d); closed form for
-    d = 2, LAPACK otherwise."""
+    """x (n, d) with J x = r for batches J (n, d, d), r (n, d); closed form
+    for d = 2, into a coordinate-major (d, n) array, LAPACK otherwise."""
     if r.shape[1] == 2:
         a, b, c, e = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
         det = a * e - b * c
-        x = np.empty(r.shape)
+        x = np.empty(r.shape[::-1]).T
         np.divide(e * r[:, 0] - b * r[:, 1], det, out=x[:, 0])
         np.divide(a * r[:, 1] - c * r[:, 0], det, out=x[:, 1])
         return x
@@ -139,12 +144,12 @@ def _row_norms(r):
     return np.sqrt(s, out=s)
 
 
-def _residual(W, Mf, g, Z):
-    """M w + G(w) - z, one new array, summed left to right."""
-    r = W @ Mf.T
+def _residual(W, Mf, g, Z, r):
+    """M w + G(w) - z, summed left to right, into the rows r (d, n); W and
+    g are (d, n) rows, Z the (n, d) targets."""
+    np.matmul(W.T, Mf.T, out=r.T)
     r += g
-    r -= Z
-    return r
+    r -= Z.T
 
 
 def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
@@ -162,8 +167,12 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     DG at the trials is taken from the tangents G was summed from, and only
     if another round follows to read it; a round in which every point takes
     Newton builds no contraction candidate; and a round in which every
-    trial is accepted keeps the trial arrays as the new iterate instead of
-    copying them in under a mask.
+    trial is accepted swaps the trial buffers in as the new iterate instead
+    of copying them in under a mask.  The iterates, G, the residuals and
+    DF = M + DG are coordinate-major rows, in buffers allocated once per
+    call, as are the trig kernel's (U, n) tangents and values; every
+    product is taken in the point-major operand order on transposed views,
+    which rounds as point-major arrays do.
 
     Mf is the spec's integer M as floats and Minv its float inverse; the
     residuals use Mf itself, never a float re-inversion of Minv.  terms are
@@ -171,42 +180,60 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
 
     Returns (w, residual, G(w mod 1), iterations): the accepted iterates,
     their residuals, G at them (reduced mod 1 first, as the torus orbit
-    uses it) and the number of G evaluations after the first.
+    uses it) and the number of G evaluations after the first; w and G are
+    (n, d) views of coordinate-major rows.
     """
     freqs, coefs, nsin, jac = terms
-    W = Z @ Minv.T
-    # G at w - floor(w): wrap's fold of 1.0 to 0.0 would only cost time here
-    g, J = eval_trig_and_jac(W - np.floor(W), *terms)
-    J += Mf                 # DF(w) = M + DG(w), bit for bit Mf + DG(w)
-    r = _residual(W, Mf, g, Z)
-    res = _row_norms(r)
+    n, d = Z.shape
+    # each iterate quantity with its trial's, and two scratch rows
+    W, trial, g, g_t, r, r_t, tmp, step = np.empty((8, d, n))
+    J, J_t = np.empty((2, d * d, n))         # DF, row r * d + c its entry (r, c)
+    t, vals, num = np.empty((3, len(coefs), n))
+
+    def g_at(w, out):
+        """G at w - floor(w) into the rows out, keeping its tangents in t:
+        wrap's fold of 1.0 to 0.0 would only cost time here."""
+        np.subtract(w, np.floor(w, out=tmp), out=tmp)
+        _phases(tmp.T, freqs, t, vals)
+        np.matmul(_trig_values(t, nsin, False, vals, num), coefs, out=out.T)
+
+    def df_at(out):
+        """M + DG from the tangents in t into the rows out (d * d, n)."""
+        np.matmul(_trig_values(t, nsin, True, vals, num), jac, out=out.T)
+        out += Mf.reshape(-1, 1)
+
+    np.matmul(Z, Minv.T, out=W.T)
+    g_at(W, g)
+    df_at(J)
+    _residual(W, Mf, g, Z, r)
+    res = _row_norms(r.T)
     newton = None           # None: every point takes Newton
     iters = 0
     while res.max(initial=0.0) > tol and iters < max_iter:
-        trial = W - _solve_small(J, r)
-        if newton is not None:
-            trial = np.where(newton[:, None], trial, (Z - g) @ Minv.T)
-        t = _phases(trial - np.floor(trial), freqs)
-        g_t = _trig_values(t, nsin) @ coefs
-        r_t = _residual(trial, Mf, g_t, Z)
-        res_t = _row_norms(r_t)
+        np.subtract(W, _solve_small(J.reshape(d, d, n).transpose(2, 0, 1), r.T).T, out=trial)
+        if newton is not None:      # the contraction step where Newton was refused
+            np.subtract(Z.T, g, out=tmp)
+            np.matmul(tmp.T, Minv.T, out=step.T)
+            np.copyto(trial, step, where=~newton)
+        g_at(trial, g_t)
+        _residual(trial, Mf, g_t, Z, r_t)
+        res_t = _row_norms(r_t.T)
         iters += 1
         acc = res_t < res
         if newton is not None:
             acc |= ~newton       # a contraction trial is always accepted
         every = acc.all()
         if every:
-            W, g, r, res = trial, g_t, r_t, res_t
+            W, trial, g, g_t, r, r_t, res = trial, W, g_t, g, r_t, r, res_t
         else:
             for old, new in ((W, trial), (g, g_t), (r, r_t)):
-                np.copyto(old, new, where=acc[:, None])
+                np.copyto(old, new, where=acc)
             np.copyto(res, res_t, where=acc)
         if res.max(initial=0.0) > tol and iters < max_iter:     # another round reads J
-            J_t = _dg(t, nsin, jac, len(Mf))
-            J_t += Mf
+            df_at(J_t)
             if every:
-                J = J_t
+                J, J_t = J_t, J
             else:
-                np.copyto(J, J_t, where=acc[:, None, None])
+                np.copyto(J, J_t, where=acc)
         newton = None if every else acc     # accepted now: Newton next
-    return W, res, g, iters
+    return W.T, res, g.T, iters

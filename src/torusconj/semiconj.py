@@ -278,9 +278,16 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
     """The torus orbit of Z (n, d), one step at a time: yields (z, G(z),
     inverse-lift iterations spent on z) for z = F^j(Z mod 1), j = 0..nsteps-1
     forward, or for the inverse-lift branches z = F^-j(Z mod 1),
-    j = 1..nsteps, backward."""
-    z = _kernels.wrap(Z)
+    j = 1..nsteps, backward.
+
+    The forward sweep keeps z and G as coordinate-major rows (d, n) and
+    yields their transposed (n, d) views; these buffers, and the trig
+    kernel's, are allocated once per call and overwritten by the next step,
+    so a caller that keeps a step copies it.  Each product is taken in the
+    point-major operand order (z @ Mf.T, values @ coefs) on transposed
+    views, which rounds as the point-major arrays did."""
     if backward:
+        z = _kernels.wrap(Z)
         for _ in range(nsteps):
             W, g, iters = engine.lift(z, engine.inv_tol)
             z = _kernels.wrap(W)
@@ -288,19 +295,28 @@ def _orbit(engine: SemiConjEngine, Z: np.ndarray, nsteps: int,
         return
     ta = dynamics.term_arrays(engine.spec)
     Mf = dynamics.M_array(engine.spec)
+    n, d = Z.shape
+    z, z_next, g = np.empty((3, d, n))
+    work = np.empty((2, len(ta.coefs), n))      # the trig kernel's tangents and values
+    np.subtract(Z.T, np.floor(Z.T, out=g), out=z)   # wrap(Z), into the z rows
+    z[z >= 1.0] = 0.0
     for j in range(nsteps):
-        if j:       # wrap(z @ Mf.T + g) on one new array, without the fold of 1.0
-            z = z @ Mf.T
-            z += g
-            z -= np.floor(z)
-        g = _kernels.eval_trig(z, ta.freqs, ta.coefs, ta.nsin)
-        yield z, g, 0
+        if j:       # wrap(z @ Mf.T + g) into the other z rows, without the fold of 1.0
+            np.matmul(z.T, Mf.T, out=z_next.T)
+            z_next += g
+            z_next -= np.floor(z_next, out=g)
+            z, z_next = z_next, z
+        _kernels.eval_trig(z.T, ta.freqs, ta.coefs, ta.nsin, work, g.T)
+        yield z.T, g.T, 0
 
 
-def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int) -> None:
-    """acc += coef[n] G_W in place, if the series has a term n."""
+def _add_term(acc: np.ndarray, g: np.ndarray, coef: np.ndarray, n: int,
+              term: np.ndarray) -> None:
+    """acc += coef[n] G_W in place, if the series has a term n: acc and the
+    buffer term are (k, n) rows, g is (n, d)."""
     if 0 <= n < len(coef):
-        acc += g[:, :acc.shape[1]] @ coef[n].T
+        np.matmul(g[:, :len(acc)], coef[n].T, out=term.T)
+        acc += term
 
 
 def _phi_series(engine: SemiConjEngine, Z: np.ndarray, image: bool = False):
@@ -310,26 +326,28 @@ def _phi_series(engine: SemiConjEngine, Z: np.ndarray, image: bool = False):
     step 1) and one backward sweep of len(coef_s) steps.  With stable terms
     F is a bijection of the torus (|det M| = 1, see build_engine), so the
     backward orbit of F(Z) is Z, F^-1(Z), ...: G(Z), then the backward
-    sweep, feed Phi(F Z)."""
+    sweep, feed Phi(F Z).  The sums are added up in (k, n) rows and
+    returned as their transposed (n, k) views."""
     # Phi(F^lag Z) takes forward step n as its term n - lag and backward
     # step n as its stable term n + lag
-    sums = [np.zeros((Z.shape[0], engine.k)) for _ in range(1 + image)]
-    fz = None
+    sums = np.zeros((1 + image, engine.k, Z.shape[0]))
+    term = np.empty(sums.shape[1:])
+    fz = g_z = None
     for n, (z, g, _) in enumerate(_orbit(engine, Z, engine.N + image)):
-        if n == 0:
-            g_z = g
+        if n == 0 and image:
+            g_z = g.copy()      # the sweep overwrites its step buffers
         elif n == 1:
-            fz = z
+            fz = z.copy()
         for lag, acc in enumerate(sums):
-            _add_term(acc, g, engine.coef_u, n - lag)
+            _add_term(acc, g, engine.coef_u, n - lag, term)
     if image:
-        _add_term(sums[1], g_z, engine.coef_s, 0)
+        _add_term(sums[1], g_z, engine.coef_s, 0, term)
     iters = 0
     for n, (_, g, it) in enumerate(_orbit(engine, Z, len(engine.coef_s), backward=True)):
         iters += it
         for lag, acc in enumerate(sums):
-            _add_term(acc, g, engine.coef_s, n + lag)
-    return sums, fz, iters
+            _add_term(acc, g, engine.coef_s, n + lag, term)
+    return [acc.T for acc in sums], fz, iters
 
 
 def phi_hat(engine: SemiConjEngine, z) -> PhiValue:

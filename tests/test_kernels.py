@@ -244,6 +244,8 @@ def _point_major(Z, freqs, coefs, nsin, jac):
                                (dvals, slice(nsin, None), slice(nsin), -2.0)):
         out[:, sin] = two * (t[:, sin] / q[:, sin])
         out[:, cos] = (1.0 - t[:, cos] * t[:, cos]) / q[:, cos]
+    if d == 1:      # a matrix-vector product rounds by its matrix's memory order,
+        vals, dvals = np.asfortranarray(vals), np.asfortranarray(dvals)     # (U, n) rows
     return vals @ coefs, (dvals @ jac).reshape(n, d, d)
 
 
@@ -292,7 +294,8 @@ def test_invert_lift_one_trig_per_step(spec_cat, rng, monkeypatch):
     calls = []                  # per _trig_values call: True for DG, False for G
     real = _kernels._trig_values
     monkeypatch.setattr(_kernels, "_trig_values",
-                        lambda phase, nsin, deriv=False: calls.append(deriv) or real(phase, nsin, deriv))
+                        lambda phase, nsin, deriv=False, *bufs:
+                        calls.append(deriv) or real(phase, nsin, deriv, *bufs))
     monkeypatch.setattr(_kernels, "eval_trig", None)
     seen, _ = _count_transcendentals(monkeypatch)
     Z = rng.uniform(-1, 2, size=(10, 2))
