@@ -28,12 +28,26 @@ value or to the 1 + t^2 it divides by.  Against an extended-precision
 reference, over 2.8 million phases, the values are within 3.8 u of sin and
 cos (libm of 2 pi r: 3.2 u).
 
-The phases are laid out frequency-major, one row of n points per unique
-phase, so tan reads and writes one contiguous (U, n) block instead of
-strided column slices of a point-major array.  The values are written into
-a point-major array, so the component sums are the same C-ordered matrix
-products as a point-major layout gives, bit for bit (an F-ordered product
-of the transposed values would round differently in the last bit).
+Layout.  The phases, their tangents and the sin / cos values are
+contiguous (U, n) rows, one row of n points per unique phase, so every
+elementwise pass reads and writes contiguous memory.  A sweep (the forward
+orbit of semiconj._orbit, the Newton rounds below) keeps its points, G,
+residuals and DF as coordinate-major (d, n) rows too, in buffers it
+allocates once per call and writes through out= at every step: a fresh
+array would pay its page faults again on every step.
+
+Product order.  Every matrix product is written in the point-major operand
+order, on transposed views: s = freqs @ Z.T, G = values.T @ coefs (the
+F-ordered view of the rows), DG = values.T @ jac, z @ M.T, with an out=
+that is the transposed view of the result's rows.  For d = 2 and 3 these
+round as the products of point-major C-ordered arrays did, bit for bit
+(checked at n = 1, 7, 64, 4096 and 4097); the coordinate-major product
+of a C-ordered copy of coefs.T with the values does not, as its
+matrix-vector product at n = 1 sums in another order.  A matrix-vector
+product sums in the order its matrix's memory dictates, so where one is
+left its last bit can move with the layout: the component sums at d = 1
+(one column of coefs), and a sweep's phases at d = 3 with one unique
+phase (one row of freqs against the (d, n) rows of the orbit).
 """
 
 from __future__ import annotations

@@ -33,10 +33,12 @@ grid either; the four grid sweeps are the one place that chunks, and
 phi_hat and conjmap.H_inverse sweep the batch they are given in one piece.
 Chunks are independent: when there is more than one, _map_chunks runs them
 on a pool of one thread per CPU in the process's affinity mask (numpy
-releases the GIL inside sin, cos, floor and matmul), opened for that one
-call and joined before it returns, and hands their results back in chunk
+releases the GIL inside tan, floor and matmul), opened for that one call
+and joined before it returns, and hands their results back in chunk
 order, so every result is the one a serial sweep gives, bit for bit.  One
-chunk, or one CPU, runs on the calling thread and starts no thread.
+chunk, or one CPU, runs on the calling thread and starts no thread.  Each
+chunk's sweep writes into step buffers of its own, allocated once per
+_orbit call and reused at every step (see _kernels on the layout).
 """
 
 from __future__ import annotations

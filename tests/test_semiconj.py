@@ -342,7 +342,7 @@ def _fixture_engine(name):
 def test_coordinate_major_sweep_is_point_major_bitwise(name):
     # the sweep keeps its orbit, G and sums in (d, n) and (k, n) rows and
     # reuses its buffers; Phi_hat, Phi_hat(F Z) and F(Z) are the bits of
-    # the point-major sweep at every batch size
+    # the point-major sweep, at 1, 7 and 4097 points
     eng = _fixture_engine(name)
     assert len(eng.coef_s) > 0 if name == "hyp3" else len(eng.coef_s) == 0
     rng = np.random.default_rng(41)
