@@ -47,6 +47,12 @@ FULL_BLOCK_MAPS = {"diag23": "dim=2\nM=[[2,0],[0,3]]\n" + _G_KD,
 FIX_D3K1 = ("dim=3\nM=[[2,1,0],[0,1,0],[0,0,1]]\nG[1]=0.01*sin(2*pi*(z1-2*z3))\n"
             "G[2]=0.02*cos(2*pi*(z2+z3))\n")
 
+# k = 2 < d = 3 expanding, on the sublattice FIX_D3K2_SUB: both cone
+# minima of every cell are pencils, q_exp of the 2-D core and q_inv
+FIX_D3K2 = ("dim=3\nM=[[2,0,0],[0,3,0],[0,0,1]]\nG[1]=0.002*sin(2*pi*(z1-z3))\n"
+            "G[3]=0.002*cos(2*pi*(z2))\n")
+FIX_D3K2_SUB = [[1, 0, 0], [0, 1, 0]]
+
 # A = [[0,-4],[1,0]], A^2 = -4 I: eigenvalues +-2i and ||A^-1||_2 = 1, so
 # the norms ||A^-n|| are no geometric sequence and the series tail closes
 # only at the second power

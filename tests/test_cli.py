@@ -4,6 +4,7 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from torusconj import cli, conjmap, semiconj
@@ -11,8 +12,8 @@ from torusconj.cli import cmd_validate, main
 from torusconj.specdsl import TorusMapSpec, TrigTerm
 from torusconj.errors import ContractionError, FiberSolveError
 
-from conftest import (FIX_1D, FIX_2D, FIX_BIG6, FIX_BIG8, FIX_BIGFREQ, FIX_CAT, FIX_DEFECTIVE,
-                      FIX_DET2, FULL_BLOCK_MAPS, lehmer_spec_text)
+from conftest import (FIX_1D, FIX_2D, FIX_BIG6, FIX_BIG8, FIX_BIGFREQ, FIX_CAT, FIX_D3K1, FIX_D3K2,
+                      FIX_D3K2_SUB, FIX_DEFECTIVE, FIX_DET2, FULL_BLOCK_MAPS, lehmer_spec_text)
 
 
 @pytest.fixture()
@@ -272,6 +273,43 @@ def test_verify_cones_full_block_null_margin(fix1, capsys):
     assert [a["alpha"] for a in rep["alphas"]] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
     assert all(a["invariance_margin"] is None for a in rep["alphas"])
     assert rep["best"]["invariance_margin"] is None
+
+
+def _d3_cone_jobs(tmp_path):
+    """verify-cones argv on d = 3 maps: k = 1 (FIX_D3K1), k = 2 (FIX_D3K2
+    on its sublattice) and k = d (FIX_D3K1 on the full lattice)."""
+    k1, k2, sub = tmp_path / "d3k1.map", tmp_path / "d3k2.map", tmp_path / "d3k2.json"
+    k1.write_text(FIX_D3K1)
+    k2.write_text(FIX_D3K2)
+    sub.write_text(json.dumps(FIX_D3K2_SUB))
+    return [("verify-cones", str(k1), "--grid", "8"),
+            ("verify-cones", str(k2), "--sublattice", str(sub), "--grid", "16"),
+            ("verify-cones", str(k1), "--sublattice", "full", "--grid", "8")]
+
+
+def test_verify_cones_k2_pencils_pass(tmp_path, capsys):
+    # k = 2 < d = 3: q_exp and q_inv of every cell are pencils; the map
+    # passes at grid 16 with the first three openings, best alpha 0.25
+    code, out, err = run(capsys, *_d3_cone_jobs(tmp_path)[1])
+    rep = json.loads(out)
+    assert (code, err, rep["k"], rep["pass"]) == (0, "", 2, True)
+    assert [a["pass"] for a in rep["alphas"]] == [True, True, True, False, False, False]
+    best = rep["best"]
+    assert (best["alpha"], best["pencil_rounds"]) == (0.25, 10)
+    assert abs(best["invariance_margin"] - 0.046069) <= 1e-6
+    assert all(0.0 <= a["pencil_gap"] <= 1e-11 for a in rep["alphas"])
+
+
+def test_verify_cones_d3_calls_no_eigh(tmp_path, capsys, monkeypatch):
+    # on d = 3 the pencil search and the k = d minimum are closed forms and
+    # every value is certified by LDL^T: neither eigh nor eigvalsh is called
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    codes = [run(capsys, *argv)[0] for argv in _d3_cone_jobs(tmp_path)]
+    assert codes == [2, 0, 2]      # d3k1 does not expand along its unit eigenvalue
 
 
 @pytest.mark.parametrize("grid, a2", [("32", (0.75, 32)), ("8", (None, 8))])

@@ -128,20 +128,26 @@ def test_pencil_solver(rng):
         Pm = np.diag([1.0] * k + [0.0] * (d - k))
         Q = np.stack([L.T @ Pm @ L, L.T @ Jm @ L])
         lam_hi = 1e6 * max(float(np.linalg.norm(L, 2)) ** 2, 1.0)
-        sol = cones._pencil_max_lambda_min(Q, Jm, lam_hi)
+        sol = cones._pencil_max_lambda_min(Q, Jm, lam_hi, np.zeros(2))
         ref = _ternary_reference(Q, Jm, lam_hi)
         upper = cones.ray_sampling_estimates(L, k, alpha)
         assert np.all((0.0 <= sol.lam) & (sol.lam <= lam_hi))
         pencils = Q - sol.lam[:, None, None] * Jm
-        # the value is lambda_min evaluated at the returned lambda, never a bound
-        assert np.array_equal(sol.value, np.linalg.eigh(pencils)[0][:, 0])
-        scale = np.abs(np.linalg.eigvalsh(pencils)).max(axis=1)
-        assert np.all(sol.value >= ref - 8 * eps * scale), (L, k, alpha)
+        # the value is a certified lower bound on lambda_min at the returned
+        # lambda: at most eigh's value (within eigh's own rounding) and at
+        # most 64 ulps of the pencil's scale, with lam J's, below it
+        mu = np.linalg.eigh(pencils)[0]
+        scale = np.abs(mu).max(axis=1)
+        slack = 64 * eps * (scale + sol.lam * max(alpha ** 2, 1.0))
+        assert np.all(sol.value <= mu[:, 0] + 4 * eps * scale), (L, k, alpha)
+        assert np.all(sol.value >= mu[:, 0] - slack), (L, k, alpha)
+        assert np.all(sol.value >= ref - 8 * eps * scale - slack), (L, k, alpha)
         assert np.all(sol.value <= np.array(upper) + 1e-9), (L, k, alpha)
         assert np.all(sol.gap >= 0) and sol.rounds >= 1
         sols.append(sol)
     kink, inside = sols[-2:]
-    assert list(kink.value) == [4.5, 0.0]       # the end tangents meet at the kink
+    # the end tangents meet at the kink, whose lambda_min is 4.5 and 0.0
+    assert np.all(kink.value <= [4.5, 0.0]) and np.all(kink.value >= [4.5, 0.0] - 64 * eps * 9.0)
     assert inside.lam[0] == 0.0
 
 
@@ -215,7 +221,8 @@ def _pencil_minima(Ls, alpha):
     Pm = np.diag([1.0] + [0.0] * (d - 1))
     Lt = Ls.transpose(0, 2, 1)
     lam_hi = 1e6 * max(float(np.linalg.norm(Ls, 2, axis=(1, 2)).max()) ** 2, 1.0)
-    value = cones._pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi).value
+    value = cones._pencil_max_lambda_min(np.concatenate([Lt @ Pm @ Ls, Lt @ Jm @ Ls]), Jm, lam_hi,
+                                         np.zeros(2 * n)).value
     return value[:n], value[n:]
 
 
@@ -297,6 +304,95 @@ def test_closed_forms_round_outward():
                     for got, exact in pairs:
                         assert mp.mpf(float(got)) <= exact, (L, alpha, got, exact)
                         assert got >= exact - 16 * eps * scale[i], (L, alpha, got, exact)
+
+
+def _exact_lambda_min(M):
+    """lambda_min at DPS digits of a symmetric matrix of mpf entries."""
+    return min(mp.eigsy(mp.matrix(M))[0])
+
+
+def _certified_pencils(L, k, alpha):
+    """(values, lams, weights) of the pencil solve of _cone_minima for one
+    d = 3 matrix: q_exp (k >= 2) and q_inv, with the rounding of forming
+    Q = L^T diag(w) L charged as _cone_minima charges it."""
+    d = len(L)
+    p = np.array([1.0] * k + [0.0] * (d - k))
+    j = np.array([alpha ** 2] * k + [-1.0] * (d - k))
+    weights = ([p] if k > 1 else []) + [j]
+    Q, err = (np.concatenate(x) for x in zip(*(cones._pencil_form(L[None], w) for w in weights)))
+    lam_hi = 1e6 * max(float(np.linalg.norm(L, 2)) ** 2, 1.0)
+    sol = cones._pencil_max_lambda_min(Q, np.diag(j), lam_hi, err)
+    return sol.value, sol.lam, weights, Q
+
+
+def _equal_singular_values(rng, sigma):
+    """U diag(sigma) V^T for random orthogonal U and V."""
+    U, V = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+    return U @ np.diag(sigma) @ V.T
+
+
+def _pencil_rounding_cases(rng):
+    """(L, k, alpha) of d = 3 for the pencil rounding test: those of
+    _pencil_cases, the kink 3 I (q_inv at lambda = 9 is the zero matrix for
+    k = 1, and q_exp a multiple of I for k = 2) and L with two equal
+    singular values, whose forms have a near-repeated lowest eigenvalue."""
+    cases = [c for c in _pencil_cases(rng) if len(c[0]) == 3]
+    for alpha in (0.25, 1.0, 2.0, 8.0):
+        for k in (1, 2):
+            cases.append((3.0 * np.eye(3), k, alpha))
+            cases.append((_equal_singular_values(rng, [2.0, 2.0, 1.0]), k, alpha))
+            cases.append((_equal_singular_values(rng, [1.0, 2.0, 2.0]), k, alpha))
+    return cases
+
+
+def _check_rounds_outward(L, k, alpha, values, lams, weights, Q, slack):
+    """Each certified value is at or below the exact lambda_min, at its
+    lambda, of the pencil of the float L and alpha, and of the float pencil
+    (the upper triangle of Q, lambda and J as floats), and within slack
+    times the scale max |mu| + lambda max(alpha^2, 1) + sum_r |w_r|
+    ||l_r||^2 of the exact one."""
+    d = len(L)
+    al2 = mp.mpf(alpha) ** 2
+    jx = [al2] * k + [mp.mpf(-1)] * (d - k)
+    jf = [alpha ** 2] * k + [-1.0] * (d - k)
+    Lm = [[mp.mpf(float(x)) for x in row] for row in L]
+    for i, (value, lam, w) in enumerate(zip(values, lams, weights)):
+        wx = jx if w[0] != 1.0 else [mp.mpf(float(x)) for x in w]
+        lm = mp.mpf(float(lam))
+        exact = _exact_lambda_min(
+            [[sum(wx[r] * Lm[r][a] * Lm[r][b] for r in range(d)) - (lm * jx[a] if a == b else 0)
+              for b in range(d)] for a in range(d)])
+        floated = _exact_lambda_min(
+            [[mp.mpf(float(Q[i, min(a, b), max(a, b)])) - (lm * mp.mpf(jf[a]) if a == b else 0)
+              for b in range(d)] for a in range(d)])
+        assert mp.mpf(float(value)) <= min(exact, floated), (L, k, alpha, i)
+        scale = (abs(float(exact)) + float(lam) * max(alpha ** 2, 1.0)
+                 + float((np.abs(w) * (L * L).sum(axis=1)).sum()))
+        assert float(exact - mp.mpf(float(value))) <= slack * scale, (L, k, alpha, i)
+
+
+def test_pencil_values_round_outward(monkeypatch):
+    # the certified pencil values of d = 3 (k = 1 and 2) never exceed the
+    # exact lambda_min of the pencil at the lambda they are certified at,
+    # summed at DPS digits, and sit within 64 ulps of its scale below it,
+    # on the seeded cases of _pencil_cases, at the kink 3 I and on L with
+    # two equal singular values, where the trigonometric formula alone
+    # would lose digits
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(36)
+    with mp.workdps(DPS):
+        for L, k, alpha in _pencil_rounding_cases(rng):
+            _check_rounds_outward(L, k, alpha, *_certified_pencils(L, k, alpha), 64 * eps)
+        # a search estimate 1e-6 too high fails the first LDL^T check; the
+        # shift backs off until a check passes, and is certified as soundly
+        real, checks = cones._certify_lambda_min, []
+        monkeypatch.setattr(cones, "_certify_lambda_min",
+                            lambda Q, e, J, lam, mu: real(Q, e, J, lam, mu + 1e-6 * (1 + np.abs(mu))))
+        real_pivots = cones._ldlt_pivots
+        monkeypatch.setattr(cones, "_ldlt_pivots", lambda A: checks.append(len(A)) or real_pivots(A))
+        L = rng.normal(size=(3, 3))
+        _check_rounds_outward(L, 2, 1.5, *_certified_pencils(L, 2, 1.5), 1e-5)
+        assert len(checks) > 10 and checks[0] == 2
 
 
 def test_verify_A2_many_equals_single(spec_2d_S):

@@ -9,8 +9,8 @@ imports torusconj from ``TREE/src`` and uses one BLAS thread, as
 perfbench/run.py does. The jobs and their spec files come from
 perfbench/specgen.py of the checkout holding this script, so both trees
 run the same jobs. After them come the FIXTURE_JOBS, the CLI paths that no
-workload job reaches, on spec files written from the test fixtures of that
-checkout. For each job the exit code, stdout, stderr and every
+workload job reaches, on spec and --sublattice files written from the test
+fixtures of that checkout. For each job the exit code, stdout, stderr and every
 file written under its ``-o`` directory are hashed, after the work
 directory and the tree's path are replaced by fixed placeholders. The jobs
 whose hashes differ are printed with the parts that differ, and where both
@@ -45,8 +45,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep-expanding", "backward-hyperbolic", "certify-conjugacy")
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# argv of the fixture jobs: SPEC:name is the spec file of fixture_specs()[name],
-# OUT a fresh -o directory
+# argv of the fixture jobs: SPEC:name and SUB:name are the files name.map and
+# name.json of fixture_files(), OUT a fresh -o directory
 FIXTURE_JOBS = (
     ("conjugacy", "SPEC:fix2", "--grid", "8", "-o", "OUT"),   # A2 not certified at grid 8: exit 2
     ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "8"),     # k = d fiber solve
@@ -91,6 +91,8 @@ FIXTURE_JOBS = (
     # negative), closed-form q_exp with pencil q_inv on d = 3 (exit 2)
     ("verify-cones", "SPEC:shear", "--grid", "32"),
     ("verify-cones", "SPEC:d3k1", "--grid", "16"),
+    # k = 2 < d = 3: q_exp and q_inv both pencils (PASS at alpha = 0.25)
+    ("verify-cones", "SPEC:d3k2", "--sublattice", "SUB:d3k2", "--grid", "16"),
     # k = 1 fiber lines with a 2-D y; A2 is first certified at grid 48: exit 2
     ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),
     ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks: PASS
@@ -200,27 +202,32 @@ def _change_lines(a, b):
     return lines
 
 
-def fixture_specs():
-    """{name: spec text} of the fixture jobs: the 2-D, cat, d = 3
-    hyperbolic, defective and Lehmer fixtures, the k = d = 2 maps of
-    FULL_BLOCK_MAPS, a singular d = 3 map, a map with a negative
-    eigenvalue, two unimodular maps with entries near 1e8 and 3e6, an
-    expanding d = 3 map with k = 1, a map with a frequency beyond 2^53 and
-    a map with ||A^-1|| = 1, all of tests/conftest.py, and HUGE_G, the k = d = 2 map THREE and the
-    shear maps SHEAR and SHEAR15 (two sizes of G[2]) of tests/test_cli.py."""
+def fixture_files():
+    """{file name: text} of the fixture jobs.  The spec files name.map hold
+    the 2-D, cat, d = 3 hyperbolic, defective and Lehmer fixtures, the
+    k = d = 2 maps of FULL_BLOCK_MAPS, a singular d = 3 map, a map with a
+    negative eigenvalue, two unimodular maps with entries near 1e8 and 3e6,
+    expanding d = 3 maps with k = 1 and k = 2, a map with a frequency
+    beyond 2^53 and a map with ||A^-1|| = 1, all of tests/conftest.py, and
+    HUGE_G, the k = d = 2 map THREE and the shear maps SHEAR and SHEAR15
+    (two sizes of G[2]) of tests/test_cli.py.  The --sublattice file
+    d3k2.json holds the k = 2 sublattice of the d = 3 map d3k2."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import conftest
     import test_cli
-    return {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "hyp3": conftest.FIX_HYP3,
-            "huge": test_cli.HUGE_G,
-            "three": test_cli.THREE,
-            **conftest.FULL_BLOCK_MAPS,
-            "shear": test_cli.SHEAR, "shear15": test_cli.SHEAR15,
-            "defective": conftest.FIX_DEFECTIVE,
-            "lehmer": conftest.lehmer_spec_text(),
-            "sing3": conftest.FIX_SING3, "neg": conftest.FIX_NEG,
-            "big8": conftest.FIX_BIG8, "big6": conftest.FIX_BIG6,
-            "d3k1": conftest.FIX_D3K1, "bigfreq": conftest.FIX_BIGFREQ, "rot": conftest.FIX_ROT}
+    specs = {"fix2": conftest.FIX_2D, "cat": conftest.FIX_CAT, "hyp3": conftest.FIX_HYP3,
+             "huge": test_cli.HUGE_G,
+             "three": test_cli.THREE,
+             **conftest.FULL_BLOCK_MAPS,
+             "shear": test_cli.SHEAR, "shear15": test_cli.SHEAR15,
+             "defective": conftest.FIX_DEFECTIVE,
+             "lehmer": conftest.lehmer_spec_text(),
+             "sing3": conftest.FIX_SING3, "neg": conftest.FIX_NEG,
+             "big8": conftest.FIX_BIG8, "big6": conftest.FIX_BIG6,
+             "d3k1": conftest.FIX_D3K1, "d3k2": conftest.FIX_D3K2,
+             "bigfreq": conftest.FIX_BIGFREQ, "rot": conftest.FIX_ROT}
+    return {**{f"{name}.map": text for name, text in specs.items()},
+            "d3k2.json": json.dumps(conftest.FIX_D3K2_SUB)}
 
 
 def run_tree(tree, workloads, seeds, work):
@@ -270,12 +277,13 @@ def run_tree(tree, workloads, seeds, work):
                 run(f"{workload} seed {seed} job {job.job_id}", list(job.argv))
     fixtures = os.path.join(work, "fixtures")
     os.mkdir(fixtures)
-    for name, text in fixture_specs().items():
-        with open(os.path.join(fixtures, f"{name}.map"), "w") as fh:
+    for name, text in fixture_files().items():
+        with open(os.path.join(fixtures, name), "w") as fh:
             fh.write(text)
     for i, argv in enumerate(FIXTURE_JOBS):
         run(f"fixture job {i}", [
             os.path.join(fixtures, f"{a[5:]}.map") if a.startswith("SPEC:")
+            else os.path.join(fixtures, f"{a[4:]}.json") if a.startswith("SUB:")
             else os.path.join(fixtures, f"out{i:02d}") if a == "OUT" else a
             for a in argv])
     return records
