@@ -157,7 +157,7 @@ ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 def test_pencil_rounds_fixture(spec_2d_S):
     # k = 1 on d = 2: both minima are closed forms, so no opening solves a
     # pencil; on the d = 3 fixture q_inv is still a pencil, and all six
-    # alphas at grid 16 take at most 100 eigh rounds in total (the ternary
+    # alphas at grid 16 take at most 100 search rounds in total (the ternary
     # search made 401 eigvalsh calls per pencil)
     certs = cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 32)
     assert [(c.pencil_rounds, c.pencil_gap) for c in certs] == [(0, 0.0)] * len(ALPHAS)
@@ -312,9 +312,9 @@ def _exact_lambda_min(M):
 
 
 def _certified_pencils(L, k, alpha):
-    """(values, lams, weights) of the pencil solve of _cone_minima for one
-    d = 3 matrix: q_exp (k >= 2) and q_inv, with the rounding of forming
-    Q = L^T diag(w) L charged as _cone_minima charges it."""
+    """(values, lams, weights, Q) of the pencil solve of _cone_minima for
+    one d = 3 matrix: q_exp (k >= 2) and q_inv, with the rounding of
+    forming Q = L^T diag(w) L charged as _cone_minima charges it."""
     d = len(L)
     p = np.array([1.0] * k + [0.0] * (d - k))
     j = np.array([alpha ** 2] * k + [-1.0] * (d - k))
