@@ -79,12 +79,12 @@ class PencilSolve(NamedTuple):
 
 def _eig2(a, b, c):
     """(lo, hi, x, y): the eigenvalues lo <= hi of the symmetric 2x2
-    matrices [[a, b], [b, c]], scaled to entries of order 1, and the unit eigenvector (x, y) of lo; that of hi is (-y, x).  lo and
-    hi are the mean minus and plus h = |((a - c) / 2, b)|, and (x, y) is
-    read from the row of A - lo I whose diagonal, p + h or h - p for p =
-    (a - c) / 2, is free of cancellation.  2^-500 added to that diagonal
-    makes (x, y) = (0, 1) or (1, 0) for a multiple of I and moves nothing
-    else."""
+    matrices [[a, b], [b, c]], scaled to entries of order 1, and the unit
+    eigenvector (x, y) of lo; that of hi is (-y, x).  lo and hi are the
+    mean minus and plus h = |((a - c) / 2, b)|, and (x, y) is read from the
+    row of A - lo I whose diagonal, p + h or h - p for p = (a - c) / 2, is
+    free of cancellation.  2^-500 added to that diagonal makes (x, y) =
+    (0, 1) or (1, 0) for a multiple of I and moves nothing else."""
     m, p = 0.5 * (a + c), 0.5 * (a - c)
     h = np.sqrt(p * p + b * b)
     pos = p >= 0
@@ -154,8 +154,10 @@ def _pencil_eval3(Q: np.ndarray, jd: np.ndarray, lam: np.ndarray):
     nu = np.sqrt(ux * ux + uy * uy + uz * uz)
     ux, uy, uz = ux / nu, uy / nu, uz / nu
     wx, wy, wz = y * uz - z * uy, z * ux - x * uz, x * uy - y * ux
-    su0, su1, su2 = a00 * ux + a01 * uy + a02 * uz, a01 * ux + a11 * uy + a12 * uz, a02 * ux + a12 * uy + a22 * uz
-    sw0, sw1, sw2 = a00 * wx + a01 * wy + a02 * wz, a01 * wx + a11 * wy + a12 * wz, a02 * wx + a12 * wy + a22 * wz
+    su0, su1, su2 = (a00 * ux + a01 * uy + a02 * uz, a01 * ux + a11 * uy + a12 * uz,
+                     a02 * ux + a12 * uy + a22 * uz)
+    sw0, sw1, sw2 = (a00 * wx + a01 * wy + a02 * wz, a01 * wx + a11 * wy + a12 * wz,
+                     a02 * wx + a12 * wy + a22 * wz)
     lo, hi, cx, cy = _eig2(ux * su0 + uy * su1 + uz * su2, ux * sw0 + uy * sw1 + uz * sw2,
                            wx * sw0 + wy * sw1 + wz * sw2)
     # the form J on v, u and w, then on v, vlo = cx u + cy w and vhi = cx w - cy u
@@ -236,7 +238,8 @@ def _certify_lambda_min(Q, q_err, J, lam, mu):
     B = Q - lam[:, None, None] * J
     bd = B[:, i, i]
     g = _gamma(2 * d + 5)
-    base = q_err + _gamma(3) * lam * float(np.abs(np.diagonal(J)).max()) + U * np.abs(bd).sum(axis=1)
+    base = (q_err + _gamma(3) * lam * float(np.abs(np.diagonal(J)).max())
+            + U * np.abs(bd).sum(axis=1))
     m0 = g * np.abs(bd - mu[:, None]).sum(axis=1) + _gamma(d) * np.abs(bd).sum(axis=1) + TINY
     value = np.full(n, -np.inf)
     todo = np.arange(n)
@@ -487,8 +490,8 @@ def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
     if k == d:
         # the cone is the whole space; invariance is vacuous
         Q, err = _pencil_form(Ls, p)
-        zero = np.zeros((d, d))
-        q_exp = _certify_lambda_min(Q, err, zero, np.zeros(n), _pencil_eval(Q, zero, np.zeros(n))[0])
+        zero, lam = np.zeros((d, d)), np.zeros(n)
+        q_exp = _certify_lambda_min(Q, err, zero, lam, _pencil_eval(Q, zero, lam)[0])
         return q_exp, np.full(n, np.inf), 0, 0.0
     j = np.array([alpha ** 2] * k + [-1.0] * (d - k))
     forms = []

@@ -352,12 +352,12 @@ def _check_rounds_outward(L, k, alpha, values, lams, weights, Q, slack):
     times the scale max |mu| + lambda max(alpha^2, 1) + sum_r |w_r|
     ||l_r||^2 of the exact one."""
     d = len(L)
-    al2 = mp.mpf(alpha) ** 2
-    jx = [al2] * k + [mp.mpf(-1)] * (d - k)
+    jx = [mp.mpf(alpha) ** 2] * k + [mp.mpf(-1)] * (d - k)
     jf = [alpha ** 2] * k + [-1.0] * (d - k)
+    # the exact weights: the projection's (k >= 2) and then J's
+    exact_weights = [[mp.mpf(float(x)) for x in w] for w in weights[:-1]] + [jx]
     Lm = [[mp.mpf(float(x)) for x in row] for row in L]
-    for i, (value, lam, w) in enumerate(zip(values, lams, weights)):
-        wx = jx if w[0] != 1.0 else [mp.mpf(float(x)) for x in w]
+    for i, (value, lam, w, wx) in enumerate(zip(values, lams, weights, exact_weights)):
         lm = mp.mpf(float(lam))
         exact = _exact_lambda_min(
             [[sum(wx[r] * Lm[r][a] * Lm[r][b] for r in range(d)) - (lm * jx[a] if a == b else 0)
@@ -385,11 +385,10 @@ def test_pencil_values_round_outward(monkeypatch):
             _check_rounds_outward(L, k, alpha, *_certified_pencils(L, k, alpha), 64 * eps)
         # a search estimate 1e-6 too high fails the first LDL^T check; the
         # shift backs off until a check passes, and is certified as soundly
-        real, checks = cones._certify_lambda_min, []
-        monkeypatch.setattr(cones, "_certify_lambda_min",
-                            lambda Q, e, J, lam, mu: real(Q, e, J, lam, mu + 1e-6 * (1 + np.abs(mu))))
-        real_pivots = cones._ldlt_pivots
-        monkeypatch.setattr(cones, "_ldlt_pivots", lambda A: checks.append(len(A)) or real_pivots(A))
+        certify, pivots, checks = cones._certify_lambda_min, cones._ldlt_pivots, []
+        monkeypatch.setattr(cones, "_certify_lambda_min", lambda Q, e, J, lam, mu: certify(
+            Q, e, J, lam, mu + 1e-6 * (1 + np.abs(mu))))
+        monkeypatch.setattr(cones, "_ldlt_pivots", lambda A: checks.append(len(A)) or pivots(A))
         L = rng.normal(size=(3, 3))
         _check_rounds_outward(L, 2, 1.5, *_certified_pencils(L, 2, 1.5), 1e-5)
         assert len(checks) > 10 and checks[0] == 2

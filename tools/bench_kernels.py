@@ -64,7 +64,8 @@ def block_spec(d, n_terms, coef=0.01):
     """An expanding map of d and n_terms in the block coordinates of the
     line of the eigenvalue 2, as the CLI takes them, and its block form."""
     spec = parse_spec(spec_text(EXPANDING[d], n_terms, 7 * d + n_terms, coef))
-    block = intlat.block_triangularize(spec.M_list(), [intlat.derive_invariant_line(spec.M_list(), 2)])
+    line = intlat.derive_invariant_line(spec.M_list(), 2)
+    block = intlat.block_triangularize(spec.M_list(), [line])
     return dynamics.change_coordinates(spec, block.S_list()), block
 
 
@@ -114,7 +115,8 @@ def measure(n=4096, n_inverse=1024, N=32, repeat=9, n_cells=1000):
     Ls = dynamics.jacobian(spec, rng.uniform(0.0, 1.0, size=(n_cells, 3)))
     nL_max = float(np.linalg.norm(dynamics.M_array(spec), 2)) + dynamics.norm_bounds(spec).g_lip
     ns, _ = best(lambda: [cones._cone_minima(Ls, nL_max, 1, a) for a in cli.ALPHAS], repeat)
-    rows.append(("_cone_minima", 3, len(dynamics.term_arrays(spec).coefs), ns / (n_cells * len(cli.ALPHAS))))
+    U = len(dynamics.term_arrays(spec).coefs)
+    rows.append(("_cone_minima", 3, U, ns / (n_cells * len(cli.ALPHAS))))
     return rows
 
 
