@@ -27,7 +27,9 @@ is a lower bound on lambda_min(Q - lambda J) if the float LDL^T pivots of
 Q - lambda J - mu I are >= 0, with an a-priori margin for their rounding
 (a gamma-multiple of the trace, after Rump's test for Cholesky) and for
 forming Q in float.  The k = d minimum, lambda_min(L^T L), is certified by
-the same check, so every minimum returned is a checked lower bound.
+the same check, so every minimum returned is a checked lower bound; so is
+lambda_min(-L^T L), which bounds the cell norms ||L||_2 and ||L[:, k:]||_2
+that the margins divide by and subtract above (_norm2_upper).
 """
 
 from __future__ import annotations
@@ -508,6 +510,22 @@ def _cone_minima(Ls: np.ndarray, nL_max: float, k: int, alpha: float):
     return q_exp, q_inv, sol.rounds, float(sol.gap.max())
 
 
+def _norm2_upper(Ls: np.ndarray) -> np.ndarray:
+    """Certified upper bounds on ||L||_2 for a batch of matrices (n, d, m):
+    ||L||_2^2 = -lambda_min(-L^T L), and -L^T L, formed by _pencil_form with
+    its rounding charged, gets a lower bound on lambda_min from
+    _certify_lambda_min (lam = 0, J = 0) at _pencil_eval's estimate, as the
+    k = d minimum of _cone_minima does; the square root of its negation is
+    rounded up.  0 for m = 0."""
+    n, d, m = Ls.shape
+    if m == 0:
+        return np.zeros(n)
+    Q, err = _pencil_form(Ls, -np.ones(d))
+    zero, lam = np.zeros((m, m)), np.zeros(n)
+    lo = _certify_lambda_min(Q, err, zero, lam, _pencil_eval(Q, zero, lam)[0])
+    return np.nextafter(np.sqrt(-lo), np.inf)
+
+
 def _margins(q_exp, q_inv, nL, alpha):
     """Expansion factors sqrt(q_exp) and margins q_inv / ((alpha + 1) ||L||), inf if k = d."""
     return np.sqrt(np.maximum(q_exp, 0.0)), q_inv / ((alpha + 1.0) * np.maximum(nL, 1e-300))
@@ -546,7 +564,7 @@ def pointwise_cone_check(L, params: ConeParams, cross_validate: bool = False,
     L = np.asarray(L, dtype=float)
     d, k, alpha = L.shape[0], params.k, params.alpha
     _range_gate(float(np.abs(L).max()) * d, alpha)     # d max|L_ij| bounds ||L||
-    nL = float(np.linalg.norm(L, 2))
+    nL = float(_norm2_upper(L[None])[0])
     (q_exp,), (q_inv,), _, _ = _cone_minima(L[None], nL, k, alpha)
     factor, inv_margin = _margins(q_exp, q_inv, nL, alpha)
     if cross_validate:
@@ -585,11 +603,12 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     them sharing one k, giving a list of certificates in the same order.
     Every pencil's lambda range and the float64 range gate come once per
     call from ||M||_2 + Lip(G), which bounds ||DF(z)||_2 at every point.
-    The cells are swept in one chunk map, CHUNK cells (semiconj.CHUNK) at a
-    time, so memory does not grow with the grid: each chunk builds its
-    Jacobians once, takes their largest padded off-core stretch and finds
-    the cone minima of every alpha.  The results are merged per alpha in grid
-    order, so the certificates are those of one batch over all cells."""
+    The cells are swept CHUNK cells (semiconj.CHUNK) at a time on the
+    calling thread, so memory does not grow with the grid: each chunk builds
+    its Jacobians once, bounds their norms and their largest padded
+    off-core stretch above (_norm2_upper) and finds the cone minima of
+    every alpha.  The results are merged per alpha in grid order, so the
+    certificates are those of one batch over all cells."""
     if grid_res < 2:
         raise ValueError("grid resolution must be >= 2")
     single = isinstance(params, ConeParams)
@@ -608,12 +627,11 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     # cone minima, chunk by chunk
     def margins(centers):
         Ls = dynamics.jacobian(spec, centers)
-        nLs = np.linalg.norm(Ls, ord=2, axis=(1, 2))
-        stretch = (np.linalg.norm(Ls[:, :, k:], ord=2, axis=(1, 2)) + pad).max()
+        nLs = _norm2_upper(Ls)
+        stretch = (_norm2_upper(Ls[:, :, k:]) + pad).max()
         return stretch, [_chunk_margins(Ls, nLs, nL_max, k, p, pad, centers) for p in plist]
 
-    stretch, per_chunk = zip(*semiconj._map_chunks(
-        margins, semiconj._grid_chunks(spec.d, grid_res, offset=0.5)))
+    stretch, per_chunk = zip(*map(margins, semiconj._grid_chunks(spec.d, grid_res, offset=0.5)))
     off_core = max(stretch)
     certs = []
     for p, chunk_margins in zip(plist, zip(*per_chunk)):

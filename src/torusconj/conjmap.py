@@ -185,29 +185,25 @@ def skew_product_residual(engine: SemiConjEngine, grid_res: int,
                           path=None) -> SkewReport:
     """Max over the (x, y) grid semiconj._grid(d, grid_res) of dist(base of
     H(F(H^-1(x,y))), A x mod 1), swept CHUNK grid points at a time on the
-    chunk pool; the fiber solves' work is added to stats, if given.  With a
-    path, the same sweep writes there the CSV of x_1..x_k, y_1..y_m and the
-    fiber map Fy_1..Fy_m (%.17g), one chunk at a time, by _write_grid_csv."""
+    calling thread; the fiber solves' work is added to stats, if given.
+    With a path, the same sweep writes there the CSV of x_1..x_k, y_1..y_m
+    and the fiber map Fy_1..Fy_m (%.17g), one chunk at a time, by
+    _write_grid_csv."""
     k, m = engine.k, engine.d - engine.k
     peaks, total = [], stats or FiberStats()
 
     def sweep(grid):
-        s = FiberStats()
-        FZ = dynamics.eval_torus(engine.spec, H_inverse(engine, grid[:, :k], grid[:, k:], tol, s))
-        resid = dynamics.torus_distance(semiconj.phi_torus(engine, FZ).value,
-                                        _kernels.wrap(grid[:, :k] @ engine.A.T))
-        return grid, FZ[:, k:], resid.max(), s
+        Z = H_inverse(engine, grid[:, :k], grid[:, k:], tol, total)
+        FZ = dynamics.eval_torus(engine.spec, Z)
+        peaks.append(dynamics.torus_distance(semiconj.phi_torus(engine, FZ).value,
+                                             _kernels.wrap(grid[:, :k] @ engine.A.T)).max())
+        return grid, FZ[:, k:]
 
-    def measured():
-        for grid, fy, peak, s in semiconj._map_chunks(sweep, semiconj._grid_chunks(engine.d, grid_res)):
-            peaks.append(peak)
-            total.add(s.fiber_iters, s.phi_points)     # on the calling thread, in chunk order
-            yield grid, fy
-
+    chunks = map(sweep, semiconj._grid_chunks(engine.d, grid_res))
     if path is None:
-        deque(measured(), maxlen=0)
+        deque(chunks, maxlen=0)
     else:
         names = ",".join(f"{a}_{i+1}" for a, n in (("x", k), ("y", m), ("Fy", m)) for i in range(n))
-        semiconj._write_grid_csv(path, grid_res, names, ["%.17g"] * m, measured())
+        semiconj._write_grid_csv(path, grid_res, names, ["%.17g"] * m, chunks)
     return SkewReport(grid_res=grid_res, max_base_residual=float(max(peaks)),
                       ceiling=skew_ceiling(engine, tol))

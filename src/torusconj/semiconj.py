@@ -31,14 +31,10 @@ which is what the series construction rests on.
 Grids are swept CHUNK points at a time, so memory does not grow with the
 grid either; the four grid sweeps are the one place that chunks, and
 phi_hat and conjmap.H_inverse sweep the batch they are given in one piece.
-Chunks are independent: when there is more than one, _map_chunks runs them
-on a pool of one thread per CPU in the process's affinity mask (numpy
-releases the GIL inside tan, floor and matmul), opened for that one call
-and joined before it returns, and hands their results back in chunk
-order, so every result is the one a serial sweep gives, bit for bit.  One
-chunk, or one CPU, runs on the calling thread and starts no thread.  Each
-chunk's sweep writes into step buffers of its own, allocated once per
-_orbit call and reused at every step (see _kernels on the layout).
+Each grid is swept one chunk after another on the calling thread, in grid
+order, and its results are merged as they come.  Each chunk's sweep writes
+into step buffers of its own, allocated once per _orbit call and reused at
+every step (see _kernels on the layout).
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,43 +53,7 @@ from .specdsl import TorusMapSpec
 
 DEFAULT_EPS_TARGET = 1e-9
 MAX_DEFAULT_N = 512
-CHUNK = 4096        # grid points swept together: peak memory does not grow with the grid
-# threads sweeping chunks: the CPUs this process may run on
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-POOL_PREFIX = "torusconj-chunk"     # name prefix of the threads that sweep chunks
-
-
-def _map_chunks(fn, chunks):
-    """fn(c) for each c of the iterable chunks, yielded in chunk order.
-
-    With more than one chunk and WORKERS > 1 the calls run on a pool of
-    WORKERS threads opened for this call and joined when it ends, however
-    it ends (numpy releases the GIL in the sweeps), with at most 2 WORKERS
-    chunks read ahead of the results taken, so memory stays bounded
-    whatever the number of chunks.  A single chunk or WORKERS == 1 runs
-    inline on the calling thread.  An exception in chunk j is raised at j's
-    turn, as in the serial order; the chunks still pending are then
-    cancelled.
-    """
-    chunks = iter(chunks)
-    head = list(itertools.islice(chunks, 2))
-    if len(head) < 2 or WORKERS == 1:
-        for c in itertools.chain(head, chunks):
-            yield fn(c)
-        return
-    # imported here: the cold import would add to every CLI start
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(WORKERS, thread_name_prefix=POOL_PREFIX) as pool:
-        window = deque(pool.submit(fn, c) for c in head)
-        try:
-            window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 2 * WORKERS - 2))
-            while window:
-                yield window.popleft().result()
-                window.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 1))
-        finally:
-            for fut in window:
-                fut.cancel()
+CHUNK = 8192        # grid points swept together: peak memory does not grow with the grid
 
 
 @dataclass(frozen=True)
@@ -405,9 +364,9 @@ class ResidualReport:
 
 def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualReport:
     """Max over a uniform torus grid of dist(Phi(F(theta)), A Phi(theta)),
-    swept CHUNK grid points at a time (on the chunk pool, see _map_chunks);
-    the argmax is the first grid point attaining the maximum.  Both sides
-    come from one _phi_series sweep per chunk."""
+    swept CHUNK grid points at a time on the calling thread; the argmax is
+    the first grid point attaining the maximum.  Both sides come from one
+    _phi_series sweep per chunk."""
     k, nsteps = engine.k, len(engine.coef_u) + 1 + len(engine.coef_s)
 
     def sweep(theta):
@@ -420,7 +379,7 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
         i = int(np.argmax(res))
         return res[i], theta[i].copy(), iters     # a copy: a view would keep the chunk
 
-    peak, point, iters = zip(*_map_chunks(sweep, _grid_chunks(engine.d, grid_res)))
+    peak, point, iters = zip(*map(sweep, _grid_chunks(engine.d, grid_res)))
     j = int(np.argmax(peak))
     return ResidualReport(max_residual=float(peak[j]), argmax_point=point[j],
                           ceiling=engine.ceiling, grid_res=grid_res,
@@ -431,12 +390,12 @@ def semiconjugacy_residual(engine: SemiConjEngine, grid_res: int) -> ResidualRep
 
 def export_phi_grid(engine: SemiConjEngine, grid_res: int, path) -> None:
     """CSV of theta_1..theta_d, phi_1..phi_k (%.17g) and error_bound (%.6g):
-    phi_torus swept CHUNK grid points at a time on the chunk pool (see
-    _map_chunks), each chunk written as it comes by _write_grid_csv."""
+    phi_torus swept CHUNK grid points at a time on the calling thread, each
+    chunk written as it comes by _write_grid_csv."""
     d, k = engine.d, engine.k
     _write_grid_csv(path, grid_res, ",".join([f"theta_{i+1}" for i in range(d)]
                                              + [f"phi_{i+1}" for i in range(k)] + ["error_bound"]),
-                    ["%.17g"] * k + ["%.6g" % engine.eps], _map_chunks(
+                    ["%.17g"] * k + ["%.6g" % engine.eps], map(
         lambda theta: (theta, phi_torus(engine, theta).value), _grid_chunks(d, grid_res)))
 
 

@@ -687,7 +687,7 @@ def test_unsolvable_fiber_under_a_real_ceiling_exits_1(fix2, capsys, monkeypatch
     assert err.startswith("error: bracket endpoints do not straddle") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n", [50, 72 ** 2 % semiconj.CHUNK])
+@pytest.mark.parametrize("n", [50, 96 ** 2 % semiconj.CHUNK])
 def test_failed_conjugacy_fiber_writes_no_csv(n, fix2, tmp_path, capsys, monkeypatch):
     # the k = 1 solve of the 50-point round trip, or of the grid's second
     # chunk after the first was written, fails under a real ceiling: exit 1,
@@ -701,7 +701,7 @@ def test_failed_conjugacy_fiber_writes_no_csv(n, fix2, tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(conjmap, "_bisect_batch", fail)
     out_dir = tmp_path / "o"
-    code, out, err = run(capsys, "conjugacy", fix2, "--grid", "72", "-o", str(out_dir))
+    code, out, err = run(capsys, "conjugacy", fix2, "--grid", "96", "-o", str(out_dir))
     assert (code, out, err) == (1, "", "error: fiber solve stalled at residual 1 > tol 1e-10\n")
     assert list(out_dir.iterdir()) == []
 

@@ -40,8 +40,8 @@ def test_a_changed_csv_byte_is_a_differing_job(tmp_path, capsys):
 def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     # a tree whose skew-product CSV prints its F_y columns one digit
     # shorter: no workload job writes that CSV, and the three fixture jobs
-    # whose CSV has F_y columns (d = 2 in one chunk and in two, d = 3)
-    # differ in it alone; the k = d CSV has none
+    # whose CSV has F_y columns (d = 2 at grid 8 in one chunk and at grid 96
+    # in two, d = 3) differ in it alone; the k = d CSV has none
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "torusconj" / "conjmap.py"
@@ -60,7 +60,7 @@ def test_fixture_jobs_reach_what_the_workloads_miss(tmp_path, capsys):
     assert differing[0].startswith("DIFFERS fixture job 0: conjugacy <work>/fixtures/fix2.map")
     assert differing[1].startswith(f"DIFFERS fixture job {n - 2}: conjugacy <work>/fixtures/d3k1.map")
     assert differing[2].startswith(f"DIFFERS fixture job {n - 1}: conjugacy <work>/fixtures/fix2.map "
-                                   "--grid 72")
+                                   "--grid 96")
     # A2 is not certified at grid 8 (fix2) or 10 (d3k1): both fail with exit
     # 2, and still write their CSV
     assert [line.split(": file skew_grid.csv ")[1] for line in differing] == [

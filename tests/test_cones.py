@@ -86,8 +86,11 @@ def test_verify_A4_domination():
     s = parse_spec("dim=2\nM=[[2,0],[0,1]]\n")
     cert = cones.verify_A2(s, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
     assert cert.a4_pass and cert.a2_pass
-    # certified expansion sqrt(2) minus off-core stretch 1, not K - 1
-    assert abs(cert.domination_margin - (math.sqrt(2) - 1.0)) <= 4 * np.finfo(float).eps
+    # certified expansion sqrt(2) minus off-core stretch 1, not K - 1: a
+    # lower bound, below by the rounding charged to the factor and to the
+    # certified norm of the off-core column
+    gap = (math.sqrt(2) - 1.0) - cert.domination_margin
+    assert 0 <= gap <= 16 * np.finfo(float).eps
     # off-core expansion stronger than core: domination must fail
     s2 = parse_spec("dim=2\nM=[[2,0],[0,3]]\n")
     cert2 = cones.verify_A2(s2, cones.ConeParams(k=1, alpha=1.0, K=1.4), 4)
@@ -154,6 +157,13 @@ def test_pencil_solver(rng):
 ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
+def _d3k1_S():
+    """The d = 3, k = 1 fixture map in the block coordinates of its invariant line."""
+    s = parse_spec(FIX_D3K1)
+    block = block_triangularize(s.M_list(), [intlat.derive_invariant_line(s.M_list(), 2)])
+    return dynamics.change_coordinates(s, block.S_list())
+
+
 def test_pencil_rounds_fixture(spec_2d_S):
     # k = 1 on d = 2: both minima are closed forms, so no opening solves a
     # pencil; on the d = 3 fixture q_inv is still a pencil, and all six
@@ -161,10 +171,7 @@ def test_pencil_rounds_fixture(spec_2d_S):
     # search made 401 eigvalsh calls per pencil)
     certs = cones.verify_A2(spec_2d_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 32)
     assert [(c.pencil_rounds, c.pencil_gap) for c in certs] == [(0, 0.0)] * len(ALPHAS)
-    s = parse_spec(FIX_D3K1)
-    block = block_triangularize(s.M_list(), [intlat.derive_invariant_line(s.M_list(), 2)])
-    spec_S = dynamics.change_coordinates(s, block.S_list())
-    certs = cones.verify_A2(spec_S, [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 16)
+    certs = cones.verify_A2(_d3k1_S(), [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS], 16)
     rounds = [c.pencil_rounds for c in certs]
     assert all(r >= 2 for r in rounds) and sum(rounds) <= 100, rounds
     assert all(0.0 <= c.pencil_gap <= 1e-12 for c in certs)
@@ -392,6 +399,22 @@ def test_pencil_values_round_outward(monkeypatch):
         L = rng.normal(size=(3, 3))
         _check_rounds_outward(L, 2, 1.5, *_certified_pencils(L, 2, 1.5), 1e-5)
         assert len(checks) > 10 and checks[0] == 2
+
+
+def test_norm_bounds_round_outward():
+    # ||L||_2 and the off-core ||L[:, 1:]||_2 of the 1000 grid-10 cells of
+    # the d = 3 fixture, as verify_A2 bounds them: never below the exact
+    # norm of the float L at DPS digits (the float SVD norm is below it on
+    # about half of them), and within 16 ulps above it
+    eps = np.finfo(float).eps
+    Ls = dynamics.jacobian(_d3k1_S(), semiconj._grid(3, 10, offset=0.5))
+    with mp.workdps(DPS):
+        for X in (Ls, Ls[:, :, 1:]):
+            for L, bound in zip(X, cones._norm2_upper(X)):
+                A = mp.matrix(L.tolist())
+                exact = mp.sqrt(max(mp.eigsy(A.T * A, eigvals_only=True)))
+                assert exact <= bound <= exact * (1 + 16 * eps), (L, bound)
+    assert np.array_equal(cones._norm2_upper(Ls[:, :, 3:]), np.zeros(1000))
 
 
 def test_verify_A2_many_equals_single(spec_2d_S):

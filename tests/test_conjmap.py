@@ -340,14 +340,12 @@ def _skew_run(eng, res, path):
     return rep.max_base_residual, path.read_bytes(), stats
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunking_does_not_change_the_skew_sweep(workers, engine_2d, engine_d3k1, engine_kd,
+def test_chunking_does_not_change_the_skew_sweep(engine_2d, engine_d3k1, engine_kd,
                                                  engine_1d, tmp_path, monkeypatch):
-    # chunks of 7 points, swept serially or on two threads: the CSV bytes,
-    # the fiber counters and the residual are those of the default CHUNK,
-    # and no fiber solve is handed more than one chunk.  On engine_kd the
-    # residual only stays under its ceiling: its roots move with their chunk
-    # (see the xfail below)
+    # chunks of 7 points: the CSV bytes, the fiber counters and the
+    # residual are those of the default CHUNK, and no fiber solve is handed
+    # more than one chunk.  On engine_kd the residual only stays under its
+    # ceiling: its roots move with their chunk (see the xfail below)
     cases = ((engine_2d, 8), (engine_2d, 5), (engine_d3k1, 4), (engine_kd, 4), (engine_1d, 8))
     expected = [_skew_run(eng, res, tmp_path / "skew.csv") for eng, res in cases]
     sizes = []
@@ -356,7 +354,6 @@ def test_chunking_does_not_change_the_skew_sweep(workers, engine_2d, engine_d3k1
         monkeypatch.setattr(conjmap, name,
                             lambda eng, X, *a, real=real: sizes.append(len(X)) or real(eng, X, *a))
     monkeypatch.setattr(semiconj, "CHUNK", 7)
-    monkeypatch.setattr(semiconj, "WORKERS", workers)
     for (eng, res), (peak, text, stats) in zip(cases, expected):
         got = _skew_run(eng, res, tmp_path / "skew.csv")
         assert got[1:] == (text, stats)

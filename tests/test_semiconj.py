@@ -203,11 +203,9 @@ def test_series_memory_independent_of_N(spec_2d_S, block_2d, spec_cat):
 
 def test_residual_memory_independent_of_grid(spec_2d_S, block_2d, monkeypatch):
     # each chunk hands back its argmax point as a copy, so no chunk is kept
-    # once it is merged: 4 times the chunks, the same peak memory (on one
-    # thread, so that no pool's read-ahead moves the peak)
+    # once it is merged: 4 times the chunks, the same peak memory
     eng = build_engine(spec_2d_S, block_2d, N=4)
     monkeypatch.setattr(semiconj, "CHUNK", 1024)
-    monkeypatch.setattr(semiconj, "WORKERS", 1)
     short, long = (_peak_bytes(lambda: semiconj.semiconjugacy_residual(eng, res))
                    for res in (128, 256))
     assert long <= 1.25 * short
@@ -216,9 +214,8 @@ def test_residual_memory_independent_of_grid(spec_2d_S, block_2d, monkeypatch):
 def test_csv_memory_independent_of_grid(engine_1d, tmp_path, monkeypatch):
     # each chunk formats only the coordinates it holds, so a 1-D export of 4
     # times the grid, whose every row has its own coordinate, peaks at the
-    # same memory (on one thread, so that no pool's read-ahead moves the peak)
+    # same memory
     monkeypatch.setattr(semiconj, "CHUNK", 1024)
-    monkeypatch.setattr(semiconj, "WORKERS", 1)
     short, long = (_peak_bytes(lambda: semiconj.export_phi_grid(engine_1d, res, tmp_path / "phi.csv"))
                    for res in (1 << 14, 1 << 16))
     assert long <= 1.25 * short
@@ -371,10 +368,11 @@ def test_expanding_phi_hat_is_batch_independent(engine_2d):
     # with no backward sweep a point's Phi_hat is the same, bit for bit,
     # alone, in a slice of the batch and in one batch of more than two
     # CHUNK points
-    z = np.random.default_rng(23).uniform(-2.0, 3.0, size=(9000, 2))
+    z = np.random.default_rng(23).uniform(-2.0, 3.0, size=(17384, 2))
+    assert len(z) > 2 * semiconj.CHUNK
     whole = semiconj.phi_hat(engine_2d, z).value
-    alone = np.array([semiconj.phi_hat(engine_2d, p).value for p in z[::30]])
-    assert len(alone) == 300 and np.array_equal(alone, whole[::30])
+    alone = np.array([semiconj.phi_hat(engine_2d, p).value for p in z[::58]])
+    assert len(alone) == 300 and np.array_equal(alone, whole[::58])
     lo = semiconj.CHUNK - 100
     assert np.array_equal(semiconj.phi_hat(engine_2d, z[lo:lo + 200]).value, whole[lo:lo + 200])
 

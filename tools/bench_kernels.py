@@ -10,8 +10,8 @@ orbit sweep or the G evaluations of a Newton solve.
 
 - ``eval_trig`` and ``eval_trig_and_jac``: one (n, d) batch of 4096 points.
 - ``invert_lift_numpy``: 1024 points of a hyperbolic map, solved to 1e-13.
-- ``_phi_series``: one 4096-point chunk of an expanding map at N = 32, as
-  ``verify-semiconj`` sweeps it (N + 1 steps).
+- ``_phi_series``: one chunk of ``semiconj.CHUNK`` points of an expanding
+  map at N = 32, as ``verify-semiconj`` sweeps it (N + 1 steps).
 - ``_cone_minima``: the certified cone minima of 1000 cells of a d = 3,
   k = 1 map at every opening of ``cli.ALPHAS``, as ``verify-cones`` finds
   them (the closed-form q_exp and the pencil solve of q_inv), in ns per
@@ -84,11 +84,14 @@ def best(fn, repeat):
     return min(times), out
 
 
-def measure(n=4096, n_inverse=1024, N=32, repeat=9, n_cells=1000):
+def measure(n=4096, n_inverse=1024, N=32, repeat=9, n_cells=1000, n_chunk=semiconj.CHUNK):
     """[(what, d, U, ns per (phase, point))] over the fixed shapes, at n
-    points a batch (n_inverse for the inverse lift) and truncation N, and
-    last (_cone_minima, 3, U, ns per (cell, opening)) at n_cells cells."""
-    rng = np.random.default_rng(0)
+    points a batch (n_chunk for _phi_series, n_inverse for the inverse
+    lift) and truncation N, and last (_cone_minima, 3, U, ns per (cell,
+    opening)) at n_cells cells."""
+    # the chunks come from a second stream, so the other rows time the
+    # points they always did
+    rng, chunk_rng = np.random.default_rng(0), np.random.default_rng(1)
     rows = []
     for d, n_terms in ((2, 3), (2, 7), (3, 4), (3, 6)):
         eng = expanding_engine(d, n_terms, N)
@@ -99,8 +102,9 @@ def measure(n=4096, n_inverse=1024, N=32, repeat=9, n_cells=1000):
         rows.append(("eval_trig", d, U, ns / (U * n)))
         ns, _ = best(lambda: _kernels.eval_trig_and_jac(Z, *ta), repeat)
         rows.append(("eval_trig_and_jac", d, U, ns / (U * n)))
-        ns, _ = best(lambda: semiconj._phi_series(eng, Z, image=True), repeat)
-        rows.append(("_phi_series", d, U, ns / (U * n * (N + 1))))
+        chunk = chunk_rng.uniform(0.0, 1.0, size=(n_chunk, d))
+        ns, _ = best(lambda: semiconj._phi_series(eng, chunk, image=True), repeat)
+        rows.append(("_phi_series", d, U, ns / (U * n_chunk * (N + 1))))
     spec = parse_spec(spec_text(CAT, 4, 11))
     ta = dynamics.term_arrays(spec)
     U = len(ta.coefs)

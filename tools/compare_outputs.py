@@ -67,8 +67,8 @@ FIXTURE_JOBS = (
     ("conjugacy", "SPEC:diag23", "--sublattice", "full", "--grid", "8"),
     ("conjugacy", "SPEC:conf", "--sublattice", "full", "--grid", "8"),
     ("conjugacy", "SPEC:jordan", "--sublattice", "full", "--grid", "8"),
-    # the k = d route over two grid chunks on the chunk pool, with its CSV
-    ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "72", "-o", "OUT"),
+    # the k = d route over two grid chunks, with its CSV
+    ("conjugacy", "SPEC:three", "--sublattice", "full", "--grid", "96", "-o", "OUT"),
     # integers float64 cannot hold: a frequency of 1e20 and N = 1e14, exit 1
     ("validate", "SPEC:bigfreq"),
     ("verify-semiconj", "SPEC:fix2", "--trunc", "100000000000000", "--grid", "4"),
@@ -95,7 +95,7 @@ FIXTURE_JOBS = (
     ("verify-cones", "SPEC:d3k2", "--sublattice", "SUB:d3k2", "--grid", "16"),
     # k = 1 fiber lines with a 2-D y; A2 is first certified at grid 48: exit 2
     ("conjugacy", "SPEC:d3k1", "--grid", "10", "-o", "OUT"),
-    ("conjugacy", "SPEC:fix2", "--grid", "72", "-o", "OUT"),  # a skew CSV of two chunks: PASS
+    ("conjugacy", "SPEC:fix2", "--grid", "96", "-o", "OUT"),  # a skew CSV of two chunks: PASS
 )
 
 
