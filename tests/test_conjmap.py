@@ -340,9 +340,10 @@ def _skew_run(eng, res, path):
     return rep.max_base_residual, path.read_bytes(), stats
 
 
-def test_chunking_does_not_change_the_skew_sweep(engine_2d, engine_d3k1, engine_kd,
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunking_does_not_change_the_skew_sweep(chunk, engine_2d, engine_d3k1, engine_kd,
                                                  engine_1d, tmp_path, monkeypatch):
-    # chunks of 7 points: the CSV bytes, the fiber counters and the
+    # chunks of 1, 2 or 7 points: the CSV bytes, the fiber counters and the
     # residual are those of the default CHUNK, and no fiber solve is handed
     # more than one chunk.  On engine_kd the residual only stays under its
     # ceiling: its roots move with their chunk (see the xfail below)
@@ -353,7 +354,7 @@ def test_chunking_does_not_change_the_skew_sweep(engine_2d, engine_d3k1, engine_
         real = getattr(conjmap, name)
         monkeypatch.setattr(conjmap, name,
                             lambda eng, X, *a, real=real: sizes.append(len(X)) or real(eng, X, *a))
-    monkeypatch.setattr(semiconj, "CHUNK", 7)
+    monkeypatch.setattr(semiconj, "CHUNK", chunk)
     for (eng, res), (peak, text, stats) in zip(cases, expected):
         got = _skew_run(eng, res, tmp_path / "skew.csv")
         assert got[1:] == (text, stats)
@@ -361,7 +362,7 @@ def test_chunking_does_not_change_the_skew_sweep(engine_2d, engine_d3k1, engine_
             assert got[0] <= conjmap.skew_ceiling(eng, 1e-10)
         else:
             assert got[0] == peak
-    assert max(sizes) == 7 and sum(sizes) == sum(res ** eng.d for eng, res in cases)
+    assert max(sizes) == chunk and sum(sizes) == sum(res ** eng.d for eng, res in cases)
 
 
 @pytest.mark.xfail(strict=True, reason="the inverse lift iterates every point of its batch "
