@@ -103,11 +103,6 @@ def _trig_values(t, nsin, deriv=False, vals=None, num=None):
     return vals.T
 
 
-def _dg(t, nsin, jac, d):
-    """DG (n, d, d) at n points from their tangents (U, n) of _phases."""
-    return (_trig_values(t, nsin, deriv=True) @ jac).reshape(-1, d, d)
-
-
 def eval_trig(Z, freqs, coefs, nsin, work=None, out=None):
     """G(Z) (n, d) for a batch Z of shape (n, d).
 
@@ -123,16 +118,10 @@ def eval_trig(Z, freqs, coefs, nsin, work=None, out=None):
 
 
 def eval_jac(Z, freqs, nsin, jac):
-    """DG(Z) (n, d, d) alone; jac: (U, d*d), jac[u, r*d + c] =
-    2 pi coefs[u, r] freqs[u, c]."""
-    return _dg(_phases(Z, freqs), nsin, jac, Z.shape[1])
-
-
-def eval_trig_and_jac(Z, freqs, coefs, nsin, jac):
-    """G(Z) (n, d) and DG(Z) (n, d, d) from one tangent per phase.  G is
-    bitwise what eval_trig returns and DG what eval_jac returns."""
-    t = _phases(Z, freqs)
-    return _trig_values(t, nsin) @ coefs, _dg(t, nsin, jac, Z.shape[1])
+    """DG(Z) (n, d, d) for a batch Z of shape (n, d); jac: (U, d*d),
+    jac[u, r*d + c] = 2 pi coefs[u, r] freqs[u, c]."""
+    d = Z.shape[1]
+    return (_trig_values(_phases(Z, freqs), nsin, deriv=True) @ jac).reshape(-1, d, d)
 
 
 def _solve_small(J, r):
@@ -189,8 +178,9 @@ def invert_lift_numpy(Z, Mf, Minv, terms, tol, max_iter):
     which rounds as point-major arrays do.
 
     Mf is the spec's integer M as floats and Minv its float inverse; the
-    residuals use Mf itself, never a float re-inversion of Minv.  terms are
-    the arguments of eval_trig_and_jac after Z (a dynamics.TermArrays).
+    residuals use Mf itself, never a float re-inversion of Minv.  terms is
+    G in the layout of eval_trig and eval_jac, a dynamics.TermArrays
+    (freqs, coefs, nsin, jac).
 
     Returns (w, residual, G(w mod 1), iterations): the accepted iterates,
     their residuals, G at them (reduced mod 1 first, as the torus orbit

@@ -4,7 +4,8 @@ verify-cones / conjugacy, with JSON reports and CSV grid exports.
 Exit codes: 0 = all checks pass, 1 = operational error (bad input, usage
 errors included, engine failure), 2 = a verification verdict failed
 (including "no integer eigenvalue" in analyze).  A report whose "pass" is
-false is still written to stdout (and -o) before the exit with 2.
+false is still written to stdout (and, for phi and conjugacy, to -o)
+before the exit with 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import cones, conjmap, dynamics, intlat, semiconj
-from .errors import FiberSolveError, FloatRangeError, LatticeError, TorusConjError
+from .errors import FloatRangeError, LatticeError, TorusConjError
 from .specdsl import parse_spec, serialize_spec
 
 SCHEMA_VERSION = "1"
@@ -51,7 +52,7 @@ def _emit(report: dict, args) -> None:
     except ValueError:
         raise FloatRangeError(f"the {report['command']} report holds a NaN or an "
                               "infinity, which JSON cannot carry") from None
-    if args.out:
+    if getattr(args, "out", None):      # only phi and conjugacy take -o
         semiconj._write_file(_out_path(args, f"{report['command']}.json"), [text, "\n"])
     print(text)
 
@@ -295,37 +296,30 @@ def cmd_conjugacy(spec, args) -> dict:
     z = rng.uniform(0, 1, size=(50, engine.d))
     x, y = conjmap.H_forward(engine, z)
     semiconj._grid_size(engine.d, args.grid)    # an oversize grid exits 1 before any work
-    stats = conjmap.FiberStats()
-    head = {"command": "conjugacy", "N": engine.N, "grid_res": args.grid, "tol": args.tol}
-    ceiling = conjmap.skew_ceiling(engine, args.tol)
-    vacuous = _vacuous(ceiling, engine.k)
-    # A2 makes each fiber line a bijection: its gate decides the verdict
-    # with the ceiling, and a vacuous ceiling fails without it
-    gate = {} if vacuous else dict(
-        zip(("a2_alpha", "a2_grid"), _a2_gate(engine.spec, engine.k, args.grid)))
-    # the round trip first: a fiber it cannot solve leaves no CSV
-    csv = _out_path(args, "skew_grid.csv") if args.out else None
-    try:
-        zi = conjmap.H_inverse(engine, x, y, tol=args.tol, stats=stats)
-        sr = conjmap.skew_product_residual(engine, args.grid, tol=args.tol, stats=stats, path=csv)
-    except FiberSolveError:
-        # a vacuous ceiling fails the verdict whatever the fibers do: the
-        # solves only measure the residuals, and a fiber that cannot be
-        # solved leaves them out (an unmeasured residual is infinite)
-        if not vacuous:
-            raise
+    head = {"command": "conjugacy", "N": engine.N, "grid_res": args.grid, "tol": conjmap.TOL}
+    ceiling = conjmap.skew_ceiling(engine, conjmap.TOL)
+    if _vacuous(ceiling, engine.k):
+        # such a ceiling fails the verdict whatever the fibers do: none is solved
         return _ceiling_verdict({**head, "ceiling": ceiling}, math.inf, engine.k)
-    rt = dynamics.torus_distance(zi, z).max()
-    report = _ceiling_verdict({
+    # A2 makes each fiber line a bijection: its gate decides the verdict
+    # with the ceiling
+    alpha, a2_grid = _a2_gate(engine.spec, engine.k, args.grid)
+    # the round trip first: a fiber it cannot solve leaves no CSV
+    stats = conjmap.FiberStats()
+    csv = _out_path(args, "skew_grid.csv") if args.out else None
+    zi = conjmap.H_inverse(engine, x, y, stats=stats)
+    sr = conjmap.skew_product_residual(engine, args.grid, stats=stats, path=csv)
+    report = {
         **head,
         "max_base_residual": sr.max_base_residual,
         "ceiling": sr.ceiling,
-        "round_trip_max": float(rt),
-        **gate,
-    }, sr.max_base_residual, engine.k)
-    report["pass"] = report["pass"] and gate.get("a2_alpha") is not None
-    # additive: the fiber solves' work; never moves the verdict
-    report["diagnostics"] = dataclasses.asdict(stats)
+        "round_trip_max": float(dynamics.torus_distance(zi, z).max()),
+        "a2_alpha": alpha,
+        "a2_grid": a2_grid,
+        "pass": bool(sr.max_base_residual <= sr.ceiling) and alpha is not None,
+        # additive: the fiber solves' work; never moves the verdict
+        "diagnostics": dataclasses.asdict(stats),
+    }
     if csv:
         report["csv"] = csv
     return report
@@ -333,39 +327,38 @@ def cmd_conjugacy(spec, args) -> dict:
 
 # ---------------------------------------------------------------- plumbing
 
-def _bounded(cast, lo, strict=False):
-    """argparse type: a finite number read by cast, >= lo (> lo if strict)."""
-    def parse(text: str):
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
         try:
-            x = cast(text)
+            x = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not math.isfinite(x) or x < lo or (strict and x == lo):
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite number {'>' if strict else '>='} {lo:g}")
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if x < lo:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {lo}")
         return x
     return parse
 
 
 FLAGS = {
-    "--trunc": dict(type=_bounded(int, 1), default=None, metavar="N",
+    "--trunc": dict(type=_at_least(1), default=None, metavar="N",
                     help="series truncation order (default: auto)"),
-    "--grid": dict(type=_bounded(int, 2), default=64, metavar="R",
+    "--grid": dict(type=_at_least(2), default=64, metavar="R",
                    help="grid resolution per axis"),
-    "--tol": dict(type=_bounded(float, 0.0, strict=True), default=1e-10,
-                  help="fiber solver tolerance, > 0"),
     "--sublattice": dict(default=None, metavar="FILE|full",
                          help="invariant sublattice basis (JSON file) or 'full'"),
+    "-o": dict(dest="out", default=None, metavar="DIR",
+               help="write the CSV grid and a copy of the JSON report into DIR"),
 }
 
-# each command gets only the flags it reads (plus -o)
+# each command gets only the flags it reads
 COMMANDS = {
     "validate": (cmd_validate, ()),
     "analyze": (cmd_analyze, ("--sublattice",)),
-    "phi": (cmd_phi, ("--trunc", "--grid", "--sublattice")),
+    "phi": (cmd_phi, ("--trunc", "--grid", "--sublattice", "-o")),
     "verify-semiconj": (cmd_verify_semiconj, ("--trunc", "--grid", "--sublattice")),
     "verify-cones": (cmd_verify_cones, ("--grid", "--sublattice")),
-    "conjugacy": (cmd_conjugacy, ("--trunc", "--grid", "--tol", "--sublattice")),
+    "conjugacy": (cmd_conjugacy, ("--trunc", "--grid", "--sublattice", "-o")),
 }
 
 
@@ -378,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("spec", help="map spec file")
         for flag in flags:
             sp.add_argument(flag, **FLAGS[flag])
-        sp.add_argument("-o", "--out", default=None, metavar="DIR")
         sp.set_defaults(fn=fn)
     return p
 

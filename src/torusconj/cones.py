@@ -61,6 +61,17 @@ def _gamma(n: int) -> float:
     return n * U / (1.0 - n * U)
 
 
+def _down(x):
+    """The float below x: a lower bound on the exact result of the one
+    correctly rounded operation (+, -, *, /, sqrt) that gave x."""
+    return np.nextafter(x, -np.inf)
+
+
+def _up(x):
+    """The float above x: an upper bound on that exact result."""
+    return np.nextafter(x, np.inf)
+
+
 @dataclass(frozen=True)
 class ConeParams:
     k: int
@@ -523,12 +534,18 @@ def _norm2_upper(Ls: np.ndarray) -> np.ndarray:
     Q, err = _pencil_form(Ls, -np.ones(d))
     zero, lam = np.zeros((m, m)), np.zeros(n)
     lo = _certify_lambda_min(Q, err, zero, lam, _pencil_eval(Q, zero, lam)[0])
-    return np.nextafter(np.sqrt(-lo), np.inf)
+    return _up(np.sqrt(-lo))
 
 
 def _margins(q_exp, q_inv, nL, alpha):
-    """Expansion factors sqrt(q_exp) and margins q_inv / ((alpha + 1) ||L||), inf if k = d."""
-    return np.sqrt(np.maximum(q_exp, 0.0)), q_inv / ((alpha + 1.0) * np.maximum(nL, 1e-300))
+    """Expansion factors sqrt(q_exp) and margins q_inv / ((alpha + 1) ||L||),
+    inf if k = d, each rounded down from the exact value of its inputs:
+    the square root toward 0, the quotient down, and its denominator up
+    where q_inv >= 0 and down where q_inv < 0."""
+    factor = np.nextafter(np.sqrt(np.maximum(q_exp, 0.0)), 0.0)
+    to = np.where(q_inv >= 0, np.inf, 0.0)
+    lin = q_inv / np.nextafter(np.nextafter(alpha + 1.0, to) * np.maximum(nL, 1e-300), to)
+    return factor, np.where(np.isinf(lin), lin, _down(lin))
 
 
 @dataclass(frozen=True)
@@ -628,7 +645,7 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
     def margins(centers):
         Ls = dynamics.jacobian(spec, centers)
         nLs = _norm2_upper(Ls)
-        stretch = (_norm2_upper(Ls[:, :, k:]) + pad).max()
+        stretch = _up(_norm2_upper(Ls[:, :, k:]) + pad).max()
         return stretch, [_chunk_margins(Ls, nLs, nL_max, k, p, pad, centers) for p in plist]
 
     stretch, per_chunk = zip(*map(margins, semiconj._grid_chunks(spec.d, grid_res, offset=0.5)))
@@ -638,15 +655,15 @@ def verify_A2(spec: TorusMapSpec, params, grid_res: int):
         factor, lin_inv, worst, cell, a2, rounds, gap = zip(*chunk_margins)
         j = int(np.argmin(worst))
         # rounding is monotone, so padding the least factor gives the least
-        # padded factor, bit for bit
-        padded_factor = np.min(factor) - pad
-        dom_margin = float(padded_factor - off_core)
+        # padded factor, bit for bit; each margin is rounded down
+        padded_factor = _down(np.min(factor) - pad)
+        dom_margin = float(_down(padded_factor - off_core))
         a2 = all(a2)
         certs.append(ConeCertificate(
             params=p, padding=float(pad),
             expansion_factor=float(np.min(factor)),
             invariance_margin=float(np.min(lin_inv)),
-            expansion_margin=float(padded_factor - p.K),
+            expansion_margin=float(_down(padded_factor - p.K)),
             domination_margin=dom_margin,
             worst_cell=cell[j],
             a2_pass=a2, a4_pass=a2 and dom_margin > 0,
@@ -658,11 +675,11 @@ def _chunk_margins(Ls, nLs, nL_max, k, p: ConeParams, pad, centers):
     """The cone minima of one chunk of cells (Jacobians Ls, norms nLs, cell
     centres centers), as (least factor, least linear margin, least padded
     margin, the centre of the first cell attaining it, A2 holds, search
-    rounds, pencil gap)."""
+    rounds, pencil gap).  Each margin is rounded down, and (alpha + 1) pad up."""
     q_exp, q_inv, rounds, gap = _cone_minima(Ls, nL_max, k, p.alpha)
     factors, lin_inv = _margins(q_exp, q_inv, nLs, p.alpha)
-    exp_margin = (factors - pad) - p.K
-    padded_inv = lin_inv - (p.alpha + 1.0) * pad
+    exp_margin = _down(_down(factors - pad) - p.K)
+    padded_inv = _down(lin_inv - _up(_up(p.alpha + 1.0) * pad))
     worst = np.minimum(exp_margin, padded_inv)
     i = int(np.argmin(worst))
     return (factors.min(), lin_inv.min(), worst[i], tuple(centers[i].tolist()),

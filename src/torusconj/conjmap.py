@@ -24,6 +24,7 @@ from .errors import EngineError, FiberSolveError
 from .semiconj import SemiConjEngine
 
 MAX_BISECT = 120        # cap on the finish rounds of a fiber solve
+TOL = 1e-10             # the fiber solves' tolerance on |Phi_hat - x|
 
 
 @dataclass
@@ -148,7 +149,7 @@ def _orbit_batch(engine: SemiConjEngine, X, tol, stats: FiberStats | None = None
     return f
 
 
-def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = 1e-10,
+def H_inverse(engine: SemiConjEngine, x0, y0, tol: float = TOL,
               stats: FiberStats | None = None):
     """Torus point(s) z with H(z) = (x0 mod 1, y0 mod 1) within tol, shaped
     by y0's leading axes and d: the one fiber solve.  Each point y of y0
@@ -181,7 +182,7 @@ def skew_ceiling(engine: SemiConjEngine, tol: float) -> float:
 
 
 def skew_product_residual(engine: SemiConjEngine, grid_res: int,
-                          tol: float = 1e-10, stats: FiberStats | None = None,
+                          tol: float = TOL, stats: FiberStats | None = None,
                           path=None) -> SkewReport:
     """Max over the (x, y) grid semiconj._grid(d, grid_res) of dist(base of
     H(F(H^-1(x,y))), A x mod 1), swept CHUNK grid points at a time on the

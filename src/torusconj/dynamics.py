@@ -18,8 +18,9 @@ TWO_PI = 2.0 * np.pi
 
 class TermArrays(NamedTuple):
     """G's terms in the unique-phase layout of _kernels.eval_trig: one row
-    per distinct (kind, frequency), sin rows first.  In field order they
-    are the arguments of _kernels.eval_trig_and_jac after Z."""
+    per distinct (kind, frequency), sin rows first.  freqs, coefs and nsin
+    are the arguments of _kernels.eval_trig after Z, and freqs, nsin and
+    jac those of _kernels.eval_jac."""
     freqs: np.ndarray   # (U, d) float64 (integer-valued)
     coefs: np.ndarray   # (U, d): coefs[u, i] = coefficient of row u in component i
     nsin: int           # rows 0..nsin-1 are sines, the rest cosines

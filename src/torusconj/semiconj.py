@@ -330,10 +330,7 @@ def _grid(d: int, res: int, offset: float = 0.0, start: int = 0,
           stop: int | None = None) -> np.ndarray:
     """The res^d points (i + offset) / res, i in {0..res-1}^d, in row-major
     order, as an array of shape (stop - start, d) holding rows start..stop-1
-    of that order (default: all of them); offset 0.5 gives cell centres.
-    For d = 0 it is the single empty point, shape (1, 0)."""
-    if d == 0:
-        return np.zeros((1, 0))
+    of that order (default: all of them); offset 0.5 gives cell centres."""
     rows = np.arange(start, _grid_size(d, res) if stop is None else stop)
     return (np.stack(np.unravel_index(rows, (res,) * d), axis=-1) + offset) / res
 

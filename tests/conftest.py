@@ -58,6 +58,12 @@ FIX_D3K2_SUB = [[1, 0, 0], [0, 1, 0]]
 # only at the second power
 FIX_ROT = "dim=2\nM=[[0,-4],[1,0]]\nG[2]=0.02*cos(2*pi*(z2))\n"
 
+# x^3 - x - 1: det M = 1, the unstable root 1.3247 (the plastic number) and
+# a stable complex pair of modulus 0.869, whose real invariant plane is
+# spanned by the real and imaginary parts of one eigenvector
+FIX_PLASTIC = ("dim=3\nM=[[0,1,0],[0,0,1],[1,1,0]]\nG[1]=0.002*sin(2*pi*(z1+z3))\n"
+               "G[2]=0.001*cos(2*pi*(z2))\nG[3]=0.001*sin(2*pi*(z1-z2))\n")
+
 # a singular d = 3 map and a map with a negative eigenvalue
 FIX_SING3 = "dim=3\nM=[[2,1,0],[0,2,0],[0,0,0]]\nG[1]=0.01*sin(2*pi*(z3))\n"
 FIX_NEG = "dim=2\nM=[[-2,1],[0,3]]\nG[1]=0.01*cos(2*pi*(z2))\n"

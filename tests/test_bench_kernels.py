@@ -17,7 +17,7 @@ def test_bench_kernels_runs_at_tiny_sizes(monkeypatch):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     rows = bench.measure(n=16, n_inverse=8, N=2, repeat=1, n_cells=8, n_chunk=16)
-    names = ("eval_trig", "eval_trig_and_jac", "_phi_series")
+    names = ("eval_trig", "eval_jac", "_phi_series")
     assert [r[:2] for r in rows] == ([(w, 2) for w in names] * 2 + [(w, 3) for w in names] * 2
                                      + [("invert_lift_numpy", 2), ("_cone_minima", 3)])
     assert all(U >= 2 and math.isfinite(ns) and ns > 0 for _, _, U, ns in rows)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusconj import cli, conjmap, semiconj
+from torusconj import cli, cones, conjmap, semiconj
 from torusconj.cli import cmd_validate, main
 from torusconj.specdsl import TorusMapSpec, TrigTerm
 from torusconj.errors import ContractionError, FiberSolveError
@@ -326,29 +326,31 @@ def test_one_cone_family(fix2, grid, a2, capsys, monkeypatch):
     assert (rep["a2_alpha"], rep["a2_grid"]) == a2 and code == (0 if a2[0] else 2)
 
 
-def test_verify_cones_identity_exit_2(tmp_path, capsys):
-    # a failed verdict still emits its report, on stdout and under -o
+def test_verify_cones_identity_exit_2(fix2, tmp_path, capsys):
+    # a failed verdict still emits its report, on stdout, and under -o for
+    # the commands that take it: conjugacy without A2 at grid 8, exit 2
     p = tmp_path / "ident.map"
     p.write_text("dim=2\nM=[[1,0],[0,1]]\n")
-    out_dir = tmp_path / "out"
-    code, out, _ = run(capsys, "verify-cones", str(p), "--grid", "4",
-                       "--sublattice", "full", "-o", str(out_dir))
+    code, out, _ = run(capsys, "verify-cones", str(p), "--grid", "4", "--sublattice", "full")
     assert code == 2
     rep = json.loads(out)
     assert rep["pass"] is False and rep["schema_version"] == "1"
-    assert json.loads((out_dir / "verify-cones.json").read_text()) == rep
     assert all(not a["a4_pass"] for a in rep["alphas"])
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "8", "-o", str(out_dir))
+    rep = json.loads(out)
+    assert code == 2 and rep["pass"] is False and rep["a2_alpha"] is None
+    assert json.loads((out_dir / "conjugacy.json").read_text()) == rep
 
 
 def test_conjugacy(fix2, capsys, tmp_path):
     out_dir = str(tmp_path / "out")
-    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32",
-                       "--tol", "1e-9", "--trunc", "40", "-o", out_dir)
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32", "--trunc", "40", "-o", out_dir)
     assert code == 0
     rep = json.loads(out)
-    assert rep["max_base_residual"] <= rep["ceiling"]
+    assert rep["max_base_residual"] <= rep["ceiling"] and rep["tol"] == conjmap.TOL
     assert (rep["a2_grid"], rep["a2_alpha"]) == (32, 0.5)
-    assert rep["diagnostics"] == {"fiber_iters": 16, "phi_points": 16419}
+    assert rep["diagnostics"] == {"fiber_iters": 18, "phi_points": 17955}
     assert (tmp_path / "out" / "skew_grid.csv").exists()
     assert (tmp_path / "out" / "conjugacy.json").exists()
 
@@ -389,13 +391,13 @@ def test_failed_json_write_leaves_no_report(fix2, capsys, tmp_path, monkeypatch)
         def failing():
             yield next(iter(blocks))
             raise OSError("No space left on device")
-        real(path, failing())
+        real(path, failing() if path.endswith(".json") else blocks)
 
     monkeypatch.setattr(semiconj, "_write_file", fail_after_first_block)
     out_dir = tmp_path / "o"
-    code, out, err = run(capsys, "validate", fix2, "-o", str(out_dir))
+    code, out, err = run(capsys, "phi", fix2, "--grid", "8", "-o", str(out_dir))
     assert code == 1 and out == "" and "No space left on device" in err
-    assert list(out_dir.iterdir()) == []
+    assert [p.name for p in out_dir.iterdir()] == ["phi_grid.csv"]
 
 
 # (command, flag, bad value): each must exit 1 with nothing on stdout
@@ -407,15 +409,15 @@ BAD_FLAGS = [
     ("phi", "--grid", "x"),
     ("verify-semiconj", "--grid", "1"),
     ("verify-semiconj", "--trunc", "0"),
-    ("verify-cones", "--tol", "1e-9"),      # not a flag of verify-cones
     ("verify-cones", "--alpha", "1"),       # not a flag of verify-cones
     ("verify-cones", "--K", "1.2"),         # not a flag of verify-cones
-    ("conjugacy", "--tol", "0"),
-    ("conjugacy", "--tol", "-1e-9"),
-    ("conjugacy", "--tol", "nan"),
-    ("conjugacy", "--tol", "inf"),
     ("conjugacy", "--alpha", "1"),          # not a flag of conjugacy
     ("conjugacy", "--seed", "0"),           # not a flag of conjugacy
+    # no command has --tol: the fiber tolerance is conjmap.TOL
+    *[(command, "--tol", "1e-10") for command in cli.COMMANDS],
+    # -o only where a CSV is written
+    *[(command, "-o", "out") for command in ("validate", "analyze", "verify-semiconj",
+                                             "verify-cones")],
 ]
 
 
@@ -427,12 +429,12 @@ def test_bad_flags(fix1, capsys):
 
 
 FLAGS_BY_COMMAND = {
-    "validate": {"-o"},
-    "analyze": {"--sublattice", "-o"},
+    "validate": set(),
+    "analyze": {"--sublattice"},
     "phi": {"--trunc", "--grid", "--sublattice", "-o"},
-    "verify-semiconj": {"--trunc", "--grid", "--sublattice", "-o"},
-    "verify-cones": {"--grid", "--sublattice", "-o"},
-    "conjugacy": {"--trunc", "--grid", "--tol", "--sublattice", "-o"},
+    "verify-semiconj": {"--trunc", "--grid", "--sublattice"},
+    "verify-cones": {"--grid", "--sublattice"},
+    "conjugacy": {"--trunc", "--grid", "--sublattice", "-o"},
 }
 
 
@@ -524,31 +526,30 @@ def test_vacuous_ceiling_fails(fix2, tmp_path, capsys):
     # certifies nothing: pass is false with "vacuous": true, and exit 2
     p = tmp_path / "huge.map"
     p.write_text(HUGE_G)
-    for argv in (("verify-semiconj", str(p), "--trunc", "8", "--grid", "8"),
-                 ("conjugacy", fix2, "--grid", "8", "--tol", "0.3")):
-        code, out, _ = run(capsys, *argv)
-        rep = json.loads(out)
-        assert code == 2 and rep["pass"] is False and rep["vacuous"] is True, argv
-        residual = rep.get("max_residual", rep.get("max_base_residual"))
-        assert residual <= rep["ceiling"] and rep["ceiling"] >= 0.5, argv
+    code, out, _ = run(capsys, "verify-semiconj", str(p), "--trunc", "8", "--grid", "8")
+    rep = json.loads(out)
+    assert code == 2 and rep["pass"] is False and rep["vacuous"] is True
+    assert rep["max_residual"] <= rep["ceiling"] and rep["ceiling"] >= 0.5
     # a ceiling below it leaves the report as it was: no "vacuous" key
-    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32", "--tol", "1e-9")
+    code, out, _ = run(capsys, "conjugacy", fix2, "--grid", "32")
     rep = json.loads(out)
     assert code == 0 and "vacuous" not in rep
-    assert rep["diagnostics"] == {"fiber_iters": 16, "phi_points": 16367}
+    assert rep["diagnostics"] == {"fiber_iters": 18, "phi_points": 17738}
 
 
-def test_vacuous_conjugacy_fails_without_residuals(tmp_path, capsys):
-    # the huge map's skew ceiling bounds nothing, and its fibers cannot be
-    # solved: the verdict is a vacuous FAIL with exit 2 and no residuals,
-    # not an exit 1 from the fiber solver
+def test_vacuous_conjugacy_fails_without_residuals(tmp_path, capsys, monkeypatch):
+    # the huge map's skew ceiling bounds nothing: the verdict is a vacuous
+    # FAIL with exit 2 and no residuals, reached before the A2 gate and
+    # before any fiber is solved (its fibers could not be)
     p = tmp_path / "huge.map"
     p.write_text(HUGE_G)
+    for module, name in ((conjmap, "H_inverse"), (cones, "verify_A2")):
+        monkeypatch.setattr(module, name, lambda *a, **kw: pytest.fail("called"))
     code, out, err = run(capsys, "conjugacy", str(p), "--trunc", "8", "--grid", "8")
     rep = json.loads(out)
     assert (code, err) == (2, "")
     assert rep["pass"] is False and rep["vacuous"] is True and rep["ceiling"] >= 0.5
-    assert not {"max_base_residual", "round_trip_max", "diagnostics"} & set(rep)
+    assert not {"max_base_residual", "round_trip_max", "a2_alpha", "diagnostics"} & set(rep)
 
 
 def test_conjugacy_diagnostics(fix2, capsys):
@@ -672,10 +673,15 @@ def test_non_finite_report_exits_1(fix2, tmp_path, capsys, monkeypatch):
     real = semiconj.semiconjugacy_residual
     monkeypatch.setattr(semiconj, "semiconjugacy_residual",
                         lambda *a: dataclasses.replace(real(*a), max_residual=float("nan")))
-    out_dir = tmp_path / "out"
-    code, out, err = run(capsys, "verify-semiconj", fix2, "--grid", "8", "-o", str(out_dir))
-    assert (code, out) == (1, "") and not out_dir.exists()
+    code, out, err = run(capsys, "verify-semiconj", fix2, "--grid", "8")
+    assert (code, out) == (1, "")
     assert err.startswith("error: the verify-semiconj report holds a NaN")
+    # a NaN skew ceiling is vacuous: the report is made before any file is
+    monkeypatch.setattr(conjmap, "skew_ceiling", lambda *a: float("nan"))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "conjugacy", fix2, "--grid", "8", "-o", str(out_dir))
+    assert (code, out) == (1, "") and not out_dir.exists()
+    assert err.startswith("error: the conjugacy report holds a NaN")
 
 
 def test_unsolvable_fiber_under_a_real_ceiling_exits_1(fix2, capsys, monkeypatch):
@@ -711,7 +717,8 @@ def test_oversize_grid_is_typed_error(fix2, tmp_path, capsys):
     # 1 with one error line, before it makes a grid point or a file
     for command in ("verify-semiconj", "verify-cones", "phi", "conjugacy"):
         out_dir = tmp_path / command
-        code, out, err = run(capsys, command, fix2, "--grid", "5000000000", "-o", str(out_dir))
+        out_flag = ("-o", str(out_dir)) if command in ("phi", "conjugacy") else ()
+        code, out, err = run(capsys, command, fix2, "--grid", "5000000000", *out_flag)
         assert (code, out) == (1, ""), command
         assert err == "error: a grid of 5000000000^2 points has more than numpy can index\n"
         assert not out_dir.exists() or not any(out_dir.iterdir()), command

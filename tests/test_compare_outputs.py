@@ -168,3 +168,28 @@ def test_fixture_jobs_reach_the_full_block_route(tmp_path, capsys):
         ": stdout (keys diagnostics), file conjugacy.json (exit 0 -> 0)")
     assert [line.split("fixtures/")[1].split(".map")[0] for line in differing] == [
         "three", "diag23", "conf", "jordan", "three"]
+
+
+def test_fixture_jobs_reach_the_complex_pair_split(tmp_path, capsys):
+    # a tree whose real basis of a complex eigenvalue pair doubles the
+    # imaginary part: every backward-hyperbolic map is d = 2 with real
+    # eigenvalues and is identical, and of the fixture jobs only the plastic
+    # map's verify-semiconj, whose stable pair is complex, differs
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "torusconj" / "semiconj.py"
+    text = path.read_text()
+    pair = "vecs = [V[:, i].real, V[:, i].imag]"
+    assert text.count(pair) == 1
+    path.write_text(text.replace(pair, "vecs = [V[:, i].real, 2 * V[:, i].imag]"))
+    code = compare_outputs.main([str(ROOT), str(tmp_path), "--seeds", "601",
+                                 "--workloads", "backward-hyperbolic"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    n = len(compare_outputs.FIXTURE_JOBS)
+    assert out[-2:] == [f"{n} fixture jobs: {n - 1} byte-identical, 1 differ",
+                        "15 jobs of backward-hyperbolic at seeds 601: 15 byte-identical, 0 differ"]
+    differing = [line for line in out if line.startswith("DIFFERS")]
+    assert len(differing) == 1
+    assert differing[0].startswith("DIFFERS fixture job 9: verify-semiconj "
+                                   "<work>/fixtures/plastic.map --sublattice full")

@@ -417,6 +417,57 @@ def test_norm_bounds_round_outward():
     assert np.array_equal(cones._norm2_upper(Ls[:, :, 3:]), np.zeros(1000))
 
 
+def test_margins_round_down():
+    # on the 1000 grid-10 cells of the d = 3 fixture at three openings, the
+    # factors sqrt(q_exp) and margins q_inv / ((alpha + 1) ||L||), each
+    # chunk's least padded margin, and the certificate's expansion and
+    # domination margins never exceed their exact values at DPS digits,
+    # computed from the same certified minima, norms and padding (rounded
+    # to nearest, about half of the factors and margins read above them),
+    # and sit within 8 ulps of their scale below them
+    eps = np.finfo(float).eps
+    spec, K = _d3k1_S(), 1.000000001
+    Ls = dynamics.jacobian(spec, semiconj._grid(3, 10, offset=0.5))
+    nLs, nOff = cones._norm2_upper(Ls), cones._norm2_upper(Ls[:, :, 1:])
+    nL_max = float(np.linalg.norm(dynamics.M_array(spec), 2)) + dynamics.norm_bounds(spec).g_lip
+    with mp.workdps(DPS):
+        for alpha in (0.25, 1.0, 4.0):
+            cert = cones.verify_A2(spec, cones.ConeParams(1, alpha, K), 10)
+            pad, a1 = mp.mpf(cert.padding), mp.mpf(alpha) + 1
+            q_exp, q_inv, _, _ = cones._cone_minima(Ls, nL_max, 1, alpha)
+            factors, lin = cones._margins(q_exp, q_inv, nLs, alpha)
+            exact_f = [mp.sqrt(mp.mpf(q)) for q in q_exp]
+            exact_l = [mp.mpf(q) / (a1 * mp.mpf(n)) for q, n in zip(q_inv, nLs)]
+            for values, exact in ((factors, exact_f), (lin, exact_l)):
+                for x, e in zip(values, exact):
+                    assert mp.mpf(x) <= e and e - mp.mpf(x) <= 8 * eps * abs(e), (alpha, x, e)
+            least = min(min(f - pad - K, m - a1 * pad) for f, m in zip(exact_f, exact_l))
+            worst = cones._chunk_margins(Ls, nLs, nL_max, 1, cert.params, cert.padding, Ls[:, 0])[2]
+            assert mp.mpf(worst) <= least
+            padded = min(exact_f) - pad
+            off_core = max(mp.mpf(n) for n in nOff) + pad
+            scale = abs(padded) + K + off_core
+            for value, e in ((cert.expansion_margin, padded - K),
+                             (cert.domination_margin, padded - off_core)):
+                assert mp.mpf(value) <= e and e - mp.mpf(value) <= 8 * eps * scale, (alpha, value, e)
+        # one random 2x2 cell at a time, with a padding of 1e-3 to 10 and K
+        # of 0.5 to 2, where the padding arithmetic rounds on its own: the
+        # least padded margin of the cell never exceeds its exact value
+        rng = np.random.default_rng(38)
+        for _ in range(400):
+            L = rng.normal(size=(1, 2, 2))
+            alpha = float(rng.choice((0.25, 1.0, 4.0, 0.3, 3.7)))
+            pad, K = 10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.5, 2.0)
+            nL = cones._norm2_upper(L)
+            q_exp, q_inv, _, _ = cones._cone_minima(L, float(nL[0]), 1, alpha)
+            worst = cones._chunk_margins(L, nL, float(nL[0]), 1, cones.ConeParams(1, alpha, K),
+                                         pad, L[:, 0])[2]
+            a1 = mp.mpf(alpha) + 1
+            exact = min(mp.sqrt(mp.mpf(q_exp[0])) - pad - K,
+                        mp.mpf(q_inv[0]) / (a1 * mp.mpf(nL[0])) - a1 * pad)
+            assert mp.mpf(worst) <= exact, (L, alpha, pad, K)
+
+
 def test_verify_A2_many_equals_single(spec_2d_S):
     params = [cones.ConeParams(1, a, 1.000000001) for a in ALPHAS]
     many = cones.verify_A2(spec_2d_S, params, 32)

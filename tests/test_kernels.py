@@ -30,16 +30,22 @@ def _per_term(spec, Z):
     return g, dg
 
 
+def _g_and_dg(Z, freqs, coefs, nsin, jac):
+    """G and DG of the kernels at the points Z, for G in the layout of
+    dynamics.TermArrays."""
+    return _kernels.eval_trig(Z, freqs, coefs, nsin), _kernels.eval_jac(Z, freqs, nsin, jac)
+
+
 def test_empty_term_list():
     s = parse_spec("dim=2\nM=[[2,1],[1,1]]\n")
     ta = dynamics.term_arrays(s)
     assert ta.freqs.shape == (0, 2) and ta.coefs.shape == (0, 2)
     assert ta.nsin == 0 and ta.jac.shape == (0, 4)
     Z = np.full((3, 2), 0.3)
-    out = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
-    g, dg = _kernels.eval_trig_and_jac(Z, *ta)
-    assert out.shape == g.shape == (3, 2) and dg.shape == (3, 2, 2)
-    assert not out.any() and not g.any() and not dg.any()
+    g = _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
+    dg = _kernels.eval_jac(Z, ta.freqs, ta.nsin, ta.jac)
+    assert g.shape == (3, 2) and dg.shape == (3, 2, 2)
+    assert not g.any() and not dg.any()
 
 
 def test_orbit_matches_manual_iteration(engine_2d, engine_cat, rng):
@@ -73,16 +79,6 @@ def test_invert_lift_kernel(spec_cat, rng):
     assert np.array_equal(g, dynamics.eval_G(spec_cat, np.mod(W, 1.0)))
 
 
-def test_trig_and_jac_g_is_eval_trig(spec_2d, spec_2d_S, spec_cat, rng):
-    # the G of the shared sin/cos evaluation is bitwise eval_trig's G
-    for spec in (spec_2d, spec_2d_S, spec_cat):
-        ta = dynamics.term_arrays(spec)
-        for n in (1, 7, 300):
-            Z = rng.uniform(-1, 2, size=(n, 2))
-            g, _ = _kernels.eval_trig_and_jac(Z, *ta)
-            assert np.array_equal(g, _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin))
-
-
 def test_trig_matches_per_term_loop(spec_2d, spec_2d_S, spec_cat, rng):
     # one row per unique phase, summed by matrix products, against the sum
     # of the spec's terms one at a time: G moves by summation rounding
@@ -94,7 +90,7 @@ def test_trig_matches_per_term_loop(spec_2d, spec_2d_S, spec_cat, rng):
     for spec in (spec_2d, spec_2d_S, spec_cat, s3):
         ta = dynamics.term_arrays(spec)
         Z = rng.uniform(-1, 2, size=(200, spec.d))
-        g, dg = _kernels.eval_trig_and_jac(Z, *ta)
+        g, dg = _g_and_dg(Z, *ta)
         g_ref, dg_ref = _per_term(spec, Z)
         assert np.abs(g - g_ref).max() <= 1e-17
         assert np.abs(dg - dg_ref).max() <= 1e-15
@@ -128,7 +124,7 @@ def _gamma(n):
 
 
 def test_trig_rounding_does_not_grow_with_the_frequency():
-    # G and DG of eval_trig_and_jac against mpmath, at phases k.z up to 1e3:
+    # G of eval_trig and DG of eval_jac against mpmath, at phases k.z up to 1e3:
     # z on a 2^-30 grid and integer k make k.z exact in float64, so every
     # error is the kernel's own.  Reduced mod 1, each sin / cos argument
     # lies in [-pi, pi], and the error stays under gamma_{U+16} times the
@@ -149,7 +145,7 @@ def test_trig_rounding_does_not_grow_with_the_frequency():
         phase = TWO_PI * s
         unreduced = (np.concatenate([np.sin(phase[:, :nsin]), np.cos(phase[:, nsin:])], 1),
                      np.concatenate([np.cos(phase[:, :nsin]), -np.sin(phase[:, nsin:])], 1))
-        g, dg = _kernels.eval_trig_and_jac(Z, freqs, coefs, nsin, jac)
+        g, dg = _g_and_dg(Z, freqs, coefs, nsin, jac)
         with mp.workdps(DPS):
             ref = np.empty((2, n, U), dtype=object)
             for i, j in np.ndindex(n, U):
@@ -213,9 +209,9 @@ def test_eval_trig_one_transcendental_per_term(spec_2d, rng, monkeypatch):
     _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin)
     assert seen == [40 * len(spec_2d.terms)] == [40 * len(ta.coefs)]
     # the phases are frequency-major: tan reads one contiguous block, never
-    # strided column slices, and G and DG share its tangents
-    _kernels.eval_trig_and_jac(Z, *ta)
-    assert len(contiguous) == 1 + 1 and all(contiguous)
+    # strided column slices, for G and for DG alike
+    _kernels.eval_jac(Z, ta.freqs, ta.nsin, ta.jac)
+    assert seen == [40 * len(ta.coefs)] * 2 and all(contiguous)
 
 
 def test_eval_trig_one_transcendental_per_unique_phase(spec_2d_S, rng, monkeypatch):
@@ -262,10 +258,8 @@ def test_frequency_major_is_point_major_bitwise():
                 Z = rng.uniform(-1, 2, size=(n, d))
                 for nsin in range(U + 1):
                     g_ref, dg_ref = _point_major(Z, freqs, coefs, nsin, jac)
-                    g, dg = _kernels.eval_trig_and_jac(Z, freqs, coefs, nsin, jac)
                     assert np.array_equal(_kernels.eval_trig(Z, freqs, coefs, nsin), g_ref)
                     assert np.array_equal(_kernels.eval_jac(Z, freqs, nsin, jac), dg_ref)
-                    assert np.array_equal(g, g_ref) and np.array_equal(dg, dg_ref)
 
 
 def test_invert_lift_residual_uses_exact_M(rng):
@@ -361,7 +355,7 @@ def _invert_lift_ref(Z, Mf, Minv, terms, tol, max_iter, solve=_solve_small_ref):
     copies every array under a mask in every round: the reference whose
     iterates, residuals, G values and iteration count the kernel keeps."""
     W = Z @ Minv.T
-    g, dg = _kernels.eval_trig_and_jac(_kernels.wrap(W), *terms)
+    g, dg = _g_and_dg(_kernels.wrap(W), *terms)
     r = W @ Mf.T + g - Z
     res = np.sqrt((r ** 2).sum(axis=1))
     newton = np.ones(Z.shape[0], dtype=bool)
@@ -369,7 +363,7 @@ def _invert_lift_ref(Z, Mf, Minv, terms, tol, max_iter, solve=_solve_small_ref):
     while res.max() > tol and iters < max_iter:
         trial = np.where(newton[:, None], W - solve(Mf + dg, r),
                          (Z - g) @ Minv.T)
-        g_t, dg_t = _kernels.eval_trig_and_jac(_kernels.wrap(trial), *terms)
+        g_t, dg_t = _g_and_dg(_kernels.wrap(trial), *terms)
         r_t = trial @ Mf.T + g_t - Z
         res_t = np.sqrt((r_t ** 2).sum(axis=1))
         iters += 1

@@ -284,6 +284,20 @@ def test_expanding_is_empty_stable_split(engine_2d, engine_cat):
     assert np.allclose(proj @ proj, proj) and np.isclose(np.trace(proj), 1.0)
 
 
+def test_complex_stable_pair_splits_into_a_real_plane():
+    # x^3 - x - 1: the unstable root 1.3247 and a stable complex pair of
+    # modulus 0.869, whose real invariant plane is spanned by the real and
+    # imaginary parts of one eigenvector, so P^-1 A P is block-diagonal
+    # with a 1x1 unstable block and the pair's 2x2 rotation-scaling block
+    A = np.array([[0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
+    P, ku = semiconj._real_invariant_split(A)
+    B = np.linalg.solve(P, A @ P)
+    assert ku == 1 and P.shape == (3, 3)
+    assert np.abs(B[:1, 1:]).max() <= 1e-14 and np.abs(B[1:, :1]).max() <= 1e-14
+    assert np.isclose(B[0, 0], 1.324717957244746)
+    assert np.allclose(np.abs(np.linalg.eigvals(B[1:, 1:])), 0.868836961832709)
+
+
 def _point_major_series(engine, Z, image=False):
     """(sums, F(Z)) of _phi_series as the sweep summed them in point-major
     layout: each orbit step and its G a new (n, d) array, each series term
@@ -430,7 +444,6 @@ def test_fiber_bound_report(engine_1d):
 
 
 def test_grid():
-    assert semiconj._grid(0, 5).shape == (1, 0)
     z = semiconj._grid(2, 4)
     assert z.shape == (16, 2) and z[1].tolist() == [0.0, 0.25]
     centres = semiconj._grid(2, 4, offset=0.5)

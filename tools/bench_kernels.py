@@ -8,7 +8,8 @@ line is the best of 9 timed calls, divided by the phase evaluations the
 call makes: U unique phases at each of n points, times the steps of an
 orbit sweep or the G evaluations of a Newton solve.
 
-- ``eval_trig`` and ``eval_trig_and_jac``: one (n, d) batch of 4096 points.
+- ``eval_trig`` and ``eval_jac`` (G and DG, the kernel of the cone
+  Jacobians): one (n, d) batch of 4096 points.
 - ``invert_lift_numpy``: 1024 points of a hyperbolic map, solved to 1e-13.
 - ``_phi_series``: one chunk of ``semiconj.CHUNK`` points of an expanding
   map at N = 32, as ``verify-semiconj`` sweeps it (N + 1 steps).
@@ -100,8 +101,8 @@ def measure(n=4096, n_inverse=1024, N=32, repeat=9, n_cells=1000, n_chunk=semico
         Z = rng.uniform(0.0, 1.0, size=(n, d))
         ns, _ = best(lambda: _kernels.eval_trig(Z, ta.freqs, ta.coefs, ta.nsin), repeat)
         rows.append(("eval_trig", d, U, ns / (U * n)))
-        ns, _ = best(lambda: _kernels.eval_trig_and_jac(Z, *ta), repeat)
-        rows.append(("eval_trig_and_jac", d, U, ns / (U * n)))
+        ns, _ = best(lambda: _kernels.eval_jac(Z, ta.freqs, ta.nsin, ta.jac), repeat)
+        rows.append(("eval_jac", d, U, ns / (U * n)))
         chunk = chunk_rng.uniform(0.0, 1.0, size=(n_chunk, d))
         ns, _ = best(lambda: semiconj._phi_series(eng, chunk, image=True), repeat)
         rows.append(("_phi_series", d, U, ns / (U * n_chunk * (N + 1))))
